@@ -240,7 +240,8 @@ def cmd_simulate(config, args) -> tuple[int, dict]:
             "reason": "degenerate point: constraint Jacobian is singular",
             "rank": exc.rank,
             "of": exc.needed,
-            "last_good_time": t0,
+            "last_good_time": exc.time,
+            "step": exc.step,
         }
         return EXIT_DEGENERATE, report
     csv_text = trajectory_csv(traj)

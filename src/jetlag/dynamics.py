@@ -1,14 +1,25 @@
 """Runnable form of Morse families: implicit systems, multiplier resolution,
-fixed-step RK4 with per-stage constraint solving, trajectory lifting.
+fixed-step RK4 with constraint solving, trajectory lifting.
+
+Fixed work is done once.  Each ``ImplicitSystem`` builds its multiplier
+solver (linear split of the constraints and compiled callables) on first
+use and keeps it.  A linear constraint block whose entries are free of the
+states is evaluated and rank-checked once per parameter vector.  Per point
+(every RK4 stage, every relatedness sample) the residue is evaluated and
+checked, a state-dependent block is evaluated and rank-checked, and the
+multipliers are solved for.
 
 A degenerate point (singular constraint Jacobian) aborts integration with a
-typed error; the toolkit treats that as structure, not noise.
+typed error that carries the time and step; the toolkit treats that as
+structure, not noise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +53,11 @@ class ImplicitSystem:
     def __post_init__(self):
         if set(self.rhs) != set(self.states):
             raise ChartMismatchError("rhs must cover every state exactly once")
+
+    @cached_property
+    def solver(self) -> _MultiplierSolver:
+        """The system's multiplier solver, built on first use and kept."""
+        return _MultiplierSolver(self)
 
 
 @dataclass
@@ -90,7 +106,9 @@ class _MultiplierSolver:
 
     Linear constraints solve directly (square solve, or least squares with a
     full-column-rank check); nonlinear ones go through Newton with warm
-    starting.  Singular Jacobians raise with the observed rank.
+    starting.  Singular Jacobians raise with the observed rank.  A linear
+    block free of the states is evaluated and rank-checked once for the last
+    parameter vector seen; a state-dependent one at every point.
     """
 
     def __init__(self, sys: ImplicitSystem):
@@ -107,6 +125,9 @@ class _MultiplierSolver:
             matrix, residue = linear_coefficients(sys.constraints, sys.multipliers)
             self.linear = True
             flat = [entry for row in matrix for entry in row]
+            states = set(sys.states)
+            self.constant = not any(entry.free & states for entry in flat)
+            self._block_key = self._block = None
             self._matrix_fn = lambdify(flat, list(sys.states) + self.params)
             self._residue_fn = lambdify(residue, list(sys.states) + self.params)
         except NotLinearError:
@@ -122,30 +143,13 @@ class _MultiplierSolver:
         if self.n_mult == 0:
             return np.zeros(0)
         if self.linear:
-            try:
-                a = np.array(self._matrix_fn(list(state_vec) + list(param_vec)))
-                b = -np.array(self._residue_fn(list(state_vec) + list(param_vec)))
-            except (OverflowError, ZeroDivisionError, ValueError) as exc:
-                raise NumericFailureError(f"constraint evaluation failed: {exc}") from exc
-            a = a.reshape(self.n_cons, self.n_mult)
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-                raise NumericFailureError("constraint evaluation produced non-finite values")
-            rank = np.linalg.matrix_rank(a, tol=_RANK_TOL * max(1.0, _spectral(a)))
-            if rank < self.n_mult:
-                raise SingularJacobianError(int(rank), self.n_mult)
-            if self.n_cons == self.n_mult:
-                sol = np.linalg.solve(a, b)
-            else:
-                sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-                if np.max(np.abs(a @ sol - b)) > 1e-9 * (1.0 + np.max(np.abs(b))):
-                    raise ConstraintViolationError(
-                        "overdetermined multiplier system is inconsistent"
-                    )
-            return sol
+            return self._solve_linear(state_vec + list(param_vec), param_vec)
         if self.n_cons != self.n_mult:
             raise SingularJacobianError(self.n_cons, self.n_mult)
-        starts = [np.array(warm)] if warm is not None else []
-        starts += [np.full(self.n_mult, v) for v in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)]
+        # built lazily: the warm start almost always converges
+        starts = (np.full(self.n_mult, v) for v in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
+        if warm is not None:
+            starts = itertools.chain([np.array(warm)], starts)
         last_error = None
         for start in starts:
             try:
@@ -154,19 +158,82 @@ class _MultiplierSolver:
                 last_error = exc
         raise last_error
 
+    def _matrix(self, args, param_vec):
+        """Checked constraint matrix at a point, with its rank."""
+        key = tuple(param_vec) if self.constant else None
+        if key is not None and key == self._block_key:
+            return self._block
+        a = _real_values(self._matrix_fn, args, "constraint")
+        a = a.reshape(self.n_cons, self.n_mult)
+        block = (a, _rank(a))
+        if key is not None:
+            self._block_key, self._block = key, block
+        return block
+
+    def _solve_linear(self, args, param_vec):
+        a, rank = self._matrix(args, param_vec)
+        b = -_real_values(self._residue_fn, args, "constraint")
+        if rank < self.n_mult:
+            raise SingularJacobianError(rank, self.n_mult)
+        if self.n_cons == self.n_mult:
+            return _solve(a, b)
+        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+        if np.max(np.abs(a @ sol - b)) > 1e-9 * (1.0 + np.max(np.abs(b))):
+            raise ConstraintViolationError("overdetermined multiplier system is inconsistent")
+        return sol
+
     def _newton(self, lam, state_vec, param_vec):
         base = list(state_vec) + list(lam) + list(param_vec)
         for _ in range(50):
             base[len(self.sys.states) : len(self.sys.states) + self.n_mult] = list(lam)
-            g = np.array(self._cons_fn(base))
+            g = _real_values(self._cons_fn, base, "constraint")
             if np.max(np.abs(g)) <= 1e-12:
                 return lam
-            j = np.array(self._jac_fn(base)).reshape(self.n_cons, self.n_mult)
-            rank = np.linalg.matrix_rank(j, tol=_RANK_TOL * max(1.0, _spectral(j)))
+            j = _real_values(self._jac_fn, base, "constraint Jacobian")
+            j = j.reshape(self.n_cons, self.n_mult)
+            rank = _rank(j)
             if rank < self.n_mult:
-                raise SingularJacobianError(int(rank), self.n_mult)
-            lam = lam - np.linalg.solve(j, g)
+                raise SingularJacobianError(rank, self.n_mult)
+            lam = lam - _solve(j, g)
         raise NumericFailureError("multiplier Newton iteration did not converge")
+
+
+def _real_values(fn, args, what):
+    """fn(args) as a float array; complex or non-finite values (sqrt of a
+    negative number compiles to a complex power) are a numeric failure."""
+    try:
+        values = fn(args)
+    except (OverflowError, ZeroDivisionError, ValueError, TypeError) as exc:
+        # TypeError: a complex intermediate handed to a math function
+        raise NumericFailureError(f"{what} evaluation failed: {exc}") from exc
+    for v in values:
+        if isinstance(v, complex):
+            raise NumericFailureError(f"{what} evaluation produced complex values")
+        if not math.isfinite(v):
+            raise NumericFailureError(f"{what} evaluation produced non-finite values")
+    return np.array(values)
+
+
+def _rank(a) -> int:
+    """Numeric rank of a finite matrix at the relative tolerance.
+
+    For a 1x1 block the single singular value is |a|, so the comparison is
+    made directly, without an SVD.
+    """
+    if a.shape == (1, 1):
+        x = abs(float(a[0, 0]))
+        return int(x > _RANK_TOL * max(1.0, x))
+    return int(np.linalg.matrix_rank(a, tol=_RANK_TOL * max(1.0, _spectral(a))))
+
+
+def _solve(a, b):
+    """np.linalg.solve(a, b) for a nonsingular a.
+
+    A 1x1 block is a float division, which gives the same bits as LAPACK.
+    """
+    if a.shape == (1, 1):
+        return np.array([float(b[0]) / float(a[0, 0])])
+    return np.linalg.solve(a, b)
 
 
 def _spectral(a):
@@ -176,7 +243,7 @@ def _spectral(a):
 def resolve_multipliers(sys: ImplicitSystem, at: dict, warm=None) -> dict:
     """Multiplier values at one point; raises SingularJacobianError when the
     constraint Jacobian cannot pin them down."""
-    solver = _MultiplierSolver(sys)
+    solver = sys.solver
     state_vec = [float(at[s]) for s in sys.states]
     param_vec = [float(at[s]) for s in solver.params]
     warm_vec = None
@@ -189,17 +256,31 @@ def resolve_multipliers(sys: ImplicitSystem, at: dict, warm=None) -> dict:
 def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: float) -> Trajectory:
     """Classical fixed-step RK4 on the multiplier-resolved vector field.
 
-    Multipliers are re-resolved at every stage (warm-started); samples carry
+    The system's solver is built once (see ``ImplicitSystem.solver``); the
+    right-hand side, constraints and energy are compiled once per call.
+    Multipliers are solved for at every stage (warm-started), reusing the
+    checked constraint matrix when it is free of the states.  Samples carry
     the resolved multiplier values and the energy.
+
+    (t1 - t0)/h must be a whole number of steps to within 1e-9 relative;
+    otherwise StepSizeError.  A singular constraint Jacobian raises
+    SingularJacobianError carrying the last good time and the failing step
+    (0 for the initial data).
     """
     if h <= 0:
         raise StepSizeError(f"step size must be positive, got {h}")
     if t1 < t0:
         raise StepSizeError("t1 must be >= t0")
-    # t1 - t0 is expected to be an integral number of steps
-    n_steps = max(0, int(round((t1 - t0) / h)))
+    ratio = (t1 - t0) / h
+    if not math.isfinite(ratio):
+        raise StepSizeError(f"no step count for t0={t0}, t1={t1}, h={h}")
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) > 1e-9 * max(1.0, ratio):
+        raise StepSizeError(
+            f"t1 - t0 = {t1 - t0:g} is not a whole number of steps of {h:g} ({ratio:.12g})"
+        )
 
-    solver = _MultiplierSolver(sys)
+    solver = sys.solver
     states = list(sys.states)
     mults = list(sys.multipliers)
     missing = [s for s in states if s not in init]
@@ -215,7 +296,10 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     energy_fn = lambdify([sys.energy], states + mults + solver.params)
 
     y = np.array([float(init[s]) for s in states])
-    warm = solver.solve(y, param_vec)
+    try:
+        warm = solver.solve(y, param_vec)
+    except SingularJacobianError as exc:
+        raise exc.located(t0, 0) from None
     g0 = cons_fn(list(y) + list(warm) + param_vec)
     if g0 and max(abs(v) for v in g0) > 1e-9:
         raise ConstraintViolationError(
@@ -227,7 +311,7 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
         args = [float(v) for v in yv] + [float(v) for v in lam] + param_vec
         try:
             out = rhs_fn(args)
-        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        except (OverflowError, ZeroDivisionError, ValueError, TypeError) as exc:
             raise NumericFailureError(f"vector field evaluation failed: {exc}") from exc
         for v in out:
             if isinstance(v, complex) or not math.isfinite(v):
@@ -245,23 +329,26 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
         args = [float(v) for v in yv] + [float(v) for v in lam] + param_vec
         try:
             energies.append(float(energy_fn(args)[0]))
-        except (OverflowError, ZeroDivisionError, ValueError):
+        except (OverflowError, ZeroDivisionError, ValueError, TypeError):
             energies.append(float("nan"))
 
     record(y, warm)
     t = t0
     # overflow surfaces through the explicit finite checks, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            k1, lam1 = vector_field(y, warm)
-            k2, lam2 = vector_field(y + 0.5 * h * k1, lam1)
-            k3, lam3 = vector_field(y + 0.5 * h * k2, lam2)
-            k4, lam4 = vector_field(y + h * k3, lam3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise NumericFailureError("state became non-finite during integration")
+        for step in range(1, n_steps + 1):
+            try:
+                k1, lam1 = vector_field(y, warm)
+                k2, lam2 = vector_field(y + 0.5 * h * k1, lam1)
+                k3, lam3 = vector_field(y + 0.5 * h * k2, lam2)
+                k4, lam4 = vector_field(y + h * k3, lam3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not np.all(np.isfinite(y)):
+                    raise NumericFailureError("state became non-finite during integration")
+                lam_end = solver.solve(y, param_vec, lam4)
+            except SingularJacobianError as exc:
+                raise exc.located(t, step) from None
             t += h
-            lam_end = solver.solve(y, param_vec, lam4)
             times.append(t)
             record(y, lam_end)
             warm = lam_end

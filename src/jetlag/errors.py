@@ -75,15 +75,24 @@ class SingularJacobianError(JetlagError):
     """Constraint Jacobian is singular: genuinely implicit point.
 
     Carries the numeric rank seen and the rank that would be needed to
-    resolve the multipliers uniquely.
+    resolve the multipliers uniquely.  Raised from an integration it also
+    carries the time of the last good sample and the step that failed
+    (step 0 is the initial data); elsewhere both are None.
     """
 
-    def __init__(self, rank, needed):
-        super().__init__(
-            f"constraint Jacobian rank {rank} of {needed}: multipliers not uniquely solvable"
-        )
+    def __init__(self, rank, needed, time=None, step=None):
+        message = f"constraint Jacobian rank {rank} of {needed}: multipliers not uniquely solvable"
+        if step is not None:
+            message += f" (step {step}, last good time {time!r})"
+        super().__init__(message)
         self.rank = rank
         self.needed = needed
+        self.time = time
+        self.step = step
+
+    def located(self, time, step):
+        """The same error, placed at an integration time and step."""
+        return SingularJacobianError(self.rank, self.needed, time, step)
 
 
 class StepSizeError(JetlagError):

@@ -147,6 +147,53 @@ def test_simulate_degenerate_aborts_with_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_simulate_abort_reports_time_and_step(tmp_path, capsys):
+    out_dir = str(tmp_path / "o")
+    cfg = write_config(tmp_path, PLANAR_CONFIG)
+    code, out = run_cli(capsys, "simulate", "--config", cfg, "--format", "json", "--out", out_dir)
+    assert code == 3
+    aborted = json.loads(out)["aborted"]
+    assert (aborted["rank"], aborted["of"], aborted["last_good_time"], aborted["step"]) == (1, 3, 0.0, 0)
+    # multiplier block -q1_0 with q1_0 = 1 - 4t: singular inside step 4
+    shrinking = {
+        "problem": "shrinking",
+        "n": 1,
+        "k": 2,
+        "lagrangian": "1/2*q1_0*q1_2^2",
+        "method": "ostrogradsky",
+        "simulation": {
+            "t0": 0.0, "t1": 1.0, "h": 0.0625,
+            "initial": {"q1_0": 1.0, "q1_1": -4.0, "p1_0": 0.0, "p1_1": 0.0},
+        },
+    }
+    cfg = write_config(tmp_path, shrinking, "shrinking.json")
+    code, out = run_cli(capsys, "simulate", "--config", cfg, "--format", "json", "--out", out_dir)
+    assert code == 3
+    aborted = json.loads(out)["aborted"]
+    assert (aborted["rank"], aborted["of"], aborted["last_good_time"], aborted["step"]) == (0, 1, 0.1875, 4)
+
+
+def test_simulate_ragged_grid_is_usage_error(tmp_path, capsys):
+    ragged = {**BEAM_CONFIG, "simulation": {**BEAM_CONFIG["simulation"], "h": 0.3}}
+    cfg = write_config(tmp_path, ragged)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
+
+
+def test_simulate_complex_intermediate_is_numeric_failure(tmp_path, capsys):
+    # q1_0^(1/2) at q1_0 = -1 compiles to a complex number, which cos rejects
+    config = {
+        **BEAM_CONFIG,
+        "lagrangian": "1/2*q1_2^2 + cos(q1_0^(1/2))",
+        "parameters": {},
+        "simulation": {**BEAM_CONFIG["simulation"], "t1": 0.01,
+                       "initial": {"q1_0": -1.0, "q1_1": 0.0, "p1_0": 0.0, "p1_1": 0.0}},
+    }
+    cfg = write_config(tmp_path, config)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_missing_config_fields(tmp_path, capsys):
     cfg = write_config(tmp_path, {"problem": "x"})
     assert main(["derive", "--config", cfg]) == 2

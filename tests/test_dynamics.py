@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from jetlag import dynamics
 from jetlag.dynamics import (
+    ImplicitSystem,
     assemble,
     energy_drift,
     integrate_rk4,
@@ -13,6 +17,7 @@ from jetlag.dynamics import (
 from jetlag.errors import (
     ConstraintViolationError,
     NonCotangentChartError,
+    NumericFailureError,
     SingularJacobianError,
     StepSizeError,
 )
@@ -25,6 +30,8 @@ from jetlag.symbols import p, param, q
 BEAM = LagrangianSpec(1, 2, parse("1/2*mu*q1_2^2 + rho*q1_0"))
 JAVELIN = LagrangianSpec(1, 2, parse("1/2*q1_1^2 - 1/2*q1_2^2"))
 PLANAR = LagrangianSpec(3, 2, parse("1/2*(q1_2 + q2_2)^2"))
+# multiplier block -q1_0: singular where q1_0 = 0
+SHRINKING = LagrangianSpec(1, 2, parse("1/2*q1_0*q1_2^2"))
 PARAMS = {param("mu"): 1.0, param("rho"): 1.0}
 
 
@@ -241,3 +248,162 @@ def test_assemble_rejects_non_cotangent_chart():
 
     with pytest.raises((NonCotangentChartError, Exception)):
         MorseFamily(chart_tkq(1, 2), (q(1, 2),), parse("0"))
+
+
+def one_dof_system(constraints, multipliers=(q(1, 2),), rhs=None):
+    """Implicit system on (q1_0, p1_0) with the given constraint texts."""
+    return ImplicitSystem(
+        states=(q(1, 0), p(1, 0)),
+        rhs=rhs or {q(1, 0): parse("p1_0"), p(1, 0): parse("0")},
+        constraints=tuple(parse(c) for c in constraints),
+        multipliers=tuple(multipliers),
+        energy=parse("1/2*p1_0^2"),
+    )
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that calls are counted; returns the counter."""
+    counter = {"calls": 0}
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counter["calls"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return counter
+
+
+def test_solver_built_once_per_system(monkeypatch):
+    sys = beam_system()
+    linear = count_calls(monkeypatch, dynamics, "linear_coefficients")
+    compiles = count_calls(monkeypatch, dynamics, "lambdify")
+    at = {q(1, 0): 0.0, q(1, 1): 0.0, p(1, 0): 0.0, p(1, 1): 3.0, **PARAMS}
+    for _ in range(100):
+        assert resolve_multipliers(sys, at) == {q(1, 2): 3.0}
+    assert linear["calls"] == 1
+    assert compiles["calls"] == 2
+    assert sys.solver is sys.solver
+
+
+def test_constant_block_rank_checked_once_per_run(monkeypatch):
+    # 1x1 block [[mu]] and 2x2 block [[0, mu], [mu, 0]]: free of the states
+    beam = beam_system()
+    swap = one_dof_system(
+        ("mu*q2_2 - p1_0", "mu*q1_2 - q1_0"),
+        multipliers=(q(1, 2), q(2, 2)),
+        rhs={q(1, 0): parse("p1_0 + q1_2"), p(1, 0): parse("-q2_2")},
+    )
+    ranks = count_calls(monkeypatch, dynamics, "_rank")
+    svds = count_calls(monkeypatch, np.linalg, "matrix_rank")
+    init = {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}
+    integrate_rk4(beam, init, 0.0, 0.1, 1e-3)
+    assert (ranks["calls"], svds["calls"]) == (1, 0)  # 1x1: no SVD at all
+    for mu, expected in ((2.0, 1), (2.0, 1), (3.0, 2)):
+        integrate_rk4(swap, {q(1, 0): 0.1, p(1, 0): 0.2, param("mu"): mu}, 0.0, 0.05, 1e-3)
+        assert svds["calls"] == expected  # once per new parameter vector
+
+
+def test_state_dependent_block_checked_every_stage(monkeypatch):
+    cases = [
+        (one_dof_system(("q1_0*q1_2 - 1",), rhs={q(1, 0): parse("1"), p(1, 0): parse("0")}), 0),
+        (
+            one_dof_system(
+                ("q1_0*q1_2 + q2_2 - p1_0", "q1_2 + q1_0*q2_2"),
+                multipliers=(q(1, 2), q(2, 2)),
+                rhs={q(1, 0): parse("1"), p(1, 0): parse("q2_2")},
+            ),
+            1,
+        ),
+    ]
+    for sys, svd_per_check in cases:
+        ranks = count_calls(monkeypatch, dynamics, "_rank")
+        svds = count_calls(monkeypatch, np.linalg, "matrix_rank")
+        integrate_rk4(sys, {q(1, 0): 2.0, p(1, 0): 0.5}, 0.0, 0.1, 1e-2)
+        checks = 1 + 5 * 10  # initial data, then four stages and the step's end
+        assert ranks["calls"] == checks
+        assert svds["calls"] == checks * svd_per_check
+        monkeypatch.undo()
+
+
+def test_degenerate_planar_rank_one_of_three_at_step_zero():
+    sys = assemble(ostro_energy(PLANAR))
+    init = {s: 0.1 for s in sys.states}
+    with pytest.raises(SingularJacobianError) as err:
+        integrate_rk4(sys, init, 0.5, 1.0, 1e-2)
+    assert (err.value.rank, err.value.needed) == (1, 3)
+    assert (err.value.time, err.value.step) == (0.5, 0)
+
+
+def test_singular_block_mid_run_reports_time_and_step():
+    # q1_0 = 1 - 4t with q1_2 = p1_1 = 0; the fourth stage of step 4 lands
+    # exactly on q1_0 = 0 (all values are binary fractions)
+    sys = assemble(ostro_energy(SHRINKING))
+    init = {q(1, 0): 1.0, q(1, 1): -4.0, p(1, 0): 0.0, p(1, 1): 0.0}
+    with pytest.raises(SingularJacobianError) as err:
+        integrate_rk4(sys, init, 0.0, 1.0, 0.0625)
+    assert (err.value.rank, err.value.needed) == (0, 1)
+    assert (err.value.time, err.value.step) == (0.1875, 4)
+    assert "step 4" in str(err.value)
+    # resolve_multipliers has no time grid
+    with pytest.raises(SingularJacobianError) as err:
+        resolve_multipliers(sys, {**init, q(1, 0): 0.0})
+    assert (err.value.time, err.value.step) == (None, None)
+
+
+def test_ragged_time_grid_rejected():
+    sys = beam_system()
+    init = {q(1, 0): 0.0, q(1, 1): 0.0, p(1, 0): 0.0, p(1, 1): 0.0, **PARAMS}
+    with pytest.raises(StepSizeError):
+        integrate_rk4(sys, init, 0.0, 1.0, 0.3)
+    with pytest.raises(StepSizeError):
+        integrate_rk4(sys, init, 0.0, 1.0, float("nan"))
+    with pytest.raises(StepSizeError):
+        integrate_rk4(sys, init, 0.0, float("inf"), 0.1)
+    # (0.3 - 0)/0.1 is 2.9999999999999996: a whole number to rounding
+    assert len(integrate_rk4(sys, init, 0.0, 0.3, 0.1).times) == 4
+    assert len(integrate_rk4(sys, init, 0.2, 0.2, 0.1).times) == 1
+
+
+def test_complex_values_rejected_in_multiplier_path():
+    # sqrt of a negative number compiles to a complex power
+    cases = [
+        "q1_0^(1/2)*q1_2 + p1_0",  # complex matrix
+        "q1_2 + q1_0^(1/2)",  # complex residue
+        "q1_2^3 + q1_0^(1/2)",  # nonlinear: complex Newton residual
+    ]
+    for text in cases:
+        sys = one_dof_system((text,))
+        with pytest.raises(NumericFailureError, match="complex"):
+            resolve_multipliers(sys, {q(1, 0): -1.0, p(1, 0): 1.0})
+        resolve_multipliers(sys, {q(1, 0): 4.0, p(1, 0): 1.0})  # real again
+    assert resolve_multipliers(one_dof_system((cases[0],)), {q(1, 0): 4.0, p(1, 0): 1.0}) == {
+        q(1, 2): -0.5
+    }
+    sys = one_dof_system((cases[0],))
+    with pytest.raises(NumericFailureError):
+        integrate_rk4(sys, {q(1, 0): -1.0, p(1, 0): 1.0}, 0.0, 0.1, 1e-2)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_FLOATS, _FLOATS)
+@example(0.0, 1.0)
+@example(-0.0, 1.0)
+@example(5e-324, 1.0)
+@example(1e-10, 1.0)
+@example(np.nextafter(1e-10, 1.0), -3.0)
+@example(1e-5, 1.7e308)
+@example(-1.7e308, 1e-300)
+@example(3.0, 1.0)
+def test_one_by_one_rule_matches_lapack_bit_for_bit(a, b):
+    # the 1x1 shortcut in the multiplier solver must reproduce LAPACK exactly
+    block, rhs = np.array([[a]]), np.array([b])
+    tol = dynamics._RANK_TOL * max(1.0, abs(a))
+    rank = dynamics._rank(block)
+    assert rank == np.linalg.matrix_rank(block, tol=tol)
+    if rank == 1:
+        with np.errstate(over="ignore"):
+            expected = np.linalg.solve(block, rhs)
+        assert dynamics._solve(block, rhs).tobytes() == expected.tobytes()
