@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainEvalError, NumericFailureError, UnboundSymbolError
 from .symbols import Symbol
 
@@ -309,13 +311,21 @@ def _fold_const_pow(value, exponent: Fraction):
 
 
 def _exact_root(n: int, d: int):
+    """The integer d-th root of n when n is a perfect d-th power, else None.
+
+    Integer Newton iteration from above, so no size of n overflows a float.
+    """
     if n < 0:
         return None
-    r = round(n ** (1.0 / d))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**d == n:
-            return cand
-    return None
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // d)  # 2^ceil(bits/d) > n^(1/d)
+    while True:
+        s = ((d - 1) * r + n // r ** (d - 1)) // d
+        if s >= r:
+            break
+        r = s
+    return r if r**d == n else None
 
 
 def neg(x) -> Expr:
@@ -374,9 +384,17 @@ def eval_expr(e: Expr, binding) -> float:
     return v
 
 
+def _const_float(e: Const) -> float:
+    try:
+        return float(e.value)
+    except OverflowError as exc:
+        digits = len(str(abs(e.value.numerator))) - len(str(e.value.denominator))
+        raise NumericFailureError(f"a constant of about 10^{digits} does not fit a float") from exc
+
+
 def _eval(e, binding):
     if isinstance(e, Const):
-        return e.value
+        return _const_float(e)
     if isinstance(e, Sym):
         try:
             return binding[e.symbol]
@@ -583,7 +601,8 @@ def is_zero_expr(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# compilation to plain python callables (hot loops in dynamics)
+# compilation: plain python callables (hot loops in dynamics) and
+# row-vectorized evaluators (sampled checks)
 # ---------------------------------------------------------------------------
 
 
@@ -603,7 +622,7 @@ def lambdify(exprs, symbols):
 
     def emit(node):
         if isinstance(node, Const):
-            return repr(float(node.value))
+            return repr(_const_float(node))
         if isinstance(node, Sym):
             return f"x[{index[node.symbol]}]"
         if isinstance(node, Sum):
@@ -628,3 +647,102 @@ def lambdify(exprs, symbols):
     }
     code = compile(f"lambda x: {body}", "<jetlag-lambdify>", "eval")
     return eval(code, namespace)  # noqa: S307 - code built from our own AST
+
+
+_ROW_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log}
+
+
+def compile_rows(exprs, symbols):
+    """Compile expressions to one evaluator over many points at once.
+
+    Returns f(rows) -> (values, bad).  rows is an (n_rows, len(symbols))
+    float array with one column per symbol in the given order; values holds
+    one length-n_rows array per expression, and bad marks the rows on which
+    eval_expr would raise for some expression: zero to a negative power, a
+    negative base with a fractional exponent, ln of a value <= 0, a power or
+    exp that overflows from finite input, or a non-finite value of an
+    expression (sin/cos of an infinity give a nan, which no later operation
+    turns finite).  Values on bad rows mean nothing.
+
+    The expressions are flattened into a tape with one slot per distinct
+    subexpression key, and the tape is interpreted column-wise.  Sums and
+    products run in eval_expr's order; numpy's power, exp and log may differ
+    from the math module's in the last bit.  Unbound symbols, and constants
+    too large for a float, are construction-time errors.
+    """
+    index = {s: i for i, s in enumerate(symbols)}
+    exprs = list(exprs)
+    for e in exprs:
+        missing = e.free - index.keys()
+        if missing:
+            raise UnboundSymbolError(sorted(missing)[0])
+    tape = []  # (op, operand slot(s), payload); operands precede their users
+    slots = {}
+
+    def emit(node):
+        slot = slots.get(node.key)
+        if slot is not None:
+            return slot
+        if isinstance(node, Const):
+            step = ("const", _const_float(node), None)
+        elif isinstance(node, Sym):
+            step = ("sym", index[node.symbol], None)
+        elif isinstance(node, Sum):
+            step = ("add", [emit(t) for t in node.terms], None)
+        elif isinstance(node, Prod):
+            step = ("mul", [emit(f) for f in node.factors], None)
+        elif isinstance(node, Pow):
+            exp = node.exponent
+            step = ("pow", emit(node.base), (float(exp), exp < 0, exp.denominator != 1))
+        elif isinstance(node, Func):
+            step = (node.fname, emit(node.arg), _ROW_FUNCS[node.fname])
+        else:
+            raise TypeError(f"not an Expr: {node!r}")
+        slots[node.key] = len(tape)
+        tape.append(step)
+        return slots[node.key]
+
+    outputs = [emit(e) for e in exprs]
+
+    def run(rows):
+        cols = np.asarray(rows, dtype=float).T
+        n = cols.shape[1]
+        bad = np.zeros(n, dtype=bool)
+        vals = []
+        with np.errstate(all="ignore"):
+            for op, arg, payload in tape:
+                if op == "sym":
+                    v = cols[arg]
+                elif op == "const":
+                    v = arg
+                elif op == "add":
+                    v = vals[arg[0]]
+                    for slot in arg[1:]:
+                        v = v + vals[slot]
+                elif op == "mul":
+                    v = vals[arg[0]]
+                    for slot in arg[1:]:
+                        v = v * vals[slot]
+                elif op == "pow":
+                    x = vals[arg]
+                    exp, negative, fractional = payload
+                    if negative:
+                        bad |= x == 0.0
+                    if fractional:
+                        bad |= x < 0.0
+                    v = np.power(x, exp)
+                    bad |= np.isfinite(x) & ~np.isfinite(v)
+                else:
+                    x = vals[arg]
+                    v = payload(x)
+                    if op == "ln":
+                        bad |= x <= 0.0
+                    elif op == "exp":
+                        bad |= np.isfinite(x) & ~np.isfinite(v)
+                vals.append(v)
+            values = [np.array(np.broadcast_to(vals[slot], (n,)), dtype=float) for slot in outputs]
+            for v in values:
+                bad |= ~np.isfinite(v)
+        return values, bad
+
+    return run

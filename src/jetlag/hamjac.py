@@ -22,9 +22,9 @@ from .errors import (
     NotLinearError,
     NumericFailureError,
 )
-from .expr import Expr, add, coerce, eval_expr, mul, neg, simplify, substitute, sym
+from .expr import Expr, add, coerce, compile_rows, eval_expr, mul, neg, simplify, substitute, sym
 from .families import MorseFamily
-from .sampling import DEFAULT_BOX, make_rng, sample_binding
+from .sampling import DEFAULT_BOX, make_rng, sample_rows
 from .symbols import q
 
 
@@ -158,6 +158,28 @@ def _jsonable(v):
     return isinstance(v, (int, float, str, bool, list, tuple, dict, type(None)))
 
 
+def _eval_rows(exprs, symbols, rows):
+    """Values of exprs at every row, one array per expression.
+
+    At the first row on which some expression does not evaluate, eval_expr
+    raises the error the point-by-point loop would have raised there.
+    """
+    values, bad = compile_rows(exprs, symbols)(rows)
+    if bad.any():
+        binding = dict(zip(symbols, rows[int(np.argmax(bad))].tolist()))
+        for e in exprs:
+            eval_expr(e, binding)
+        raise NumericFailureError(f"an expression does not evaluate at {binding}")
+    return values
+
+
+def _record_sups(report, names, values):
+    """Fold each equation's sup of |value| over the rows into the report."""
+    for name, v in zip(names, values):
+        if len(v):
+            report.sup_norms[name] = max(report.sup_norms.get(name, 0.0), float(np.max(np.abs(v))))
+
+
 def _sample_equations(
     label,
     equations,
@@ -178,17 +200,13 @@ def _sample_equations(
         symbols |= set(e.free)
     symbols = sorted(symbols)
     report = ResidualReport(label, list(equations), tol, samples)
-    sup = 0.0
-    for _ in range(samples):
-        binding = sample_binding(
-            symbols, rng, box=box, boxes=boxes, guards=guards, probe_exprs=list(probe)
-        )
-        for name, e in equations:
-            v = abs(eval_expr(e, binding))
-            report.sup_norms[name] = max(report.sup_norms.get(name, 0.0), v)
-            sup = max(sup, v)
-    report.overall_sup = sup
-    report.passed = sup <= tol
+    rows = sample_rows(
+        symbols, samples, rng, box=box, boxes=boxes, guards=guards, probe_exprs=list(probe)
+    )
+    values = _eval_rows([e for _, e in equations], symbols, rows)
+    _record_sups(report, [name for name, _ in equations], values)
+    report.overall_sup = max(report.sup_norms.values(), default=0.0)
+    report.passed = report.overall_sup <= tol
     return report
 
 
@@ -227,37 +245,61 @@ def morse_rank_check(mf: MorseFamily, points) -> ResidualReport:
     return report
 
 
-class _FiberSolver:
-    """Numeric fiber resolution for residual sampling (least squares when the
-    constraint block is linear, Newton otherwise)."""
+def _lstsq_rows(a, b):
+    """Least-squares solutions of a[i] x = b[i] for blocks a (n, m, k) and
+    right-hand sides b (n, m), with each row's max |a[i] x - b[i]|.
 
-    def __init__(self, fiber_eqs, fibers, coordinates):
+    When every row has the same block (parameters boxed to single values),
+    one multi-RHS lstsq serves all rows; it equals the per-row solves bit for
+    bit, as does the stacked matrix-vector product for the residual.
+    """
+    n, _, k = a.shape
+    if n and (a == a[0]).all():
+        sol, *_ = np.linalg.lstsq(a[0], b.T, rcond=None)
+        x = sol.T
+    else:
+        x = np.array([np.linalg.lstsq(ai, bi, rcond=None)[0] for ai, bi in zip(a, b)]).reshape(n, k)
+    fit = (a @ x[:, :, None])[..., 0]
+    return x, np.max(np.abs(fit - b), axis=1)
+
+
+class _FiberSolver:
+    """Numeric fiber resolution at a block of sample rows: least squares when
+    the constraint block is linear, Newton from several starts otherwise."""
+
+    def __init__(self, fiber_eqs, fibers, symbols):
         self.fibers = list(fibers)
+        self.symbols = list(symbols)  # the columns of the rows to solve at
         self.eqs = [simplify(e) for e in fiber_eqs]
-        self.linear = None
+        self.linear = True
         if not self.fibers:
-            self.linear = True
-            self.matrix = []
-            self.residue = []
             return
         try:
-            self.matrix, self.residue = linear_coefficients(self.eqs, self.fibers)
-            self.linear = True
+            matrix, residue = linear_coefficients(self.eqs, self.fibers)
         except NotLinearError:
             self.linear = False
+            self.jac = [[diff(e, m) for m in self.fibers] for e in self.eqs]
+            return
+        self.entries = [e for row in matrix for e in row] + list(residue)
 
-    def solve(self, binding):
-        """Returns (fiber values dict, consistency residual)."""
+    def solve_rows(self, rows):
+        """Returns (fiber values, one row per row; consistency residual per row)."""
+        n, k = len(rows), len(self.fibers)
         if not self.fibers:
-            return {}, 0.0
-        if self.linear:
-            a = np.array(
-                [[eval_expr(e, binding) for e in row] for row in self.matrix], dtype=float
-            )
-            b = -np.array([eval_expr(e, binding) for e in self.residue], dtype=float)
-            sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-            consistency = float(np.max(np.abs(a @ sol - b))) if len(b) else 0.0
-            return dict(zip(self.fibers, sol)), consistency
+            return np.empty((n, 0)), np.zeros(n)
+        if not self.linear:
+            lam = np.empty((n, k))
+            consistency = np.empty(n)
+            for i, row in enumerate(rows.tolist()):
+                lam[i], consistency[i] = self._newton(dict(zip(self.symbols, row)))
+            return lam, consistency
+        m = len(self.eqs)
+        values = _eval_rows(self.entries, self.symbols, rows)
+        a = np.stack(values[: m * k], axis=1).reshape(n, m, k)
+        return _lstsq_rows(a, -np.stack(values[m * k :], axis=1))
+
+    def _newton(self, binding):
+        """Fiber values at one point and the residual they leave."""
         best = None
         for start in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
             lam = np.full(len(self.fibers), start)
@@ -266,13 +308,9 @@ class _FiberSolver:
                 full.update(dict(zip(self.fibers, lam)))
                 g = np.array([eval_expr(e, full) for e in self.eqs], dtype=float)
                 if np.max(np.abs(g)) <= 1e-12:
-                    return dict(zip(self.fibers, lam)), 0.0
+                    return lam, 0.0
                 jac = np.array(
-                    [
-                        [eval_expr(diff(e, m), full) for m in self.fibers]
-                        for e in self.eqs
-                    ],
-                    dtype=float,
+                    [[eval_expr(d, full) for d in row] for row in self.jac], dtype=float
                 )
                 sol, *_ = np.linalg.lstsq(jac, -g, rcond=None)
                 if not np.all(np.isfinite(sol)) or np.max(np.abs(sol)) < 1e-15:
@@ -283,7 +321,7 @@ class _FiberSolver:
             g = np.array([eval_expr(e, full) for e in self.eqs], dtype=float)
             residual = float(np.max(np.abs(g)))
             if best is None or residual < best[1]:
-                best = (dict(zip(self.fibers, lam)), residual)
+                best = (lam, residual)
             if residual <= 1e-12:
                 return best
         return best
@@ -323,29 +361,23 @@ def hj_residual(
     ]
     comps = gamma.component_exprs()
     rng = make_rng(rng if rng is not None else 0)
-    solver = _FiberSolver([e for _, e in fiber_eqs], fibers, positions)
     coord_symbols = set(positions)
     for _, e in base_eqs + fiber_eqs:
         coord_symbols |= {s for s in e.free if s not in fibers}
     for c in comps:
         coord_symbols |= set(c.free)
     coord_symbols = sorted(coord_symbols)
+    solver = _FiberSolver([e for _, e in fiber_eqs], fibers, coord_symbols)
 
     report = ResidualReport(mf.label or "hj", base_eqs + fiber_eqs, tol, samples)
-    sup = 0.0
-    consistency_sup = 0.0
-    for _ in range(samples):
-        binding = sample_binding(
-            coord_symbols, rng, box=box, boxes=boxes, guards=guards, probe_exprs=list(comps)
-        )
-        lam_values, consistency = solver.solve(binding)
-        consistency_sup = max(consistency_sup, consistency)
-        full = dict(binding)
-        full.update(lam_values)
-        for name, e in base_eqs:
-            v = abs(eval_expr(e, full))
-            report.sup_norms[name] = max(report.sup_norms.get(name, 0.0), v)
-            sup = max(sup, v)
+    rows = sample_rows(
+        coord_symbols, samples, rng, box=box, boxes=boxes, guards=guards, probe_exprs=list(comps)
+    )
+    lam, consistency = solver.solve_rows(rows)
+    consistency_sup = float(np.max(consistency, initial=0.0))
+    values = _eval_rows([e for _, e in base_eqs], coord_symbols + fibers, np.hstack([rows, lam]))
+    _record_sups(report, [name for name, _ in base_eqs], values)
+    sup = max(report.sup_norms.values(), default=0.0)
     for name, e in fiber_eqs:
         report.sup_norms[name] = consistency_sup
     report.overall_sup = max(sup, consistency_sup)
@@ -382,21 +414,15 @@ def hj_residual_nondeg(
         symbols |= set(c.free)
     symbols = sorted(symbols)
     report = ResidualReport("hj-explicit", equations, tol, samples)
-    sup = 0.0
-    values = []
-    for _ in range(samples):
-        binding = sample_binding(
-            symbols, rng, box=box, boxes=boxes, guards=guards, probe_exprs=list(comps) + [composed]
-        )
-        values.append(eval_expr(composed, binding))
-        for name, e in equations:
-            v = abs(eval_expr(e, binding))
-            report.sup_norms[name] = max(report.sup_norms.get(name, 0.0), v)
-            sup = max(sup, v)
-    report.overall_sup = sup
-    report.details["constancy_spread"] = float(max(values) - min(values)) if values else 0.0
-    report.details["composed_mean"] = float(np.mean(values)) if values else 0.0
-    report.passed = sup <= tol
+    rows = sample_rows(
+        symbols, samples, rng, box=box, boxes=boxes, guards=guards, probe_exprs=list(comps) + [composed]
+    )
+    values, *partials = _eval_rows([composed] + [e for _, e in equations], symbols, rows)
+    _record_sups(report, [name for name, _ in equations], partials)
+    report.overall_sup = max(report.sup_norms.values(), default=0.0)
+    report.details["constancy_spread"] = float(np.max(values) - np.min(values)) if len(values) else 0.0
+    report.details["composed_mean"] = float(np.mean(values)) if len(values) else 0.0
+    report.passed = report.overall_sup <= tol
     return report
 
 

@@ -14,7 +14,7 @@ from .errors import (
     NumericFailureError,
     UnboundSymbolError,
 )
-from .expr import Expr, eval_expr
+from .expr import Expr, compile_rows, eval_expr
 
 DEFAULT_BOX = (-2.0, 2.0)
 
@@ -25,8 +25,9 @@ def make_rng(seed_or_rng=0) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
-def sample_binding(
+def sample_rows(
     symbols,
+    n,
     rng,
     box=DEFAULT_BOX,
     boxes=None,
@@ -34,40 +35,64 @@ def sample_binding(
     probe_exprs=(),
     max_attempts=1000,
 ):
-    """Draw one binding with every expression evaluable.
+    """Draw n points, as an (n, len(symbols)) array, at which every guard
+    holds and every expression evaluates.
 
     boxes optionally overrides the box per symbol; guards are (expr, lower
-    bound) pairs that must evaluate >= bound; probe_exprs must merely evaluate
-    (domain rejection for radicals, logs, divisions).
+    bound) pairs that must evaluate >= bound; probe_exprs must merely
+    evaluate (domain rejection for radicals, logs, divisions).  Candidate
+    rows are drawn n - accepted at a time and checked in one compile_rows
+    call.  A block draw is C-ordered, so the accepted rows, and the state
+    the generator is left in, are those of drawing one point at a time and
+    one symbol at a time.  Raises DomainExhaustionError after max_attempts
+    consecutive rejected rows, having drawn exactly those rows.
     """
     symbols = list(symbols)
-    for _ in range(max_attempts):
-        binding = {}
-        for s in symbols:
-            lo, hi = boxes.get(s, box) if boxes else box
-            binding[s] = float(rng.uniform(lo, hi))
-        try:
-            ok = True
-            for guard, bound in guards:
-                if eval_expr(guard, binding) < bound:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for e in probe_exprs:
-                eval_expr(e, binding)
-        except (DomainEvalError, NumericFailureError, OverflowError):
-            continue
-        return binding
-    raise DomainExhaustionError(
-        f"no valid sample in {max_attempts} attempts for symbols {symbols}"
-    )
+    if n <= 0:
+        return np.empty((0, len(symbols)))
+    bounds = [boxes.get(s, box) if boxes else box for s in symbols]
+    lo = np.array([b[0] for b in bounds], dtype=float)
+    hi = np.array([b[1] for b in bounds], dtype=float)
+    floors = [float(bound) for _, bound in guards]
+    check = None
+    if guards or probe_exprs:
+        check = compile_rows([g for g, _ in guards] + list(probe_exprs), symbols)
+    blocks = []
+    accepted = 0
+    rejected_run = 0  # consecutive rejected rows since the last accepted one
+    while accepted < n:
+        if rejected_run >= max_attempts:
+            raise DomainExhaustionError(
+                f"no valid sample in {max_attempts} attempts for symbols {symbols}"
+            )
+        k = min(n - accepted, max_attempts - rejected_run)
+        block = rng.uniform(lo, hi, size=(k, len(symbols)))
+        ok = np.ones(k, dtype=bool)
+        if check is not None:
+            values, bad = check(block)
+            ok = ~bad
+            for v, floor in zip(values, floors):
+                ok &= v >= floor
+        kept = np.flatnonzero(ok)
+        if kept.size:
+            blocks.append(block[kept])
+            accepted += kept.size
+            rejected_run = k - 1 - int(kept[-1])
+        else:
+            rejected_run += k
+    return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+
+
+def sample_binding(symbols, rng, **kwargs):
+    """One sample_rows point as a {Symbol: float} binding."""
+    symbols = list(symbols)
+    return dict(zip(symbols, sample_rows(symbols, 1, rng, **kwargs)[0].tolist()))
 
 
 def sample_bindings(symbols, n, rng, **kwargs):
-    max_attempts = kwargs.pop("max_attempts", None)
-    per_point = max_attempts if max_attempts is not None else 1000
-    return [sample_binding(symbols, rng, max_attempts=per_point, **kwargs) for _ in range(n)]
+    """n sample_rows points as {Symbol: float} bindings."""
+    symbols = list(symbols)
+    return [dict(zip(symbols, row)) for row in sample_rows(symbols, n, rng, **kwargs).tolist()]
 
 
 def equal_numeric(e1: Expr, e2: Expr, trials: int = 100, tol: float = 1e-10, rng=None, box=DEFAULT_BOX) -> bool:
@@ -99,11 +124,3 @@ def equal_numeric(e1: Expr, e2: Expr, trials: int = 100, tol: float = 1e-10, rng
             return False
         done += 1
     return True
-
-
-def sup_norm_on_samples(exprs, bindings) -> float:
-    worst = 0.0
-    for e in exprs:
-        for b in bindings:
-            worst = max(worst, abs(eval_expr(e, b)))
-    return worst

@@ -1,7 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import jetlag
 from jetlag.cli import main
 
 BEAM_CONFIG = {
@@ -39,6 +44,12 @@ PLANAR_CONFIG = {
         },
     },
 }
+
+
+@pytest.fixture(autouse=True)
+def _run_in_tmp_path(tmp_path, monkeypatch):
+    # reports written without --out go to ./out, which is then tmp_path/out
+    monkeypatch.chdir(tmp_path)
 
 
 def write_config(tmp_path, config, name="cfg.json"):
@@ -320,6 +331,44 @@ def test_numeric_blowup_is_exit_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_derive_folds_a_root_beyond_float_range(tmp_path, capsys):
+    # (10^400)^(1/2) folds to the integer 10^200 without a float conversion
+    config = {
+        "problem": "huge-root",
+        "n": 1,
+        "k": 2,
+        "lagrangian": "(10^400)^(1/2)*q1_2^2",
+        "method": "ostrogradsky",
+    }
+    code = main(["derive", "--config", write_config(tmp_path, config), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code in range(5)
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["implicit_system"]["constraints"] == ["p1_1 - 2" + "0" * 200 + "*q1_2"]
+
+
+def test_constant_beyond_float_range_is_exit_4(tmp_path, capsys):
+    # (10^400)^(1/3) has no exact root and no float value: the row
+    # evaluator (hj-check) and the compiled one (simulate) both refuse it
+    config = {
+        "problem": "huge-cube-root",
+        "n": 1,
+        "k": 2,
+        "lagrangian": "(10^400)^(1/3)*q1_2^2",
+        "method": "ostrogradsky",
+        "W": "q1_1",
+        "simulation": {
+            "t0": 0.0, "t1": 0.1, "h": 0.01,
+            "initial": {"q1_0": 0.0, "q1_1": 0.0, "p1_0": 0.0, "p1_1": 0.0},
+        },
+    }
+    path = write_config(tmp_path, config)
+    assert main(["hj-check", "--config", path]) == 4
+    assert main(["simulate", "--config", path]) == 4
+    assert "does not fit a float" in capsys.readouterr().err
+
+
 def test_open_one_form_is_exit_1(tmp_path, capsys):
     config = {
         "problem": "open-form",
@@ -342,10 +391,14 @@ def test_corpus_empty_filter_is_noop_success(capsys):
 
 
 def test_console_script_runs():
+    # the working directory is tmp_path, so a relative PYTHONPATH would miss
+    # the package: point the child at the one imported here
+    package_root = str(Path(jetlag.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "jetlag.cli", "corpus", "list"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
     )
     assert proc.returncode == 0
     assert "beam" in proc.stdout

@@ -3,6 +3,7 @@ import pytest
 
 from jetlag.calculus import diff, is_zero
 from jetlag.charts import chart_cotangent
+from jetlag import hamjac
 from jetlag.dynamics import assemble, integrate_rk4, project_trajectory
 from jetlag.errors import ArityMismatchError, ChartMismatchError, ClosureError
 from jetlag.expr import ZERO, eval_expr, simplify
@@ -349,3 +350,65 @@ def test_hj_residual_specializes_to_explicit_form():
 
     lhs = simplify(substitute(lhs, {q(1, 1): diff(W, q(1, 0))}))
     assert equal_numeric(lhs, exp_rep.equations[0][1])
+
+
+def _per_row_lstsq(a, b):
+    xs, fits = [], []
+    for ai, bi in zip(a, b):
+        x, *_ = np.linalg.lstsq(ai, bi, rcond=None)
+        xs.append(x)
+        fits.append(float(np.max(np.abs(ai @ x - bi))))
+    return np.array(xs), np.array(fits)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (2, 3)])
+def test_multi_rhs_lstsq_equals_per_row_lstsq(shape, monkeypatch):
+    rng = np.random.default_rng(sum(shape))
+    block = rng.normal(size=shape)
+    if shape == (3, 2):
+        block[:, 1] = 2.0 * block[:, 0]  # rank deficient
+    b = rng.normal(size=(40, shape[0])) * 10.0 ** rng.integers(-3, 3, size=(40, 1))
+    a = np.broadcast_to(block, (40,) + shape).copy()
+    calls = []
+    real = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    x, consistency = hamjac._lstsq_rows(a, b)
+    assert len(calls) == 1  # one multi-RHS solve for the constant block
+    monkeypatch.setattr(np.linalg, "lstsq", real)
+    ref_x, ref_consistency = _per_row_lstsq(a, b)
+    assert x.tobytes() == ref_x.tobytes()
+    assert consistency.tobytes() == ref_consistency.tobytes()
+    # a block that varies from row to row is solved row by row
+    a[7, 0, 0] += 1.0
+    x, consistency = hamjac._lstsq_rows(a, b)
+    ref_x, ref_consistency = _per_row_lstsq(a, b)
+    assert x.tobytes() == ref_x.tobytes()
+    assert consistency.tobytes() == ref_consistency.tobytes()
+
+
+def test_newton_jacobian_differentiated_once(monkeypatch):
+    calls = []
+    real_diff = hamjac.diff
+
+    def counting_diff(e, s):
+        calls.append(s)
+        return real_diff(e, s)
+
+    monkeypatch.setattr(hamjac, "diff", counting_diff)
+    solver = hamjac._FiberSolver([parse("q1_2^3 + q1_2 - q1_0")], [q(1, 2)], [q(1, 0)])
+    assert not solver.linear
+    assert len(calls) == 1
+    rows = np.linspace(-2.0, 2.0, 25)[:, None]
+    lam, consistency = solver.solve_rows(rows)
+    assert len(calls) == 1
+    assert np.all(consistency <= 1e-12)
+    assert np.allclose(lam[:, 0] ** 3 + lam[:, 0], rows[:, 0], atol=1e-10)
+    # through hj_residual: the count does not grow with the number of samples
+    mf = ostro_energy(LagrangianSpec(1, 2, parse("1/4*q1_2^4 + q1_2")))
+    gamma = ClosedOneForm.from_potential(parse("q1_0*q1_1"), [q(1, 0), q(1, 1)], [p(1, 0), p(1, 1)])
+    counts = []
+    for samples in (3, 30):
+        calls.clear()
+        hj_residual(mf, gamma, rng=1, samples=samples)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
