@@ -13,7 +13,7 @@ from .dynamics import (
     resolve_multipliers,
     trajectory_csv,
 )
-from .expr import Expr, eval_expr, free_symbols, simplify, substitute
+from .expr import Expr, eval_expr, simplify, substitute
 from .families import MorseFamily
 from .hamjac import (
     AffineSolution,
@@ -35,7 +35,6 @@ from .ostro import (
     explicit_hamiltonian,
     nondegeneracy,
     ostro_energy,
-    ostro_implicit_system,
     ostro_momenta,
 )
 from .parser import parse

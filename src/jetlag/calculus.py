@@ -21,7 +21,6 @@ from .expr import (
     Sum,
     Sym,
     add,
-    coerce,
     div,
     func,
     mul,
@@ -271,7 +270,3 @@ def hessian(e: Expr, symbols) -> list:
     symbols = list(symbols)
     grads = [diff(e, s) for s in symbols]
     return [[diff(g, s) for s in symbols] for g in grads]
-
-
-def coerce_expr(x) -> Expr:
-    return coerce(x)

@@ -122,10 +122,6 @@ def chart_tstar_t(n: int, k: int) -> ChartSpec:
     return ChartSpec("T*TT^(k-1)Q", n, k, base + cov)
 
 
-def chart_aq(n: int) -> ChartSpec:
-    return ChartSpec("AQ", n, 2, _block(q, n, (0,)) + _block(acc, n, (0,)))
-
-
 def chart_taq(n: int) -> ChartSpec:
     base = _block(q, n, (0,)) + _block(acc, n, (0,))
     fiber = _block(q, n, (1,)) + _block(acc, n, (1,))
@@ -136,17 +132,6 @@ def chart_tstar_aq(n: int) -> ChartSpec:
     pos = _block(q, n, (0,)) + _block(acc, n, (0,))
     mom = tuple(pq(a) for a in range(1, n + 1)) + tuple(pa(a) for a in range(1, n + 1))
     return ChartSpec("T*AQ", n, 2, pos + mom, positions=pos, momenta=mom)
-
-
-def chart_aqm(n: int) -> ChartSpec:
-    roster = _block(q, n, (0,)) + _block(acc, n, (0,)) + _block(aux, n, (0,))
-    return ChartSpec("AQxM", n, 2, roster)
-
-
-def chart_t_aqm(n: int) -> ChartSpec:
-    base = _block(q, n, (0,)) + _block(acc, n, (0,)) + _block(aux, n, (0,))
-    fiber = _block(q, n, (1,)) + _block(acc, n, (1,)) + _block(aux, n, (1,))
-    return ChartSpec("T(AQxM)", n, 2, base + fiber)
 
 
 def chart_tstar_aqm(n: int) -> ChartSpec:

@@ -14,20 +14,13 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .calculus import diff, hessian, is_zero
-from .dynamics import (
-    assemble,
-    energy_drift,
-    integrate_rk4,
-    project_trajectory,
-    trajectory_csv,
-)
+from .calculus import diff, is_zero
+from .dynamics import energy_drift, trajectory_csv
 from .errors import (
     ClosureError,
     ConfigError,
     ConstraintViolationError,
     JetlagError,
-    NotLinearError,
     NumericFailureError,
     ParseError,
     SingularJacobianError,
@@ -35,36 +28,18 @@ from .errors import (
 )
 from .expr import eval_expr
 from .hamjac import (
-    ClosedOneForm,
     affine_hj_solve,
     affine_integrability_check,
     affine_symmetry_check,
-    gamma_relatedness,
     hj_residual,
     hj_residual_nondeg,
 )
-from .ostro import (
-    LagrangianSpec,
-    euler_lagrange,
-    explicit_hamiltonian,
-    ostro_energy,
-    ostro_momenta,
-)
-from .parser import parse
+from .job import Job
+from .ostro import euler_lagrange, explicit_hamiltonian, ostro_energy, ostro_momenta, top_coefficients
 from .printer import to_text
 from .sampling import make_rng
-from .schmidt import (
-    GaugeFunction,
-    chi_check,
-    default_auxiliary_gauge,
-    degenerate_second_extend,
-    gauge_extend_second,
-    schmidt_hamiltonian,
-    schmidt_morse_family,
-    solve_F_quadratic,
-    third_order_extend,
-)
-from .symbols import param, q
+from .schmidt import chi_check, gauge_extend_second, schmidt_hamiltonian
+from .symbols import q
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,69 +47,27 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
 
-METHODS = ("ostrogradsky", "schmidt2", "schmidt3", "schmidt2deg")
 
-
-def _load_config(path) -> dict:
+def _load_config(path) -> Job:
     if path is None:
         raise ConfigError("--config is required for this command")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    for key in ("problem", "n", "k", "lagrangian", "method"):
-        if key not in config:
-            raise ConfigError(f"config misses required field {key!r}")
-    if config["method"] not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}")
-    return config
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return Job.from_config(config)
 
 
-def _spec(config) -> LagrangianSpec:
-    try:
-        return LagrangianSpec(int(config["n"]), int(config["k"]), parse(config["lagrangian"]))
-    except (ParseError, ValueError) as exc:
-        raise ConfigError(f"bad lagrangian: {exc}") from exc
-
-
-def _gauge(config, spec) -> GaugeFunction:
-    text = config.get("gauge_F")
-    if text:
-        return GaugeFunction(parse(text), spec.dim)
-    if config["method"] in ("schmidt3", "schmidt2deg"):
-        return default_auxiliary_gauge(spec.dim)
-    return solve_F_quadratic(spec)
-
-
-def _params(config):
-    return {param(k): float(v) for k, v in config.get("parameters", {}).items()}
-
-
-def _sym(text):
-    e = parse(text)
-    (s,) = e.free
-    return s
-
-
-def _tolerances(config, args):
-    tol = dict(config.get("tolerances", {}))
-    if args.tol is not None:
-        tol["residual"] = args.tol
-    tol.setdefault("residual", 1e-8)
-    tol.setdefault("trajectory", 1e-5)
-    return tol
+def _residual_tol(job, args):
+    return args.tol if args.tol is not None else job.tolerances["residual"]
 
 
 def _affine_status(spec, rng):
     """When L is affine in its top derivatives, report the symmetry check."""
-    tops = [q(a, spec.order) for a in range(1, spec.dim + 1)]
-    hess = hessian(spec.lagrangian, tops)
-    if not all(is_zero(e) for row in hess for e in row):
+    f = top_coefficients(spec)
+    if not all(is_zero(diff(fa, q(b, spec.order))) for fa in f for b in range(1, spec.dim + 1)):
         return None
-    f = [diff(spec.lagrangian, t) for t in tops]
     rep = affine_symmetry_check(f, rng=rng)
     return {
         "affine_in_top_derivative": True,
@@ -143,64 +76,43 @@ def _affine_status(spec, rng):
     }
 
 
-def _family(config, spec):
-    method = config["method"]
-    if method == "ostrogradsky":
-        return ostro_energy(spec)
-    F = _gauge(config, spec)
-    if method == "schmidt2":
-        return schmidt_morse_family(spec, F)
-    if method == "schmidt3":
-        return third_order_extend(spec, F).family
-    return degenerate_second_extend(spec, F).family
-
-
-def cmd_derive(config, args) -> tuple[int, dict]:
-    spec = _spec(config)
+def cmd_derive(job, args) -> tuple[int, dict]:
+    spec = job.spec
     rng = make_rng(args.seed)
-    report = {"command": "derive", "problem": config["problem"], "method": config["method"]}
-    method = config["method"]
+    report = {"command": "derive", "problem": job.problem, "method": job.method}
+    method = job.method
     if method == "ostrogradsky":
-        mf = ostro_energy(spec)
-        sys = assemble(mf)
         momenta = ostro_momenta(spec)
-        report["energy"] = to_text(mf.energy)
+        report["energy"] = to_text(job.family.energy)
         report["momenta"] = {
             f"p{a}_{kappa}": to_text(momenta[kappa][a - 1])
             for kappa in range(spec.order)
             for a in range(1, spec.dim + 1)
         }
         report["euler_lagrange"] = [to_text(e) for e in euler_lagrange(spec)]
-        report["implicit_system"] = _system_dict(sys)
+        report["implicit_system"] = _system_dict(job.system)
         try:
             report["hamiltonian"] = to_text(explicit_hamiltonian(spec))
-        except (NotLinearError, JetlagError) as exc:
+        except JetlagError as exc:
             report["hamiltonian"] = None
             report["hamiltonian_note"] = str(exc)
     else:
-        F = _gauge(config, spec)
+        F = job.gauge
         report["gauge"] = to_text(F.expr)
         if method == "schmidt2":
             report["compatibility_residuals"] = [to_text(r) for r in chi_check(spec, F)]
             report["extended_lagrangian"] = to_text(gauge_extend_second(spec, F))
-            mf = schmidt_morse_family(spec, F)
-            report["energy"] = to_text(mf.energy)
-            report["momentum_relations"] = [to_text(r) for _, r in mf.extra_relations]
+            report["energy"] = to_text(job.family.energy)
+            report["momentum_relations"] = [to_text(r) for _, r in job.family.extra_relations]
             try:
                 report["hamiltonian"] = to_text(schmidt_hamiltonian(spec, F))
-            except (NotLinearError, JetlagError) as exc:
+            except JetlagError as exc:
                 report["hamiltonian"] = None
                 report["hamiltonian_note"] = str(exc)
         else:
-            system = (
-                third_order_extend(spec, F)
-                if method == "schmidt3"
-                else degenerate_second_extend(spec, F)
-            )
-            mf = system.family
-            report["extended_lagrangian"] = to_text(system.extended_lagrangian)
-            report["energy"] = to_text(mf.energy)
-        report["implicit_system"] = _system_dict(assemble(mf))
+            report["extended_lagrangian"] = to_text(job.extension.extended_lagrangian)
+            report["energy"] = to_text(job.family.energy)
+        report["implicit_system"] = _system_dict(job.system)
     status = _affine_status(spec, rng)
     if status:
         report["affine_warning"] = status
@@ -216,25 +128,10 @@ def _system_dict(sys):
     }
 
 
-def cmd_simulate(config, args) -> tuple[int, dict]:
-    if "simulation" not in config:
-        raise ConfigError("simulate needs a simulation block")
-    spec = _spec(config)
-    mf = _family(config, spec)
-    sys = assemble(mf)
-    sim = config["simulation"]
+def cmd_simulate(job, args) -> tuple[int, dict]:
+    report = {"command": "simulate", "problem": job.problem, "method": job.method}
     try:
-        h = float(sim["h"])
-        t0, t1 = float(sim["t0"]), float(sim["t1"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad simulation block: {exc}") from exc
-    if h <= 0:
-        raise StepSizeError(f"step size must be positive, got {h}")
-    init = {_sym(k): float(v) for k, v in sim.get("initial", {}).items()}
-    init.update(_params(config))
-    report = {"command": "simulate", "problem": config["problem"], "method": config["method"]}
-    try:
-        traj = integrate_rk4(sys, init, t0, t1, h)
+        traj = job.trajectory
     except SingularJacobianError as exc:
         report["aborted"] = {
             "reason": "degenerate point: constraint Jacobian is singular",
@@ -247,14 +144,13 @@ def cmd_simulate(config, args) -> tuple[int, dict]:
     csv_text = trajectory_csv(traj)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{config['problem']}.csv"
+    csv_path = out_dir / f"{job.problem}.csv"
     csv_path.write_text(csv_text, encoding="utf-8")
-    binding_params = _params(config)
     constraint_sup = 0.0
     for sample in traj.samples:
         full = dict(sample)
-        full.update(binding_params)
-        for c in sys.constraints:
+        full.update(job.params)
+        for c in job.system.constraints:
             constraint_sup = max(constraint_sup, abs(eval_expr(c, full)))
     report["csv"] = str(csv_path)
     report["samples"] = len(traj.times)
@@ -263,85 +159,30 @@ def cmd_simulate(config, args) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
-def _gamma(config, spec):
-    method = config["method"]
-    if method == "ostrogradsky":
-        coords = tuple(
-            q(a, lvl) for lvl in range(spec.order) for a in range(1, spec.dim + 1)
-        )
-        from .symbols import p as mom
-
-        slots = tuple(
-            mom(a, lvl) for lvl in range(spec.order) for a in range(1, spec.dim + 1)
-        )
-    else:
-        from .symbols import acc, aux, pa, pm, pq
-
-        coords = tuple(q(a, 0) for a in range(1, spec.dim + 1)) + tuple(
-            acc(a, 0) for a in range(1, spec.dim + 1)
-        )
-        slots = tuple(pq(a) for a in range(1, spec.dim + 1)) + tuple(
-            pa(a) for a in range(1, spec.dim + 1)
-        )
-        if method in ("schmidt3", "schmidt2deg"):
-            coords = coords + tuple(aux(a, 0) for a in range(1, spec.dim + 1))
-            slots = slots + tuple(pm(a) for a in range(1, spec.dim + 1))
-    boxes = {}
-    for name, pair in config.get("sample_box", {}).items():
-        boxes[_sym(name)] = (float(pair[0]), float(pair[1]))
-    for s, v in _params(config).items():
-        boxes.setdefault(s, (v, v))
-    guards = [(parse(t), float(b)) for t, b in config.get("domain_guards", [])]
-    if "W" in config and config["W"] is not None:
-        form = ClosedOneForm.from_potential(parse(config["W"]), coords, slots)
-    elif "gamma_components" in config:
-        form = ClosedOneForm.from_components(
-            [parse(t) for t in config["gamma_components"]],
-            coords,
-            slots,
-            boxes=boxes,
-            guards=guards,
-        )
-    else:
-        raise ConfigError("hj-check needs W or gamma_components")
-    return form, boxes, guards
-
-
-def cmd_hj_check(config, args) -> tuple[int, dict]:
-    spec = _spec(config)
-    tol = _tolerances(config, args)
+def cmd_hj_check(job, args) -> tuple[int, dict]:
+    tol = _residual_tol(job, args)
     rng = make_rng(args.seed)
-    mf = _family(config, spec)
-    gamma, boxes, guards = _gamma(config, spec)
+    mf = job.family
+    gamma = job.gamma()
     report = {
         "command": "hj-check",
-        "problem": config["problem"],
-        "method": config["method"],
+        "problem": job.problem,
+        "method": job.method,
         "equation_family": mf.label,
     }
-    rep = hj_residual(mf, gamma, rng=rng, tol=tol["residual"], boxes=boxes, guards=guards)
+    rep = hj_residual(mf, gamma, rng=rng, tol=tol, boxes=job.boxes, guards=job.guards)
     report["residuals"] = rep.to_dict()
     exit_code = EXIT_OK if rep.passed else EXIT_CHECK_FAILED
-    if "hj_target" in config and config["hj_target"]:
-        target = parse(config["hj_target"])
+    if job.hj_target is not None:
         trep = hj_residual_nondeg(
-            target, gamma, rng=rng, tol=tol["residual"], boxes=boxes, guards=guards
+            job.hj_target, gamma, rng=rng, tol=tol, boxes=job.boxes, guards=job.guards
         )
         report["target_form"] = trep.to_dict()
         if not trep.passed:
             exit_code = EXIT_CHECK_FAILED
-    if "simulation" in config:
-        sys = assemble(mf)
-        sim = config["simulation"]
-        start = {_sym(k): float(v) for k, v in sim["initial"].items()}
-        init = dict(start)
-        init.update(_params(config))
-        for slot, comp in zip(gamma.momentum_slots, gamma.component_exprs()):
-            init[slot] = eval_expr(comp, init)
+    if job.simulation is not None:
         try:
-            traj = integrate_rk4(sys, init, float(sim["t0"]), float(sim["t1"]), float(sim["h"]))
-            base = project_trajectory(traj, gamma.coordinates)
-            rel = gamma_relatedness(sys, gamma, base, tol=tol["trajectory"], params=_params(config))
+            rel = job.relatedness(gamma, job.tolerances["trajectory"])
             report["relatedness"] = rel.to_dict()
             if not rel.passed:
                 exit_code = EXIT_CHECK_FAILED
@@ -352,25 +193,20 @@ def cmd_hj_check(config, args) -> tuple[int, dict]:
     return exit_code, report
 
 
-def cmd_hj_solve_affine(config, args) -> tuple[int, dict]:
-    if "affine_f" not in config or "affine_g" not in config:
-        raise ConfigError("hj-solve-affine needs affine_f and affine_g")
-    spec = _spec(config)
-    order = spec.order
+def cmd_hj_solve_affine(job, args) -> tuple[int, dict]:
+    f, g = job.affine
+    order = job.spec.order
     if order not in (2, 3):
         raise ConfigError("affine solver covers second and third order")
     rng = make_rng(args.seed)
-    f = [parse(t) for t in config["affine_f"]]
-    g = parse(config["affine_g"])
     sym_rep = affine_symmetry_check(f, rng=rng)
     int_rep = affine_integrability_check(f, g, order=order, rng=rng)
     sol = affine_hj_solve(f, g, order=order, rng=rng, require_closed=False)
-    mf = ostro_energy(spec)
-    boxes = {s: (v, v) for s, v in _params(config).items()}
-    verify = hj_residual(mf, sol.form, rng=rng, tol=_tolerances(config, args)["residual"], boxes=boxes)
+    mf = ostro_energy(job.spec)
+    verify = hj_residual(mf, sol.form, rng=rng, tol=_residual_tol(job, args), boxes=job.pinned)
     report = {
         "command": "hj-solve-affine",
-        "problem": config["problem"],
+        "problem": job.problem,
         "symmetry": sym_rep.to_dict(),
         "integrability": int_rep.to_dict(),
         "closure": sol.closure.to_dict(),
@@ -388,7 +224,7 @@ def cmd_corpus(args) -> tuple[int, dict]:
         report = {
             "command": "corpus list",
             "entries": [
-                {"id": e.id, "method": e.config["method"], "checks": len(e.checks)}
+                {"id": e.id, "method": e.job.method, "checks": len(e.checks)}
                 for e in entries
             ],
         }
@@ -475,14 +311,14 @@ def main(argv=None) -> int:
         if args.verb == "corpus":
             code, report = cmd_corpus(args)
         else:
-            config = _load_config(args.config)
+            job = _load_config(args.config)
             handler = {
                 "derive": cmd_derive,
                 "simulate": cmd_simulate,
                 "hj-check": cmd_hj_check,
                 "hj-solve-affine": cmd_hj_solve_affine,
             }[args.verb]
-            code, report = handler(config, args)
+            code, report = handler(job, args)
     except (ConfigError, ParseError, StepSizeError, ConstraintViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

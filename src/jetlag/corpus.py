@@ -15,34 +15,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import diff
-from .dynamics import (
-    assemble,
-    energy_drift,
-    integrate_rk4,
-    project_trajectory,
-    resolve_multipliers,
-)
+from .dynamics import assemble, energy_drift, integrate_rk4, resolve_multipliers
 from .errors import SingularJacobianError
-from .expr import eval_expr, simplify
+from .expr import simplify
 from .hamjac import (
-    ClosedOneForm,
     affine_hj_solve,
     affine_integrability_check,
     affine_symmetry_check,
-    gamma_relatedness,
     hj_residual,
     hj_residual_nondeg,
     morse_rank_check,
 )
+from .job import Job, symbol
 from .ostro import (
-    LagrangianSpec,
     euler_lagrange,
     explicit_hamiltonian,
     nondegeneracy,
-    ostro_energy,
     ostro_initial_data,
     ostro_momenta,
+    top_coefficients,
 )
 from .parser import parse
 from .sampling import equal_numeric, make_rng, sample_bindings
@@ -52,21 +43,14 @@ from .schmidt import (
     schmidt_hamiltonian,
     schmidt_initial_data,
     schmidt_morse_family,
-    solve_F_quadratic,
 )
-from .symbols import acc, p, param, pa, pq, q
-
-
-def _sym(text):
-    e = parse(text)
-    (s,) = e.free
-    return s
+from .symbols import p, param, q
 
 
 class CorpusEntry:
-    def __init__(self, id, config, checks):
-        self.id = id
-        self.config = config
+    def __init__(self, config, checks):
+        self.job = Job.from_config(config)
+        self.id = self.job.problem
         self.checks = checks
 
 
@@ -85,11 +69,8 @@ CLEMENT_L = (
 
 
 def build_entries():
-    entries = []
-
-    entries.append(
+    entries = [
         CorpusEntry(
-            "affine-second-template",
             {
                 "problem": "affine-second-template",
                 "n": 1,
@@ -106,12 +87,8 @@ def build_entries():
                 {"name": "affine-solve-verifies", "kind": "affine-solve", "provenance": "derived", "order": 2},
                 {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
-        )
-    )
-
-    entries.append(
+        ),
         CorpusEntry(
-            "affine-third-template",
             {
                 "problem": "affine-third-template",
                 "n": 1,
@@ -127,12 +104,8 @@ def build_entries():
                 {"name": "affine-solve-verifies", "kind": "affine-solve", "provenance": "derived", "order": 3},
                 {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
-        )
-    )
-
-    entries.append(
+        ),
         CorpusEntry(
-            "beam",
             {
                 "problem": "beam",
                 "n": 1,
@@ -197,12 +170,8 @@ def build_entries():
                 {"name": "base-curve-agreement", "kind": "base-agreement", "provenance": "derived", "tol": 1e-6},
                 {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
-        )
-    )
-
-    entries.append(
+        ),
         CorpusEntry(
-            "chiral-oscillator",
             {
                 "problem": "chiral-oscillator",
                 "n": 2,
@@ -221,12 +190,8 @@ def build_entries():
                 },
                 {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
-        )
-    )
-
-    entries.append(
+        ),
         CorpusEntry(
-            "clement",
             {
                 "problem": "clement",
                 "n": 3,
@@ -245,12 +210,8 @@ def build_entries():
                 },
                 {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
-        )
-    )
-
-    entries.append(
+        ),
         CorpusEntry(
-            "degenerate-planar",
             {
                 "problem": "degenerate-planar",
                 "n": 3,
@@ -277,12 +238,8 @@ def build_entries():
                 {"name": "multiplier-rank-deficit", "kind": "degenerate-abort", "provenance": "derived", "rank": 1, "of": 3},
                 {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
-        )
-    )
-
-    entries.append(
+        ),
         CorpusEntry(
-            "javelin",
             {
                 "problem": "javelin",
                 "n": 1,
@@ -350,12 +307,8 @@ def build_entries():
                 {"name": "base-curve-agreement", "kind": "base-agreement", "provenance": "derived", "tol": 1e-6},
                 {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
-        )
-    )
-
-    entries.append(
+        ),
         CorpusEntry(
-            "pure-quadratic",
             {
                 "problem": "pure-quadratic",
                 "n": 1,
@@ -423,294 +376,197 @@ def build_entries():
                 {"name": "gamma-relatedness", "kind": "relatedness-schmidt", "provenance": "derived", "tol": 1e-5},
                 {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
-        )
-    )
-
+        ),
+    ]
     return sorted(entries, key=lambda e: e.id)
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: one function per check kind, (job, check, rng) -> (passed, observed)
 # ---------------------------------------------------------------------------
 
 
-def _spec(config) -> LagrangianSpec:
-    return LagrangianSpec(config["n"], config["k"], parse(config["lagrangian"]))
+def _form(lhs, check, rng):
+    ok = equal_numeric(lhs, parse(check["expected"]), trials=100, tol=1e-10, rng=rng)
+    return ok, str(simplify(lhs))
 
 
-def _params(config) -> dict:
-    return {param(k): float(v) for k, v in config.get("parameters", {}).items()}
+def _implicit_forms(job, check, rng):
+    sys = job.system
+    ok = True
+    for sname, text in check["rhs"].items():
+        ok = ok and equal_numeric(sys.rhs[symbol(sname)], parse(text), trials=100, tol=1e-10, rng=rng)
+    for i, text in enumerate(check["constraints"]):
+        ok = ok and equal_numeric(sys.constraints[i], parse(text), trials=100, tol=1e-10, rng=rng)
+    return ok, {str(s): str(e) for s, e in sys.rhs.items()}
 
 
-def _boxes(config):
-    out = {}
-    for name, pair in config.get("sample_box", {}).items():
-        out[_sym(name)] = (float(pair[0]), float(pair[1]))
-    return out
+def _nondegeneracy(job, check, rng):
+    at = sample_bindings(sorted(job.spec.lagrangian.free), 1, rng)[0]
+    res = nondegeneracy(job.spec, at)
+    return res["rank"] == check["rank"] and res["full"] == check["full"], res
 
 
-def _guards(config):
-    return [(parse(text), float(bound)) for text, bound in config.get("domain_guards", [])]
+def _derive_ok(job, check, rng):
+    ostro_momenta(job.spec)
+    residuals = euler_lagrange(job.spec)
+    return True, {"states": len(job.system.states), "residuals": len(residuals)}
 
 
-def _pin_params(boxes, params):
-    for s, v in params.items():
-        boxes.setdefault(s, (v, v))
-    return boxes
+def _verdict(rep):
+    return rep.passed, rep.overall_sup
 
 
-def _potential_coords(config):
-    n, k = config["n"], config["k"]
-    coords = tuple(q(a, lvl) for lvl in range(k) for a in range(1, n + 1))
-    slots = tuple(p(a, lvl) for lvl in range(k) for a in range(1, n + 1))
-    return coords, slots
+def _as_expected(rep, check):
+    return rep.passed == check["expect_pass"], rep.overall_sup
 
 
-def _gamma_from_config(config, check=True, rng=None):
-    coords, slots = _potential_coords(config)
-    boxes = _pin_params(_boxes(config), _params(config))
-    guards = _guards(config)
-    if "W" in config:
-        return ClosedOneForm.from_potential(parse(config["W"]), coords, slots), boxes, guards
-    comps = [parse(t) for t in config["gamma_components"]]
-    form = ClosedOneForm.from_components(
-        comps, coords, slots, rng=rng, boxes=boxes, guards=guards, check=check
+def _affine_solve(job, check, rng):
+    sol = affine_hj_solve(*job.affine, order=check["order"], rng=rng)
+    rep = hj_residual(job.family, sol.form, rng=rng, tol=1e-8, boxes=job.pinned)
+    return (
+        sol.closure.passed and rep.passed,
+        {"closure_sup": sol.closure.overall_sup, "residual_sup": rep.overall_sup},
     )
-    return form, boxes, guards
 
 
-def _schmidt_gamma(config, key="schmidt_W"):
-    n = config["n"]
-    coords = tuple(q(a, 0) for a in range(1, n + 1)) + tuple(acc(a, 0) for a in range(1, n + 1))
-    slots = tuple(pq(a) for a in range(1, n + 1)) + tuple(pa(a) for a in range(1, n + 1))
-    return ClosedOneForm.from_potential(parse(config[key]), coords, slots)
+def _morse_rank(job, check, rng):
+    mf = job.family
+    symbols = sorted(set(mf.base.roster) | set(mf.all_fibers) | set(job.params))
+    points = sample_bindings(symbols, 20, rng, boxes=job.pinned)
+    rep = morse_rank_check(mf, points)
+    return rep.passed, rep.details["ranks"][:3]
+
+
+def _hj(job, check, rng):
+    gamma = job.gamma(rng=rng)
+    return _verdict(hj_residual(job.family, gamma, rng=rng, tol=check["tol"], boxes=job.boxes, guards=job.guards))
+
+
+def _constancy(target, gamma, check, rng, boxes):
+    rep = hj_residual_nondeg(target, gamma, rng=rng, tol=check["tol"], boxes=boxes)
+    spread = rep.details["constancy_spread"]
+    return rep.passed and spread <= check["tol"], {"sup": rep.overall_sup, "spread": spread}
+
+
+def _hj_target(job, check, rng):
+    box = {symbol(name): (float(lo), float(hi)) for name, (lo, hi) in check.get("box", {}).items()}
+    return _constancy(job.hj_target, job.gamma("schmidt_W"), check, rng, {**job.boxes, **box})
+
+
+def _within(sup, check):
+    return sup <= check["tol"], sup
+
+
+def _beam_quartic(job, check, rng):
+    traj = job.trajectory
+    ts = np.array(traj.times)
+    mu, rho = job.params[param("mu")], job.params[param("rho")]
+    init = job.simulation.initial
+    # p1 = mu*q2, p0 = -mu*q3 for the quadratic beam
+    jet = (init[q(1, 0)], init[q(1, 1)], init[p(1, 1)] / mu, -init[p(1, 0)] / mu)
+    exact = (
+        jet[0]
+        + jet[1] * ts
+        + jet[2] * ts**2 / 2.0
+        + jet[3] * ts**3 / 6.0
+        - (rho / mu) * ts**4 / 24.0
+    )
+    return _within(float(np.max(np.abs(traj.column(q(1, 0)) - exact))), check)
+
+
+def _degenerate_abort(job, check, rng):
+    try:
+        resolve_multipliers(job.system, {**job.simulation.initial, **job.params})
+    except SingularJacobianError as exc:
+        ok = exc.rank == check["rank"] and exc.needed == check["of"]
+        return ok, {"rank": exc.rank, "of": exc.needed}
+    return False, "no abort"
+
+
+def _base_agreement(job, check, rng):
+    """The entry's own (Ostrogradsky) system against the Schmidt route, from one jet."""
+    spec, params, F = job.spec, job.params, job.gauge
+    jet = {q(1, 0): 0.2, q(1, 1): -0.3, q(1, 2): 0.5, q(1, 3): 0.1}
+    init_o = {**ostro_initial_data(spec, jet, params), **params}
+    traj_o = integrate_rk4(job.system, init_o, 0.0, 1.0, 1e-3)
+    sys_s = assemble(schmidt_morse_family(spec, F))
+    init_s = {**schmidt_initial_data(spec, F, jet, params), **params}
+    traj_s = integrate_rk4(sys_s, init_s, 0.0, 1.0, 1e-3)
+    return _within(float(np.max(np.abs(traj_o.column(q(1, 0)) - traj_s.column(q(1, 0))))), check)
+
+
+CHECKS = {
+    "form": lambda job, check, rng: _form(_derived_expr(job, check["lhs"]), check, rng),
+    "implicit-forms": _implicit_forms,
+    "schmidt-form": lambda job, check, rng: _form(_schmidt_expr(job, check["lhs"]), check, rng),
+    "nondegeneracy": _nondegeneracy,
+    "pullback": lambda job, check, rng: (
+        ostro_schmidt_pullback_check(job.spec, job.gauge, rng=rng) == check["expect"],
+        check["expect"],
+    ),
+    "derive-ok": _derive_ok,
+    "affine-symmetry": lambda job, check, rng: _as_expected(
+        affine_symmetry_check(job.affine[0], rng=rng), check
+    ),
+    "affine-symmetry-of-L": lambda job, check, rng: _as_expected(
+        affine_symmetry_check(top_coefficients(job.spec), rng=rng), check
+    ),
+    "affine-integrability": lambda job, check, rng: _as_expected(
+        affine_integrability_check(*job.affine, order=check["order"], rng=rng), check
+    ),
+    "affine-solve": _affine_solve,
+    "morse-rank": _morse_rank,
+    "hj": _hj,
+    "hj-target": _hj_target,
+    "hj-canonical": lambda job, check, rng: _constancy(
+        schmidt_hamiltonian(job.spec, job.gauge), job.gamma("schmidt_W_canonical"), check, rng, job.boxes
+    ),
+    "beam-quartic": _beam_quartic,
+    "drift": lambda job, check, rng: _within(energy_drift(job.trajectory), check),
+    "degenerate-abort": _degenerate_abort,
+    "relatedness": lambda job, check, rng: _verdict(job.relatedness(job.gamma(rng=rng), check["tol"])),
+    "relatedness-schmidt": lambda job, check, rng: _verdict(
+        job.relatedness(job.gamma("schmidt_W_canonical"), check["tol"])
+    ),
+    "base-agreement": _base_agreement,
+}
 
 
 def run_check(entry: CorpusEntry, check: dict, seed: int = 0) -> dict:
     """Execute one corpus check; returns {name, provenance, passed, observed}."""
-    config = entry.config
-    rng = make_rng(seed)
-    kind = check["kind"]
-    name = check["name"]
-    out = {"name": name, "provenance": check["provenance"], "passed": False, "observed": None}
-
-    spec = _spec(config)
-    params = _params(config)
-
-    if kind == "form":
-        lhs = _derived_expr(spec, check["lhs"])
-        expected = parse(check["expected"])
-        ok = equal_numeric(lhs, expected, trials=100, tol=1e-10, rng=rng)
-        out.update(passed=ok, observed=str(simplify(lhs)))
-    elif kind == "implicit-forms":
-        sys = assemble(ostro_energy(spec))
-        ok = True
-        for sname, text in check["rhs"].items():
-            ok = ok and equal_numeric(sys.rhs[_sym(sname)], parse(text), trials=100, tol=1e-10, rng=rng)
-        for i, text in enumerate(check["constraints"]):
-            ok = ok and equal_numeric(sys.constraints[i], parse(text), trials=100, tol=1e-10, rng=rng)
-        out.update(passed=ok, observed={str(s): str(e) for s, e in sys.rhs.items()})
-    elif kind == "schmidt-form":
-        F = solve_F_quadratic(spec)
-        lhs = _schmidt_expr(spec, F, check["lhs"])
-        ok = equal_numeric(lhs, parse(check["expected"]), trials=100, tol=1e-10, rng=rng)
-        out.update(passed=ok, observed=str(simplify(lhs)))
-    elif kind == "nondegeneracy":
-        at = sample_bindings(sorted(spec.lagrangian.free), 1, rng)[0]
-        res = nondegeneracy(spec, at)
-        ok = res["rank"] == check["rank"] and res["full"] == check["full"]
-        out.update(passed=ok, observed=res)
-    elif kind == "pullback":
-        F = solve_F_quadratic(spec)
-        ok = ostro_schmidt_pullback_check(spec, F, rng=rng) == check["expect"]
-        out.update(passed=ok, observed=check["expect"])
-    elif kind == "derive-ok":
-        mf = ostro_energy(spec)
-        mom = ostro_momenta(spec)
-        el = euler_lagrange(spec)
-        sys = assemble(mf)
-        out.update(passed=True, observed={"states": len(sys.states), "residuals": len(el)})
-    elif kind == "affine-symmetry":
-        f = [parse(t) for t in config["affine_f"]]
-        rep = affine_symmetry_check(f, rng=rng)
-        out.update(passed=rep.passed == check["expect_pass"], observed=rep.overall_sup)
-    elif kind == "affine-symmetry-of-L":
-        f = [diff(spec.lagrangian, q(a, spec.order)) for a in range(1, spec.dim + 1)]
-        rep = affine_symmetry_check(f, rng=rng)
-        out.update(passed=rep.passed == check["expect_pass"], observed=rep.overall_sup)
-    elif kind == "affine-integrability":
-        f = [parse(t) for t in config["affine_f"]]
-        g = parse(config["affine_g"])
-        rep = affine_integrability_check(f, g, order=check["order"], rng=rng)
-        out.update(passed=rep.passed == check["expect_pass"], observed=rep.overall_sup)
-    elif kind == "affine-solve":
-        f = [parse(t) for t in config["affine_f"]]
-        g = parse(config["affine_g"])
-        sol = affine_hj_solve(f, g, order=check["order"], rng=rng)
-        mf = ostro_energy(spec)
-        boxes = _pin_params({}, params)
-        rep = hj_residual(mf, sol.form, rng=rng, tol=1e-8, boxes=boxes)
-        out.update(
-            passed=sol.closure.passed and rep.passed,
-            observed={"closure_sup": sol.closure.overall_sup, "residual_sup": rep.overall_sup},
-        )
-    elif kind == "morse-rank":
-        mf = _family_for(config, spec)
-        symbols = sorted(set(mf.base.roster) | set(mf.all_fibers) | set(params))
-        boxes = _pin_params({}, params)
-        points = sample_bindings(symbols, 20, rng, boxes=boxes)
-        rep = morse_rank_check(mf, points)
-        out.update(passed=rep.passed, observed=rep.details["ranks"][:3])
-    elif kind == "hj":
-        mf = ostro_energy(spec)
-        gamma, boxes, guards = _gamma_from_config(config, rng=rng)
-        rep = hj_residual(mf, gamma, rng=rng, tol=check["tol"], boxes=boxes, guards=guards)
-        out.update(passed=rep.passed, observed=rep.overall_sup)
-    elif kind == "hj-target":
-        gamma = _schmidt_gamma(config)
-        target = parse(config["hj_target"])
-        boxes = _pin_params(_boxes(config), params)
-        for name_, pair in check.get("box", {}).items():
-            boxes[_sym(name_)] = (float(pair[0]), float(pair[1]))
-        rep = hj_residual_nondeg(target, gamma, rng=rng, tol=check["tol"], boxes=boxes)
-        ok = rep.passed and rep.details["constancy_spread"] <= check["tol"]
-        out.update(passed=ok, observed={"sup": rep.overall_sup, "spread": rep.details["constancy_spread"]})
-    elif kind == "hj-canonical":
-        F = solve_F_quadratic(spec)
-        H = schmidt_hamiltonian(spec, F)
-        gamma = _schmidt_gamma(config, key="schmidt_W_canonical")
-        boxes = _pin_params(_boxes(config), params)
-        rep = hj_residual_nondeg(H, gamma, rng=rng, tol=check["tol"], boxes=boxes)
-        ok = rep.passed and rep.details["constancy_spread"] <= check["tol"]
-        out.update(passed=ok, observed={"sup": rep.overall_sup, "spread": rep.details["constancy_spread"]})
-    elif kind == "beam-quartic":
-        traj = _simulate(config, spec, params)
-        ts = np.array(traj.times)
-        init = config["simulation"]["initial"]
-        mu = config["parameters"]["mu"]
-        rho = config["parameters"]["rho"]
-        jet = _beam_jet(init, mu)
-        exact = (
-            jet[0]
-            + jet[1] * ts
-            + jet[2] * ts**2 / 2.0
-            + jet[3] * ts**3 / 6.0
-            - (rho / mu) * ts**4 / 24.0
-        )
-        sup = float(np.max(np.abs(traj.column(q(1, 0)) - exact)))
-        out.update(passed=sup <= check["tol"], observed=sup)
-    elif kind == "drift":
-        traj = _simulate(config, spec, params)
-        d = energy_drift(traj)
-        out.update(passed=d <= check["tol"], observed=d)
-    elif kind == "degenerate-abort":
-        sys = assemble(ostro_energy(spec))
-        at = {_sym(k): float(v) for k, v in config["simulation"]["initial"].items()}
-        at.update(params)
-        try:
-            resolve_multipliers(sys, at)
-            out.update(passed=False, observed="no abort")
-        except SingularJacobianError as exc:
-            ok = exc.rank == check["rank"] and exc.needed == check["of"]
-            out.update(passed=ok, observed={"rank": exc.rank, "of": exc.needed})
-    elif kind == "relatedness":
-        sys = assemble(ostro_energy(spec))
-        gamma, boxes, guards = _gamma_from_config(config, rng=rng)
-        sim = config["simulation"]
-        start = {_sym(k): float(v) for k, v in sim["initial"].items()}
-        init = dict(start)
-        init.update(params)
-        for slot, comp in zip(gamma.momentum_slots, gamma.component_exprs()):
-            init[slot] = eval_expr(comp, init)
-        traj = integrate_rk4(sys, init, sim["t0"], sim["t1"], sim["h"])
-        base = project_trajectory(traj, gamma.coordinates)
-        rep = gamma_relatedness(sys, gamma, base, tol=check["tol"], params=params)
-        out.update(passed=rep.passed, observed=rep.overall_sup)
-    elif kind == "relatedness-schmidt":
-        F = solve_F_quadratic(spec)
-        fam = schmidt_morse_family(spec, F)
-        sys = assemble(fam)
-        gamma = _schmidt_gamma(config, key="schmidt_W_canonical")
-        sim = config["simulation"]
-        init = {_sym(k): float(v) for k, v in sim["initial"].items()}
-        init.update(params)
-        for slot, comp in zip(gamma.momentum_slots, gamma.component_exprs()):
-            init[slot] = eval_expr(comp, init)
-        traj = integrate_rk4(sys, init, sim["t0"], sim["t1"], sim["h"])
-        base = project_trajectory(traj, gamma.coordinates)
-        rep = gamma_relatedness(sys, gamma, base, tol=check["tol"], params=params)
-        out.update(passed=rep.passed, observed=rep.overall_sup)
-    elif kind == "base-agreement":
-        sup = _base_agreement(spec, params, config)
-        out.update(passed=sup <= check["tol"], observed=sup)
-    else:
-        raise ValueError(f"unknown check kind {kind}")
-    return out
+    run = CHECKS.get(check["kind"])
+    if run is None:
+        raise ValueError(f"unknown check kind {check['kind']}")
+    passed, observed = run(entry.job, check, make_rng(seed))
+    return {"name": check["name"], "provenance": check["provenance"], "passed": passed, "observed": observed}
 
 
-def _derived_expr(spec, lhs):
+def _derived_expr(job, lhs):
     if lhs == "ostro-energy":
-        return ostro_energy(spec).energy
+        return job.family.energy
     if lhs.startswith("momentum:"):
         _, kappa, a = lhs.split(":")
-        return ostro_momenta(spec)[int(kappa)][int(a) - 1]
+        return ostro_momenta(job.spec)[int(kappa)][int(a) - 1]
     if lhs.startswith("euler-lagrange:"):
         a = int(lhs.split(":")[1])
-        return euler_lagrange(spec)[a - 1]
+        return euler_lagrange(job.spec)[a - 1]
     if lhs == "hamiltonian":
-        return explicit_hamiltonian(spec)
+        return explicit_hamiltonian(job.spec)
     raise ValueError(lhs)
 
 
-def _schmidt_expr(spec, F, lhs):
+def _schmidt_expr(job, lhs):
     if lhs == "gauge":
-        return F.expr
+        return job.gauge.expr
     if lhs == "extended":
-        return gauge_extend_second(spec, F)
+        return gauge_extend_second(job.spec, job.gauge)
     if lhs == "hamiltonian":
-        return schmidt_hamiltonian(spec, F)
+        return schmidt_hamiltonian(job.spec, job.gauge)
     if lhs.startswith("relation:"):
         a = int(lhs.split(":")[1])
-        fam = schmidt_morse_family(spec, F)
-        return fam.extra_relations[a - 1][1]
+        return job.family.extra_relations[a - 1][1]
     raise ValueError(lhs)
-
-
-def _family_for(config, spec):
-    if config["method"] == "schmidt2":
-        return schmidt_morse_family(spec, solve_F_quadratic(spec))
-    return ostro_energy(spec)
-
-
-def _simulate(config, spec, params):
-    sys = assemble(ostro_energy(spec))
-    sim = config["simulation"]
-    init = {_sym(k): float(v) for k, v in sim["initial"].items()}
-    init.update(params)
-    return integrate_rk4(sys, init, sim["t0"], sim["t1"], sim["h"])
-
-
-def _beam_jet(initial, mu):
-    # p1 = mu*q2, p0 = -mu*q3 for the quadratic beam
-    q0 = initial["q1_0"]
-    q1 = initial["q1_1"]
-    q2 = initial["p1_1"] / mu
-    q3 = -initial["p1_0"] / mu
-    return (q0, q1, q2, q3)
-
-
-def _base_agreement(spec, params, config):
-    jet = {q(1, 0): 0.2, q(1, 1): -0.3, q(1, 2): 0.5, q(1, 3): 0.1}
-    sys_o = assemble(ostro_energy(spec))
-    init_o = dict(ostro_initial_data(spec, jet, params))
-    init_o.update(params)
-    traj_o = integrate_rk4(sys_o, init_o, 0.0, 1.0, 1e-3)
-    F = solve_F_quadratic(spec)
-    sys_s = assemble(schmidt_morse_family(spec, F))
-    init_s = dict(schmidt_initial_data(spec, F, jet, params))
-    init_s.update(params)
-    traj_s = integrate_rk4(sys_s, init_s, 0.0, 1.0, 1e-3)
-    return float(np.max(np.abs(traj_o.column(q(1, 0)) - traj_s.column(q(1, 0)))))
 
 
 def run_entry(entry: CorpusEntry, seed: int = 0) -> dict:

@@ -425,10 +425,6 @@ def _eval(e, binding):
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def free_symbols(e: Expr) -> frozenset:
-    return e.free
-
-
 def substitute(e: Expr, mapping) -> Expr:
     """Replace symbols by expressions; mapping is {Symbol: Expr-or-number}."""
     table = {s: coerce(v) for s, v in mapping.items()}

@@ -10,10 +10,11 @@ numerically at each sample point from the constraint block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .calculus import diff, is_zero, linear_coefficients, potential_from_closed_form
+from .calculus import diff, linear_coefficients, potential_from_closed_form
 from .dynamics import ImplicitSystem, Trajectory, resolve_multipliers
 from .errors import (
     ArityMismatchError,
@@ -51,7 +52,9 @@ class ClosedOneForm:
 
     @classmethod
     def from_potential(cls, W: Expr, coordinates, momentum_slots) -> "ClosedOneForm":
-        return cls(tuple(coordinates), tuple(momentum_slots), potential=simplify(W))
+        form = cls(tuple(coordinates), tuple(momentum_slots), potential=simplify(W))
+        form.component_exprs()  # differentiate W here, before any sampling
+        return form
 
     @classmethod
     def from_components(
@@ -77,10 +80,13 @@ class ClosedOneForm:
                 raise ClosureError(report.details["worst_pair"], report.overall_sup)
         return form
 
-    def component_exprs(self) -> tuple:
-        if self.components is not None:
-            return self.components
+    @cached_property
+    def _gradient(self) -> tuple:
         return tuple(diff(self.potential, x) for x in self.coordinates)
+
+    def component_exprs(self) -> tuple:
+        """The components; a potential is differentiated once per form."""
+        return self.components if self.components is not None else self._gradient
 
     def substitution(self) -> dict:
         return dict(zip(self.momentum_slots, self.component_exprs()))
@@ -119,9 +125,6 @@ class SectionSigma:
     q_components: dict
     p_components: dict
 
-    def arity(self):
-        return len(self.q_components), len(self.p_components)
-
 
 @dataclass
 class ResidualReport:
@@ -133,9 +136,6 @@ class ResidualReport:
     overall_sup: float = 0.0
     passed: bool = False
     details: dict = field(default_factory=dict)
-
-    def identically_zero(self) -> bool:
-        return all(is_zero(e) for _, e in self.equations)
 
     def to_dict(self) -> dict:
         return {

@@ -20,7 +20,6 @@ from .calculus import (
     solve_linear_symbolic,
 )
 from .charts import chart_cotangent
-from .dynamics import ImplicitSystem, assemble
 from .errors import DegenerateLagrangianError, NotLinearError
 from .expr import Expr, add, eval_expr, mul, neg, simplify, substitute, sym
 from .families import MorseFamily
@@ -53,10 +52,6 @@ class LagrangianSpec:
         comps = [s.component for s in L.free if s.kind is Kind.Q]
         if comps and max(comps) > self.dim:
             raise ValueError(f"component index {max(comps)} exceeds dimension {self.dim}")
-
-    @property
-    def parameters(self):
-        return sorted(s for s in self.lagrangian.free if s.kind is Kind.PARAM)
 
 
 def ostro_energy(L: LagrangianSpec) -> MorseFamily:
@@ -118,10 +113,6 @@ def euler_lagrange(L: LagrangianSpec) -> list:
     return out
 
 
-def ostro_implicit_system(mf: MorseFamily) -> ImplicitSystem:
-    return assemble(mf)
-
-
 def nondegeneracy(L: LagrangianSpec, at: dict) -> dict:
     """Numeric rank of the top-derivative Hessian at a point.
 
@@ -136,6 +127,11 @@ def nondegeneracy(L: LagrangianSpec, at: dict) -> dict:
     top = svals[0] if len(svals) else 0.0
     rank = int(np.sum(svals > 1e-10 * max(top, 1e-300))) if top > 0 else 0
     return {"rank": rank, "full": rank == n}
+
+
+def top_coefficients(L: LagrangianSpec) -> list:
+    """dL/dq_(k) per component: the coefficients f of an L affine in its top derivatives."""
+    return [diff(L.lagrangian, q(a, L.order)) for a in range(1, L.dim + 1)]
 
 
 def top_derivative_solution(L: LagrangianSpec) -> list:

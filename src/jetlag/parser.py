@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .expr import Const, Expr, add, coerce, div, func, mul, neg, pow_, sym
+from .expr import Const, Expr, add, div, func, mul, neg, pow_, sym
 from .symbols import FUNCTION_NAMES, symbol_from_name
 
 _TOKEN_RE = re.compile(
@@ -160,7 +160,3 @@ def parse(text: str) -> Expr:
     if not isinstance(text, str):
         raise TypeError("expression text must be str")
     return _Parser(text).parse()
-
-
-def parse_number(x) -> Expr:
-    return coerce(x)

@@ -11,7 +11,6 @@ machinery.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +23,6 @@ from .families import MorseFamily
 from .ostro import LagrangianSpec, ostro_energy
 from .sampling import make_rng, sample_binding
 from .symbols import Kind, Symbol, acc, aux, p as ost_p, pa, pm, pq, q
-
-
-class SchmidtVariant(enum.Enum):
-    SECOND_NONDEG = "second-order"
-    THIRD_ORDER = "third-order"
-    SECOND_DEGENERATE = "second-order-degenerate"
 
 
 @dataclass(frozen=True)
@@ -58,10 +51,8 @@ class GaugeFunction:
 
 @dataclass(frozen=True)
 class SchmidtSystem:
-    variant: SchmidtVariant
     extended_lagrangian: Expr
     family: MorseFamily
-    hamiltonian: Expr | None = None
 
     def __post_init__(self):
         # extension must be genuinely first order on its chart
@@ -219,7 +210,7 @@ def third_order_extend(L: LagrangianSpec, F: GaugeFunction) -> SchmidtSystem:
         ext = add(ext, mul(F.d(aux(a, 0)), sym(aux(a, 1))))
     ext = simplify(ext)
     family = _aqm_family(ext, n, "schmidt-third-order")
-    return SchmidtSystem(SchmidtVariant.THIRD_ORDER, ext, family)
+    return SchmidtSystem(ext, family)
 
 
 def degenerate_second_extend(L: LagrangianSpec, F: GaugeFunction) -> SchmidtSystem:
@@ -241,7 +232,7 @@ def degenerate_second_extend(L: LagrangianSpec, F: GaugeFunction) -> SchmidtSyst
         ext = add(ext, mul(F.d(aux(a, 0)), sym(aux(a, 1))))
     ext = simplify(ext)
     family = _aqm_family(ext, n, "schmidt-second-degenerate")
-    return SchmidtSystem(SchmidtVariant.SECOND_DEGENERATE, ext, family)
+    return SchmidtSystem(ext, family)
 
 
 def _aqm_family(ext: Expr, n: int, label: str) -> MorseFamily:

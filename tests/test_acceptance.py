@@ -236,16 +236,13 @@ def test_criterion_08_affine_checks():
 
 def test_criterion_09_morse_rank_property():
     from jetlag.charts import chart_cotangent
-    from jetlag.corpus import _family_for, _params, build_entries
+    from jetlag.corpus import build_entries
 
     rng = make_rng(9)
     ok = True
     for entry in build_entries():
-        spec = LagrangianSpec(
-            entry.config["n"], entry.config["k"], parse(entry.config["lagrangian"])
-        )
-        mf = _family_for(entry.config, spec)
-        params = _params(entry.config)
+        mf = entry.job.family
+        params = entry.job.params
         symbols = sorted(set(mf.base.roster) | set(mf.all_fibers) | set(params))
         boxes = {s: (v, v) for s, v in params.items()}
         points = sample_bindings(symbols, 20, rng, boxes=boxes)

@@ -402,3 +402,75 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "beam" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "method, k, gauge",
+    [
+        ("schmidt2", 1, None),
+        ("schmidt2", 4, None),
+        ("schmidt2deg", 1, None),
+        ("schmidt2deg", 3, None),
+        ("schmidt2deg", 4, None),
+        ("schmidt3", 1, None),
+        ("schmidt3", 4, None),
+        ("schmidt2", 2, "q1_2"),  # a gauge may not use the acceleration q1_2
+        ("schmidt2deg", 2, "a1_0*m1_0"),  # the degenerate route's gauge has no a1_0
+    ],
+)
+def test_method_order_mismatch_is_usage_error(tmp_path, capsys, method, k, gauge):
+    config = {"problem": "mismatch", "n": 1, "k": k, "lagrangian": f"1/2*q1_{k}^2", "method": method}
+    if gauge is not None:
+        config["gauge_F"] = gauge
+    assert main(["derive", "--config", write_config(tmp_path, config)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+JAVELIN_HJ = {
+    "problem": "javelin",
+    "n": 1,
+    "k": 2,
+    "lagrangian": "1/2*q1_1^2 - 1/2*q1_2^2",
+    "method": "ostrogradsky",
+    "parameters": {"A": 1.0, "B": 0.0},
+    "gamma_components": ["A", "sqrt(2)*sqrt(A*q1_1 - 1/2*q1_1^2 - B)"],
+    "sample_box": {"q1_1": [0.15, 1.85]},
+    "domain_guards": [["A*q1_1 - 1/2*q1_1^2 - B", 0.1]],
+}
+
+
+def _with_initial(initial):
+    return {**BEAM_CONFIG, "simulation": {**BEAM_CONFIG["simulation"], "initial": initial}}
+
+
+@pytest.mark.parametrize(
+    "verb, config",
+    [
+        ("hj-check", {**BEAM_CONFIG, "W": "0", "parameters": {"mu": "abc", "rho": 1.0}}),
+        ("hj-check", {**JAVELIN_HJ, "sample_box": {"q1_1": [0.15]}}),
+        ("simulate", _with_initial({"q1_0*q1_1": 0.0, "q1_1": 0.0, "p1_0": 0.0, "p1_1": 0.0})),
+        ("simulate", _with_initial({"q1_0": "abc", "q1_1": 0.0, "p1_0": 0.0, "p1_1": 0.0})),
+        ("hj-check", {**PLANAR_CONFIG, "simulation": {"t0": 0.0, "t1": 0.1, "h": 0.001}}),
+        ("simulate", _with_initial({"q1_0+1": 0.0, "q1_1": 0.0, "p1_0": 0.0, "p1_1": 0.0})),
+        ("hj-check", {**JAVELIN_HJ, "sample_box": {"q1_1": [1.85, 0.15]}}),
+        ("derive", {**BEAM_CONFIG, "parameters": {"mu*rho": 1.0}}),
+        ("derive", {**BEAM_CONFIG, "parameters": {"q1_0": 1.0}}),
+        ("simulate", _with_initial({"q1_0": float("inf"), "q1_1": 0.0, "p1_0": 0.0, "p1_1": 0.0})),
+    ],
+    ids=[
+        "non-numeric-parameter",
+        "one-number-sample-box",
+        "product-initial-key",
+        "non-numeric-initial-value",
+        "hj-check-simulation-without-initial",
+        "sum-initial-key",
+        "reversed-sample-box",
+        "product-parameter-name",
+        "coordinate-parameter-name",
+        "infinite-initial-value",
+    ],
+)
+def test_malformed_config_value_is_usage_error(tmp_path, capsys, verb, config):
+    path = write_config(tmp_path, config)
+    assert main([verb, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -412,3 +412,22 @@ def test_newton_jacobian_differentiated_once(monkeypatch):
         hj_residual(mf, gamma, rng=1, samples=samples)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_potential_form_differentiates_W_once(monkeypatch):
+    calls = []
+    real_diff = hamjac.diff
+
+    def counting_diff(e, s):
+        calls.append(e)
+        return real_diff(e, s)
+
+    monkeypatch.setattr(hamjac, "diff", counting_diff)
+    coords = [q(1, 0), q(1, 1)]
+    gamma = ClosedOneForm.from_potential(parse("q1_0^2*q1_1"), coords, [p(1, 0), p(1, 1)])
+    for _ in range(3):
+        gamma.component_exprs()
+        gamma.substitution()
+    hj_residual(ostro_energy(BEAM), gamma, rng=1, samples=3)
+    hj_residual_nondeg(parse("p1_0 + p1_1"), gamma, rng=1, samples=3)
+    assert sum(1 for e in calls if e == gamma.potential) == len(coords)
