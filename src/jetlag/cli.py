@@ -20,13 +20,13 @@ from .errors import (
     ClosureError,
     ConfigError,
     ConstraintViolationError,
+    DomainEvalError,
     JetlagError,
     NumericFailureError,
     ParseError,
     SingularJacobianError,
     StepSizeError,
 )
-from .expr import eval_expr
 from .hamjac import (
     affine_hj_solve,
     affine_integrability_check,
@@ -141,21 +141,12 @@ def cmd_simulate(job, args) -> tuple[int, dict]:
             "step": exc.step,
         }
         return EXIT_DEGENERATE, report
-    csv_text = trajectory_csv(traj)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{job.problem}.csv"
-    csv_path.write_text(csv_text, encoding="utf-8")
-    constraint_sup = 0.0
-    for sample in traj.samples:
-        full = dict(sample)
-        full.update(job.params)
-        for c in job.system.constraints:
-            constraint_sup = max(constraint_sup, abs(eval_expr(c, full)))
+    csv_path = _write(Path(args.out) / f"{job.problem}.csv", trajectory_csv(traj))
+    constraints = traj.evaluate(job.system.constraints, job.params)
     report["csv"] = str(csv_path)
     report["samples"] = len(traj.times)
     report["energy_drift"] = energy_drift(traj)
-    report["constraint_sup"] = constraint_sup
+    report["constraint_sup"] = float(abs(constraints).max(initial=0.0))
     return EXIT_OK, report
 
 
@@ -242,23 +233,30 @@ def cmd_corpus(args) -> tuple[int, dict]:
     return (EXIT_OK if result["passed"] else EXIT_CHECK_FAILED), report
 
 
+def _write(path: Path, text: str) -> Path:
+    """Write text to path, making its directory; an --out that cannot be
+    written is a usage error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def _emit(report, args):
+    """Write the report file under --out, then print the report."""
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2, default=str)
     else:
         lines = []
         _render_text(report, lines, "")
         text = "\n".join(lines)
-    print(text)
     if args.out and report.get("command") not in (None,):
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         name = report.get("problem", report.get("command", "report")).replace(" ", "-")
-        path = out_dir / f"{name}.report.json"
-        path.write_text(
-            json.dumps(report, sort_keys=True, indent=2, default=str) + "\n",
-            encoding="utf-8",
-        )
+        report_json = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+        _write(Path(args.out) / f"{name}.report.json", report_json)
+    print(text)
 
 
 def _render_text(node, lines, indent):
@@ -319,6 +317,7 @@ def main(argv=None) -> int:
                 "hj-solve-affine": cmd_hj_solve_affine,
             }[args.verb]
             code, report = handler(job, args)
+        _emit(report, args)
     except (ConfigError, ParseError, StepSizeError, ConstraintViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -328,13 +327,12 @@ def main(argv=None) -> int:
     except SingularJacobianError as exc:
         print(f"degenerate point: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except NumericFailureError as exc:
+    except (NumericFailureError, DomainEvalError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except JetlagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(report, args)
     return code
 
 

@@ -27,13 +27,14 @@ from .calculus import diff, linear_coefficients
 from .errors import (
     ChartMismatchError,
     ConstraintViolationError,
+    DomainEvalError,
     NonCotangentChartError,
     NotLinearError,
     NumericFailureError,
     SingularJacobianError,
     StepSizeError,
 )
-from .expr import Expr, eval_expr, lambdify, neg, simplify
+from .expr import Expr, lambdify, neg, simplify
 from .families import MorseFamily
 
 _RANK_TOL = 1e-10
@@ -63,21 +64,34 @@ class ImplicitSystem:
 @dataclass
 class Trajectory:
     times: list
-    samples: list  # one {Symbol: float} binding per time, fixed symbol set
-    columns: tuple  # symbol order for CSV
+    values: np.ndarray  # (len(times), len(columns)): one row per time
+    columns: tuple  # the symbol of each column, in CSV order
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.times) != len(self.samples):
-            raise ChartMismatchError("one sample per time required")
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (len(self.times), len(self.columns)):
+            raise ChartMismatchError("one row per time and one column per symbol required")
         if any(b - a <= 0 for a, b in zip(self.times, self.times[1:])):
             raise ChartMismatchError("times must be strictly increasing")
 
     def column(self, symbol):
-        return np.array([s[symbol] for s in self.samples])
+        if symbol not in self.columns:
+            raise ChartMismatchError(f"trajectory has no column {symbol}")
+        return self.values[:, self.columns.index(symbol)].copy()
 
     def energies(self):
         return np.array(self.meta["energy"]) if "energy" in self.meta else None
+
+    def evaluate(self, exprs, params=None) -> np.ndarray:
+        """Values of exprs at every sample, one row per time, with eval_expr's
+        bits; params binds symbols that are not columns."""
+        exprs, params = list(exprs), params or {}
+        extra = [s for s in params if s not in self.columns]
+        fn = lambdify(exprs, list(self.columns) + extra)
+        tail = [float(params[s]) for s in extra]
+        rows = [fn(row + tail) for row in self.values.tolist()]
+        return np.array(rows, dtype=float).reshape(len(self.times), len(exprs))
 
 
 def assemble(mf: MorseFamily) -> ImplicitSystem:
@@ -138,33 +152,45 @@ class _MultiplierSolver:
             ]
             self._jac_fn = lambdify([e for row in jac for e in row], self.all_symbols)
 
+    def param_vector(self, binding) -> list:
+        """The parameter values in solver order, from a {Symbol: value} binding."""
+        missing = [s for s in self.params if s not in binding]
+        if missing:
+            raise ConstraintViolationError(f"no value for parameter {missing[0]}")
+        return [float(binding[s]) for s in self.params]
+
     def solve(self, state_vec, param_vec, warm=None):
+        """Multipliers at a point.  A constraint with no real value there (a
+        negative number under a root, ln of a nonpositive one) is a numeric
+        failure."""
         state_vec = [float(v) for v in state_vec]
         if self.n_mult == 0:
             return np.zeros(0)
-        if self.linear:
-            return self._solve_linear(state_vec + list(param_vec), param_vec)
-        if self.n_cons != self.n_mult:
-            raise SingularJacobianError(self.n_cons, self.n_mult)
-        # built lazily: the warm start almost always converges
-        starts = (np.full(self.n_mult, v) for v in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
-        if warm is not None:
-            starts = itertools.chain([np.array(warm)], starts)
-        last_error = None
-        for start in starts:
-            try:
-                return self._newton(start, state_vec, param_vec)
-            except (SingularJacobianError, NumericFailureError) as exc:
-                last_error = exc
-        raise last_error
+        try:
+            if self.linear:
+                return self._solve_linear(state_vec + list(param_vec), param_vec)
+            if self.n_cons != self.n_mult:
+                raise SingularJacobianError(self.n_cons, self.n_mult)
+            # built lazily: the warm start almost always converges
+            starts = (np.full(self.n_mult, v) for v in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
+            if warm is not None:
+                starts = itertools.chain([np.array(warm)], starts)
+            last_error = None
+            for start in starts:
+                try:
+                    return self._newton(start, state_vec, param_vec)
+                except (SingularJacobianError, NumericFailureError, DomainEvalError) as exc:
+                    last_error = exc
+            raise last_error
+        except DomainEvalError as exc:
+            raise NumericFailureError(f"constraint evaluation is complex or undefined: {exc}") from exc
 
     def _matrix(self, args, param_vec):
         """Checked constraint matrix at a point, with its rank."""
         key = tuple(param_vec) if self.constant else None
         if key is not None and key == self._block_key:
             return self._block
-        a = _real_values(self._matrix_fn, args, "constraint")
-        a = a.reshape(self.n_cons, self.n_mult)
+        a = np.array(self._matrix_fn(args)).reshape(self.n_cons, self.n_mult)
         block = (a, _rank(a))
         if key is not None:
             self._block_key, self._block = key, block
@@ -172,7 +198,7 @@ class _MultiplierSolver:
 
     def _solve_linear(self, args, param_vec):
         a, rank = self._matrix(args, param_vec)
-        b = -_real_values(self._residue_fn, args, "constraint")
+        b = -np.array(self._residue_fn(args))
         if rank < self.n_mult:
             raise SingularJacobianError(rank, self.n_mult)
         if self.n_cons == self.n_mult:
@@ -186,32 +212,15 @@ class _MultiplierSolver:
         base = list(state_vec) + list(lam) + list(param_vec)
         for _ in range(50):
             base[len(self.sys.states) : len(self.sys.states) + self.n_mult] = list(lam)
-            g = _real_values(self._cons_fn, base, "constraint")
+            g = np.array(self._cons_fn(base))
             if np.max(np.abs(g)) <= 1e-12:
                 return lam
-            j = _real_values(self._jac_fn, base, "constraint Jacobian")
-            j = j.reshape(self.n_cons, self.n_mult)
+            j = np.array(self._jac_fn(base)).reshape(self.n_cons, self.n_mult)
             rank = _rank(j)
             if rank < self.n_mult:
                 raise SingularJacobianError(rank, self.n_mult)
             lam = lam - _solve(j, g)
         raise NumericFailureError("multiplier Newton iteration did not converge")
-
-
-def _real_values(fn, args, what):
-    """fn(args) as a float array; complex or non-finite values (sqrt of a
-    negative number compiles to a complex power) are a numeric failure."""
-    try:
-        values = fn(args)
-    except (OverflowError, ZeroDivisionError, ValueError, TypeError) as exc:
-        # TypeError: a complex intermediate handed to a math function
-        raise NumericFailureError(f"{what} evaluation failed: {exc}") from exc
-    for v in values:
-        if isinstance(v, complex):
-            raise NumericFailureError(f"{what} evaluation produced complex values")
-        if not math.isfinite(v):
-            raise NumericFailureError(f"{what} evaluation produced non-finite values")
-    return np.array(values)
 
 
 def _rank(a) -> int:
@@ -223,7 +232,8 @@ def _rank(a) -> int:
     if a.shape == (1, 1):
         x = abs(float(a[0, 0]))
         return int(x > _RANK_TOL * max(1.0, x))
-    return int(np.linalg.matrix_rank(a, tol=_RANK_TOL * max(1.0, _spectral(a))))
+    spectral = float(np.max(np.abs(a))) if a.size else 0.0
+    return int(np.linalg.matrix_rank(a, tol=_RANK_TOL * max(1.0, spectral)))
 
 
 def _solve(a, b):
@@ -236,16 +246,12 @@ def _solve(a, b):
     return np.linalg.solve(a, b)
 
 
-def _spectral(a):
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
 def resolve_multipliers(sys: ImplicitSystem, at: dict, warm=None) -> dict:
     """Multiplier values at one point; raises SingularJacobianError when the
     constraint Jacobian cannot pin them down."""
     solver = sys.solver
     state_vec = [float(at[s]) for s in sys.states]
-    param_vec = [float(at[s]) for s in solver.params]
+    param_vec = solver.param_vector(at)
     warm_vec = None
     if warm is not None:
         warm_vec = [float(warm[m]) for m in sys.multipliers]
@@ -282,25 +288,20 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
 
     solver = sys.solver
     states = list(sys.states)
-    mults = list(sys.multipliers)
     missing = [s for s in states if s not in init]
     if missing:
         raise ConstraintViolationError(f"initial data misses state values for {missing}")
-    param_vec = []
-    for s in solver.params:
-        if s not in init:
-            raise ConstraintViolationError(f"no value for parameter {s} in initial data")
-        param_vec.append(float(init[s]))
-    rhs_fn = lambdify([sys.rhs[s] for s in states], states + mults + solver.params)
-    cons_fn = lambdify(list(sys.constraints), states + mults + solver.params)
-    energy_fn = lambdify([sys.energy], states + mults + solver.params)
+    param_vec = solver.param_vector(init)
+    rhs_fn = lambdify([sys.rhs[s] for s in states], solver.all_symbols)
+    cons_fn = lambdify(list(sys.constraints), solver.all_symbols)
+    energy_fn = lambdify([sys.energy], solver.all_symbols)
 
     y = np.array([float(init[s]) for s in states])
     try:
         warm = solver.solve(y, param_vec)
     except SingularJacobianError as exc:
         raise exc.located(t0, 0) from None
-    g0 = cons_fn(list(y) + list(warm) + param_vec)
+    g0 = cons_fn(y.tolist() + warm.tolist() + param_vec)
     if g0 and max(abs(v) for v in g0) > 1e-9:
         raise ConstraintViolationError(
             f"initial data violates constraints by {max(abs(v) for v in g0):g}"
@@ -308,28 +309,17 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
 
     def vector_field(yv, warm_lam):
         lam = solver.solve(yv, param_vec, warm_lam)
-        args = [float(v) for v in yv] + [float(v) for v in lam] + param_vec
-        try:
-            out = rhs_fn(args)
-        except (OverflowError, ZeroDivisionError, ValueError, TypeError) as exc:
-            raise NumericFailureError(f"vector field evaluation failed: {exc}") from exc
-        for v in out:
-            if isinstance(v, complex) or not math.isfinite(v):
-                raise NumericFailureError("vector field produced a non-finite value")
-        return np.array(out), lam
+        return np.array(rhs_fn(yv.tolist() + lam.tolist() + param_vec)), lam
 
     times = [t0]
-    samples = []
+    rows = []
     energies = []
 
     def record(yv, lam):
-        binding = {s: float(v) for s, v in zip(states, yv)}
-        binding.update({m: float(v) for m, v in zip(mults, lam)})
-        samples.append(binding)
-        args = [float(v) for v in yv] + [float(v) for v in lam] + param_vec
+        rows.append(yv.tolist() + lam.tolist())
         try:
-            energies.append(float(energy_fn(args)[0]))
-        except (OverflowError, ZeroDivisionError, ValueError, TypeError):
+            energies.append(energy_fn(rows[-1] + param_vec)[0])
+        except (DomainEvalError, NumericFailureError):  # no finite energy here
             energies.append(float("nan"))
 
     record(y, warm)
@@ -353,7 +343,7 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
             record(y, lam_end)
             warm = lam_end
 
-    columns = tuple(states) + tuple(mults)
+    columns = tuple(sys.states) + tuple(sys.multipliers)
     meta = {
         "h": h,
         "t0": t0,
@@ -362,7 +352,7 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
         "params": {str(s): v for s, v in zip(solver.params, param_vec)},
         "label": sys.label,
     }
-    return Trajectory(times, samples, columns, meta)
+    return Trajectory(times, rows, columns, meta)
 
 
 def energy_drift(traj: Trajectory) -> float:
@@ -374,40 +364,34 @@ def energy_drift(traj: Trajectory) -> float:
     return float(np.max(np.abs(energies - e0)) / (1.0 + abs(e0)))
 
 
-def lift_trajectory(gamma, base: Trajectory) -> Trajectory:
-    """Append momenta gamma(q(t)) to every sample of a base trajectory."""
+def lift_trajectory(gamma, base: Trajectory, params=None) -> Trajectory:
+    """The base trajectory with the momenta gamma(q) set at every sample: the
+    one lift of base curves through a one-form.  params binds the symbols of
+    gamma's components that are not base columns."""
     from .hamjac import ClosedOneForm
 
     if not isinstance(gamma, ClosedOneForm):
         raise ChartMismatchError("lift needs a ClosedOneForm")
-    comps = gamma.component_exprs()
-    out_samples = []
-    for sample in base.samples:
-        missing = [s for s in gamma.coordinates if s not in sample]
-        if missing:
-            raise ChartMismatchError(f"base sample misses coordinates {missing}")
-        new = dict(sample)
-        for mom, comp in zip(gamma.momentum_slots, comps):
-            new[mom] = eval_expr(comp, sample)
-        out_samples.append(new)
-    columns = tuple(base.columns) + tuple(
-        m for m in gamma.momentum_slots if m not in base.columns
-    )
-    return Trajectory(list(base.times), out_samples, columns, dict(base.meta))
+    missing = [s for s in gamma.coordinates if s not in base.columns]
+    if missing:
+        raise ChartMismatchError(f"base sample misses coordinates {missing}")
+    momenta = base.evaluate(gamma.component_exprs(), params)
+    columns = tuple(base.columns) + tuple(m for m in gamma.momentum_slots if m not in base.columns)
+    values = np.hstack([base.values, np.zeros((len(base.times), len(columns) - len(base.columns)))])
+    values[:, [columns.index(m) for m in gamma.momentum_slots]] = momenta
+    return Trajectory(list(base.times), values, columns, dict(base.meta))
 
 
 def project_trajectory(traj: Trajectory, coordinates) -> Trajectory:
     """Restrict every sample to the given coordinates (base projection)."""
     coordinates = tuple(coordinates)
-    samples = []
-    for s in traj.samples:
-        missing = [c for c in coordinates if c not in s]
-        if missing:
-            raise ChartMismatchError(f"samples do not bind {missing}")
-        samples.append({c: s[c] for c in coordinates})
+    missing = [c for c in coordinates if c not in traj.columns]
+    if missing:
+        raise ChartMismatchError(f"samples do not bind {missing}")
     meta = dict(traj.meta)
     meta.pop("energy", None)
-    return Trajectory(list(traj.times), samples, coordinates, meta)
+    values = traj.values[:, [traj.columns.index(c) for c in coordinates]]
+    return Trajectory(list(traj.times), values, coordinates, meta)
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -415,10 +399,10 @@ def trajectory_csv(traj: Trajectory) -> str:
     header = ["t"] + [str(s) for s in traj.columns] + ["E"]
     lines = [",".join(header)]
     energies = traj.energies()
-    for i, (t, sample) in enumerate(zip(traj.times, traj.samples)):
-        row = [_fmt(t)] + [_fmt(sample[s]) for s in traj.columns]
-        row.append(_fmt(float(energies[i])) if energies is not None else "")
-        lines.append(",".join(row))
+    for i, (t, row) in enumerate(zip(traj.times, traj.values.tolist())):
+        cells = [_fmt(t)] + [_fmt(v) for v in row]
+        cells.append(_fmt(energies[i]) if energies is not None else "")
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

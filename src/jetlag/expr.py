@@ -260,6 +260,10 @@ def mul(*factors) -> Expr:
     return Prod(flat)
 
 
+# largest exact power folded, in bits (about 4900 decimal digits)
+_FOLD_BITS = 1 << 14
+
+
 def pow_(base, exponent) -> Expr:
     """Power with rational exponent; folds constant bases where exact."""
     base = coerce(base)
@@ -281,24 +285,27 @@ def pow_(base, exponent) -> Expr:
 
 
 def _fold_const_pow(value, exponent: Fraction):
-    """Exact fold when possible, float fold otherwise; None keeps it symbolic."""
+    """Exact fold when possible, float fold otherwise; None keeps it symbolic.
+
+    An exact result is folded only up to _FOLD_BITS bits, judged from the
+    operands' bit lengths before it is computed: 10^10^10 stays a power.
+    """
     if isinstance(value, Fraction):
-        if exponent.denominator == 1:
-            n = exponent.numerator
-            if value == 0:
-                if n < 0:
-                    return None  # 0^-n stays symbolic; eval reports the domain error
-                return ZERO
-            return Const(value**n)
-        # fractional exponent of a rational: exact only for perfect powers
-        if value == 0 and exponent > 0:
-            return ZERO
-        if value > 0:
+        if value == 0:
+            return None if exponent < 0 else ZERO  # 0^-n: eval reports the domain error
+        if exponent.denominator != 1:
+            # fractional exponent of a rational: exact only for perfect powers
+            if value < 0:
+                return None
             num = _exact_root(value.numerator, exponent.denominator)
             den = _exact_root(value.denominator, exponent.denominator)
-            if num is not None and den is not None:
-                return Const(Fraction(num, den) ** exponent.numerator)
-        return None
+            if num is None or den is None:
+                return None
+            value = Fraction(num, den)
+        n = exponent.numerator
+        if abs(n) * (max(value.numerator.bit_length(), value.denominator.bit_length()) - 1) > _FOLD_BITS:
+            return None
+        return Const(value**n)
     # float base
     if value < 0 and exponent.denominator != 1:
         return None
@@ -350,8 +357,8 @@ def func(fname: str, arg) -> Expr:
             return ZERO
         if isinstance(value, float) or fname in Func._TABLE:
             try:
-                return Const(_apply_func(fname, float(value)))
-            except (DomainEvalError, OverflowError):
+                return Const(_apply_func(fname, _const_float(value)))
+            except (DomainEvalError, NumericFailureError):
                 pass
     return Func(fname, arg)
 
@@ -363,6 +370,21 @@ def _apply_func(fname: str, x: float) -> float:
         return Func._TABLE[fname](x)
     except ValueError as exc:
         raise DomainEvalError(str(exc)) from exc
+    except OverflowError as exc:  # exp of a large value
+        raise NumericFailureError(str(exc)) from exc
+
+
+def _pow(base: float, exp: Fraction) -> float:
+    """base ** exp in eval_expr's domain: no zero to a negative power, no
+    negative base under a fractional exponent, no overflow."""
+    if base == 0.0 and exp < 0:
+        raise DomainEvalError("zero raised to a negative power")
+    if base < 0.0 and exp.denominator != 1:
+        raise DomainEvalError(f"negative base {base} with fractional exponent {exp}")
+    try:
+        return base ** float(exp)
+    except OverflowError as exc:
+        raise NumericFailureError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -373,53 +395,55 @@ def _apply_func(fname: str, x: float) -> float:
 def eval_expr(e: Expr, binding) -> float:
     """Evaluate to a float under a {Symbol: value} binding.
 
-    Total on bindings that assign every free symbol and keep arguments inside
-    function domains; raises UnboundSymbolError / DomainEvalError otherwise.
+    The reference evaluator, for one point; compile with lambdify or
+    compile_rows to evaluate at many.  Total on bindings that assign every
+    free symbol and keep arguments inside function domains; raises
+    UnboundSymbolError / DomainEvalError / NumericFailureError otherwise.
     """
     v = _eval(e, binding)
-    if isinstance(v, Fraction):
-        return float(v)
     if not math.isfinite(v):
-        raise NumericFailureError(f"non-finite value {v}")
+        _nonfinite(v)
     return v
 
 
-def _const_float(e: Const) -> float:
+def _nonfinite(v):
+    raise NumericFailureError(f"non-finite value {v}")
+
+
+def _const_float(value) -> float:
+    """float(value) of an exact constant or exponent; too large is a numeric failure."""
     try:
-        return float(e.value)
+        return float(value)
     except OverflowError as exc:
-        digits = len(str(abs(e.value.numerator))) - len(str(e.value.denominator))
-        raise NumericFailureError(f"a constant of about 10^{digits} does not fit a float") from exc
+        bits = abs(value.numerator).bit_length() - value.denominator.bit_length()
+        raise NumericFailureError(
+            f"a constant of about 10^{round(bits * math.log10(2))} does not fit a float"
+        ) from exc
 
 
 def _eval(e, binding):
     if isinstance(e, Const):
-        return _const_float(e)
+        return _const_float(e.value)
     if isinstance(e, Sym):
         try:
             return binding[e.symbol]
         except KeyError:
             raise UnboundSymbolError(e.symbol) from None
     if isinstance(e, Sum):
-        return sum(float(_eval(t, binding)) for t in e.terms)
+        # left to right, as the compiled evaluators add: sum() of floats is
+        # compensated from Python 3.12 on
+        terms = (float(_eval(t, binding)) for t in e.terms)
+        out = next(terms, 0.0)
+        for v in terms:
+            out += v
+        return out
     if isinstance(e, Prod):
         out = 1.0
         for f in e.factors:
             out *= float(_eval(f, binding))
         return out
     if isinstance(e, Pow):
-        base = float(_eval(e.base, binding))
-        exp = e.exponent
-        if base == 0.0 and exp < 0:
-            raise DomainEvalError("zero raised to a negative power")
-        if base < 0.0 and exp.denominator != 1:
-            raise DomainEvalError(f"negative base {base} with fractional exponent {exp}")
-        try:
-            return base ** float(exp)
-        except OverflowError as exc:
-            raise NumericFailureError(str(exc)) from exc
-        except ZeroDivisionError as exc:  # pragma: no cover - guarded above
-            raise DomainEvalError(str(exc)) from exc
+        return _pow(float(_eval(e.base, binding)), e.exponent)
     if isinstance(e, Func):
         return _apply_func(e.fname, float(_eval(e.arg, binding)))
     raise TypeError(f"not an Expr: {e!r}")
@@ -597,55 +621,107 @@ def is_zero_expr(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# compilation: plain python callables (hot loops in dynamics) and
-# row-vectorized evaluators (sampled checks)
+# compilation: one tape, written out as straight-line Python (lambdify, one
+# point per call) or run over numpy columns (compile_rows, many rows per call)
 # ---------------------------------------------------------------------------
 
 
-def lambdify(exprs, symbols):
-    """Compile expressions to a callable taking one float per symbol.
+def _tape(exprs, symbols):
+    """The expressions as a Wengert list with one step per distinct
+    subexpression key.
 
-    Returns f(values: sequence) -> list[float]; symbols fixes the argument
-    order.  Unbound symbols are a construction-time error.
+    A step is (op, operand, payload) and its operands come before it:
+    ("sym", column, None), ("const", value, None), ("add" | "mul", [slots],
+    None), ("pow", slot, (exponent, float exponent)), (function name, slot,
+    None), and after each expression's own steps ("out", slot, None), which
+    marks that slot as the next output.  A slot is a position in the list.
+    Unbound symbols, and constants too large for a float, raise here.
     """
-    symbols = list(symbols)
     index = {s: i for i, s in enumerate(symbols)}
-    exprs = [e for e in exprs]
+    exprs = list(exprs)
     for e in exprs:
-        missing = e.free - set(symbols)
+        missing = e.free - index.keys()
         if missing:
             raise UnboundSymbolError(sorted(missing)[0])
+    steps = []
+    slots = {}
 
     def emit(node):
+        slot = slots.get(node.key)
+        if slot is not None:
+            return slot
         if isinstance(node, Const):
-            return repr(_const_float(node))
-        if isinstance(node, Sym):
-            return f"x[{index[node.symbol]}]"
-        if isinstance(node, Sum):
-            return "(" + " + ".join(emit(t) for t in node.terms) + ")"
-        if isinstance(node, Prod):
-            return "(" + " * ".join(emit(f) for f in node.factors) + ")"
-        if isinstance(node, Pow):
-            exp = node.exponent
-            if exp.denominator == 1:
-                return f"({emit(node.base)} ** {exp.numerator})"
-            return f"({emit(node.base)} ** {float(exp)!r})"
-        if isinstance(node, Func):
-            return f"_{node.fname}({emit(node.arg)})"
-        raise TypeError(f"not an Expr: {node!r}")
+            step = ("const", _const_float(node.value), None)
+        elif isinstance(node, Sym):
+            step = ("sym", index[node.symbol], None)
+        elif isinstance(node, Sum):
+            step = ("add", [emit(t) for t in node.terms], None)
+        elif isinstance(node, Prod):
+            step = ("mul", [emit(f) for f in node.factors], None)
+        elif isinstance(node, Pow):
+            step = ("pow", emit(node.base), (node.exponent, _const_float(node.exponent)))
+        elif isinstance(node, Func):
+            step = (node.fname, emit(node.arg), None)
+        else:
+            raise TypeError(f"not an Expr: {node!r}")
+        slots[node.key] = len(steps)
+        steps.append(step)
+        return slots[node.key]
 
-    body = "[" + ", ".join(emit(e) for e in exprs) + "]"
-    namespace = {
-        "_sin": math.sin,
-        "_cos": math.cos,
-        "_exp": math.exp,
-        "_ln": math.log,
-    }
-    code = compile(f"lambda x: {body}", "<jetlag-lambdify>", "eval")
-    return eval(code, namespace)  # noqa: S307 - code built from our own AST
+    for e in exprs:
+        steps.append(("out", emit(e), None))
+    return steps
 
 
-_ROW_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log}
+def lambdify(exprs, symbols):
+    """Compile expressions to f(values) -> list[float], where values holds
+    one float per symbol in the given order.
+
+    The tape becomes straight-line Python over the math module, with
+    eval_expr's domain checks written in: f returns eval_expr's bits, and
+    wherever eval_expr raises, f raises the same error class.  Unbound
+    symbols, and constants too large for a float, are construction-time
+    errors.  The code runs in this module's namespace.
+    """
+    symbols = list(symbols)
+    names, lines, outputs = [], [], []
+    for slot, (op, arg, payload) in enumerate(_tape(exprs, symbols)):
+        name = f"v{slot}"
+        if op == "const":
+            name = f"({arg!r})" if math.isfinite(arg) else f"float('{arg!r}')"
+        elif op == "sym":
+            name = f"x{arg}"
+        elif op == "out":
+            name = names[arg]
+            outputs.append(name)
+            # v - v is 0.0 for every finite v, and nan for an infinity or a nan
+            lines.append(f"if {name} - {name} != 0.0: _nonfinite({name})")
+        elif op in ("add", "mul"):
+            lines.append(f"{name} = " + (" + " if op == "add" else " * ").join(names[a] for a in arg))
+        elif op == "pow":
+            base, (exp, float_exp) = names[arg], payload
+            guards = [f"{base} == 0.0"] if exp < 0 else []
+            guards += [f"{base} < 0.0"] if exp.denominator != 1 else []
+            if guards:  # _pow raises eval_expr's domain error
+                lines.append(f"if {' or '.join(guards)}: _pow({base}, Fraction({exp.numerator}, {exp.denominator}))")
+            lines.append(f"{name} = {base} ** {float_exp!r}")
+        else:
+            if op == "ln":  # _apply_func raises eval_expr's domain error
+                lines.append(f"if {names[arg]} <= 0.0: _apply_func('ln', {names[arg]})")
+            lines.append(f"{name} = math.{Func._TABLE[op].__name__}({names[arg]})")
+        names.append(name)
+    source = ["def f(x):", "    [" + ", ".join(f"x{i}" for i in range(len(symbols))) + "] = x"]
+    source += ["    try:"] + [f"        {line}" for line in lines] + ["        pass"]
+    source += [
+        "    except OverflowError as exc:",
+        "        raise NumericFailureError(str(exc)) from exc",
+        "    except ValueError as exc:  # sin or cos of an infinity",
+        "        raise DomainEvalError(str(exc)) from exc",
+        f"    return [{', '.join(outputs)}]",
+    ]
+    namespace = {}
+    exec(compile("\n".join(source), "<jetlag-lambdify>", "exec"), globals(), namespace)  # noqa: S102 - our own tape
+    return namespace["f"]
 
 
 def compile_rows(exprs, symbols):
@@ -660,57 +736,28 @@ def compile_rows(exprs, symbols):
     expression (sin/cos of an infinity give a nan, which no later operation
     turns finite).  Values on bad rows mean nothing.
 
-    The expressions are flattened into a tape with one slot per distinct
-    subexpression key, and the tape is interpreted column-wise.  Sums and
-    products run in eval_expr's order; numpy's power, exp and log may differ
-    from the math module's in the last bit.  Unbound symbols, and constants
-    too large for a float, are construction-time errors.
+    The tape is interpreted column-wise.  Sums and products run in
+    eval_expr's order; numpy's power, exp and log may differ from the math
+    module's in the last bit.  Unbound symbols, and constants too large for
+    a float, are construction-time errors.
     """
-    index = {s: i for i, s in enumerate(symbols)}
-    exprs = list(exprs)
-    for e in exprs:
-        missing = e.free - index.keys()
-        if missing:
-            raise UnboundSymbolError(sorted(missing)[0])
-    tape = []  # (op, operand slot(s), payload); operands precede their users
-    slots = {}
-
-    def emit(node):
-        slot = slots.get(node.key)
-        if slot is not None:
-            return slot
-        if isinstance(node, Const):
-            step = ("const", _const_float(node), None)
-        elif isinstance(node, Sym):
-            step = ("sym", index[node.symbol], None)
-        elif isinstance(node, Sum):
-            step = ("add", [emit(t) for t in node.terms], None)
-        elif isinstance(node, Prod):
-            step = ("mul", [emit(f) for f in node.factors], None)
-        elif isinstance(node, Pow):
-            exp = node.exponent
-            step = ("pow", emit(node.base), (float(exp), exp < 0, exp.denominator != 1))
-        elif isinstance(node, Func):
-            step = (node.fname, emit(node.arg), _ROW_FUNCS[node.fname])
-        else:
-            raise TypeError(f"not an Expr: {node!r}")
-        slots[node.key] = len(tape)
-        tape.append(step)
-        return slots[node.key]
-
-    outputs = [emit(e) for e in exprs]
+    steps = _tape(exprs, symbols)
 
     def run(rows):
         cols = np.asarray(rows, dtype=float).T
         n = cols.shape[1]
         bad = np.zeros(n, dtype=bool)
-        vals = []
+        vals, values = [], []
         with np.errstate(all="ignore"):
-            for op, arg, payload in tape:
+            for op, arg, payload in steps:
                 if op == "sym":
                     v = cols[arg]
                 elif op == "const":
                     v = arg
+                elif op == "out":
+                    v = vals[arg]
+                    bad |= ~np.isfinite(v)
+                    values.append(np.array(np.broadcast_to(v, (n,)), dtype=float))
                 elif op == "add":
                     v = vals[arg[0]]
                     for slot in arg[1:]:
@@ -721,24 +768,21 @@ def compile_rows(exprs, symbols):
                         v = v * vals[slot]
                 elif op == "pow":
                     x = vals[arg]
-                    exp, negative, fractional = payload
-                    if negative:
+                    exp, float_exp = payload
+                    if exp < 0:
                         bad |= x == 0.0
-                    if fractional:
+                    if exp.denominator != 1:
                         bad |= x < 0.0
-                    v = np.power(x, exp)
+                    v = np.power(x, float_exp)
                     bad |= np.isfinite(x) & ~np.isfinite(v)
                 else:
                     x = vals[arg]
-                    v = payload(x)
+                    v = getattr(np, Func._TABLE[op].__name__)(x)  # numpy's function of that name
                     if op == "ln":
                         bad |= x <= 0.0
                     elif op == "exp":
                         bad |= np.isfinite(x) & ~np.isfinite(v)
                 vals.append(v)
-            values = [np.array(np.broadcast_to(vals[slot], (n,)), dtype=float) for slot in outputs]
-            for v in values:
-                bad |= ~np.isfinite(v)
         return values, bad
 
     return run

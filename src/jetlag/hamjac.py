@@ -15,16 +15,18 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import diff, linear_coefficients, potential_from_closed_form
-from .dynamics import ImplicitSystem, Trajectory, resolve_multipliers
+from .dynamics import ImplicitSystem, Trajectory, lift_trajectory
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
     ClosureError,
     NotLinearError,
     NumericFailureError,
+    UnboundSymbolError,
 )
-from .expr import Expr, add, coerce, compile_rows, eval_expr, mul, neg, simplify, substitute, sym
+from .expr import Expr, add, coerce, compile_rows, lambdify, mul, neg, simplify, substitute, sym
 from .families import MorseFamily
+from .ostro import svd_rank
 from .sampling import DEFAULT_BOX, make_rng, sample_rows
 from .symbols import q
 
@@ -161,15 +163,14 @@ def _jsonable(v):
 def _eval_rows(exprs, symbols, rows):
     """Values of exprs at every row, one array per expression.
 
-    At the first row on which some expression does not evaluate, eval_expr
-    raises the error the point-by-point loop would have raised there.
+    At the first row on which some expression does not evaluate, the error
+    eval_expr raises there is raised.
     """
     values, bad = compile_rows(exprs, symbols)(rows)
     if bad.any():
-        binding = dict(zip(symbols, rows[int(np.argmax(bad))].tolist()))
-        for e in exprs:
-            eval_expr(e, binding)
-        raise NumericFailureError(f"an expression does not evaluate at {binding}")
+        row = rows[int(np.argmax(bad))].tolist()
+        lambdify(exprs, symbols)(row)  # raises what eval_expr raises at that row
+        raise NumericFailureError(f"an expression does not evaluate at {dict(zip(symbols, row))}")
     return values
 
 
@@ -178,6 +179,15 @@ def _record_sups(report, names, values):
     for name, v in zip(names, values):
         if len(v):
             report.sup_norms[name] = max(report.sup_norms.get(name, 0.0), float(np.max(np.abs(v))))
+
+
+def _draw_rows(coordinates, exprs, samples, rng, probe=(), exclude=(), **box):
+    """The sorted symbols of coordinates, exprs and probe, less exclude, and
+    samples rows over them (sampling.sample_rows, box/boxes/guards passed
+    on) at which every probe expression evaluates."""
+    symbols = sorted(set(coordinates).union(*(e.free for e in [*exprs, *probe])) - set(exclude))
+    rng = make_rng(rng if rng is not None else 0)
+    return symbols, sample_rows(symbols, samples, rng, probe_exprs=list(probe), **box)
 
 
 def _sample_equations(
@@ -192,17 +202,10 @@ def _sample_equations(
     probe=(),
     samples=50,
 ):
-    rng = make_rng(rng if rng is not None else 0)
-    symbols = set(coordinates)
-    for _, e in equations:
-        symbols |= {s for s in e.free}
-    for e in probe:
-        symbols |= set(e.free)
-    symbols = sorted(symbols)
-    report = ResidualReport(label, list(equations), tol, samples)
-    rows = sample_rows(
-        symbols, samples, rng, box=box, boxes=boxes, guards=guards, probe_exprs=list(probe)
+    symbols, rows = _draw_rows(
+        coordinates, [e for _, e in equations], samples, rng, probe, box=box, boxes=boxes, guards=guards
     )
+    report = ResidualReport(label, list(equations), tol, samples)
     values = _eval_rows([e for _, e in equations], symbols, rows)
     _record_sups(report, [name for name, _ in equations], values)
     report.overall_sup = max(report.sup_norms.values(), default=0.0)
@@ -219,29 +222,20 @@ def morse_rank_check(mf: MorseFamily, points) -> ResidualReport:
     total = mf.total_energy
     fibers = list(mf.all_fibers)
     columns = list(mf.base.roster) + fibers
-    rows = []
-    for lam in fibers:
-        g = diff(total, lam)
-        rows.append([diff(g, c) for c in columns])
+    entries = [diff(g, c) for g in (diff(total, lam) for lam in fibers) for c in columns]
+    symbols = sorted(set().union(*(e.free for e in entries)))
+    fn = lambdify(entries, symbols)
+    try:
+        points = [[float(at[s]) for s in symbols] for at in points]
+    except KeyError as exc:
+        raise UnboundSymbolError(exc.args[0]) from None
     needed = len(fibers)
+    ranks = [svd_rank(np.array(fn(point)).reshape(needed, len(columns))) for point in points]
     report = ResidualReport("morse-rank", [], tol=0.0, samples=len(points))
-    ranks = []
-    ok = True
-    for at in points:
-        mat = np.array([[eval_expr(e, at) for e in row] for row in rows], dtype=float)
-        if mat.size == 0:
-            ranks.append(0)
-            ok = ok and needed == 0
-            continue
-        svals = np.linalg.svd(mat, compute_uv=False)
-        top = svals[0] if len(svals) else 0.0
-        rank = int(np.sum(svals > 1e-10 * max(top, 1e-300))) if top > 0 else 0
-        ranks.append(rank)
-        ok = ok and rank == needed
     report.details["ranks"] = ranks
     report.details["needed"] = needed
-    report.passed = ok
-    report.overall_sup = 0.0 if ok else float(needed - min(ranks, default=0))
+    report.passed = all(rank == needed for rank in ranks)
+    report.overall_sup = 0.0 if report.passed else float(needed - min(ranks, default=0))
     return report
 
 
@@ -278,7 +272,9 @@ class _FiberSolver:
             matrix, residue = linear_coefficients(self.eqs, self.fibers)
         except NotLinearError:
             self.linear = False
-            self.jac = [[diff(e, m) for m in self.fibers] for e in self.eqs]
+            unknowns = self.symbols + self.fibers
+            self._g = lambdify(self.eqs, unknowns)
+            self._jac = lambdify([diff(e, m) for e in self.eqs for m in self.fibers], unknowns)
             return
         self.entries = [e for row in matrix for e in row] + list(residue)
 
@@ -291,34 +287,30 @@ class _FiberSolver:
             lam = np.empty((n, k))
             consistency = np.empty(n)
             for i, row in enumerate(rows.tolist()):
-                lam[i], consistency[i] = self._newton(dict(zip(self.symbols, row)))
+                lam[i], consistency[i] = self._newton(row)
             return lam, consistency
         m = len(self.eqs)
         values = _eval_rows(self.entries, self.symbols, rows)
         a = np.stack(values[: m * k], axis=1).reshape(n, m, k)
         return _lstsq_rows(a, -np.stack(values[m * k :], axis=1))
 
-    def _newton(self, binding):
-        """Fiber values at one point and the residual they leave."""
+    def _newton(self, row):
+        """Fiber values at one point (row: a value per symbol) and the
+        residual they leave."""
         best = None
+        shape = (len(self.eqs), len(self.fibers))
         for start in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
             lam = np.full(len(self.fibers), start)
             for _ in range(50):
-                full = dict(binding)
-                full.update(dict(zip(self.fibers, lam)))
-                g = np.array([eval_expr(e, full) for e in self.eqs], dtype=float)
+                g = np.array(self._g(row + lam.tolist()))
                 if np.max(np.abs(g)) <= 1e-12:
                     return lam, 0.0
-                jac = np.array(
-                    [[eval_expr(d, full) for d in row] for row in self.jac], dtype=float
-                )
+                jac = np.array(self._jac(row + lam.tolist())).reshape(shape)
                 sol, *_ = np.linalg.lstsq(jac, -g, rcond=None)
                 if not np.all(np.isfinite(sol)) or np.max(np.abs(sol)) < 1e-15:
                     break
                 lam = lam + sol
-            full = dict(binding)
-            full.update(dict(zip(self.fibers, lam)))
-            g = np.array([eval_expr(e, full) for e in self.eqs], dtype=float)
+            g = np.array(self._g(row + lam.tolist()))
             residual = float(np.max(np.abs(g)))
             if best is None or residual < best[1]:
                 best = (lam, residual)
@@ -359,20 +351,12 @@ def hj_residual(
         (f"fiber {lam}", diff(total, lam))
         for lam in fibers
     ]
-    comps = gamma.component_exprs()
-    rng = make_rng(rng if rng is not None else 0)
-    coord_symbols = set(positions)
-    for _, e in base_eqs + fiber_eqs:
-        coord_symbols |= {s for s in e.free if s not in fibers}
-    for c in comps:
-        coord_symbols |= set(c.free)
-    coord_symbols = sorted(coord_symbols)
-    solver = _FiberSolver([e for _, e in fiber_eqs], fibers, coord_symbols)
-
-    report = ResidualReport(mf.label or "hj", base_eqs + fiber_eqs, tol, samples)
-    rows = sample_rows(
-        coord_symbols, samples, rng, box=box, boxes=boxes, guards=guards, probe_exprs=list(comps)
+    coord_symbols, rows = _draw_rows(
+        positions, [e for _, e in base_eqs + fiber_eqs], samples, rng, gamma.component_exprs(), fibers,
+        box=box, boxes=boxes, guards=guards,
     )
+    solver = _FiberSolver([e for _, e in fiber_eqs], fibers, coord_symbols)
+    report = ResidualReport(mf.label or "hj", base_eqs + fiber_eqs, tol, samples)
     lam, consistency = solver.solve_rows(rows)
     consistency_sup = float(np.max(consistency, initial=0.0))
     values = _eval_rows([e for _, e in base_eqs], coord_symbols + fibers, np.hstack([rows, lam]))
@@ -407,16 +391,10 @@ def hj_residual_nondeg(
     if leftover:
         raise ChartMismatchError(f"Hamiltonian momenta {sorted(leftover)} not covered by the form")
     equations = [(f"d/d{x}", diff(composed, x)) for x in gamma.coordinates]
-    comps = gamma.component_exprs()
-    rng = make_rng(rng if rng is not None else 0)
-    symbols = set(gamma.coordinates) | set(composed.free)
-    for c in comps:
-        symbols |= set(c.free)
-    symbols = sorted(symbols)
-    report = ResidualReport("hj-explicit", equations, tol, samples)
-    rows = sample_rows(
-        symbols, samples, rng, box=box, boxes=boxes, guards=guards, probe_exprs=list(comps) + [composed]
+    symbols, rows = _draw_rows(
+        gamma.coordinates, [], samples, rng, [*gamma.component_exprs(), composed], box=box, boxes=boxes, guards=guards
     )
+    report = ResidualReport("hj-explicit", equations, tol, samples)
     values, *partials = _eval_rows([composed] + [e for _, e in equations], symbols, rows)
     _record_sups(report, [name for name, _ in equations], partials)
     report.overall_sup = max(report.sup_norms.values(), default=0.0)
@@ -443,42 +421,26 @@ def gamma_relatedness(
         raise NumericFailureError("trajectory too short for finite differencing (< 5 samples)")
     times = base_traj.times
     h = times[1] - times[0]
-    for i in range(len(times) - 1):
-        if abs((times[i + 1] - times[i]) - h) > 1e-12 * max(1.0, abs(h)):
-            raise NumericFailureError("relatedness check needs a uniform time grid")
-    comps = gamma.component_exprs()
-    coords = gamma.coordinates
-    param_binding = dict(params or {})
-
-    def full_binding(sample):
-        b = dict(param_binding)
-        b.update(sample)
-        for slot, comp in zip(gamma.momentum_slots, comps):
-            b[slot] = eval_expr(comp, b)
-        return b
-
-    lifted = [full_binding(s) for s in base_traj.samples]
+    if np.any(np.abs(np.diff(times) - h) > 1e-12 * max(1.0, abs(h))):
+        raise NumericFailureError("relatedness check needs a uniform time grid")
+    params = dict(params or {})
+    lifted = lift_trajectory(gamma, base_traj, params)
+    solver = sys.solver
+    param_vec = solver.param_vector(params)
+    fn = lambdify([sys.rhs[s] for s in sys.states] + list(sys.constraints), solver.all_symbols)
+    states = np.stack([lifted.column(s) for s in sys.states], axis=1)
+    values = np.array(
+        [fn(row + solver.solve(row, param_vec).tolist() + param_vec) for row in states[1:-1].tolist()]
+    )
+    n = len(sys.states)
+    fd = (states[2:] - states[:-2]) / (2.0 * h)
+    residuals = np.abs(np.hstack([fd - values[:, :n], values[:, n:]]))
     names = [f"dot[{s}]" for s in sys.states] + [f"constraint[{i}]" for i in range(len(sys.constraints))]
     report = ResidualReport("gamma-relatedness", [], tol, len(times) - 2)
-    sup = 0.0
-    for i in range(1, len(times) - 1):
-        here = dict(lifted[i])
-        lam = resolve_multipliers(sys, {**here, **param_binding})
-        here.update(lam)
-        here.update(param_binding)
-        for s in sys.states:
-            fd = (lifted[i + 1][s] - lifted[i - 1][s]) / (2.0 * h)
-            v = abs(fd - eval_expr(sys.rhs[s], here))
-            name = f"dot[{s}]"
-            report.sup_norms[name] = max(report.sup_norms.get(name, 0.0), v)
-            sup = max(sup, v)
-        for j, c in enumerate(sys.constraints):
-            v = abs(eval_expr(c, here))
-            name = f"constraint[{j}]"
-            report.sup_norms[name] = max(report.sup_norms.get(name, 0.0), v)
-            sup = max(sup, v)
-    report.overall_sup = sup
-    report.passed = sup <= tol
+    for name, column in zip(names, residuals.T):
+        report.sup_norms[name] = float(np.max(column, initial=0.0))
+    report.overall_sup = float(np.max(residuals, initial=0.0))
+    report.passed = report.overall_sup <= tol
     return report
 
 

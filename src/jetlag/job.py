@@ -14,9 +14,8 @@ from collections import namedtuple
 from functools import cached_property
 
 from .charts import chart_tstar_aq
-from .dynamics import assemble, integrate_rk4, project_trajectory
+from .dynamics import Trajectory, assemble, integrate_rk4, lift_trajectory, project_trajectory
 from .errors import ConfigError, ParseError
-from .expr import eval_expr
 from .hamjac import ClosedOneForm, gamma_relatedness
 from .ostro import LagrangianSpec, ostro_energy
 from .parser import parse
@@ -255,9 +254,12 @@ class Job:
         """Lift the initial positions through gamma, integrate, project onto
         gamma's coordinates and test the lifted curve against the system."""
         sim = self._simulation()
-        init = {**sim.initial, **self.params}
-        for slot, comp in zip(gamma.momentum_slots, gamma.component_exprs()):
-            init[slot] = eval_expr(comp, init)
+        missing = [str(s) for s in gamma.coordinates if s not in sim.initial]
+        if missing:
+            raise ConfigError(f"simulation initial misses {', '.join(missing)}, used by the one-form")
+        start = Trajectory([sim.t0], [[sim.initial[s] for s in gamma.coordinates]], gamma.coordinates)
+        lifted = lift_trajectory(gamma, start, self.params)
+        init = {**sim.initial, **self.params, **dict(zip(lifted.columns, lifted.values[0].tolist()))}
         traj = integrate_rk4(self.system, init, sim.t0, sim.t1, sim.h)
         base = project_trajectory(traj, gamma.coordinates)
         return gamma_relatedness(self.system, gamma, base, tol=tol, params=self.params)

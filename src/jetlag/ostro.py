@@ -122,11 +122,17 @@ def nondegeneracy(L: LagrangianSpec, at: dict) -> dict:
     n, k = L.dim, L.order
     tops = [q(a, k) for a in range(1, n + 1)]
     rows = hessian(L.lagrangian, tops)
-    mat = np.array([[eval_expr(e, at) for e in row] for row in rows], dtype=float)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    top = svals[0] if len(svals) else 0.0
-    rank = int(np.sum(svals > 1e-10 * max(top, 1e-300))) if top > 0 else 0
+    rank = svd_rank(np.array([[eval_expr(e, at) for e in row] for row in rows], dtype=float))
     return {"rank": rank, "full": rank == n}
+
+
+def svd_rank(mat) -> int:
+    """Number of singular values above 1e-10 of the largest one (0 for an
+    empty or zero matrix)."""
+    if mat.size == 0:
+        return 0
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(svals > 1e-10 * max(svals[0], 1e-300))) if svals[0] > 0 else 0
 
 
 def top_coefficients(L: LagrangianSpec) -> list:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import NumericFailureError
 from .expr import Const, Expr, Func, Pow, Prod, Sum, Sym, pow_
 
 _PREC_SUM = 1
@@ -60,10 +61,11 @@ def _render(e):
 
 def _render_const(value):
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            text = str(value.numerator)
-        else:
-            text = f"{value.numerator}/{value.denominator}"
+        try:
+            text = str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+        except ValueError as exc:  # past the interpreter's limit on digits of an int as text
+            bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+            raise NumericFailureError(f"an exact constant of {bits} bits is too long to print") from exc
         prec = _PREC_ATOM if value >= 0 and value.denominator == 1 else _PREC_PROD
         if value < 0:
             return text, _PREC_SUM

@@ -8,13 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DomainEvalError,
-    DomainExhaustionError,
-    NumericFailureError,
-    UnboundSymbolError,
-)
-from .expr import Expr, compile_rows, eval_expr
+from .errors import DomainEvalError, DomainExhaustionError, NumericFailureError
+from .expr import Expr, compile_rows, lambdify
 
 DEFAULT_BOX = (-2.0, 2.0)
 
@@ -108,17 +103,17 @@ def equal_numeric(e1: Expr, e2: Expr, trials: int = 100, tol: float = 1e-10, rng
         raise ValueError("tol must be positive")
     rng = make_rng(rng if rng is not None else 0)
     symbols = sorted(e1.free | e2.free)
+    both = lambdify([e1, e2], symbols)
     budget = 1000 * trials
     done = 0
     while done < trials:
         if budget <= 0:
             raise DomainExhaustionError(f"no valid sample found in {1000 * trials} attempts")
-        binding = {s: float(rng.uniform(box[0], box[1])) for s in symbols}
+        point = [float(rng.uniform(box[0], box[1])) for _ in symbols]
         budget -= 1
         try:
-            v1 = eval_expr(e1, binding)
-            v2 = eval_expr(e2, binding)
-        except (DomainEvalError, NumericFailureError, OverflowError, UnboundSymbolError):
+            v1, v2 = both(point)
+        except (DomainEvalError, NumericFailureError):
             continue
         if abs(v1 - v2) > tol * (1.0 + abs(v1)):
             return False

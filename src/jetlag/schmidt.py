@@ -18,10 +18,10 @@ import numpy as np
 from .calculus import diff, solve_linear_symbolic
 from .charts import chart_tstar_aq, chart_tstar_aqm, pullback_to_acceleration_chart
 from .errors import GaugeConditionError, IncompatibleGaugeError
-from .expr import Expr, add, eval_expr, is_zero_expr, mul, neg, simplify, substitute, sym
+from .expr import Expr, add, eval_expr, is_zero_expr, lambdify, mul, neg, simplify, substitute, sym
 from .families import MorseFamily
 from .ostro import LagrangianSpec, ostro_energy
-from .sampling import make_rng, sample_binding
+from .sampling import make_rng, sample_rows
 from .symbols import Kind, Symbol, acc, aux, p as ost_p, pa, pm, pq, q
 
 
@@ -173,12 +173,11 @@ def _check_cond2(F: GaugeFunction, n: int, rng=None, points: int = 10):
         [diff(F.d(q(a, 1)), aux(b, 0)) for b in range(1, n + 1)]
         for a in range(1, n + 1)
     ]
-    symbols = sorted(set().union(*(e.free for row in mat for e in row)) | set())
+    symbols = sorted(set().union(*(e.free for row in mat for e in row)))
+    fn = lambdify([e for row in mat for e in row], symbols)
     for _ in range(points):
-        binding = sample_binding(symbols, rng) if symbols else {}
-        numeric = np.array(
-            [[eval_expr(e, binding) for e in row] for row in mat], dtype=float
-        )
+        point = sample_rows(symbols, 1, rng)[0].tolist() if symbols else []
+        numeric = np.array(fn(point)).reshape(n, n)
         if abs(np.linalg.det(numeric)) < 1e-10:
             raise GaugeConditionError(
                 "mixed gauge Hessian in (velocity, auxiliary) is singular"

@@ -456,6 +456,7 @@ def _with_initial(initial):
         ("derive", {**BEAM_CONFIG, "parameters": {"mu*rho": 1.0}}),
         ("derive", {**BEAM_CONFIG, "parameters": {"q1_0": 1.0}}),
         ("simulate", _with_initial({"q1_0": float("inf"), "q1_1": 0.0, "p1_0": 0.0, "p1_1": 0.0})),
+        ("hj-check", {**JAVELIN_HJ, "simulation": {"t0": 0.0, "t1": 0.3, "h": 0.001, "initial": {"q1_0": 0.3}}}),
     ],
     ids=[
         "non-numeric-parameter",
@@ -468,9 +469,44 @@ def _with_initial(initial):
         "product-parameter-name",
         "coordinate-parameter-name",
         "infinite-initial-value",
+        "hj-check-initial-misses-a-form-coordinate",
     ],
 )
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, verb, config):
     path = write_config(tmp_path, config)
     assert main([verb, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, lagrangian",
+    [
+        ("simulate", "1/2*q1_2^2 + 2^2^2^2^2*q1_0"),  # 2^65536 stays a power, which overflows
+        ("derive", "2^2^2^2^2*q1_2^2"),
+        ("derive", "10^10^10*q1_2^2"),  # folding it exactly would not end
+        ("derive", "2^14000*2^14000*q1_2^2"),  # 8429 digits: past the int-to-text limit
+        ("simulate", "2^14000*2^14000*q1_2^2"),
+    ],
+)
+def test_huge_constants_end_with_a_contract_exit_code(tmp_path, verb, lagrangian):
+    config = {**BEAM_CONFIG, "lagrangian": lagrangian, "parameters": {}}
+    config["simulation"] = {**config["simulation"], "t1": 0.01}
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetlag.cli", verb, "--config", write_config(tmp_path, config)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jetlag.__file__).resolve().parent.parent)},
+        timeout=20,
+    )
+    assert proc.returncode in range(5)
+    assert "Traceback" not in proc.stderr
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    (tmp_path / "afile").write_text("not a directory")
+    cfg = write_config(tmp_path, {**BEAM_CONFIG, "simulation": {**BEAM_CONFIG["simulation"], "t1": 0.01}})
+    for verb in ("simulate", "derive"):
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / "afile" / "sub")]) == 2
+        captured = capsys.readouterr()
+        assert "cannot write" in captured.err
+        assert captured.out == ""

@@ -39,6 +39,11 @@ def beam_system():
     return assemble(ostro_energy(BEAM))
 
 
+def samples(traj):
+    """One {Symbol: float} binding per row of a trajectory."""
+    return [dict(zip(traj.columns, row)) for row in traj.values.tolist()]
+
+
 def test_resolve_multipliers_linear():
     sys = beam_system()
     at = {q(1, 0): 0.0, q(1, 1): 0.0, p(1, 0): 0.0, p(1, 1): 3.0, param("mu"): 1.0, param("rho"): 1.0}
@@ -92,7 +97,7 @@ def test_constraints_preserved_along_run():
     init = {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}
     traj = integrate_rk4(sys, init, 0.0, 1.0, 1e-3)
     worst = 0.0
-    for s in traj.samples:
+    for s in samples(traj):
         worst = max(worst, abs(eval_expr(sys.constraints[0], {**s, **PARAMS})))
     assert worst <= 1e-9
 
@@ -122,8 +127,9 @@ def test_euler_lagrange_residual_of_flow():
         q2 = traj.column(q(1, 2))
         residual = euler_lagrange(spec)[0]
         worst = 0.0
+        bindings = samples(traj)
         for i in range(2, len(traj.times) - 2):
-            binding = dict(traj.samples[i])
+            binding = bindings[i]
             binding.update(params)
             binding[q(1, 3)] = (q2[i + 1] - q2[i - 1]) / (2 * h)
             binding[q(1, 4)] = (q2[i + 1] - 2 * q2[i] + q2[i - 1]) / h**2
@@ -145,8 +151,9 @@ def test_momentum_expressions_track_integrated_momenta():
     p0 = traj.column(p(1, 0))
     p1 = traj.column(p(1, 1))
     worst = 0.0
+    bindings = samples(traj)
     for i in range(1, len(traj.times) - 1):
-        binding = dict(traj.samples[i])
+        binding = bindings[i]
         binding.update(PARAMS)
         binding[q(1, 3)] = (q2[i + 1] - q2[i - 1]) / (2 * h)
         worst = max(worst, abs(eval_expr(mom[0][0], binding) - p0[i]))
@@ -160,7 +167,7 @@ def test_nonlinear_multipliers_integrate_with_warm_start():
     init = {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}
     traj = integrate_rk4(sys, init, 0.0, 0.2, 1e-2)
     worst = 0.0
-    for s in traj.samples:
+    for s in samples(traj):
         worst = max(worst, abs(eval_expr(sys.constraints[0], s)))
     assert worst <= 1e-9
     assert energy_drift(traj) < 1e-6

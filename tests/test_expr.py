@@ -18,6 +18,7 @@ from jetlag.expr import (
     Pow,
     Prod,
     Sum,
+    Sym,
     compile_rows,
     const,
     eval_expr,
@@ -66,12 +67,20 @@ def test_eval_unbound_symbol_is_error():
 
 
 def test_eval_domain_errors():
-    with pytest.raises(DomainEvalError):
-        eval_expr(parse("ln(q1_0)"), {q(1, 0): -1.0})
-    with pytest.raises(DomainEvalError):
-        eval_expr(parse("sqrt(q1_0)"), {q(1, 0): -4.0})
-    with pytest.raises(DomainEvalError):
-        eval_expr(parse("1/q1_0"), {q(1, 0): 0.0})
+    # eval_expr and the compiled scalar path raise the same classes
+    cases = [
+        ("ln(q1_0)", -1.0, DomainEvalError),
+        ("sqrt(q1_0)", -4.0, DomainEvalError),
+        ("1/q1_0", 0.0, DomainEvalError),
+        ("sin(q1_0)", math.inf, DomainEvalError),
+        ("exp(q1_0)", 1e3, NumericFailureError),
+        ("q1_0^2", 1e200, NumericFailureError),
+    ]
+    for text, x, error in cases:
+        with pytest.raises(error):
+            eval_expr(parse(text), {q(1, 0): x})
+        with pytest.raises(error):
+            lambdify([parse(text)], [q(1, 0)])([x])
 
 
 def test_substitute():
@@ -130,6 +139,27 @@ def test_constant_beyond_float_range_is_numeric_failure():
         lambdify([e], [q(1, 0)])
     with pytest.raises(NumericFailureError):
         compile_rows([e], [q(1, 0)])
+
+
+def test_sum_adds_left_to_right_in_every_evaluator():
+    # sum() of floats is compensated from Python 3.12 on and would give 2.0
+    symbols = [q(1, 0), q(1, 1), q(1, 2), q(2, 0)]
+    total = Sum(tuple(Sym(s) for s in symbols))
+    row = [1e16, 1.0, -1e16, 1.0]
+    assert eval_expr(total, dict(zip(symbols, row))) == 1.0
+    assert lambdify([total], symbols)(row) == [1.0]
+    assert compile_rows([total], symbols)(np.array([row]))[0][0].tolist() == [1.0]
+
+
+def test_constant_powers_fold_exactly_only_up_to_a_bit_bound():
+    assert pow_(const(2), 14000) == const(2**14000)
+    assert pow_(const(Fraction(1, 3)), -5) == const(243)
+    tower = pow_(const(10), 10**10)  # 10^10^10 is not computed
+    assert isinstance(tower, Pow) and tower.exponent == 10**10
+    with pytest.raises(NumericFailureError):
+        eval_expr(tower, {})
+    with pytest.raises(NumericFailureError):
+        lambdify([tower], [])([])
 
 
 def test_compile_rows_shares_subexpressions_and_broadcasts_constants():
@@ -195,8 +225,17 @@ def test_compile_rows_agrees_with_eval_expr(seed):
     edge = rng.random(rows.shape) < 0.3
     rows[edge] = rng.choice(_EDGE_VALUES, size=int(edge.sum()))
     values, bad = compile_rows(exprs, SYMBOL_POOL)(rows)
+    scalar = lambdify(exprs, SYMBOL_POOL)
     for i, row in enumerate(rows.tolist()):
         binding = dict(zip(SYMBOL_POOL, row))
+        # the scalar path gives eval_expr's bits, or raises its error class
+        try:
+            reference = [eval_expr(e, binding) for e in exprs]
+        except (DomainEvalError, NumericFailureError) as exc:
+            with pytest.raises(type(exc)):
+                scalar(row)
+        else:
+            assert [x.hex() for x in scalar(row)] == [x.hex() for x in reference]
         subtrees = [list(_subtrees(e)) for e in exprs]
         # numpy's power and exp may differ from the math module's by an ulp;
         # past 1e6 that ulp moves sin/cos by more than 1e-10 and can flip a

@@ -219,7 +219,7 @@ def test_gamma_relatedness_needs_enough_samples():
     L1 = LagrangianSpec(1, 1, parse("1/2*q1_1^2"))
     sys = assemble(ostro_energy(L1))
     gamma = ClosedOneForm.from_potential(parse("q1_0"), [q(1, 0)], [p(1, 0)])
-    short = Trajectory([0.0, 0.1, 0.2], [{q(1, 0): 0.0}] * 3, (q(1, 0),))
+    short = Trajectory([0.0, 0.1, 0.2], np.zeros((3, 1)), (q(1, 0),))
     with pytest.raises(NumericFailureError):
         gamma_relatedness(sys, gamma, short)
 
