@@ -146,11 +146,23 @@ class _MultiplierSolver:
             self._residue_fn = lambdify(residue, list(sys.states) + self.params)
         except NotLinearError:
             self.linear = False
-            self._cons_fn = lambdify(list(sys.constraints), self.all_symbols)
             jac = [
                 [diff(c, m) for m in sys.multipliers] for c in sys.constraints
             ]
             self._jac_fn = lambdify([e for row in jac for e in row], self.all_symbols)
+
+    # the system compiled over all_symbols, each on first use and then kept
+    @cached_property
+    def rhs_fn(self):
+        return lambdify([self.sys.rhs[s] for s in self.sys.states], self.all_symbols)
+
+    @cached_property
+    def cons_fn(self):
+        return lambdify(list(self.sys.constraints), self.all_symbols)
+
+    @cached_property
+    def energy_fn(self):
+        return lambdify([self.sys.energy], self.all_symbols)
 
     def param_vector(self, binding) -> list:
         """The parameter values in solver order, from a {Symbol: value} binding."""
@@ -212,7 +224,7 @@ class _MultiplierSolver:
         base = list(state_vec) + list(lam) + list(param_vec)
         for _ in range(50):
             base[len(self.sys.states) : len(self.sys.states) + self.n_mult] = list(lam)
-            g = np.array(self._cons_fn(base))
+            g = np.array(self.cons_fn(base))
             if np.max(np.abs(g)) <= 1e-12:
                 return lam
             j = np.array(self._jac_fn(base)).reshape(self.n_cons, self.n_mult)
@@ -262,8 +274,8 @@ def resolve_multipliers(sys: ImplicitSystem, at: dict, warm=None) -> dict:
 def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: float) -> Trajectory:
     """Classical fixed-step RK4 on the multiplier-resolved vector field.
 
-    The system's solver is built once (see ``ImplicitSystem.solver``); the
-    right-hand side, constraints and energy are compiled once per call.
+    The system's solver is built once (see ``ImplicitSystem.solver``) and
+    keeps the compiled right-hand side, constraints and energy for every run.
     Multipliers are solved for at every stage (warm-started), reusing the
     checked constraint matrix when it is free of the states.  Samples carry
     the resolved multiplier values and the energy.
@@ -292,9 +304,7 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     if missing:
         raise ConstraintViolationError(f"initial data misses state values for {missing}")
     param_vec = solver.param_vector(init)
-    rhs_fn = lambdify([sys.rhs[s] for s in states], solver.all_symbols)
-    cons_fn = lambdify(list(sys.constraints), solver.all_symbols)
-    energy_fn = lambdify([sys.energy], solver.all_symbols)
+    rhs_fn, cons_fn, energy_fn = solver.rhs_fn, solver.cons_fn, solver.energy_fn
 
     y = np.array([float(init[s]) for s in states])
     try:

@@ -9,11 +9,12 @@ unreduced family, which is what dynamics and rank checks consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .calculus import diff
 from .charts import ChartSpec
 from .errors import ChartMismatchError
-from .expr import Expr, add, mul, simplify, sym
+from .expr import Expr, add, mul, neg, simplify, sym
 from .symbols import Kind
 
 
@@ -44,7 +45,7 @@ class MorseFamily:
     def all_fibers(self) -> tuple:
         return self.fibers + tuple(m for m, _ in self.extra_relations)
 
-    @property
+    @cached_property
     def total_energy(self) -> Expr:
         total = self.energy
         for mult, relation in self.extra_relations:
@@ -55,3 +56,12 @@ class MorseFamily:
         """d(total energy)/d(fiber) = 0, one expression per fiber symbol."""
         total = self.total_energy
         return [diff(total, lam) for lam in self.all_fibers]
+
+
+def legendre_sum(lagrangian: Expr, pairs) -> Expr:
+    """sum p v - L over (momentum, velocity) pairs, in their order, unsimplified:
+    the energy of both routes, before or after a substitution."""
+    total = neg(lagrangian)
+    for momentum, velocity in pairs:
+        total = add(total, mul(sym(momentum), sym(velocity)))
+    return total

@@ -27,7 +27,7 @@ from .errors import (
 from .expr import Expr, add, coerce, compile_rows, lambdify, mul, neg, simplify, substitute, sym
 from .families import MorseFamily
 from .ostro import svd_rank
-from .sampling import DEFAULT_BOX, make_rng, sample_rows
+from .sampling import make_rng, sample_rows
 from .symbols import q
 
 
@@ -65,7 +65,6 @@ class ClosedOneForm:
         coordinates,
         momentum_slots,
         rng=None,
-        box=DEFAULT_BOX,
         boxes=None,
         guards=(),
         tol=1e-9,
@@ -76,7 +75,7 @@ class ClosedOneForm:
         form = cls(tuple(coordinates), tuple(momentum_slots), components=components)
         if check:
             report = form.closure_report(
-                rng=rng, box=box, boxes=boxes, guards=guards, tol=tol, samples=samples
+                rng=rng, boxes=boxes, guards=guards, tol=tol, samples=samples
             )
             if not report.passed:
                 raise ClosureError(report.details["worst_pair"], report.overall_sup)
@@ -94,7 +93,7 @@ class ClosedOneForm:
         return dict(zip(self.momentum_slots, self.component_exprs()))
 
     def closure_report(
-        self, rng=None, box=DEFAULT_BOX, boxes=None, guards=(), tol=1e-9, samples=50
+        self, rng=None, boxes=None, guards=(), tol=1e-9, samples=50
     ) -> "ResidualReport":
         comps = self.component_exprs()
         coords = self.coordinates
@@ -109,7 +108,6 @@ class ClosedOneForm:
             list(coords),
             tol=tol,
             rng=rng,
-            box=box,
             boxes=boxes,
             guards=guards,
             probe=comps,
@@ -181,13 +179,13 @@ def _record_sups(report, names, values):
             report.sup_norms[name] = max(report.sup_norms.get(name, 0.0), float(np.max(np.abs(v))))
 
 
-def _draw_rows(coordinates, exprs, samples, rng, probe=(), exclude=(), **box):
+def _draw_rows(coordinates, exprs, samples, rng, probe=(), exclude=(), boxes=None, guards=()):
     """The sorted symbols of coordinates, exprs and probe, less exclude, and
-    samples rows over them (sampling.sample_rows, box/boxes/guards passed
+    samples rows over them (sampling.sample_rows, boxes and guards passed
     on) at which every probe expression evaluates."""
     symbols = sorted(set(coordinates).union(*(e.free for e in [*exprs, *probe])) - set(exclude))
     rng = make_rng(rng if rng is not None else 0)
-    return symbols, sample_rows(symbols, samples, rng, probe_exprs=list(probe), **box)
+    return symbols, sample_rows(symbols, samples, rng, boxes=boxes, guards=guards, probe_exprs=list(probe))
 
 
 def _sample_equations(
@@ -196,14 +194,13 @@ def _sample_equations(
     coordinates,
     tol,
     rng=None,
-    box=DEFAULT_BOX,
     boxes=None,
     guards=(),
     probe=(),
     samples=50,
 ):
     symbols, rows = _draw_rows(
-        coordinates, [e for _, e in equations], samples, rng, probe, box=box, boxes=boxes, guards=guards
+        coordinates, [e for _, e in equations], samples, rng, probe, boxes=boxes, guards=guards
     )
     report = ResidualReport(label, list(equations), tol, samples)
     values = _eval_rows([e for _, e in equations], symbols, rows)
@@ -325,7 +322,6 @@ def hj_residual(
     rng=None,
     tol: float = 1e-8,
     samples: int = 50,
-    box=DEFAULT_BOX,
     boxes=None,
     guards=(),
 ) -> ResidualReport:
@@ -353,7 +349,7 @@ def hj_residual(
     ]
     coord_symbols, rows = _draw_rows(
         positions, [e for _, e in base_eqs + fiber_eqs], samples, rng, gamma.component_exprs(), fibers,
-        box=box, boxes=boxes, guards=guards,
+        boxes=boxes, guards=guards,
     )
     solver = _FiberSolver([e for _, e in fiber_eqs], fibers, coord_symbols)
     report = ResidualReport(mf.label or "hj", base_eqs + fiber_eqs, tol, samples)
@@ -377,7 +373,6 @@ def hj_residual_nondeg(
     rng=None,
     tol: float = 1e-8,
     samples: int = 50,
-    box=DEFAULT_BOX,
     boxes=None,
     guards=(),
 ) -> ResidualReport:
@@ -392,7 +387,7 @@ def hj_residual_nondeg(
         raise ChartMismatchError(f"Hamiltonian momenta {sorted(leftover)} not covered by the form")
     equations = [(f"d/d{x}", diff(composed, x)) for x in gamma.coordinates]
     symbols, rows = _draw_rows(
-        gamma.coordinates, [], samples, rng, [*gamma.component_exprs(), composed], box=box, boxes=boxes, guards=guards
+        gamma.coordinates, [], samples, rng, [*gamma.component_exprs(), composed], boxes=boxes, guards=guards
     )
     report = ResidualReport("hj-explicit", equations, tol, samples)
     values, *partials = _eval_rows([composed] + [e for _, e in equations], symbols, rows)
@@ -427,11 +422,12 @@ def gamma_relatedness(
     lifted = lift_trajectory(gamma, base_traj, params)
     solver = sys.solver
     param_vec = solver.param_vector(params)
-    fn = lambdify([sys.rhs[s] for s in sys.states] + list(sys.constraints), solver.all_symbols)
     states = np.stack([lifted.column(s) for s in sys.states], axis=1)
-    values = np.array(
-        [fn(row + solver.solve(row, param_vec).tolist() + param_vec) for row in states[1:-1].tolist()]
-    )
+    values = []
+    for row in states[1:-1].tolist():
+        args = row + solver.solve(row, param_vec).tolist() + param_vec
+        values.append(solver.rhs_fn(args) + solver.cons_fn(args))
+    values = np.array(values)
     n = len(sys.states)
     fd = (states[2:] - states[:-2]) / (2.0 * h)
     residuals = np.abs(np.hstack([fd - values[:, :n], values[:, n:]]))
@@ -450,7 +446,6 @@ def local_vf_residual(
     rng=None,
     tol: float = 1e-8,
     samples: int = 50,
-    box=DEFAULT_BOX,
     boxes=None,
     guards=(),
 ) -> ResidualReport:
@@ -480,7 +475,6 @@ def local_vf_residual(
         list(coords),
         tol=tol,
         rng=rng,
-        box=box,
         boxes=boxes,
         guards=guards,
         probe=gamma.component_exprs(),
@@ -494,7 +488,7 @@ def local_vf_residual(
 
 
 def affine_symmetry_check(
-    f, rng=None, tol: float = 1e-8, samples: int = 50, box=DEFAULT_BOX
+    f, rng=None, tol: float = 1e-8, samples: int = 50
 ) -> ResidualReport:
     """Velocity-gradient symmetry of the affine coefficients.
 
@@ -512,12 +506,12 @@ def affine_symmetry_check(
             equations.append((f"symmetry[{a + 1},{b + 1}]", r))
     coords = sorted(set().union(*(e.free for e in f)) | set())
     return _sample_equations(
-        "affine-symmetry", equations, coords, tol=tol, rng=rng, box=box, samples=samples
+        "affine-symmetry", equations, coords, tol=tol, rng=rng, samples=samples
     )
 
 
 def affine_integrability_check(
-    f, g, order: int = 2, rng=None, tol: float = 1e-8, samples: int = 50, box=DEFAULT_BOX
+    f, g, order: int = 2, rng=None, tol: float = 1e-8, samples: int = 50
 ) -> ResidualReport:
     """Displayed compatibility criteria for affine-in-top-derivative systems."""
     f = [coerce(x) for x in f]
@@ -573,7 +567,7 @@ def affine_integrability_check(
         raise ValueError("order must be 2 or 3")
     coords = sorted(set().union(*(e.free for e in f)) | g.free)
     return _sample_equations(
-        "affine-integrability", equations, coords, tol=tol, rng=rng, box=box, samples=samples
+        "affine-integrability", equations, coords, tol=tol, rng=rng, samples=samples
     )
 
 

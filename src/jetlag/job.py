@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .charts import chart_tstar_aq
 from .dynamics import Trajectory, assemble, integrate_rk4, lift_trajectory, project_trajectory
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, GaugeConditionError, IncompatibleGaugeError, ParseError
 from .hamjac import ClosedOneForm, gamma_relatedness
 from .ostro import LagrangianSpec, ostro_energy
 from .parser import parse
@@ -72,6 +72,14 @@ def _number(value, what) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return x
+
+
+def _gauge_step(build, *args):
+    """build(*args); a gauge the route cannot use is a config error."""
+    try:
+        return build(*args)
+    except (ValueError, IncompatibleGaugeError, GaugeConditionError) as exc:
+        raise ConfigError(f"bad gauge_F: {exc}") from exc
 
 
 # the simulation block: time grid and initial values by symbol
@@ -190,29 +198,23 @@ class Job:
         the integrated compatibility condition."""
         text = self.config.get("gauge_F")
         if text:
-            try:
-                return GaugeFunction(parse(text), self.spec.dim)
-            except ValueError as exc:
-                raise ConfigError(f"bad gauge_F: {exc}") from exc
+            return _gauge_step(GaugeFunction, parse(text), self.spec.dim)
         if self.method in ("schmidt3", "schmidt2deg"):
             return default_auxiliary_gauge(self.spec.dim)
-        return solve_F_quadratic(self.spec)
+        return _gauge_step(solve_F_quadratic, self.spec)
 
     @cached_property
     def extension(self):
         """The SchmidtSystem of the auxiliary-factor methods (schmidt3, schmidt2deg)."""
         extend = third_order_extend if self.method == "schmidt3" else degenerate_second_extend
-        try:
-            return extend(self.spec, self.gauge)
-        except ValueError as exc:
-            raise ConfigError(f"bad gauge_F: {exc}") from exc
+        return _gauge_step(extend, self.spec, self.gauge)
 
     @cached_property
     def family(self):
         if self.method == "ostrogradsky":
             return ostro_energy(self.spec)
         if self.method == "schmidt2":
-            return schmidt_morse_family(self.spec, self.gauge)
+            return _gauge_step(schmidt_morse_family, self.spec, self.gauge)
         return self.extension.family
 
     @cached_property

@@ -21,8 +21,8 @@ from .calculus import (
 )
 from .charts import chart_cotangent
 from .errors import DegenerateLagrangianError, NotLinearError
-from .expr import Expr, add, eval_expr, mul, neg, simplify, substitute, sym
-from .families import MorseFamily
+from .expr import Expr, add, eval_expr, neg, simplify, substitute, sym
+from .families import MorseFamily, legendre_sum
 from .symbols import Kind, p, q
 
 _FORBIDDEN_KINDS = (Kind.P, Kind.PQ, Kind.PA, Kind.PM, Kind.DOTQ, Kind.DOTP, Kind.LAMBDA)
@@ -54,43 +54,42 @@ class LagrangianSpec:
             raise ValueError(f"component index {max(comps)} exceeds dimension {self.dim}")
 
 
+def energy_sum(L: LagrangianSpec) -> Expr:
+    """sum p_(kappa) q_(kappa+1) - L, unsimplified, for callers that
+    substitute into it before they simplify."""
+    pairs = ((p(a, kappa), q(a, kappa + 1)) for kappa in range(L.order) for a in range(1, L.dim + 1))
+    return legendre_sum(L.lagrangian, pairs)
+
+
 def ostro_energy(L: LagrangianSpec) -> MorseFamily:
     """E = sum p_(kappa) q_(kappa+1) - L with the top derivatives as fibers."""
     n, k = L.dim, L.order
-    total = neg(L.lagrangian)
-    for kappa in range(k):
-        for a in range(1, n + 1):
-            total = add(total, mul(sym(p(a, kappa)), sym(q(a, kappa + 1))))
-    fibers = tuple(q(a, k) for a in range(1, n + 1))
     return MorseFamily(
         base=chart_cotangent(n, k),
-        fibers=fibers,
-        energy=simplify(total),
+        fibers=tuple(q(a, k) for a in range(1, n + 1)),
+        energy=simplify(energy_sum(L)),
         label="ostrogradsky",
     )
+
+
+def _alternating(L: LagrangianSpec, a: int, first: int) -> Expr:
+    """sum_i (-1)^i (d/dt)^i dL/dq^A_(first+i) over the levels first..k."""
+    total = None
+    for i, level in enumerate(range(first, L.order + 1)):
+        piece = iterated_time_derivative(diff(L.lagrangian, q(a, level)), i)
+        if i % 2 == 1:
+            piece = neg(piece)
+        total = piece if total is None else add(total, piece)
+    return simplify(total)
 
 
 def ostro_momenta(L: LagrangianSpec) -> list:
     """Conjugate momenta: alternating total time derivatives of dL/dq levels.
 
-    Returns momenta[kappa][A-1], an expression over jet levels up to
-    2k - 1 - kappa.
+    Returns momenta[kappa][A-1], the alternating sum from level kappa + 1,
+    an expression over jet levels up to 2k - 1 - kappa.
     """
-    n, k = L.dim, L.order
-    out = []
-    for kappa in range(k):
-        row = []
-        for a in range(1, n + 1):
-            total = None
-            for j in range(kappa, k):
-                piece = diff(L.lagrangian, q(a, j + 1))
-                piece = iterated_time_derivative(piece, j - kappa)
-                if (j - kappa) % 2 == 1:
-                    piece = neg(piece)
-                total = piece if total is None else add(total, piece)
-            row.append(simplify(total))
-        out.append(row)
-    return out
+    return [[_alternating(L, a, kappa + 1) for a in range(1, L.dim + 1)] for kappa in range(L.order)]
 
 
 def euler_lagrange(L: LagrangianSpec) -> list:
@@ -99,18 +98,7 @@ def euler_lagrange(L: LagrangianSpec) -> list:
     A curve solves the equations of motion iff every residual vanishes along
     its jet; expressions reach level 2k.
     """
-    n, k = L.dim, L.order
-    out = []
-    for a in range(1, n + 1):
-        total = None
-        for i in range(k + 1):
-            piece = diff(L.lagrangian, q(a, i))
-            piece = iterated_time_derivative(piece, i)
-            if i % 2 == 1:
-                piece = neg(piece)
-            total = piece if total is None else add(total, piece)
-        out.append(simplify(total))
-    return out
+    return [_alternating(L, a, 0) for a in range(1, L.dim + 1)]
 
 
 def nondegeneracy(L: LagrangianSpec, at: dict) -> dict:
@@ -155,11 +143,9 @@ def top_derivative_solution(L: LagrangianSpec) -> list:
 
 def explicit_hamiltonian(L: LagrangianSpec) -> Expr:
     """Energy with the top derivatives eliminated through the momentum map."""
-    n, k = L.dim, L.order
-    family = ostro_energy(L)
     solution = top_derivative_solution(L)
-    mapping = {q(a, k): solution[a - 1] for a in range(1, n + 1)}
-    return simplify(substitute(family.energy, mapping))
+    mapping = {q(a, L.order): solution[a - 1] for a in range(1, L.dim + 1)}
+    return simplify(substitute(energy_sum(L), mapping))
 
 
 def ostro_initial_data(L: LagrangianSpec, jet: dict, params: dict | None = None) -> dict:

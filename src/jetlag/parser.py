@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .expr import Const, Expr, add, div, func, mul, neg, pow_, sym
+from .expr import _FOLD_BITS, Const, Expr, add, div, func, mul, neg, pow_, sym
 from .symbols import FUNCTION_NAMES, symbol_from_name
 
 _TOKEN_RE = re.compile(
@@ -24,6 +24,11 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+# the most decimal digits of a literal's numerator or denominator: a digit
+# carries under 4 bits, so the value stays under expr._FOLD_BITS bits, and
+# its integers stay within Python's int-to-text limit (4300 digits)
+_MAX_DIGITS = _FOLD_BITS // 4
 
 _BP_ADD = 10
 _BP_MUL = 20
@@ -116,7 +121,7 @@ class _Parser:
     def parse_prefix(self) -> Expr:
         tok = self.advance()
         if tok.kind == "number":
-            return Const(_number_value(tok.text))
+            return Const(_number_value(tok.text, tok.offset))
         if tok.kind == "ident":
             if tok.text in FUNCTION_NAMES and self._at("("):
                 self.advance()
@@ -148,11 +153,24 @@ class _Parser:
         return pow_(base, folded.value)
 
 
-def _number_value(text: str):
-    try:
-        return Fraction(text)
-    except ValueError:
-        return float(text)
+def _number_value(text: str, offset: int) -> Fraction:
+    """The exact value of a number literal.
+
+    Its significant digits plus the decimal shift may be at most
+    _MAX_DIGITS, which bounds the digits of its numerator and denominator;
+    this is judged from the text, before the value is built.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = (whole + frac).lstrip("0")
+    if not digits:
+        return Fraction(0)
+    # an exponent with more digits than _MAX_DIGITS is out of range: it is never converted
+    if len(exponent.lstrip("+-").lstrip("0")) > len(str(_MAX_DIGITS)) or (
+        len(digits) + abs(int(exponent or 0) - len(frac)) > _MAX_DIGITS
+    ):
+        raise ParseError(f"number literal needs more than {_MAX_DIGITS} digits", offset)
+    return Fraction(text)
 
 
 def parse(text: str) -> Expr:

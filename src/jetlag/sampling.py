@@ -24,7 +24,6 @@ def sample_rows(
     symbols,
     n,
     rng,
-    box=DEFAULT_BOX,
     boxes=None,
     guards=(),
     probe_exprs=(),
@@ -33,8 +32,9 @@ def sample_rows(
     """Draw n points, as an (n, len(symbols)) array, at which every guard
     holds and every expression evaluates.
 
-    boxes optionally overrides the box per symbol; guards are (expr, lower
-    bound) pairs that must evaluate >= bound; probe_exprs must merely
+    boxes optionally maps a symbol to its (low, high) range, DEFAULT_BOX
+    being the range of every symbol it does not name; guards are (expr,
+    lower bound) pairs that must evaluate >= bound; probe_exprs must merely
     evaluate (domain rejection for radicals, logs, divisions).  Candidate
     rows are drawn n - accepted at a time and checked in one compile_rows
     call.  A block draw is C-ordered, so the accepted rows, and the state
@@ -45,7 +45,7 @@ def sample_rows(
     symbols = list(symbols)
     if n <= 0:
         return np.empty((0, len(symbols)))
-    bounds = [boxes.get(s, box) if boxes else box for s in symbols]
+    bounds = [boxes.get(s, DEFAULT_BOX) if boxes else DEFAULT_BOX for s in symbols]
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
     floors = [float(bound) for _, bound in guards]
@@ -90,10 +90,10 @@ def sample_bindings(symbols, n, rng, **kwargs):
     return [dict(zip(symbols, row)) for row in sample_rows(symbols, n, rng, **kwargs).tolist()]
 
 
-def equal_numeric(e1: Expr, e2: Expr, trials: int = 100, tol: float = 1e-10, rng=None, box=DEFAULT_BOX) -> bool:
+def equal_numeric(e1: Expr, e2: Expr, trials: int = 100, tol: float = 1e-10, rng=None) -> bool:
     """Probabilistic equality: |e1 - e2| <= tol * (1 + |e1|) at sampled points.
 
-    Samples uniformly from the box per free symbol, rejecting bindings that
+    Samples uniformly from DEFAULT_BOX per free symbol, rejecting bindings that
     leave a function domain in either expression.  Raises
     DomainExhaustionError when 1000*trials attempts produce no valid sample.
     """
@@ -109,7 +109,7 @@ def equal_numeric(e1: Expr, e2: Expr, trials: int = 100, tol: float = 1e-10, rng
     while done < trials:
         if budget <= 0:
             raise DomainExhaustionError(f"no valid sample found in {1000 * trials} attempts")
-        point = [float(rng.uniform(box[0], box[1])) for _ in symbols]
+        point = [float(rng.uniform(*DEFAULT_BOX)) for _ in symbols]
         budget -= 1
         try:
             v1, v2 = both(point)

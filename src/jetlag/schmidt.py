@@ -19,8 +19,8 @@ from .calculus import diff, solve_linear_symbolic
 from .charts import chart_tstar_aq, chart_tstar_aqm, pullback_to_acceleration_chart
 from .errors import GaugeConditionError, IncompatibleGaugeError
 from .expr import Expr, add, eval_expr, is_zero_expr, lambdify, mul, neg, simplify, substitute, sym
-from .families import MorseFamily
-from .ostro import LagrangianSpec, ostro_energy
+from .families import MorseFamily, legendre_sum
+from .ostro import LagrangianSpec, energy_sum
 from .sampling import make_rng, sample_rows
 from .symbols import Kind, Symbol, acc, aux, p as ost_p, pa, pm, pq, q
 
@@ -68,14 +68,17 @@ def _pulled_back(L: LagrangianSpec) -> Expr:
 
 
 def gauge_extend_second(L: LagrangianSpec, F: GaugeFunction) -> Expr:
-    """First-order Lagrangian L + dF/dt on the acceleration chart."""
-    Lacc = _pulled_back(L)
-    n = L.dim
-    total = Lacc
-    for a in range(1, n + 1):
-        total = add(total, mul(F.d(q(a, 0)), sym(q(a, 1))))
-        total = add(total, mul(F.d(q(a, 1)), sym(acc(a, 0))))
-        total = add(total, mul(F.d(acc(a, 0)), sym(acc(a, 1))))
+    """First-order Lagrangian L + dF/dt on the acceleration chart: the gauge
+    extension of every route, the auxiliary-factor ones included.
+
+    Per component dF/dt adds F_q0 q1 + F_q1 a0 + F_a0 a1 + F_m0 m1, in that
+    order; a term whose coordinate F does not use vanishes.
+    """
+    total = _pulled_back(L)
+    for a in range(1, L.dim + 1):
+        rates = ((q(a, 0), q(a, 1)), (q(a, 1), acc(a, 0)), (acc(a, 0), acc(a, 1)), (aux(a, 0), aux(a, 1)))
+        for s, rate in rates:
+            total = add(total, mul(F.d(s), sym(rate)))
     return simplify(total)
 
 
@@ -108,6 +111,17 @@ def solve_F_quadratic(L: LagrangianSpec) -> GaugeFunction:
     return GaugeFunction(simplify(total), n)
 
 
+def _reduced_energy(L: LagrangianSpec, F: GaugeFunction) -> Expr:
+    """pq q1 - L - F_q0 q1 - F_q1 a0, unsimplified: the reduced energy of the
+    second-order route, before or after the velocity is eliminated."""
+    total = neg(_pulled_back(L))
+    for a in range(1, L.dim + 1):
+        total = add(total, mul(sym(pq(a)), sym(q(a, 1))))
+        total = add(total, neg(mul(F.d(q(a, 0)), sym(q(a, 1)))))
+        total = add(total, neg(mul(F.d(q(a, 1)), sym(acc(a, 0)))))
+    return total
+
+
 def schmidt_morse_family(L: LagrangianSpec, F: GaugeFunction) -> MorseFamily:
     """Reduced energy family on T*AQ with velocities as fibers.
 
@@ -115,17 +129,12 @@ def schmidt_morse_family(L: LagrangianSpec, F: GaugeFunction) -> MorseFamily:
     recorded with the acceleration velocity as its multiplier, which restores
     the unreduced family for dynamics and rank checks.
     """
-    residuals = chi_check(L, F)
-    for r in residuals:
+    if any(s.kind is Kind.M for s in F.expr.free):
+        raise ValueError("gauge for the second-order route depends on (q0, q1, a0) only")
+    for r in chi_check(L, F):
         if not is_zero_expr(r):
             raise IncompatibleGaugeError(f"gauge incompatible with Lagrangian: residual {r}")
     n = L.dim
-    Lacc = _pulled_back(L)
-    total = neg(Lacc)
-    for a in range(1, n + 1):
-        total = add(total, mul(sym(pq(a)), sym(q(a, 1))))
-        total = add(total, neg(mul(F.d(q(a, 0)), sym(q(a, 1)))))
-        total = add(total, neg(mul(F.d(q(a, 1)), sym(acc(a, 0)))))
     relations = tuple(
         (acc(a, 1), simplify(add(sym(pa(a)), neg(F.d(acc(a, 0))))))
         for a in range(1, n + 1)
@@ -133,7 +142,7 @@ def schmidt_morse_family(L: LagrangianSpec, F: GaugeFunction) -> MorseFamily:
     return MorseFamily(
         base=chart_tstar_aq(n),
         fibers=tuple(q(a, 1) for a in range(1, n + 1)),
-        energy=simplify(total),
+        energy=simplify(_reduced_energy(L, F)),
         extra_relations=relations,
         label="schmidt-second-order",
     )
@@ -154,16 +163,9 @@ def schmidt_hamiltonian(L: LagrangianSpec, F: GaugeFunction) -> Expr:
 
     H = pq z - L(q0, z, a0) - F_q0 z - F_q1 a0 with z solving pa = dF/da0.
     """
-    n = L.dim
-    Lacc = _pulled_back(L)
     z = velocity_solution(L, F)
-    total = neg(Lacc)
-    for a in range(1, n + 1):
-        total = add(total, mul(sym(pq(a)), sym(q(a, 1))))
-        total = add(total, neg(mul(F.d(q(a, 0)), sym(q(a, 1)))))
-        total = add(total, neg(mul(F.d(q(a, 1)), sym(acc(a, 0)))))
-    mapping = {q(a, 1): z[a - 1] for a in range(1, n + 1)}
-    return simplify(substitute(total, mapping))
+    mapping = {q(a, 1): z[a - 1] for a in range(1, L.dim + 1)}
+    return simplify(substitute(_reduced_energy(L, F), mapping))
 
 
 def _check_cond2(F: GaugeFunction, n: int, rng=None, points: int = 10):
@@ -200,14 +202,7 @@ def third_order_extend(L: LagrangianSpec, F: GaugeFunction) -> SchmidtSystem:
         raise ValueError("third-order route needs a third order Lagrangian")
     n = L.dim
     _check_cond2(F, n)
-    Lacc = _pulled_back(L)
-    ext = Lacc
-    for a in range(1, n + 1):
-        ext = add(ext, mul(F.d(q(a, 0)), sym(q(a, 1))))
-        ext = add(ext, mul(F.d(q(a, 1)), sym(acc(a, 0))))
-        ext = add(ext, mul(F.d(acc(a, 0)), sym(acc(a, 1))))
-        ext = add(ext, mul(F.d(aux(a, 0)), sym(aux(a, 1))))
-    ext = simplify(ext)
+    ext = gauge_extend_second(L, F)
     family = _aqm_family(ext, n, "schmidt-third-order")
     return SchmidtSystem(ext, family)
 
@@ -223,32 +218,19 @@ def degenerate_second_extend(L: LagrangianSpec, F: GaugeFunction) -> SchmidtSyst
         if s.kind is Kind.A:
             raise ValueError("gauge for the degenerate route depends on (q0, q1, m0) only")
     _check_cond2(F, n)
-    Lacc = _pulled_back(L)
-    ext = Lacc
-    for a in range(1, n + 1):
-        ext = add(ext, mul(F.d(q(a, 0)), sym(q(a, 1))))
-        ext = add(ext, mul(F.d(q(a, 1)), sym(acc(a, 0))))
-        ext = add(ext, mul(F.d(aux(a, 0)), sym(aux(a, 1))))
-    ext = simplify(ext)
+    ext = gauge_extend_second(L, F)
     family = _aqm_family(ext, n, "schmidt-second-degenerate")
     return SchmidtSystem(ext, family)
 
 
 def _aqm_family(ext: Expr, n: int, label: str) -> MorseFamily:
-    total = neg(ext)
-    for a in range(1, n + 1):
-        total = add(total, mul(sym(pq(a)), sym(q(a, 1))))
-        total = add(total, mul(sym(pa(a)), sym(acc(a, 1))))
-        total = add(total, mul(sym(pm(a)), sym(aux(a, 1))))
-    fibers = tuple(
-        s
-        for a in range(1, n + 1)
-        for s in (q(a, 1), acc(a, 1), aux(a, 1))
-    )
+    pairs = [
+        (m, v) for a in range(1, n + 1) for m, v in ((pq(a), q(a, 1)), (pa(a), acc(a, 1)), (pm(a), aux(a, 1)))
+    ]
     return MorseFamily(
         base=chart_tstar_aqm(n),
-        fibers=fibers,
-        energy=simplify(total),
+        fibers=tuple(v for _, v in pairs),
+        energy=simplify(legendre_sum(ext, pairs)),
         label=label,
     )
 
@@ -263,9 +245,8 @@ def pullback_map(L: LagrangianSpec, F: GaugeFunction) -> dict:
     n = L.dim
     z = velocity_solution(L, F)
     zmap = {q(a, 1): z[a - 1] for a in range(1, n + 1)}
-    mapping = {}
+    mapping = dict(zmap)
     for a in range(1, n + 1):
-        mapping[q(a, 1)] = z[a - 1]
         mapping[q(a, 2)] = sym(acc(a, 0))
         mapping[ost_p(a, 0)] = simplify(
             add(sym(pq(a)), neg(substitute(F.d(q(a, 0)), zmap)))
@@ -290,9 +271,7 @@ def ostro_schmidt_pullback_check(
     """
     from .sampling import equal_numeric
 
-    ost = ostro_energy(L)
-    mapping = pullback_map(L, F)
-    pulled = simplify(substitute(ost.energy, mapping))
+    pulled = simplify(substitute(energy_sum(L), pullback_map(L, F)))
     ham = schmidt_hamiltonian(L, hamiltonian_gauge or F)
     return equal_numeric(pulled, ham, trials=trials, tol=tol, rng=rng)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import jetlag
+from jetlag import ostro
 from jetlag.cli import main
 
 BEAM_CONFIG = {
@@ -457,6 +458,9 @@ def _with_initial(initial):
         ("derive", {**BEAM_CONFIG, "parameters": {"q1_0": 1.0}}),
         ("simulate", _with_initial({"q1_0": float("inf"), "q1_1": 0.0, "p1_0": 0.0, "p1_1": 0.0})),
         ("hj-check", {**JAVELIN_HJ, "simulation": {"t0": 0.0, "t1": 0.3, "h": 0.001, "initial": {"q1_0": 0.3}}}),
+        ("derive", {**BEAM_CONFIG, "lagrangian": "q1_1*q1_2^2", "method": "schmidt2"}),
+        ("derive", {**BEAM_CONFIG, "method": "schmidt2deg", "gauge_F": "q1_1*q1_0"}),
+        ("derive", {**BEAM_CONFIG, "method": "schmidt2", "gauge_F": "-mu*q1_1*a1_0 + q1_0*m1_0"}),
     ],
     ids=[
         "non-numeric-parameter",
@@ -470,6 +474,9 @@ def _with_initial(initial):
         "coordinate-parameter-name",
         "infinite-initial-value",
         "hj-check-initial-misses-a-form-coordinate",
+        "schmidt2-gauge-not-derivable",
+        "schmidt2deg-singular-gauge-hessian",
+        "schmidt2-gauge-uses-auxiliary",
     ],
 )
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, verb, config):
@@ -500,6 +507,40 @@ def test_huge_constants_end_with_a_contract_exit_code(tmp_path, verb, lagrangian
     )
     assert proc.returncode in range(5)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "lagrangian",
+    ["1" * 5000 + "*q1_2^2", "1e10000000*q1_2^2"],
+    ids=["past-the-int-to-text-limit", "ten-million-exponent"],
+)
+def test_over_long_number_literal_is_usage_error(tmp_path, lagrangian):
+    config = {**BEAM_CONFIG, "lagrangian": lagrangian, "parameters": {}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetlag.cli", "derive", "--config", write_config(tmp_path, config)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jetlag.__file__).resolve().parent.parent)},
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    assert "number literal needs more than" in proc.stderr
+
+
+def test_ostrogradsky_derive_builds_the_energy_once(tmp_path, monkeypatch, capsys):
+    real = ostro.ostro_energy
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jetlag") and getattr(module, "ostro_energy", None) is real:
+            monkeypatch.setattr(module, "ostro_energy", counted)
+    assert main(["derive", "--config", write_config(tmp_path, BEAM_CONFIG), "--out", str(tmp_path / "o")]) == 0
+    assert "hamiltonian_note" not in capsys.readouterr().out  # the Hamiltonian was derived too
+    assert len(calls) == 1
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

@@ -293,6 +293,20 @@ def test_solver_built_once_per_system(monkeypatch):
     assert sys.solver is sys.solver
 
 
+def test_second_run_of_a_system_compiles_nothing(monkeypatch):
+    quartic = assemble(ostro_energy(LagrangianSpec(1, 2, parse("1/4*q1_2^4 + q1_2"))))
+    cases = [
+        (beam_system(), {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}, 5),
+        (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}, 4),  # Newton shares the constraints
+    ]
+    for sys, init, first_run in cases:
+        compiles = count_calls(monkeypatch, dynamics, "lambdify")
+        integrate_rk4(sys, init, 0.0, 0.05, 1e-2)
+        assert compiles["calls"] == first_run
+        integrate_rk4(sys, init, 0.0, 0.05, 1e-2)
+        assert compiles["calls"] == first_run
+
+
 def test_constant_block_rank_checked_once_per_run(monkeypatch):
     # 1x1 block [[mu]] and 2x2 block [[0, mu], [mu, 0]]: free of the states
     beam = beam_system()

@@ -54,6 +54,15 @@ def test_numbers():
     assert eval_expr(parse(".5"), {}) == 0.5
 
 
+def test_number_literal_size_is_bounded_before_it_is_built():
+    assert parse("1" * 4096).value == int("1" * 4096)
+    assert parse("1.5e4000").value == 15 * 10**3999
+    assert parse("0e99999999").value == 0
+    for text in ("1" * 4097, "1e10000000", "0." + "0" * 5000 + "1", "1e" + "9" * 5000):
+        with pytest.raises(ParseError, match="needs more than 4096 digits"):
+            parse(text)
+
+
 def test_syntax_error_offsets():
     with pytest.raises(ParseError) as err:
         parse("q1_0 + ")

@@ -1,5 +1,6 @@
 import pytest
 
+from jetlag import families
 from jetlag.calculus import diff, expand, is_zero, time_derivative
 from jetlag.dynamics import assemble
 from jetlag.errors import GaugeConditionError, IncompatibleGaugeError
@@ -78,6 +79,20 @@ def test_morse_family_javelin_relation():
     fam = schmidt_morse_family(JAVELIN, F_JAVELIN)
     ((_, relation),) = fam.extra_relations
     assert equal_numeric(relation, parse("pa1 - q1_1"))
+
+
+def test_family_builds_its_total_energy_once(monkeypatch):
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return simplify(e)
+
+    monkeypatch.setattr(families, "simplify", counted)
+    mf = schmidt_morse_family(BEAM, F_BEAM)  # checking the family reads the total energy
+    system = assemble(mf)
+    assert mf.fiber_equations() and mf.total_energy is system.energy
+    assert len(calls) == 1
 
 
 def test_morse_family_rejects_incompatible_gauge():
