@@ -74,10 +74,6 @@ def _diff(e: Expr, s: Symbol) -> Expr:
     return ZERO
 
 
-def gradient(e: Expr, symbols) -> list:
-    return [diff(e, s) for s in symbols]
-
-
 def max_level(e: Expr, kinds=_SHIFTABLE) -> int:
     levels = [s.level for s in e.free if s.kind in kinds]
     return max(levels, default=-1)

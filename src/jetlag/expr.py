@@ -615,11 +615,6 @@ def _coeff_add(a, b):
     return float(a) + float(b)
 
 
-def is_zero_expr(e: Expr) -> bool:
-    s = simplify(e)
-    return isinstance(s, Const) and s.is_zero
-
-
 # ---------------------------------------------------------------------------
 # compilation: one tape, written out as straight-line Python (lambdify, one
 # point per call) or run over numpy columns (compile_rows, many rows per call)

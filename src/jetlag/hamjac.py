@@ -24,11 +24,13 @@ from .errors import (
     NumericFailureError,
     UnboundSymbolError,
 )
-from .expr import Expr, add, coerce, compile_rows, lambdify, mul, neg, simplify, substitute, sym
+from .expr import Expr, add, coerce, lambdify, mul, neg, simplify, substitute, sym
 from .families import MorseFamily
 from .ostro import svd_rank
-from .sampling import make_rng, sample_rows
+from .sampling import eval_rows, make_rng, sample_rows
 from .symbols import q
+
+SAMPLES = 50  # points per sampled check
 
 
 @dataclass(frozen=True)
@@ -68,15 +70,12 @@ class ClosedOneForm:
         boxes=None,
         guards=(),
         tol=1e-9,
-        samples=50,
         check=True,
     ) -> "ClosedOneForm":
         components = tuple(simplify(coerce(c)) for c in components)
         form = cls(tuple(coordinates), tuple(momentum_slots), components=components)
         if check:
-            report = form.closure_report(
-                rng=rng, boxes=boxes, guards=guards, tol=tol, samples=samples
-            )
+            report = form.closure_report(rng=rng, boxes=boxes, guards=guards, tol=tol)
             if not report.passed:
                 raise ClosureError(report.details["worst_pair"], report.overall_sup)
         return form
@@ -92,9 +91,7 @@ class ClosedOneForm:
     def substitution(self) -> dict:
         return dict(zip(self.momentum_slots, self.component_exprs()))
 
-    def closure_report(
-        self, rng=None, boxes=None, guards=(), tol=1e-9, samples=50
-    ) -> "ResidualReport":
+    def closure_report(self, rng=None, boxes=None, guards=(), tol=1e-9) -> "ResidualReport":
         comps = self.component_exprs()
         coords = self.coordinates
         equations = []
@@ -111,7 +108,6 @@ class ClosedOneForm:
             boxes=boxes,
             guards=guards,
             probe=comps,
-            samples=samples,
         )
         worst = max(report.sup_norms, key=lambda k: report.sup_norms[k], default="")
         report.details["worst_pair"] = worst
@@ -158,20 +154,6 @@ def _jsonable(v):
     return isinstance(v, (int, float, str, bool, list, tuple, dict, type(None)))
 
 
-def _eval_rows(exprs, symbols, rows):
-    """Values of exprs at every row, one array per expression.
-
-    At the first row on which some expression does not evaluate, the error
-    eval_expr raises there is raised.
-    """
-    values, bad = compile_rows(exprs, symbols)(rows)
-    if bad.any():
-        row = rows[int(np.argmax(bad))].tolist()
-        lambdify(exprs, symbols)(row)  # raises what eval_expr raises at that row
-        raise NumericFailureError(f"an expression does not evaluate at {dict(zip(symbols, row))}")
-    return values
-
-
 def _record_sups(report, names, values):
     """Fold each equation's sup of |value| over the rows into the report."""
     for name, v in zip(names, values):
@@ -197,13 +179,12 @@ def _sample_equations(
     boxes=None,
     guards=(),
     probe=(),
-    samples=50,
 ):
     symbols, rows = _draw_rows(
-        coordinates, [e for _, e in equations], samples, rng, probe, boxes=boxes, guards=guards
+        coordinates, [e for _, e in equations], SAMPLES, rng, probe, boxes=boxes, guards=guards
     )
-    report = ResidualReport(label, list(equations), tol, samples)
-    values = _eval_rows([e for _, e in equations], symbols, rows)
+    report = ResidualReport(label, list(equations), tol, SAMPLES)
+    values = eval_rows([e for _, e in equations], symbols, rows)
     _record_sups(report, [name for name, _ in equations], values)
     report.overall_sup = max(report.sup_norms.values(), default=0.0)
     report.passed = report.overall_sup <= tol
@@ -221,14 +202,15 @@ def morse_rank_check(mf: MorseFamily, points) -> ResidualReport:
     columns = list(mf.base.roster) + fibers
     entries = [diff(g, c) for g in (diff(total, lam) for lam in fibers) for c in columns]
     symbols = sorted(set().union(*(e.free for e in entries)))
-    fn = lambdify(entries, symbols)
     try:
-        points = [[float(at[s]) for s in symbols] for at in points]
+        rows = [[float(at[s]) for s in symbols] for at in points]
     except KeyError as exc:
         raise UnboundSymbolError(exc.args[0]) from None
     needed = len(fibers)
-    ranks = [svd_rank(np.array(fn(point)).reshape(needed, len(columns))) for point in points]
-    report = ResidualReport("morse-rank", [], tol=0.0, samples=len(points))
+    values = eval_rows(entries, symbols, np.array(rows, dtype=float).reshape(len(rows), len(symbols)))
+    blocks = np.array(values, dtype=float).T.reshape(len(rows), needed, len(columns))
+    ranks = [svd_rank(block) for block in blocks]
+    report = ResidualReport("morse-rank", [], tol=0.0, samples=len(rows))
     report.details["ranks"] = ranks
     report.details["needed"] = needed
     report.passed = all(rank == needed for rank in ranks)
@@ -287,7 +269,7 @@ class _FiberSolver:
                 lam[i], consistency[i] = self._newton(row)
             return lam, consistency
         m = len(self.eqs)
-        values = _eval_rows(self.entries, self.symbols, rows)
+        values = eval_rows(self.entries, self.symbols, rows)
         a = np.stack(values[: m * k], axis=1).reshape(n, m, k)
         return _lstsq_rows(a, -np.stack(values[m * k :], axis=1))
 
@@ -321,7 +303,7 @@ def hj_residual(
     gamma: ClosedOneForm,
     rng=None,
     tol: float = 1e-8,
-    samples: int = 50,
+    samples: int = SAMPLES,
     boxes=None,
     guards=(),
 ) -> ResidualReport:
@@ -355,7 +337,7 @@ def hj_residual(
     report = ResidualReport(mf.label or "hj", base_eqs + fiber_eqs, tol, samples)
     lam, consistency = solver.solve_rows(rows)
     consistency_sup = float(np.max(consistency, initial=0.0))
-    values = _eval_rows([e for _, e in base_eqs], coord_symbols + fibers, np.hstack([rows, lam]))
+    values = eval_rows([e for _, e in base_eqs], coord_symbols + fibers, np.hstack([rows, lam]))
     _record_sups(report, [name for name, _ in base_eqs], values)
     sup = max(report.sup_norms.values(), default=0.0)
     for name, e in fiber_eqs:
@@ -372,7 +354,7 @@ def hj_residual_nondeg(
     gamma: ClosedOneForm,
     rng=None,
     tol: float = 1e-8,
-    samples: int = 50,
+    samples: int = SAMPLES,
     boxes=None,
     guards=(),
 ) -> ResidualReport:
@@ -390,7 +372,7 @@ def hj_residual_nondeg(
         gamma.coordinates, [], samples, rng, [*gamma.component_exprs(), composed], boxes=boxes, guards=guards
     )
     report = ResidualReport("hj-explicit", equations, tol, samples)
-    values, *partials = _eval_rows([composed] + [e for _, e in equations], symbols, rows)
+    values, *partials = eval_rows([composed] + [e for _, e in equations], symbols, rows)
     _record_sups(report, [name for name, _ in equations], partials)
     report.overall_sup = max(report.sup_norms.values(), default=0.0)
     report.details["constancy_spread"] = float(np.max(values) - np.min(values)) if len(values) else 0.0
@@ -445,7 +427,6 @@ def local_vf_residual(
     gamma: ClosedOneForm,
     rng=None,
     tol: float = 1e-8,
-    samples: int = 50,
     boxes=None,
     guards=(),
 ) -> ResidualReport:
@@ -478,7 +459,6 @@ def local_vf_residual(
         boxes=boxes,
         guards=guards,
         probe=gamma.component_exprs(),
-        samples=samples,
     )
 
 
@@ -487,9 +467,7 @@ def local_vf_residual(
 # ---------------------------------------------------------------------------
 
 
-def affine_symmetry_check(
-    f, rng=None, tol: float = 1e-8, samples: int = 50
-) -> ResidualReport:
+def affine_symmetry_check(f, rng=None, tol: float = 1e-8) -> ResidualReport:
     """Velocity-gradient symmetry of the affine coefficients.
 
     Requires df_A/dq1^B to be symmetric in (A, B); the gradient of a scalar
@@ -505,14 +483,10 @@ def affine_symmetry_check(
             )
             equations.append((f"symmetry[{a + 1},{b + 1}]", r))
     coords = sorted(set().union(*(e.free for e in f)) | set())
-    return _sample_equations(
-        "affine-symmetry", equations, coords, tol=tol, rng=rng, samples=samples
-    )
+    return _sample_equations("affine-symmetry", equations, coords, tol=tol, rng=rng)
 
 
-def affine_integrability_check(
-    f, g, order: int = 2, rng=None, tol: float = 1e-8, samples: int = 50
-) -> ResidualReport:
+def affine_integrability_check(f, g, order: int = 2, rng=None, tol: float = 1e-8) -> ResidualReport:
     """Displayed compatibility criteria for affine-in-top-derivative systems."""
     f = [coerce(x) for x in f]
     g = coerce(g)
@@ -566,9 +540,7 @@ def affine_integrability_check(
     else:
         raise ValueError("order must be 2 or 3")
     coords = sorted(set().union(*(e.free for e in f)) | g.free)
-    return _sample_equations(
-        "affine-integrability", equations, coords, tol=tol, rng=rng, samples=samples
-    )
+    return _sample_equations("affine-integrability", equations, coords, tol=tol, rng=rng)
 
 
 @dataclass

@@ -9,6 +9,7 @@ the constraint solves symbolically and an explicit Hamiltonian drops out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .calculus import (
     max_level,
     solve_linear_symbolic,
 )
-from .charts import chart_cotangent
+from .charts import chart_cotangent, pullback_to_acceleration_chart
 from .errors import DegenerateLagrangianError, NotLinearError
 from .expr import Expr, add, eval_expr, neg, simplify, substitute, sym
 from .families import MorseFamily, legendre_sum
@@ -52,6 +53,14 @@ class LagrangianSpec:
         comps = [s.component for s in L.free if s.kind is Kind.Q]
         if comps and max(comps) > self.dim:
             raise ValueError(f"component index {max(comps)} exceeds dimension {self.dim}")
+
+    @cached_property
+    def acceleration_lagrangian(self) -> Expr:
+        """L pulled back to the acceleration chart, (q2, q3) -> (a0, a1), and
+        simplified: built once per spec for every acceleration-bundle route."""
+        if self.order not in (2, 3):
+            raise ValueError("acceleration-bundle route needs a second or third order Lagrangian")
+        return simplify(pullback_to_acceleration_chart(self.lagrangian, self.dim, top=self.order))
 
 
 def energy_sum(L: LagrangianSpec) -> Expr:

@@ -30,6 +30,12 @@ _TOKEN_RE = re.compile(
 # its integers stay within Python's int-to-text limit (4300 digits)
 _MAX_DIGITS = _FOLD_BITS // 4
 
+# the most parse_expr calls open at once (one per group, function argument,
+# unary sign, exponent and right operand): at this depth every recursive pass
+# over the tree (simplify, diff, substitute, to_text, the tape, eval_expr)
+# stays inside Python's default stack
+_MAX_DEPTH = 100
+
 _BP_ADD = 10
 _BP_MUL = 20
 _BP_UNARY = 25
@@ -71,6 +77,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -93,6 +100,14 @@ class _Parser:
         return e
 
     def parse_expr(self, min_bp: int) -> Expr:
+        if self.depth == _MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels", self.peek().offset)
+        self.depth += 1
+        e = self._parse_binary(min_bp)
+        self.depth -= 1
+        return e
+
+    def _parse_binary(self, min_bp: int) -> Expr:
         lhs = self.parse_prefix()
         while True:
             tok = self.peek()

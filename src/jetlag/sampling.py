@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainEvalError, DomainExhaustionError, NumericFailureError
-from .expr import Expr, compile_rows, lambdify
+from .errors import DomainExhaustionError, NumericFailureError
+from .expr import Expr, compile_rows, eval_expr
 
 DEFAULT_BOX = (-2.0, 2.0)
 
@@ -90,12 +90,31 @@ def sample_bindings(symbols, n, rng, **kwargs):
     return [dict(zip(symbols, row)) for row in sample_rows(symbols, n, rng, **kwargs).tolist()]
 
 
+def eval_rows(exprs, symbols, rows):
+    """Values of exprs at every row, one array per expression.
+
+    At the first row on which some expression does not evaluate, eval_expr
+    replays each expression there and raises its error.
+    """
+    values, bad = compile_rows(exprs, symbols)(rows)
+    if bad.any():
+        binding = dict(zip(symbols, rows[int(np.argmax(bad))].tolist()))
+        for e in exprs:
+            eval_expr(e, binding)
+        raise NumericFailureError(f"an expression does not evaluate at {binding}")
+    return values
+
+
 def equal_numeric(e1: Expr, e2: Expr, trials: int = 100, tol: float = 1e-10, rng=None) -> bool:
     """Probabilistic equality: |e1 - e2| <= tol * (1 + |e1|) at sampled points.
 
-    Samples uniformly from DEFAULT_BOX per free symbol, rejecting bindings that
-    leave a function domain in either expression.  Raises
-    DomainExhaustionError when 1000*trials attempts produce no valid sample.
+    Draws trials points with sample_rows, uniformly from DEFAULT_BOX per free
+    symbol, rejecting those at which either expression leaves a function
+    domain, and compares both expressions on the whole block.  Raises
+    DomainExhaustionError after 1000*trials consecutive rejected points.
+    Every point is drawn even when the first one already differs, and the
+    values come from numpy's power, exp and log, which may differ from the
+    math module's in the last bit.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -103,19 +122,6 @@ def equal_numeric(e1: Expr, e2: Expr, trials: int = 100, tol: float = 1e-10, rng
         raise ValueError("tol must be positive")
     rng = make_rng(rng if rng is not None else 0)
     symbols = sorted(e1.free | e2.free)
-    both = lambdify([e1, e2], symbols)
-    budget = 1000 * trials
-    done = 0
-    while done < trials:
-        if budget <= 0:
-            raise DomainExhaustionError(f"no valid sample found in {1000 * trials} attempts")
-        point = [float(rng.uniform(*DEFAULT_BOX)) for _ in symbols]
-        budget -= 1
-        try:
-            v1, v2 = both(point)
-        except (DomainEvalError, NumericFailureError):
-            continue
-        if abs(v1 - v2) > tol * (1.0 + abs(v1)):
-            return False
-        done += 1
-    return True
+    rows = sample_rows(symbols, trials, rng, probe_exprs=(e1, e2), max_attempts=1000 * trials)
+    v1, v2 = eval_rows([e1, e2], symbols, rows)
+    return not np.any(np.abs(v1 - v2) > tol * (1.0 + np.abs(v1)))

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import diff, solve_linear_symbolic
-from .charts import chart_tstar_aq, chart_tstar_aqm, pullback_to_acceleration_chart
+from .calculus import diff, is_zero, solve_linear_symbolic
+from .charts import chart_tstar_aq, chart_tstar_aqm
 from .errors import GaugeConditionError, IncompatibleGaugeError
-from .expr import Expr, add, eval_expr, is_zero_expr, lambdify, mul, neg, simplify, substitute, sym
+from .expr import Expr, add, eval_expr, mul, neg, simplify, substitute, sym
 from .families import MorseFamily, legendre_sum
 from .ostro import LagrangianSpec, energy_sum
-from .sampling import make_rng, sample_rows
+from .sampling import equal_numeric, eval_rows, make_rng, sample_rows
 from .symbols import Kind, Symbol, acc, aux, p as ost_p, pa, pm, pq, q
 
 
@@ -61,12 +61,6 @@ class SchmidtSystem:
                 raise ValueError(f"extended Lagrangian is not first order: uses {s}")
 
 
-def _pulled_back(L: LagrangianSpec) -> Expr:
-    if L.order not in (2, 3):
-        raise ValueError("acceleration-bundle route needs a second or third order Lagrangian")
-    return simplify(pullback_to_acceleration_chart(L.lagrangian, L.dim, top=L.order))
-
-
 def gauge_extend_second(L: LagrangianSpec, F: GaugeFunction) -> Expr:
     """First-order Lagrangian L + dF/dt on the acceleration chart: the gauge
     extension of every route, the auxiliary-factor ones included.
@@ -74,7 +68,7 @@ def gauge_extend_second(L: LagrangianSpec, F: GaugeFunction) -> Expr:
     Per component dF/dt adds F_q0 q1 + F_q1 a0 + F_a0 a1 + F_m0 m1, in that
     order; a term whose coordinate F does not use vanishes.
     """
-    total = _pulled_back(L)
+    total = L.acceleration_lagrangian
     for a in range(1, L.dim + 1):
         rates = ((q(a, 0), q(a, 1)), (q(a, 1), acc(a, 0)), (acc(a, 0), acc(a, 1)), (aux(a, 0), aux(a, 1)))
         for s, rate in rates:
@@ -84,7 +78,7 @@ def gauge_extend_second(L: LagrangianSpec, F: GaugeFunction) -> Expr:
 
 def chi_check(L: LagrangianSpec, F: GaugeFunction) -> list:
     """Compatibility residuals dL/da0 + dF/dq1, one per component."""
-    Lacc = _pulled_back(L)
+    Lacc = L.acceleration_lagrangian
     return [
         simplify(add(diff(Lacc, acc(a, 0)), F.d(q(a, 1))))
         for a in range(1, L.dim + 1)
@@ -97,7 +91,7 @@ def solve_F_quadratic(L: LagrangianSpec) -> GaugeFunction:
     F = -sum_A (dL/da0^A) q1^A, with the free additive function of position
     fixed to zero.
     """
-    Lacc = _pulled_back(L)
+    Lacc = L.acceleration_lagrangian
     n = L.dim
     total = None
     for a in range(1, n + 1):
@@ -114,7 +108,7 @@ def solve_F_quadratic(L: LagrangianSpec) -> GaugeFunction:
 def _reduced_energy(L: LagrangianSpec, F: GaugeFunction) -> Expr:
     """pq q1 - L - F_q0 q1 - F_q1 a0, unsimplified: the reduced energy of the
     second-order route, before or after the velocity is eliminated."""
-    total = neg(_pulled_back(L))
+    total = neg(L.acceleration_lagrangian)
     for a in range(1, L.dim + 1):
         total = add(total, mul(sym(pq(a)), sym(q(a, 1))))
         total = add(total, neg(mul(F.d(q(a, 0)), sym(q(a, 1)))))
@@ -132,7 +126,7 @@ def schmidt_morse_family(L: LagrangianSpec, F: GaugeFunction) -> MorseFamily:
     if any(s.kind is Kind.M for s in F.expr.free):
         raise ValueError("gauge for the second-order route depends on (q0, q1, a0) only")
     for r in chi_check(L, F):
-        if not is_zero_expr(r):
+        if not is_zero(r):
             raise IncompatibleGaugeError(f"gauge incompatible with Lagrangian: residual {r}")
     n = L.dim
     relations = tuple(
@@ -168,22 +162,14 @@ def schmidt_hamiltonian(L: LagrangianSpec, F: GaugeFunction) -> Expr:
     return simplify(substitute(_reduced_energy(L, F), mapping))
 
 
-def _check_cond2(F: GaugeFunction, n: int, rng=None, points: int = 10):
-    """det of the mixed velocity/auxiliary gauge Hessian must not vanish."""
-    rng = make_rng(rng if rng is not None else 0)
-    mat = [
-        [diff(F.d(q(a, 1)), aux(b, 0)) for b in range(1, n + 1)]
-        for a in range(1, n + 1)
-    ]
-    symbols = sorted(set().union(*(e.free for row in mat for e in row)))
-    fn = lambdify([e for row in mat for e in row], symbols)
-    for _ in range(points):
-        point = sample_rows(symbols, 1, rng)[0].tolist() if symbols else []
-        numeric = np.array(fn(point)).reshape(n, n)
-        if abs(np.linalg.det(numeric)) < 1e-10:
-            raise GaugeConditionError(
-                "mixed gauge Hessian in (velocity, auxiliary) is singular"
-            )
+def _check_cond2(F: GaugeFunction, n: int):
+    """det of the mixed velocity/auxiliary gauge Hessian must not vanish at
+    ten points drawn from seed 0."""
+    mat = [diff(F.d(q(a, 1)), aux(b, 0)) for a in range(1, n + 1) for b in range(1, n + 1)]
+    symbols = sorted(set().union(*(e.free for e in mat)))
+    values = eval_rows(mat, symbols, sample_rows(symbols, 10, make_rng(0)))
+    if np.any(np.abs(np.linalg.det(np.array(values).T.reshape(-1, n, n))) < 1e-10):
+        raise GaugeConditionError("mixed gauge Hessian in (velocity, auxiliary) is singular")
 
 
 def default_auxiliary_gauge(n: int) -> GaugeFunction:
@@ -269,8 +255,6 @@ def ostro_schmidt_pullback_check(
     hamiltonian_gauge lets the caller pit the map built from one gauge
     against the Hamiltonian of another (the negative control).
     """
-    from .sampling import equal_numeric
-
     pulled = simplify(substitute(energy_sum(L), pullback_map(L, F)))
     ham = schmidt_hamiltonian(L, hamiltonian_gauge or F)
     return equal_numeric(pulled, ham, trials=trials, tol=tol, rng=rng)

@@ -1,5 +1,6 @@
 """Shared test helpers: random expression trees, random polynomials, oracles."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,21 @@ def bounded_degree_polynomial(rng, symbols, total_degree=3, terms=6):
                 budget -= e
         total = add(total, mul(*factors))
     return total
+
+
+def count_calls_everywhere(monkeypatch, real):
+    """Wrap real in every jetlag module that holds it; returns the list of
+    calls, one (args, kwargs) pair each."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jetlag") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counted)
+    return calls
 
 
 @pytest.fixture

@@ -7,8 +7,12 @@ from pathlib import Path
 import pytest
 
 import jetlag
-from jetlag import ostro
+from jetlag import expr, ostro
 from jetlag.cli import main
+
+from conftest import count_calls_everywhere
+
+DATA = Path(__file__).parent / "data"
 
 BEAM_CONFIG = {
     "problem": "beam",
@@ -525,6 +529,35 @@ def test_over_long_number_literal_is_usage_error(tmp_path, lagrangian):
     )
     assert proc.returncode == 2
     assert "number literal needs more than" in proc.stderr
+
+
+def test_deep_nesting_is_usage_error(tmp_path):
+    config = {**BEAM_CONFIG, "lagrangian": "(" * 500 + "q1_2" + ")" * 500 + "^2", "parameters": {}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetlag.cli", "derive", "--config", write_config(tmp_path, config)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jetlag.__file__).resolve().parent.parent)},
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    assert "nests deeper than 100 levels" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["schmidt3", "schmidt2deg"])
+def test_auxiliary_factor_derive_compiles_no_scalar_code(tmp_path, monkeypatch, method):
+    calls = count_calls_everywhere(monkeypatch, expr.lambdify)
+    assert main(["derive", "--config", str(DATA / f"derive-{method}.json"), "--out", str(tmp_path)]) == 0
+    assert calls == []
+
+
+def test_simulate_compiles_only_the_multiplier_solver(tmp_path, monkeypatch, capsys):
+    calls = count_calls_everywhere(monkeypatch, expr.lambdify)
+    assert main(["simulate", "--config", str(DATA / "beam.json"), "--out", str(tmp_path)]) == 0
+    # constraint matrix, residue, right-hand side, constraints, energy; the
+    # constraint sup reuses the solver's compiled constraints
+    assert len(calls) == 5
 
 
 def test_ostrogradsky_derive_builds_the_energy_once(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from jetlag.errors import (
     NumericFailureError,
     UnboundSymbolError,
 )
+from jetlag import expr
 from jetlag.expr import (
     Const,
     Func,
@@ -19,6 +21,8 @@ from jetlag.expr import (
     Prod,
     Sum,
     Sym,
+    ZERO,
+    add,
     compile_rows,
     const,
     eval_expr,
@@ -29,10 +33,10 @@ from jetlag.expr import (
     substitute,
 )
 from jetlag.parser import parse
-from jetlag.sampling import equal_numeric, sample_binding, sample_bindings, sample_rows
+from jetlag.sampling import DEFAULT_BOX, equal_numeric, sample_binding, sample_bindings, sample_rows
 from jetlag.symbols import q
 
-from conftest import SYMBOL_POOL, random_tree
+from conftest import SYMBOL_POOL, count_calls_everywhere, random_tree
 
 
 def test_simplify_collects_like_terms():
@@ -105,6 +109,89 @@ def test_equal_numeric_domain_exhaustion():
     # empty domain: sqrt of a strictly negative expression
     with pytest.raises(DomainExhaustionError):
         equal_numeric(parse("sqrt(-1 - q1_0^2)"), parse("0"), trials=1)
+
+
+def _equal_numeric_point_by_point(e1, e2, trials, tol, rng, consecutive=False):
+    """equal_numeric as it was before it drew its points with sample_rows:
+    one point at a time, one scalar draw per symbol, evaluated with
+    lambdify, stopping at the first mismatch, giving up after 1000*trials
+    draws in all (or, with consecutive, 1000*trials rejected in a row)."""
+    symbols = sorted(e1.free | e2.free)
+    both = lambdify([e1, e2], symbols)
+    budget, done = 1000 * trials, 0
+    while done < trials:
+        if budget <= 0:
+            raise DomainExhaustionError("no valid sample")
+        point = [float(rng.uniform(*DEFAULT_BOX)) for _ in symbols]
+        budget -= 1
+        try:
+            v1, v2 = both(point)
+        except (DomainEvalError, NumericFailureError):
+            continue
+        if abs(v1 - v2) > tol * (1.0 + abs(v1)):
+            return False
+        done += 1
+        budget = 1000 * trials if consecutive else budget
+    return True
+
+
+def _verdict(check, e1, e2, trials, rng):
+    try:
+        return check(e1, e2, trials=trials, tol=1e-10, rng=rng)
+    except (DomainExhaustionError, NumericFailureError) as exc:
+        return type(exc)
+
+
+def test_equal_numeric_agrees_with_the_point_by_point_loop():
+    trees = np.random.default_rng(2024)
+    agreed_true = 0
+    for i in range(1002):
+        tree = random_tree(trees, depth=5)
+        kind = i % 3
+        if kind == 0:  # equal
+            pair = (tree, simplify(tree))
+        elif kind == 1:  # shifted
+            pair = (tree, add(tree, const(1e-6)))
+        else:  # inside a domain the sampler must reject points of
+            pair = (func("ln", tree), simplify(func("ln", tree)))
+        trials = int(trees.integers(1, 7))
+        old_rng, new_rng = np.random.default_rng(i), np.random.default_rng(i)
+        old = _verdict(_equal_numeric_point_by_point, *pair, trials, old_rng)
+        new = _verdict(equal_numeric, *pair, trials, new_rng)
+        assert new == old, (i, pair)
+        if old is True:
+            # the same points were drawn and no more
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state, (i, pair)
+            agreed_true += 1
+    assert agreed_true > 300
+
+
+def test_equal_numeric_gives_up_after_consecutive_rejections():
+    # one point in 1500 is inside the domain: the old loop's 2000 draws in
+    # all often fall short of two points, 2000 rejections in a row seldom do
+    e1, e2 = parse("ln(q1_0 - 2 + 1/375)"), parse("ln(q1_0 - 749/375)")
+    only_old_gave_up = 0
+    for seed in range(10):
+        old = _verdict(_equal_numeric_point_by_point, e1, e2, 2, np.random.default_rng(seed))
+        ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        reference = _verdict(partial(_equal_numeric_point_by_point, consecutive=True), e1, e2, 2, ref_rng)
+        assert _verdict(equal_numeric, e1, e2, 2, new_rng) == reference
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+        only_old_gave_up += old is DomainExhaustionError and reference is True
+    assert only_old_gave_up > 0
+    # an empty domain gives up after the same 1000*trials draws as before
+    empty = parse("sqrt(-1 - q1_0^2)")
+    old_rng, new_rng = np.random.default_rng(5), np.random.default_rng(5)
+    assert _verdict(_equal_numeric_point_by_point, empty, ZERO, 3, old_rng) is DomainExhaustionError
+    assert _verdict(equal_numeric, empty, ZERO, 3, new_rng) is DomainExhaustionError
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+def test_equal_numeric_compiles_no_scalar_code(monkeypatch):
+    calls = count_calls_everywhere(monkeypatch, expr.lambdify)
+    assert equal_numeric(parse("(q1_0+1)^2"), parse("q1_0^2 + 2*q1_0 + 1"))
+    assert not equal_numeric(parse("ln(q1_0)"), parse("ln(q1_0) + 1e-6"))
+    assert calls == []
 
 
 def test_sample_binding_respects_guards(rng):

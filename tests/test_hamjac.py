@@ -5,7 +5,7 @@ from jetlag.calculus import diff, is_zero
 from jetlag.charts import chart_cotangent
 from jetlag import hamjac
 from jetlag.dynamics import assemble, integrate_rk4, project_trajectory
-from jetlag.errors import ArityMismatchError, ChartMismatchError, ClosureError
+from jetlag.errors import ArityMismatchError, ChartMismatchError, ClosureError, DomainEvalError
 from jetlag.expr import ZERO, eval_expr, simplify
 from jetlag.families import MorseFamily
 from jetlag.hamjac import (
@@ -88,6 +88,30 @@ def test_morse_rank_zero_energy_fails(rng):
     rep = morse_rank_check(fam, points)
     assert not rep.passed
     assert rep.details["ranks"] == [0] * 5
+
+
+def test_morse_rank_is_taken_per_point():
+    # dE/dl = q1_0*q1_1: the Jacobian row [q1_1, 0, q1_0] vanishes only at the origin
+    fam = MorseFamily(chart_cotangent(1, 1), (q(1, 1),), parse("1/2*q1_0*q1_1^2"))
+    points = [{q(1, 0): 0.0, q(1, 1): 0.0}, {q(1, 0): 1.0, q(1, 1): 0.0}, {q(1, 0): 0.0, q(1, 1): 2.0}]
+    rep = morse_rank_check(fam, points)
+    assert rep.details["ranks"] == [0, 1, 1]
+    assert not rep.passed
+    assert rep.samples == 3
+
+
+def test_morse_rank_without_points_or_fibers_passes():
+    rep = morse_rank_check(ostro_energy(BEAM), [])
+    assert rep.passed and rep.details["ranks"] == [] and rep.samples == 0
+    fam = MorseFamily(chart_cotangent(1, 1), (), parse("p1_0*q1_0"))
+    rep = morse_rank_check(fam, [{q(1, 0): 1.0}] * 2)
+    assert rep.passed and rep.details["ranks"] == [0, 0] and rep.details["needed"] == 0
+
+
+def test_sampled_equation_outside_its_domain_raises_the_evaluators_error():
+    # the symmetry residual is ln(q1_0), undefined on about half the drawn rows
+    with pytest.raises(DomainEvalError):
+        affine_symmetry_check([parse("ln(q1_0)*q2_1"), parse("0")], rng=1)
 
 
 def test_morse_rank_free_higher_order(rng):

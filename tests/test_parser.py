@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jetlag.calculus import diff
 from jetlag.errors import ParseError, UnknownIdentifierError
-from jetlag.expr import Const, Pow, Prod, eval_expr
+from jetlag.expr import Const, Pow, Prod, compile_rows, eval_expr, lambdify, simplify, substitute, sym
 from jetlag.parser import parse
 from jetlag.printer import to_text
 from jetlag.sampling import equal_numeric
@@ -61,6 +62,41 @@ def test_number_literal_size_is_bounded_before_it_is_built():
     for text in ("1" * 4097, "1e10000000", "0." + "0" * 5000 + "1", "1e" + "9" * 5000):
         with pytest.raises(ParseError, match="needs more than 4096 digits"):
             parse(text)
+
+
+def _nested(levels):
+    """(q1_0 + 1)^(1/2)*q1_1 + 1 wrapped around itself: two parse levels
+    and four tree levels (sum, product, power, sum) per wrap."""
+    text = "q1_0"
+    for _ in range(levels):
+        text = f"(({text} + 1)^(1/2)*q1_1 + 1)"
+    return text
+
+
+def test_nesting_depth_is_bounded():
+    too_deep = [
+        ("(" * 500 + "q1_0" + ")" * 500, 100),
+        ("-" * 100 + "q1_0", 100),
+        ("sin(" * 100 + "q1_0" + ")" * 100, 400),
+    ]
+    for text, offset in too_deep:
+        with pytest.raises(ParseError, match="nests deeper than 100 levels") as err:
+            parse(text)
+        assert err.value.offset == offset
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse(_nested(50))
+    # at the bound, every recursive pass over the tree stays inside the stack
+    for text in ("sin(" * 99 + "q1_0" + ")" * 99, "-" * 99 + "q1_0", _nested(48)):
+        e = simplify(parse(text))
+        d = diff(e, q(1, 0))
+        to_text(d)
+        substitute(d, {q(1, 1): sym(q(1, 0))})
+        symbols = sorted(d.free)
+        rows = np.full((2, len(symbols)), 0.25)
+        values, bad = compile_rows([d], symbols)(rows)
+        assert not bad.any()
+        binding = dict(zip(symbols, rows[0].tolist()))
+        assert lambdify([d], symbols)(rows[0].tolist()) == [eval_expr(d, binding)]
 
 
 def test_syntax_error_offsets():

@@ -1,6 +1,6 @@
 import pytest
 
-from jetlag import families
+from jetlag import charts, families
 from jetlag.calculus import diff, expand, is_zero, time_derivative
 from jetlag.dynamics import assemble
 from jetlag.errors import GaugeConditionError, IncompatibleGaugeError
@@ -22,7 +22,7 @@ from jetlag.schmidt import (
 )
 from jetlag.symbols import acc, aux, q
 
-from conftest import random_polynomial, rational_polynomial
+from conftest import count_calls_everywhere, random_polynomial, rational_polynomial
 
 BEAM = LagrangianSpec(1, 2, parse("1/2*mu*q1_2^2 + rho*q1_0"))
 JAVELIN = LagrangianSpec(1, 2, parse("1/2*q1_1^2 - 1/2*q1_2^2"))
@@ -165,6 +165,23 @@ def test_cond2_violation():
     L3 = LagrangianSpec(1, 3, parse("1/2*q1_3^2"))
     with pytest.raises(GaugeConditionError):
         third_order_extend(L3, GaugeFunction(parse("q1_1^2"), 1))
+
+
+def test_cond2_samples_a_state_dependent_hessian():
+    L2 = LagrangianSpec(2, 2, parse("1/2*q1_2^2 + 1/2*q2_2^2"))
+    # mixed Hessian diag(q1_0, 1): nonzero at every drawn point
+    degenerate_second_extend(L2, GaugeFunction(parse("q1_0*q1_1*m1_0 + q2_1*m2_0"), 2))
+    with pytest.raises(GaugeConditionError):  # [[1, 1], [1, 1]] everywhere
+        degenerate_second_extend(L2, GaugeFunction(parse("(q1_1 + q2_1)*(m1_0 + m2_0)"), 2))
+
+
+def test_two_builders_pull_the_lagrangian_back_once(monkeypatch):
+    calls = count_calls_everywhere(monkeypatch, charts.pullback_to_acceleration_chart)
+    spec = LagrangianSpec(1, 2, parse("1/2*mu*q1_2^2 + rho*q1_0"))
+    F = solve_F_quadratic(spec)
+    gauge_extend_second(spec, F)
+    schmidt_morse_family(spec, F)
+    assert len(calls) == 1
 
 
 def test_degenerate_extend_forces_zero_acceleration_momentum():
