@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .calculus import diff, is_zero
-from .dynamics import energy_drift, trajectory_csv
+from .dynamics import constraint_sup, energy_drift, trajectory_csv
 from .errors import (
     ClosureError,
     ConfigError,
@@ -142,14 +142,10 @@ def cmd_simulate(job, args) -> tuple[int, dict]:
         }
         return EXIT_DEGENERATE, report
     csv_path = _write(Path(args.out) / f"{job.problem}.csv", trajectory_csv(traj))
-    # the columns are the solver's states and multipliers, in its order
-    solver = job.system.solver
-    param_vec = solver.param_vector({**job.simulation.initial, **job.params})
-    constraints = [v for row in traj.values.tolist() for v in solver.cons_fn(row + param_vec)]
     report["csv"] = str(csv_path)
     report["samples"] = len(traj.times)
     report["energy_drift"] = energy_drift(traj)
-    report["constraint_sup"] = max(map(abs, constraints), default=0.0)
+    report["constraint_sup"] = constraint_sup(job.system, traj)
     return EXIT_OK, report
 
 

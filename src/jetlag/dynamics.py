@@ -374,6 +374,17 @@ def energy_drift(traj: Trajectory) -> float:
     return float(np.max(np.abs(energies - e0)) / (1.0 + abs(e0)))
 
 
+def constraint_sup(sys: ImplicitSystem, traj: Trajectory) -> float:
+    """max |g| over the samples of an integrate_rk4 run of sys, with the
+    solver's compiled constraints and the run's parameters."""
+    solver = sys.solver
+    if traj.columns != tuple(sys.states) + tuple(sys.multipliers):
+        raise ValueError("trajectory columns are not the system's states and multipliers")
+    param_vec = [traj.meta["params"][str(s)] for s in solver.params]
+    values = (v for row in traj.values.tolist() for v in solver.cons_fn(row + param_vec))
+    return max(map(abs, values), default=0.0)
+
+
 def lift_trajectory(gamma, base: Trajectory, params=None) -> Trajectory:
     """The base trajectory with the momenta gamma(q) set at every sample: the
     one lift of base curves through a one-form.  params binds the symbols of

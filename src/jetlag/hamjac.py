@@ -207,7 +207,8 @@ def morse_rank_check(mf: MorseFamily, points) -> ResidualReport:
     except KeyError as exc:
         raise UnboundSymbolError(exc.args[0]) from None
     needed = len(fibers)
-    values = eval_rows(entries, symbols, np.array(rows, dtype=float).reshape(len(rows), len(symbols)))
+    rows = np.array(rows, dtype=float).reshape(len(rows), len(symbols))
+    values = eval_rows(entries, symbols, rows)
     blocks = np.array(values, dtype=float).T.reshape(len(rows), needed, len(columns))
     ranks = [svd_rank(block) for block in blocks]
     report = ResidualReport("morse-rank", [], tol=0.0, samples=len(rows))

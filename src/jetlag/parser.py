@@ -30,10 +30,10 @@ _TOKEN_RE = re.compile(
 # its integers stay within Python's int-to-text limit (4300 digits)
 _MAX_DIGITS = _FOLD_BITS // 4
 
-# the most parse_expr calls open at once (one per group, function argument,
-# unary sign, exponent and right operand): at this depth every recursive pass
-# over the tree (simplify, diff, substitute, to_text, the tape, eval_expr)
-# stays inside Python's default stack
+# the most nested levels (groups, function arguments, unary signs, exponents
+# and right operands; the whole expression is not one): at this depth every
+# recursive pass over the tree (simplify, diff, substitute, to_text, the tape,
+# eval_expr) stays inside Python's default stack
 _MAX_DEPTH = 100
 
 _BP_ADD = 10
@@ -93,7 +93,7 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.offset)
 
     def parse(self) -> Expr:
-        e = self.parse_expr(0)
+        e = self._parse_binary(0)
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)

@@ -7,6 +7,7 @@ from jetlag import dynamics
 from jetlag.dynamics import (
     ImplicitSystem,
     assemble,
+    constraint_sup,
     energy_drift,
     integrate_rk4,
     lift_trajectory,
@@ -100,6 +101,16 @@ def test_constraints_preserved_along_run():
     for s in samples(traj):
         worst = max(worst, abs(eval_expr(sys.constraints[0], {**s, **PARAMS})))
     assert worst <= 1e-9
+
+
+def test_constraint_sup_reads_the_solvers_constraints():
+    sys = beam_system()
+    init = {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}
+    traj = integrate_rk4(sys, init, 0.0, 0.2, 1e-2)
+    # the same bits as compiling the constraints over the columns afresh
+    assert constraint_sup(sys, traj) == float(np.abs(traj.evaluate(sys.constraints, PARAMS)).max())
+    with pytest.raises(ValueError, match="not the system's states"):
+        constraint_sup(sys, project_trajectory(traj, [q(1, 0)]))
 
 
 def test_projection_property():

@@ -75,9 +75,9 @@ def _nested(levels):
 
 def test_nesting_depth_is_bounded():
     too_deep = [
-        ("(" * 500 + "q1_0" + ")" * 500, 100),
-        ("-" * 100 + "q1_0", 100),
-        ("sin(" * 100 + "q1_0" + ")" * 100, 400),
+        ("(" * 500 + "q1_0" + ")" * 500, 101),
+        ("-" * 101 + "q1_0", 101),
+        ("sin(" * 101 + "q1_0" + ")" * 101, 404),
     ]
     for text, offset in too_deep:
         with pytest.raises(ParseError, match="nests deeper than 100 levels") as err:
@@ -86,7 +86,7 @@ def test_nesting_depth_is_bounded():
     with pytest.raises(ParseError, match="nests deeper"):
         parse(_nested(50))
     # at the bound, every recursive pass over the tree stays inside the stack
-    for text in ("sin(" * 99 + "q1_0" + ")" * 99, "-" * 99 + "q1_0", _nested(48)):
+    for text in ("sin(" * 100 + "q1_0" + ")" * 100, "-" * 100 + "q1_0", _nested(49)):
         e = simplify(parse(text))
         d = diff(e, q(1, 0))
         to_text(d)

@@ -2,15 +2,14 @@
 trees (or two runs of one tree) produce the same bytes.
 
     python3 tools/record_outputs.py --output a.json [--root DIR] [--seeds 1 3]
-        [--corpus-seeds 1 2 3 7]
     python3 tools/record_outputs.py --compare a.json b.json
 
 The first form runs, in one process, the perfbench derive, simulate and hj
 job lists (``perfbench.gen.make_jobs``) at each of ``--seeds``, once with
-``--format json`` and once with ``--format text``, and ``corpus run`` at each
-of ``--corpus-seeds``.  It imports ``jetlag`` from ``ROOT/src`` and
-``perfbench`` from ``ROOT``, where ROOT defaults to this repository, so a
-second checkout can be recorded by the same script.  Every run works in one
+``--format json`` and once with ``--format text``, and ``corpus run`` at
+seeds 1, 2, 3 and 7 (``CORPUS_SEEDS``).  It imports ``jetlag`` from
+``ROOT/src`` and ``perfbench`` from ``ROOT``, where ROOT defaults to this
+repository, so a second checkout can be recorded by the same script.  Every run works in one
 temporary directory, reads its config from ``configs/`` and writes under
 ``--out out``, both relative, so that the paths in reports do not depend on
 where the directory is.  Per run the record holds the exit code, standard
@@ -37,6 +36,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 LISTS = ("derive", "simulate", "hj")
 FORMATS = ("json", "text")
+CORPUS_SEEDS = (1, 2, 3, 7)
 
 
 def _import(root: Path):
@@ -67,7 +67,7 @@ def _run(cli, argv, out: Path) -> dict:
     return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "files": files}
 
 
-def record(root: Path, seeds, corpus_seeds) -> dict:
+def record(root: Path, seeds) -> dict:
     cli, gen = _import(root)
     runs = {}
     cwd = os.getcwd()
@@ -85,7 +85,7 @@ def record(root: Path, seeds, corpus_seeds) -> dict:
                             argv = [job.verb, "--config", str(path), "--seed", str(job.seed),
                                     "--out", str(out), "--format", fmt]
                             runs[f"{workload}/seed{seed}/{fmt}/{job.name}"] = _run(cli, argv, out)
-            for seed in corpus_seeds:
+            for seed in CORPUS_SEEDS:
                 argv = ["corpus", "run", "--seed", str(seed), "--out", str(out), "--format", "json"]
                 runs[f"corpus/seed{seed}"] = _run(cli, argv, out)
         finally:
@@ -103,7 +103,6 @@ def main(argv=None) -> int:
     parser.add_argument("--output", help="where to write the record (JSON)")
     parser.add_argument("--root", type=Path, default=REPO, help="checkout to record (default: this one)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 3], help="job-list seeds")
-    parser.add_argument("--corpus-seeds", type=int, nargs="+", default=[1, 2, 3, 7])
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two records")
     args = parser.parse_args(argv)
     if args.compare:
@@ -115,7 +114,7 @@ def main(argv=None) -> int:
         return 1 if differ else 0
     if not args.output:
         parser.error("--output is required unless --compare is given")
-    runs = record(args.root.resolve(), args.seeds, args.corpus_seeds)
+    runs = record(args.root.resolve(), args.seeds)
     Path(args.output).write_text(json.dumps(runs, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     print(f"recorded {len(runs)} runs to {args.output}")
     return 0
