@@ -8,8 +8,6 @@ from .dynamics import (
     assemble,
     energy_drift,
     integrate_rk4,
-    lift_trajectory,
-    project_trajectory,
     resolve_multipliers,
     trajectory_csv,
 )
@@ -26,6 +24,7 @@ from .hamjac import (
     gamma_relatedness,
     hj_residual,
     hj_residual_nondeg,
+    lift_trajectory,
     local_vf_residual,
     morse_rank_check,
 )

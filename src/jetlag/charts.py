@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .calculus import max_level
 from .errors import ArityMismatchError, ChartMismatchError, LevelOverflowError
-from .expr import Expr, coerce
+from .expr import Expr, coerce, substitute, sym
 from .symbols import Symbol, acc, aux, dp, dq, p, pa, pm, pq, q
 
 
@@ -250,8 +250,6 @@ def acceleration_iso_inverse(point: Point) -> Point:
 
 def pullback_to_acceleration_chart(e: Expr, n: int, top: int = 3) -> Expr:
     """Rename jet levels (q2, q3) -> (a0, a1) per the acceleration isomorphism."""
-    from .expr import substitute, sym
-
     mapping = {}
     for a in range(1, n + 1):
         mapping[q(a, 2)] = sym(acc(a, 0))
@@ -271,8 +269,6 @@ def semispray_type1(F, n: int, k: int) -> dict:
     for f in F:
         if max_level(f) > k:
             raise LevelOverflowError(f"forcing term uses level above {k}: {f}")
-    from .expr import sym
-
     table = {}
     for lvl in range(k):
         for a in range(1, n + 1):

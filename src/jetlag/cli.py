@@ -27,6 +27,7 @@ from .errors import (
     SingularJacobianError,
     StepSizeError,
 )
+from .expr import Expr
 from .hamjac import (
     affine_hj_solve,
     affine_integrability_check,
@@ -35,11 +36,10 @@ from .hamjac import (
     hj_residual_nondeg,
 )
 from .job import Job
-from .ostro import euler_lagrange, explicit_hamiltonian, ostro_energy, ostro_momenta, top_coefficients
+from .ostro import ostro_energy, top_coefficients
 from .printer import to_text
 from .sampling import make_rng
-from .schmidt import chi_check, gauge_extend_second, schmidt_hamiltonian
-from .symbols import q
+from .symbols import Symbol, q
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -77,55 +77,22 @@ def _affine_status(spec, rng):
 
 
 def cmd_derive(job, args) -> tuple[int, dict]:
-    spec = job.spec
-    rng = make_rng(args.seed)
     report = {"command": "derive", "problem": job.problem, "method": job.method}
-    method = job.method
-    if method == "ostrogradsky":
-        momenta = ostro_momenta(spec)
-        report["energy"] = to_text(job.family.energy)
-        report["momenta"] = {
-            f"p{a}_{kappa}": to_text(momenta[kappa][a - 1])
-            for kappa in range(spec.order)
-            for a in range(1, spec.dim + 1)
-        }
-        report["euler_lagrange"] = [to_text(e) for e in euler_lagrange(spec)]
-        report["implicit_system"] = _system_dict(job.system)
-        try:
-            report["hamiltonian"] = to_text(explicit_hamiltonian(spec))
-        except JetlagError as exc:
-            report["hamiltonian"] = None
-            report["hamiltonian_note"] = str(exc)
-    else:
-        F = job.gauge
-        report["gauge"] = to_text(F.expr)
-        if method == "schmidt2":
-            report["compatibility_residuals"] = [to_text(r) for r in chi_check(spec, F)]
-            report["extended_lagrangian"] = to_text(gauge_extend_second(spec, F))
-            report["energy"] = to_text(job.family.energy)
-            report["momentum_relations"] = [to_text(r) for _, r in job.family.extra_relations]
-            try:
-                report["hamiltonian"] = to_text(schmidt_hamiltonian(spec, F))
-            except JetlagError as exc:
-                report["hamiltonian"] = None
-                report["hamiltonian_note"] = str(exc)
-        else:
-            report["extended_lagrangian"] = to_text(job.extension.extended_lagrangian)
-            report["energy"] = to_text(job.family.energy)
-        report["implicit_system"] = _system_dict(job.system)
-    status = _affine_status(spec, rng)
+    report.update(_rendered(job.derivation))
+    status = _affine_status(job.spec, make_rng(args.seed))
     if status:
         report["affine_warning"] = status
     return EXIT_OK, report
 
 
-def _system_dict(sys):
-    return {
-        "states": [str(s) for s in sys.states],
-        "rhs": {str(s): to_text(sys.rhs[s]) for s in sys.states},
-        "constraints": [to_text(c) for c in sys.constraints],
-        "multipliers": [str(m) for m in sys.multipliers],
-    }
+def _rendered(node):
+    """A derivation as report values: expressions as text (str of an Expr is
+    to_text), symbols by name."""
+    if isinstance(node, dict):
+        return {key: _rendered(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_rendered(item) for item in node]
+    return str(node) if isinstance(node, (Expr, Symbol)) else node
 
 
 def cmd_simulate(job, args) -> tuple[int, dict]:

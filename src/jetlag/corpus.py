@@ -27,23 +27,10 @@ from .hamjac import (
     morse_rank_check,
 )
 from .job import Job, symbol
-from .ostro import (
-    euler_lagrange,
-    explicit_hamiltonian,
-    nondegeneracy,
-    ostro_initial_data,
-    ostro_momenta,
-    top_coefficients,
-)
+from .ostro import nondegeneracy, ostro_initial_data, top_coefficients
 from .parser import parse
 from .sampling import equal_numeric, make_rng, sample_bindings
-from .schmidt import (
-    gauge_extend_second,
-    ostro_schmidt_pullback_check,
-    schmidt_hamiltonian,
-    schmidt_initial_data,
-    schmidt_morse_family,
-)
+from .schmidt import ostro_schmidt_pullback_check, schmidt_initial_data, schmidt_morse_family
 from .symbols import p, param, q
 
 
@@ -125,7 +112,7 @@ def build_entries():
                     "name": "energy-form",
                     "kind": "form",
                     "provenance": "literature",
-                    "lhs": "ostro-energy",
+                    "path": "energy",
                     "expected": "p1_0*q1_1 + p1_1*q1_2 - 1/2*mu*q1_2^2 - rho*q1_0",
                 },
                 {
@@ -139,28 +126,28 @@ def build_entries():
                     "name": "top-momentum",
                     "kind": "form",
                     "provenance": "literature",
-                    "lhs": "momentum:1:1",
+                    "path": "momenta.p1_1",
                     "expected": "mu*q1_2",
                 },
                 {
                     "name": "zeroth-momentum",
                     "kind": "form",
                     "provenance": "derived",
-                    "lhs": "momentum:0:1",
+                    "path": "momenta.p1_0",
                     "expected": "-mu*q1_3",
                 },
                 {
                     "name": "euler-lagrange",
                     "kind": "form",
                     "provenance": "literature",
-                    "lhs": "euler-lagrange:1",
+                    "path": "euler_lagrange.0",
                     "expected": "mu*q1_4 + rho",
                 },
                 {
                     "name": "explicit-hamiltonian",
                     "kind": "form",
                     "provenance": "literature",
-                    "lhs": "hamiltonian",
+                    "path": "hamiltonian",
                     "expected": "p1_0*q1_1 + 1/2*p1_1^2/mu - rho*q1_0",
                 },
                 {"name": "nondegenerate", "kind": "nondegeneracy", "provenance": "literature", "rank": 1, "full": True},
@@ -270,7 +257,7 @@ def build_entries():
                     "name": "energy-form",
                     "kind": "form",
                     "provenance": "literature",
-                    "lhs": "ostro-energy",
+                    "path": "energy",
                     "expected": "p1_0*q1_1 + p1_1*q1_2 + 1/2*q1_2^2 - 1/2*q1_1^2",
                 },
                 {
@@ -284,14 +271,14 @@ def build_entries():
                     "name": "euler-lagrange",
                     "kind": "form",
                     "provenance": "derived",
-                    "lhs": "euler-lagrange:1",
+                    "path": "euler_lagrange.0",
                     "expected": "-q1_4 - q1_2",
                 },
                 {
                     "name": "explicit-hamiltonian",
                     "kind": "form",
                     "provenance": "derived",
-                    "lhs": "hamiltonian",
+                    "path": "hamiltonian",
                     "expected": "p1_0*q1_1 - 1/2*p1_1^2 - 1/2*q1_1^2",
                 },
                 {"name": "pullback-identity", "kind": "pullback", "provenance": "derived", "expect": True},
@@ -333,30 +320,30 @@ def build_entries():
             [
                 {
                     "name": "auto-gauge",
-                    "kind": "schmidt-form",
+                    "kind": "form",
                     "provenance": "literature",
-                    "lhs": "gauge",
+                    "path": "gauge",
                     "expected": "-mu*a1_0*q1_1",
                 },
                 {
                     "name": "extended-lagrangian",
-                    "kind": "schmidt-form",
+                    "kind": "form",
                     "provenance": "literature",
-                    "lhs": "extended",
+                    "path": "extended_lagrangian",
                     "expected": "-1/2*mu*a1_0^2 - mu*a1_1*q1_1",
                 },
                 {
                     "name": "momentum-relation",
-                    "kind": "schmidt-form",
+                    "kind": "form",
                     "provenance": "literature",
-                    "lhs": "relation:1",
+                    "path": "momentum_relations.0",
                     "expected": "pa1 + mu*q1_1",
                 },
                 {
                     "name": "hamiltonian",
-                    "kind": "schmidt-form",
+                    "kind": "form",
                     "provenance": "literature",
-                    "lhs": "hamiltonian",
+                    "path": "hamiltonian",
                     "expected": "1/2*mu*a1_0^2 - pq1*pa1/mu",
                 },
                 {"name": "pullback-identity", "kind": "pullback", "provenance": "literature", "expect": True},
@@ -386,9 +373,18 @@ def build_entries():
 # ---------------------------------------------------------------------------
 
 
-def _form(lhs, check, rng):
-    ok = equal_numeric(lhs, parse(check["expected"]), trials=100, tol=1e-10, rng=rng)
-    return ok, str(simplify(lhs))
+def at_path(node, path):
+    """The entry a dotted report path names in nested dicts and lists,
+    e.g. "momenta.p1_0" or "euler_lagrange.0"."""
+    for key in path.split("."):
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    return node
+
+
+def _form(job, check, rng):
+    derived = at_path(job.derivation, check["path"])
+    ok = equal_numeric(derived, parse(check["expected"]), trials=100, tol=1e-10, rng=rng)
+    return ok, str(simplify(derived))
 
 
 def _implicit_forms(job, check, rng):
@@ -408,9 +404,8 @@ def _nondegeneracy(job, check, rng):
 
 
 def _derive_ok(job, check, rng):
-    ostro_momenta(job.spec)
-    residuals = euler_lagrange(job.spec)
-    return True, {"states": len(job.system.states), "residuals": len(residuals)}
+    derived = job.derivation
+    return True, {"states": len(derived["implicit_system"]["states"]), "residuals": len(derived["euler_lagrange"])}
 
 
 def _verdict(rep):
@@ -497,9 +492,8 @@ def _base_agreement(job, check, rng):
 
 
 CHECKS = {
-    "form": lambda job, check, rng: _form(_derived_expr(job, check["lhs"]), check, rng),
+    "form": _form,
     "implicit-forms": _implicit_forms,
-    "schmidt-form": lambda job, check, rng: _form(_schmidt_expr(job, check["lhs"]), check, rng),
     "nondegeneracy": _nondegeneracy,
     "pullback": lambda job, check, rng: (
         ostro_schmidt_pullback_check(job.spec, job.gauge, rng=rng) == check["expect"],
@@ -520,7 +514,7 @@ CHECKS = {
     "hj": _hj,
     "hj-target": _hj_target,
     "hj-canonical": lambda job, check, rng: _constancy(
-        schmidt_hamiltonian(job.spec, job.gauge), job.gamma("schmidt_W_canonical"), check, rng, job.boxes
+        job.derivation["hamiltonian"], job.gamma("schmidt_W_canonical"), check, rng, job.boxes
     ),
     "beam-quartic": _beam_quartic,
     "drift": lambda job, check, rng: _within(energy_drift(job.trajectory), check),
@@ -540,33 +534,6 @@ def run_check(entry: CorpusEntry, check: dict, seed: int = 0) -> dict:
         raise ValueError(f"unknown check kind {check['kind']}")
     passed, observed = run(entry.job, check, make_rng(seed))
     return {"name": check["name"], "provenance": check["provenance"], "passed": passed, "observed": observed}
-
-
-def _derived_expr(job, lhs):
-    if lhs == "ostro-energy":
-        return job.family.energy
-    if lhs.startswith("momentum:"):
-        _, kappa, a = lhs.split(":")
-        return ostro_momenta(job.spec)[int(kappa)][int(a) - 1]
-    if lhs.startswith("euler-lagrange:"):
-        a = int(lhs.split(":")[1])
-        return euler_lagrange(job.spec)[a - 1]
-    if lhs == "hamiltonian":
-        return explicit_hamiltonian(job.spec)
-    raise ValueError(lhs)
-
-
-def _schmidt_expr(job, lhs):
-    if lhs == "gauge":
-        return job.gauge.expr
-    if lhs == "extended":
-        return gauge_extend_second(job.spec, job.gauge)
-    if lhs == "hamiltonian":
-        return schmidt_hamiltonian(job.spec, job.gauge)
-    if lhs.startswith("relation:"):
-        a = int(lhs.split(":")[1])
-        return job.family.extra_relations[a - 1][1]
-    raise ValueError(lhs)
 
 
 def run_entry(entry: CorpusEntry, seed: int = 0) -> dict:

@@ -1,5 +1,5 @@
 """Runnable form of Morse families: implicit systems, multiplier resolution,
-fixed-step RK4 with constraint solving, trajectory lifting.
+fixed-step RK4 with constraint solving.
 
 Fixed work is done once.  Each ``ImplicitSystem`` builds its multiplier
 solver (linear split of the constraints and compiled callables) on first
@@ -49,7 +49,6 @@ class ImplicitSystem:
     constraints: tuple
     multipliers: tuple
     energy: Expr
-    label: str = ""
 
     def __post_init__(self):
         if set(self.rhs) != set(self.states):
@@ -66,7 +65,8 @@ class Trajectory:
     times: list
     values: np.ndarray  # (len(times), len(columns)): one row per time
     columns: tuple  # the symbol of each column, in CSV order
-    meta: dict = field(default_factory=dict)
+    energies: np.ndarray | None = None  # the energy at every sample, when the run recorded it
+    params: dict = field(default_factory=dict)  # {Symbol: value} of the run's parameters
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -79,9 +79,6 @@ class Trajectory:
         if symbol not in self.columns:
             raise ChartMismatchError(f"trajectory has no column {symbol}")
         return self.values[:, self.columns.index(symbol)].copy()
-
-    def energies(self):
-        return np.array(self.meta["energy"]) if "energy" in self.meta else None
 
     def evaluate(self, exprs, params=None) -> np.ndarray:
         """Values of exprs at every sample, one row per time, with eval_expr's
@@ -111,7 +108,6 @@ def assemble(mf: MorseFamily) -> ImplicitSystem:
         constraints=constraints,
         multipliers=tuple(mf.all_fibers),
         energy=total,
-        label=mf.label,
     )
 
 
@@ -354,20 +350,12 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
             warm = lam_end
 
     columns = tuple(sys.states) + tuple(sys.multipliers)
-    meta = {
-        "h": h,
-        "t0": t0,
-        "t1": t1,
-        "energy": energies,
-        "params": {str(s): v for s, v in zip(solver.params, param_vec)},
-        "label": sys.label,
-    }
-    return Trajectory(times, rows, columns, meta)
+    return Trajectory(times, rows, columns, np.array(energies), dict(zip(solver.params, param_vec)))
 
 
 def energy_drift(traj: Trajectory) -> float:
     """max |E(t) - E(t0)| / (1 + |E(t0)|) along the run."""
-    energies = traj.energies()
+    energies = traj.energies
     if energies is None or len(energies) == 0:
         return 0.0
     e0 = energies[0]
@@ -380,46 +368,16 @@ def constraint_sup(sys: ImplicitSystem, traj: Trajectory) -> float:
     solver = sys.solver
     if traj.columns != tuple(sys.states) + tuple(sys.multipliers):
         raise ValueError("trajectory columns are not the system's states and multipliers")
-    param_vec = [traj.meta["params"][str(s)] for s in solver.params]
+    param_vec = [traj.params[s] for s in solver.params]
     values = (v for row in traj.values.tolist() for v in solver.cons_fn(row + param_vec))
     return max(map(abs, values), default=0.0)
-
-
-def lift_trajectory(gamma, base: Trajectory, params=None) -> Trajectory:
-    """The base trajectory with the momenta gamma(q) set at every sample: the
-    one lift of base curves through a one-form.  params binds the symbols of
-    gamma's components that are not base columns."""
-    from .hamjac import ClosedOneForm
-
-    if not isinstance(gamma, ClosedOneForm):
-        raise ChartMismatchError("lift needs a ClosedOneForm")
-    missing = [s for s in gamma.coordinates if s not in base.columns]
-    if missing:
-        raise ChartMismatchError(f"base sample misses coordinates {missing}")
-    momenta = base.evaluate(gamma.component_exprs(), params)
-    columns = tuple(base.columns) + tuple(m for m in gamma.momentum_slots if m not in base.columns)
-    values = np.hstack([base.values, np.zeros((len(base.times), len(columns) - len(base.columns)))])
-    values[:, [columns.index(m) for m in gamma.momentum_slots]] = momenta
-    return Trajectory(list(base.times), values, columns, dict(base.meta))
-
-
-def project_trajectory(traj: Trajectory, coordinates) -> Trajectory:
-    """Restrict every sample to the given coordinates (base projection)."""
-    coordinates = tuple(coordinates)
-    missing = [c for c in coordinates if c not in traj.columns]
-    if missing:
-        raise ChartMismatchError(f"samples do not bind {missing}")
-    meta = dict(traj.meta)
-    meta.pop("energy", None)
-    values = traj.values[:, [traj.columns.index(c) for c in coordinates]]
-    return Trajectory(list(traj.times), values, coordinates, meta)
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Canonical CSV: t, roster columns, E; 17 significant digits."""
     header = ["t"] + [str(s) for s in traj.columns] + ["E"]
     lines = [",".join(header)]
-    energies = traj.energies()
+    energies = traj.energies
     for i, (t, row) in enumerate(zip(traj.times, traj.values.tolist())):
         cells = [_fmt(t)] + [_fmt(v) for v in row]
         cells.append(_fmt(energies[i]) if energies is not None else "")

@@ -500,6 +500,14 @@ def _rebuild_term(coeff, factors):
     return Prod(parts)
 
 
+def _canonical_order(keys) -> list:
+    """Node keys sorted by their text: the order of terms and factors."""
+    try:
+        return sorted(keys, key=repr)
+    except ValueError as exc:  # an integer past the interpreter's limit on digits as text
+        raise NumericFailureError("an exact constant is too long to order terms by") from exc
+
+
 def simplify(e: Expr) -> Expr:
     """Canonical form: folding, flattening, like-term collection, sorted order.
 
@@ -528,7 +536,7 @@ def simplify(e: Expr) -> Expr:
                     coeff = _coeff_add(old_coeff, coeff)
                 bucket[k] = (coeff, factors)
         terms = []
-        for k in sorted(bucket, key=repr):
+        for k in _canonical_order(bucket):
             coeff, factors = bucket[k]
             if coeff == 0:
                 continue
@@ -582,7 +590,7 @@ def simplify(e: Expr) -> Expr:
                     return simplify(add(*(mul(Const(c), t) for t in base.terms)))
                 return base
         factors = []
-        for k in sorted(powers, key=repr):
+        for k in _canonical_order(powers):
             base, exp = powers[k]
             piece = pow_(base, exp)
             if isinstance(piece, Const):

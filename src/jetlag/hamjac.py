@@ -1,6 +1,7 @@
 """Hamilton-Jacobi verification: rank conditions, residual systems for every
-pipeline variant, relatedness of lifted trajectories, the auxiliary-section
-local vector field test, and the affine-in-acceleration specializations.
+pipeline variant, the lift of trajectories through a one-form and their
+relatedness, the auxiliary-section local vector field test, and the
+affine-in-acceleration specializations.
 
 Residuals substitute momenta by the candidate one-form, differentiate the
 energy through the substitution, and sample; fiber multipliers are resolved
@@ -15,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import diff, linear_coefficients, potential_from_closed_form
-from .dynamics import ImplicitSystem, Trajectory, lift_trajectory
+from .dynamics import ImplicitSystem, Trajectory
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -28,7 +29,7 @@ from .expr import Expr, add, coerce, lambdify, mul, neg, simplify, substitute, s
 from .families import MorseFamily
 from .ostro import svd_rank
 from .sampling import eval_rows, make_rng, sample_rows
-from .symbols import q
+from .symbols import p, q
 
 SAMPLES = 50  # points per sampled check
 
@@ -112,6 +113,21 @@ class ClosedOneForm:
         worst = max(report.sup_norms, key=lambda k: report.sup_norms[k], default="")
         report.details["worst_pair"] = worst
         return report
+
+
+def lift_trajectory(gamma: ClosedOneForm, traj: Trajectory, params=None) -> Trajectory:
+    """The trajectory with the momenta gamma(q) set at every sample: the one
+    lift of curves through a one-form.  Momentum columns traj already has
+    are overwritten; params binds the symbols of gamma's components that
+    are not columns."""
+    missing = [s for s in gamma.coordinates if s not in traj.columns]
+    if missing:
+        raise ChartMismatchError(f"trajectory misses coordinates {missing}")
+    momenta = traj.evaluate(gamma.component_exprs(), params)
+    columns = tuple(traj.columns) + tuple(m for m in gamma.momentum_slots if m not in traj.columns)
+    values = np.hstack([traj.values, np.zeros((len(traj.times), len(columns) - len(traj.columns)))])
+    values[:, [columns.index(m) for m in gamma.momentum_slots]] = momenta
+    return Trajectory(list(traj.times), values, columns)
 
 
 @dataclass(frozen=True)
@@ -385,24 +401,24 @@ def hj_residual_nondeg(
 def gamma_relatedness(
     sys: ImplicitSystem,
     gamma: ClosedOneForm,
-    base_traj: Trajectory,
+    traj: Trajectory,
     tol: float = 1e-5,
     params: dict | None = None,
 ) -> ResidualReport:
-    """Lift a base trajectory through the form and test the full implicit
-    system on it.
+    """Lift a trajectory through the form, its momenta replaced by gamma(q),
+    and test the full implicit system on it.
 
     Momentum velocities come from differentiating the form along the curve
-    (chain rule on central finite differences of the base samples).
+    (chain rule on central finite differences of the samples).
     """
-    if len(base_traj.times) < 5:
+    if len(traj.times) < 5:
         raise NumericFailureError("trajectory too short for finite differencing (< 5 samples)")
-    times = base_traj.times
+    times = traj.times
     h = times[1] - times[0]
     if np.any(np.abs(np.diff(times) - h) > 1e-12 * max(1.0, abs(h))):
         raise NumericFailureError("relatedness check needs a uniform time grid")
     params = dict(params or {})
-    lifted = lift_trajectory(gamma, base_traj, params)
+    lifted = lift_trajectory(gamma, traj, params)
     solver = sys.solver
     param_vec = solver.param_vector(params)
     states = np.stack([lifted.column(s) for s in sys.states], axis=1)
@@ -561,14 +577,12 @@ def affine_hj_solve(
     otherwise).  Polynomial components integrate to a scalar potential by
     exact ray integration.
     """
-    from .symbols import p as mom
-
     f = [coerce(x) for x in f]
     g = coerce(g)
     n = len(f)
     if order == 2:
         coords = tuple(q(a, 0) for a in range(1, n + 1)) + tuple(q(a, 1) for a in range(1, n + 1))
-        slots = tuple(mom(a, 0) for a in range(1, n + 1)) + tuple(mom(a, 1) for a in range(1, n + 1))
+        slots = tuple(p(a, 0) for a in range(1, n + 1)) + tuple(p(a, 1) for a in range(1, n + 1))
         comps = []
         for b in range(1, n + 1):
             total = diff(g, q(b, 1))
@@ -580,7 +594,7 @@ def affine_hj_solve(
         coords = tuple(
             q(a, lvl) for lvl in range(3) for a in range(1, n + 1)
         )
-        slots = tuple(mom(a, lvl) for lvl in range(3) for a in range(1, n + 1))
+        slots = tuple(p(a, lvl) for lvl in range(3) for a in range(1, n + 1))
         comps = []
         for b in range(1, n + 1):
             total = diff(g, q(b, 1))

@@ -2,9 +2,10 @@
 
 ``Job.from_config`` checks every field it knows and raises ``ConfigError``
 on a bad one.  What the fields build (the Lagrangian, the gauge, the energy
-family, the implicit system, the trajectory) is derived on first use and
-kept, so a job derives each at most once.  Nothing kept here draws from a
-random generator: sampled checks take the caller's.
+family, the implicit system, the derivation ``derive`` reports, the
+trajectory) is derived on first use and kept, so a job derives each at most
+once.  Nothing kept here draws from a random generator: sampled checks take
+the caller's.
 """
 
 from __future__ import annotations
@@ -14,15 +15,19 @@ from collections import namedtuple
 from functools import cached_property
 
 from .charts import chart_tstar_aq
-from .dynamics import Trajectory, assemble, integrate_rk4, lift_trajectory, project_trajectory
-from .errors import ConfigError, GaugeConditionError, IncompatibleGaugeError, ParseError
+from .dynamics import assemble, integrate_rk4
+from .errors import ConfigError, GaugeConditionError, IncompatibleGaugeError, JetlagError, ParseError
+from .expr import eval_expr
 from .hamjac import ClosedOneForm, gamma_relatedness
-from .ostro import LagrangianSpec, ostro_energy
+from .ostro import LagrangianSpec, euler_lagrange, explicit_hamiltonian, ostro_energy, ostro_momenta
 from .parser import parse
 from .schmidt import (
     GaugeFunction,
+    chi_check,
     default_auxiliary_gauge,
     degenerate_second_extend,
+    gauge_extend_second,
+    schmidt_hamiltonian,
     schmidt_morse_family,
     solve_F_quadratic,
     third_order_extend,
@@ -222,6 +227,45 @@ class Job:
         return assemble(self.family)
 
     @cached_property
+    def derivation(self) -> dict:
+        """What derive reports of the route, by report key and in report
+        order: expressions, symbols, and lists and dicts of them.  A
+        Hamiltonian the route cannot make is None, with a note."""
+        spec = self.spec
+        if self.method == "ostrogradsky":
+            momenta = ostro_momenta(spec)
+            out = {
+                "energy": self.family.energy,
+                "momenta": {
+                    f"p{a}_{kappa}": momenta[kappa][a - 1]
+                    for kappa in range(spec.order)
+                    for a in range(1, spec.dim + 1)
+                },
+                "euler_lagrange": euler_lagrange(spec),
+                "implicit_system": None,  # its place in the report; set below
+                **_hamiltonian(explicit_hamiltonian, spec),
+            }
+        else:
+            out = {"gauge": self.gauge.expr}
+            if self.method == "schmidt2":
+                out["compatibility_residuals"] = chi_check(spec, self.gauge)
+                out["extended_lagrangian"] = gauge_extend_second(spec, self.gauge)
+                out["energy"] = self.family.energy
+                out["momentum_relations"] = [r for _, r in self.family.extra_relations]
+                out.update(_hamiltonian(schmidt_hamiltonian, spec, self.gauge))
+            else:
+                out["extended_lagrangian"] = self.extension.extended_lagrangian
+                out["energy"] = self.family.energy
+        sys = self.system
+        out["implicit_system"] = {
+            "states": list(sys.states),
+            "rhs": {str(s): sys.rhs[s] for s in sys.states},
+            "constraints": list(sys.constraints),
+            "multipliers": list(sys.multipliers),
+        }
+        return out
+
+    @cached_property
     def trajectory(self):
         """RK4 run of the system from the simulation block's initial values."""
         sim = self._simulation()
@@ -253,15 +297,24 @@ class Job:
         return ClosedOneForm.from_components(comps, coords, slots, rng=rng, boxes=self.boxes, guards=self.guards)
 
     def relatedness(self, gamma: ClosedOneForm, tol: float):
-        """Lift the initial positions through gamma, integrate, project onto
-        gamma's coordinates and test the lifted curve against the system."""
+        """Start at the initial positions with gamma's momenta there,
+        integrate, and test the run, lifted through gamma, against the
+        system.  eval_expr gives the bits of the lift's compiled components,
+        so the run starts on the lifted curve."""
         sim = self._simulation()
         missing = [str(s) for s in gamma.coordinates if s not in sim.initial]
         if missing:
             raise ConfigError(f"simulation initial misses {', '.join(missing)}, used by the one-form")
-        start = Trajectory([sim.t0], [[sim.initial[s] for s in gamma.coordinates]], gamma.coordinates)
-        lifted = lift_trajectory(gamma, start, self.params)
-        init = {**sim.initial, **self.params, **dict(zip(lifted.columns, lifted.values[0].tolist()))}
+        at = {s: sim.initial[s] for s in gamma.coordinates} | self.params
+        momenta = {m: eval_expr(c, at) for m, c in zip(gamma.momentum_slots, gamma.component_exprs())}
+        init = {**sim.initial, **self.params, **momenta}
         traj = integrate_rk4(self.system, init, sim.t0, sim.t1, sim.h)
-        base = project_trajectory(traj, gamma.coordinates)
-        return gamma_relatedness(self.system, gamma, base, tol=tol, params=self.params)
+        return gamma_relatedness(self.system, gamma, traj, tol=tol, params=self.params)
+
+
+def _hamiltonian(build, *args) -> dict:
+    """{"hamiltonian": build(*args)}, or None and the reason it failed."""
+    try:
+        return {"hamiltonian": build(*args)}
+    except JetlagError as exc:
+        return {"hamiltonian": None, "hamiltonian_note": str(exc)}

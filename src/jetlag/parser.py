@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .expr import _FOLD_BITS, Const, Expr, add, div, func, mul, neg, pow_, sym
+from .expr import _FOLD_BITS, Const, Expr, add, div, func, mul, neg, pow_, simplify, sym
 from .symbols import FUNCTION_NAMES, symbol_from_name
 
 _TOKEN_RE = re.compile(
@@ -160,8 +160,6 @@ class _Parser:
 
     @staticmethod
     def _make_pow(base: Expr, exponent: Expr, offset: int) -> Expr:
-        from .expr import simplify
-
         folded = simplify(exponent)
         if not isinstance(folded, Const) or not isinstance(folded.value, Fraction):
             raise ParseError("exponent must be a rational constant", offset)

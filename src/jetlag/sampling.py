@@ -36,10 +36,13 @@ def sample_rows(
     being the range of every symbol it does not name; guards are (expr,
     lower bound) pairs that must evaluate >= bound; probe_exprs must merely
     evaluate (domain rejection for radicals, logs, divisions).  Candidate
-    rows are drawn n - accepted at a time and checked in one compile_rows
-    call.  A block draw is C-ordered, so the accepted rows, and the state
-    the generator is left in, are those of drawing one point at a time and
-    one symbol at a time.  Raises DomainExhaustionError after max_attempts
+    rows are drawn in blocks checked in one compile_rows call each: n -
+    accepted rows, or twice the last block after one that kept none, never
+    more than the attempts left.  A block draw is C-ordered, and a block
+    holding the last needed row before its end is redrawn up to that row
+    from the state before it, so the accepted rows, and the state the
+    generator is left in, are those of drawing one point at a time and one
+    symbol at a time.  Raises DomainExhaustionError after max_attempts
     consecutive rejected rows, having drawn exactly those rows.
     """
     symbols = list(symbols)
@@ -55,12 +58,14 @@ def sample_rows(
     blocks = []
     accepted = 0
     rejected_run = 0  # consecutive rejected rows since the last accepted one
+    k = n
     while accepted < n:
         if rejected_run >= max_attempts:
             raise DomainExhaustionError(
                 f"no valid sample in {max_attempts} attempts for symbols {symbols}"
             )
-        k = min(n - accepted, max_attempts - rejected_run)
+        k = min(k, max_attempts - rejected_run)
+        state = rng.bit_generator.state
         block = rng.uniform(lo, hi, size=(k, len(symbols)))
         ok = np.ones(k, dtype=bool)
         if check is not None:
@@ -68,20 +73,25 @@ def sample_rows(
             ok = ~bad
             for v, floor in zip(values, floors):
                 ok &= v >= floor
-        kept = np.flatnonzero(ok)
-        if kept.size:
-            blocks.append(block[kept])
-            accepted += kept.size
-            rejected_run = k - 1 - int(kept[-1])
-        else:
+        kept = np.flatnonzero(ok)[: n - accepted]
+        if not kept.size:
             rejected_run += k
+            k *= 2
+            continue
+        if kept.size == n - accepted and kept[-1] < k - 1:
+            # undraw the rows after the last needed one
+            rng.bit_generator.state = state
+            rng.uniform(lo, hi, size=(kept[-1] + 1, len(symbols)))
+        blocks.append(block[kept])
+        accepted += kept.size
+        rejected_run = k - 1 - int(kept[-1])
+        k = n - accepted
     return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
 
 def sample_binding(symbols, rng, **kwargs):
     """One sample_rows point as a {Symbol: float} binding."""
-    symbols = list(symbols)
-    return dict(zip(symbols, sample_rows(symbols, 1, rng, **kwargs)[0].tolist()))
+    return sample_bindings(symbols, 1, rng, **kwargs)[0]
 
 
 def sample_bindings(symbols, n, rng, **kwargs):

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from jetlag import dynamics
 from jetlag.dynamics import (
     ImplicitSystem,
+    Trajectory,
     assemble,
     constraint_sup,
     energy_drift,
     integrate_rk4,
-    lift_trajectory,
-    project_trajectory,
     resolve_multipliers,
     trajectory_csv,
 )
@@ -23,7 +22,7 @@ from jetlag.errors import (
     StepSizeError,
 )
 from jetlag.expr import eval_expr
-from jetlag.hamjac import ClosedOneForm
+from jetlag.hamjac import ClosedOneForm, lift_trajectory
 from jetlag.ostro import LagrangianSpec, euler_lagrange, ostro_energy, ostro_initial_data
 from jetlag.parser import parse
 from jetlag.symbols import p, param, q
@@ -110,7 +109,7 @@ def test_constraint_sup_reads_the_solvers_constraints():
     # the same bits as compiling the constraints over the columns afresh
     assert constraint_sup(sys, traj) == float(np.abs(traj.evaluate(sys.constraints, PARAMS)).max())
     with pytest.raises(ValueError, match="not the system's states"):
-        constraint_sup(sys, project_trajectory(traj, [q(1, 0)]))
+        constraint_sup(sys, Trajectory(traj.times, traj.values[:, :1], traj.columns[:1]))
 
 
 def test_projection_property():
@@ -237,12 +236,11 @@ def test_lift_trajectory():
     sys = assemble(ostro_energy(L1))
     init = {q(1, 0): 0.0, p(1, 0): 0.7}
     traj = integrate_rk4(sys, init, 0.0, 1.0, 1e-2)
-    base = project_trajectory(traj, [q(1, 0)])
     gamma = ClosedOneForm.from_potential(parse("7/10*q1_0"), [q(1, 0)], [p(1, 0)])
-    lifted = lift_trajectory(gamma, base)
+    lifted = lift_trajectory(gamma, traj)
     assert np.allclose(lifted.column(p(1, 0)), 0.7)
     zero = ClosedOneForm.from_potential(parse("0"), [q(1, 0)], [p(1, 0)])
-    assert np.allclose(lift_trajectory(zero, base).column(p(1, 0)), 0.0)
+    assert np.allclose(lift_trajectory(zero, traj).column(p(1, 0)), 0.0)
 
 
 def test_trajectory_csv_format():

@@ -13,7 +13,7 @@ from jetlag.errors import (
     NumericFailureError,
     UnboundSymbolError,
 )
-from jetlag import expr
+from jetlag import expr, sampling
 from jetlag.expr import (
     Const,
     Func,
@@ -194,6 +194,25 @@ def test_equal_numeric_compiles_no_scalar_code(monkeypatch):
     assert calls == []
 
 
+def test_exhausting_an_empty_domain_takes_few_block_checks(monkeypatch):
+    runs = []  # rows per run of a compiled check
+
+    def counting(exprs, symbols):
+        check = compile_rows(exprs, symbols)
+
+        def run(rows):
+            runs.append(len(rows))
+            return check(rows)
+
+        return run
+
+    monkeypatch.setattr(sampling, "compile_rows", counting)
+    with pytest.raises(DomainExhaustionError):
+        equal_numeric(parse("sqrt(-1 - q1_0^2)"), ZERO, trials=1)
+    assert sum(runs) == 1000  # every attempt is checked once
+    assert len(runs) <= 11  # blocks of 1, 2, 4, ... rows, not 1000 runs of one row
+
+
 def test_sample_binding_respects_guards(rng):
     guard = parse("q1_0")
     for _ in range(10):
@@ -226,6 +245,13 @@ def test_constant_beyond_float_range_is_numeric_failure():
         lambdify([e], [q(1, 0)])
     with pytest.raises(NumericFailureError):
         compile_rows([e], [q(1, 0)])
+
+
+def test_simplify_of_a_constant_too_long_for_text_is_numeric_failure():
+    # simplify orders factors by their text, which an 8429-digit integer has not
+    e = parse("q1_1") * add(parse("q1_0"), const(Fraction(2) ** 28001))
+    with pytest.raises(NumericFailureError):
+        simplify(e)
 
 
 def test_sum_adds_left_to_right_in_every_evaluator():

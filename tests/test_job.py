@@ -1,10 +1,17 @@
+import json
+
 import pytest
 
+from jetlag import expr
 from jetlag import job as job_mod
-from jetlag.corpus import build_entries, run_entry
+from jetlag.cli import main
+from jetlag.corpus import at_path, build_entries, run_entry
 from jetlag.errors import ConfigError
 from jetlag.job import Job
+from jetlag.printer import to_text
 from jetlag.symbols import acc, aux, p, pa, pm, pq, q
+
+from conftest import count_calls_everywhere
 
 BEAM = {
     "problem": "beam",
@@ -38,6 +45,45 @@ def test_corpus_entry_derives_once_and_integrates_once(monkeypatch):
     assert run_entry(beam, seed=1)["passed"]
     assert len(energies) == 1
     assert len(runs) == 1  # beam-quartic and drift share one trajectory
+
+
+@pytest.mark.parametrize(
+    "entry_id, builders",
+    [
+        ("beam", ("ostro_momenta", "euler_lagrange", "explicit_hamiltonian")),
+        ("pure-quadratic", ("gauge_extend_second", "schmidt_hamiltonian")),
+    ],
+)
+def test_corpus_entry_reads_each_derived_form_from_one_derivation(monkeypatch, entry_id, builders):
+    calls = {name: _counting(monkeypatch, name) for name in builders}
+    (entry,) = [e for e in build_entries() if e.id == entry_id]
+    assert run_entry(entry, seed=1)["passed"]
+    assert {name: len(c) for name, c in calls.items()} == {name: 1 for name in builders}
+
+
+def test_corpus_form_paths_name_entries_of_the_derive_report(tmp_path, capsys):
+    checked = 0
+    for entry in build_entries():
+        paths = [c["path"] for c in entry.checks if c["kind"] == "form"]
+        if not paths:
+            continue
+        config = tmp_path / f"{entry.id}.json"
+        config.write_text(json.dumps(entry.job.config), encoding="utf-8")
+        assert main(["derive", "--config", str(config), "--format", "json", "--out", str(tmp_path / "out")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        for path in paths:
+            assert at_path(report, path) == to_text(at_path(entry.job.derivation, path)), (entry.id, path)
+            checked += 1
+    assert checked == 12
+
+
+def test_relatedness_compiles_the_one_form_once(monkeypatch):
+    (javelin,) = [e for e in build_entries() if e.id == "javelin"]
+    gamma = javelin.job.gamma()
+    calls = count_calls_everywhere(monkeypatch, expr.lambdify)
+    assert javelin.job.relatedness(gamma, 1e-5).passed
+    components = list(gamma.component_exprs())
+    assert [list(args[0]) for args, _ in calls].count(components) == 1
 
 
 def test_gamma_chart_follows_method_and_key():
