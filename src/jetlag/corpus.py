@@ -320,28 +320,28 @@ def build_entries():
             [
                 {
                     "name": "auto-gauge",
-                    "kind": "form",
+                    "kind": "schmidt-form",
                     "provenance": "literature",
                     "path": "gauge",
                     "expected": "-mu*a1_0*q1_1",
                 },
                 {
                     "name": "extended-lagrangian",
-                    "kind": "form",
+                    "kind": "schmidt-form",
                     "provenance": "literature",
                     "path": "extended_lagrangian",
                     "expected": "-1/2*mu*a1_0^2 - mu*a1_1*q1_1",
                 },
                 {
                     "name": "momentum-relation",
-                    "kind": "form",
+                    "kind": "schmidt-form",
                     "provenance": "literature",
                     "path": "momentum_relations.0",
                     "expected": "pa1 + mu*q1_1",
                 },
                 {
                     "name": "hamiltonian",
-                    "kind": "form",
+                    "kind": "schmidt-form",
                     "provenance": "literature",
                     "path": "hamiltonian",
                     "expected": "1/2*mu*a1_0^2 - pq1*pa1/mu",
@@ -493,6 +493,8 @@ def _base_agreement(job, check, rng):
 
 CHECKS = {
     "form": _form,
+    # the Schmidt-route forms; a kind of its own for per-kind timing
+    "schmidt-form": _form,
     "implicit-forms": _implicit_forms,
     "nondegeneracy": _nondegeneracy,
     "pullback": lambda job, check, rng: (

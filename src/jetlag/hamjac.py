@@ -116,18 +116,17 @@ class ClosedOneForm:
 
 
 def lift_trajectory(gamma: ClosedOneForm, traj: Trajectory, params=None) -> Trajectory:
-    """The trajectory with the momenta gamma(q) set at every sample: the one
-    lift of curves through a one-form.  Momentum columns traj already has
-    are overwritten; params binds the symbols of gamma's components that
-    are not columns."""
-    missing = [s for s in gamma.coordinates if s not in traj.columns]
+    """The trajectory with its momentum columns overwritten by gamma(q) at
+    every sample: the one lift of curves through a one-form.  params binds
+    the symbols of gamma's components that are not columns."""
+    missing = [s for s in gamma.coordinates + gamma.momentum_slots if s not in traj.columns]
     if missing:
-        raise ChartMismatchError(f"trajectory misses coordinates {missing}")
-    momenta = traj.evaluate(gamma.component_exprs(), params)
-    columns = tuple(traj.columns) + tuple(m for m in gamma.momentum_slots if m not in traj.columns)
-    values = np.hstack([traj.values, np.zeros((len(traj.times), len(columns) - len(traj.columns)))])
-    values[:, [columns.index(m) for m in gamma.momentum_slots]] = momenta
-    return Trajectory(list(traj.times), values, columns)
+        raise ChartMismatchError(f"trajectory misses columns {missing}")
+    values = traj.values.copy()
+    values[:, [traj.columns.index(m) for m in gamma.momentum_slots]] = traj.evaluate(
+        gamma.component_exprs(), params
+    )
+    return Trajectory(list(traj.times), values, traj.columns)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,8 @@ def sample_rows(
                 f"no valid sample in {max_attempts} attempts for symbols {symbols}"
             )
         k = min(k, max_attempts - rejected_run)
-        state = rng.bit_generator.state
+        # only a block longer than the rows still needed can overshoot
+        state = rng.bit_generator.state if k > n - accepted else None
         block = rng.uniform(lo, hi, size=(k, len(symbols)))
         ok = np.ones(k, dtype=bool)
         if check is not None:
@@ -78,7 +79,7 @@ def sample_rows(
             rejected_run += k
             k *= 2
             continue
-        if kept.size == n - accepted and kept[-1] < k - 1:
+        if state is not None and kept.size == n - accepted and kept[-1] < k - 1:
             # undraw the rows after the last needed one
             rng.bit_generator.state = state
             rng.uniform(lo, hi, size=(kept[-1] + 1, len(symbols)))

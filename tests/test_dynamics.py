@@ -15,6 +15,7 @@ from jetlag.dynamics import (
     trajectory_csv,
 )
 from jetlag.errors import (
+    ChartMismatchError,
     ConstraintViolationError,
     NonCotangentChartError,
     NumericFailureError,
@@ -241,6 +242,16 @@ def test_lift_trajectory():
     assert np.allclose(lifted.column(p(1, 0)), 0.7)
     zero = ClosedOneForm.from_potential(parse("0"), [q(1, 0)], [p(1, 0)])
     assert np.allclose(lift_trajectory(zero, traj).column(p(1, 0)), 0.0)
+    # the lift overwrites only the momentum columns, in a copy
+    square = ClosedOneForm.from_potential(parse("1/2*q1_0^2"), [q(1, 0)], [p(1, 0)])
+    lifted = lift_trajectory(square, traj)
+    assert np.array_equal(lifted.column(p(1, 0)), traj.column(q(1, 0)))
+    assert np.array_equal(lifted.column(q(1, 0)), traj.column(q(1, 0)))
+    assert np.allclose(traj.column(p(1, 0)), 0.7)
+    # a trajectory without the form's momentum column is refused
+    base = Trajectory(traj.times, traj.values[:, [traj.columns.index(q(1, 0))]], (q(1, 0),))
+    with pytest.raises(ChartMismatchError):
+        lift_trajectory(gamma, base)
 
 
 def test_trajectory_csv_format():
