@@ -35,7 +35,7 @@ from .hamjac import (
     hj_residual,
     hj_residual_nondeg,
 )
-from .job import Job
+from .job import METHODS, Job
 from .ostro import ostro_energy, top_coefficients
 from .printer import to_text
 from .sampling import make_rng
@@ -78,7 +78,13 @@ def _affine_status(spec, rng):
 
 def cmd_derive(job, args) -> tuple[int, dict]:
     report = {"command": "derive", "problem": job.problem, "method": job.method}
-    report.update(_rendered(job.derivation))
+    for key in METHODS[job.method].keys:
+        try:
+            report[key] = _rendered(job.derived(key))
+        except JetlagError as exc:  # a Hamiltonian the route cannot make
+            if key != "hamiltonian":
+                raise
+            report[key], report["hamiltonian_note"] = None, str(exc)
     status = _affine_status(job.spec, make_rng(args.seed))
     if status:
         report["affine_warning"] = status
@@ -86,7 +92,7 @@ def cmd_derive(job, args) -> tuple[int, dict]:
 
 
 def _rendered(node):
-    """A derivation as report values: expressions as text (str of an Expr is
+    """A derived entry as report values: expressions as text (str of an Expr is
     to_text), symbols by name."""
     if isinstance(node, dict):
         return {key: _rendered(value) for key, value in node.items()}
@@ -218,8 +224,8 @@ def _emit(report, args):
         lines = []
         _render_text(report, lines, "")
         text = "\n".join(lines)
-    if args.out and report.get("command") not in (None,):
-        name = report.get("problem", report.get("command", "report")).replace(" ", "-")
+    if args.out:
+        name = report.get("problem", report["command"]).replace(" ", "-")
         report_json = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
         _write(Path(args.out) / f"{name}.report.json", report_json)
     print(text)

@@ -373,16 +373,8 @@ def build_entries():
 # ---------------------------------------------------------------------------
 
 
-def at_path(node, path):
-    """The entry a dotted report path names in nested dicts and lists,
-    e.g. "momenta.p1_0" or "euler_lagrange.0"."""
-    for key in path.split("."):
-        node = node[int(key)] if isinstance(node, list) else node[key]
-    return node
-
-
 def _form(job, check, rng):
-    derived = at_path(job.derivation, check["path"])
+    derived = job.derived(check["path"])
     ok = equal_numeric(derived, parse(check["expected"]), trials=100, tol=1e-10, rng=rng)
     return ok, str(simplify(derived))
 
@@ -404,8 +396,7 @@ def _nondegeneracy(job, check, rng):
 
 
 def _derive_ok(job, check, rng):
-    derived = job.derivation
-    return True, {"states": len(derived["implicit_system"]["states"]), "residuals": len(derived["euler_lagrange"])}
+    return True, {"states": len(job.derived("implicit_system.states")), "residuals": len(job.derived("euler_lagrange"))}
 
 
 def _verdict(rep):
@@ -516,7 +507,7 @@ CHECKS = {
     "hj": _hj,
     "hj-target": _hj_target,
     "hj-canonical": lambda job, check, rng: _constancy(
-        job.derivation["hamiltonian"], job.gamma("schmidt_W_canonical"), check, rng, job.boxes
+        job.derived("hamiltonian"), job.gamma("schmidt_W_canonical"), check, rng, job.boxes
     ),
     "beam-quartic": _beam_quartic,
     "drift": lambda job, check, rng: _within(energy_drift(job.trajectory), check),

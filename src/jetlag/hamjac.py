@@ -159,14 +159,8 @@ class ResidualReport:
             ],
             "overall_sup": self.overall_sup,
             "passed": bool(self.passed),
-            "details": {
-                k: v for k, v in sorted(self.details.items()) if _jsonable(v)
-            },
+            "details": dict(sorted(self.details.items())),
         }
-
-
-def _jsonable(v):
-    return isinstance(v, (int, float, str, bool, list, tuple, dict, type(None)))
 
 
 def _record_sups(report, names, values):

@@ -2,10 +2,10 @@
 
 ``Job.from_config`` checks every field it knows and raises ``ConfigError``
 on a bad one.  What the fields build (the Lagrangian, the gauge, the energy
-family, the implicit system, the derivation ``derive`` reports, the
-trajectory) is derived on first use and kept, so a job derives each at most
-once.  Nothing kept here draws from a random generator: sampled checks take
-the caller's.
+family, the implicit system, each entry ``derive`` reports, the trajectory)
+is derived on first use and kept, so a job derives each at most once.
+Nothing kept here draws from a random generator: sampled checks take the
+caller's.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .charts import chart_tstar_aq
 from .dynamics import assemble, integrate_rk4
-from .errors import ConfigError, GaugeConditionError, IncompatibleGaugeError, JetlagError, ParseError
+from .errors import ConfigError, GaugeConditionError, IncompatibleGaugeError, ParseError
 from .expr import eval_expr
 from .hamjac import ClosedOneForm, gamma_relatedness
 from .ostro import LagrangianSpec, euler_lagrange, explicit_hamiltonian, ostro_energy, ostro_momenta
@@ -34,8 +34,16 @@ from .schmidt import (
 )
 from .symbols import Kind, symbol_from_name
 
-# method -> the derivative orders k it accepts; None: every k >= 1
-ORDERS = {"ostrogradsky": None, "schmidt2": (2, 3), "schmidt3": (3,), "schmidt2deg": (2,)}
+# a method: the derivative orders k it accepts (None: every k >= 1) and the
+# keys derive reports, in report order; DERIVED builds each key
+Method = namedtuple("Method", "orders keys")
+METHODS = {
+    "ostrogradsky": Method(None, ("energy", "momenta", "euler_lagrange", "implicit_system", "hamiltonian")),
+    "schmidt2": Method((2, 3), ("gauge", "compatibility_residuals", "extended_lagrangian", "energy",
+                                "momentum_relations", "hamiltonian", "implicit_system")),
+    "schmidt3": Method((3,), ("gauge", "extended_lagrangian", "energy", "implicit_system")),
+    "schmidt2deg": Method((2,), ("gauge", "extended_lagrangian", "energy", "implicit_system")),
+}
 
 # what a field must hold when present, and the fields it applies to;
 # fields not listed are ignored
@@ -98,6 +106,7 @@ class Job:
         self.config = config
         self.problem = config["problem"]
         self.method = config["method"]
+        self._derived = {}  # derive-report key -> its entry, built on first read
 
     @classmethod
     def from_config(cls, config) -> "Job":
@@ -111,10 +120,11 @@ class Job:
                 if key in config and not holds(config[key]):
                     raise ConfigError(f"{key} must be {kind}, got {config[key]!r}")
         method, k = config["method"], config["k"]
-        if not isinstance(method, str) or method not in ORDERS:
-            raise ConfigError(f"method must be one of {tuple(ORDERS)}")
-        if ORDERS[method] is not None and k not in ORDERS[method]:
-            raise ConfigError(f"method {method} needs k in {ORDERS[method]}, got k={k}")
+        if not isinstance(method, str) or method not in METHODS:
+            raise ConfigError(f"method must be one of {tuple(METHODS)}")
+        orders = METHODS[method].orders
+        if orders is not None and k not in orders:
+            raise ConfigError(f"method {method} needs k in {orders}, got k={k}")
         job = cls(config)
         job.boxes, job.guards, job.tolerances, job.simulation  # reading them checks them
         return job
@@ -188,7 +198,10 @@ class Job:
         """(f, g) of a Lagrangian affine in its top derivatives."""
         if "affine_f" not in self.config or "affine_g" not in self.config:
             raise ConfigError("config needs affine_f and affine_g")
-        return [parse(t) for t in self.config["affine_f"]], parse(self.config["affine_g"])
+        f = self.config["affine_f"]
+        if len(f) != self.config["n"]:
+            raise ConfigError(f"affine_f needs one coefficient per coordinate ({self.config['n']}), got {len(f)}")
+        return [parse(t) for t in f], parse(self.config["affine_g"])
 
     @cached_property
     def spec(self) -> LagrangianSpec:
@@ -226,44 +239,19 @@ class Job:
     def system(self):
         return assemble(self.family)
 
-    @cached_property
-    def derivation(self) -> dict:
-        """What derive reports of the route, by report key and in report
-        order: expressions, symbols, and lists and dicts of them.  A
-        Hamiltonian the route cannot make is None, with a note."""
-        spec = self.spec
-        if self.method == "ostrogradsky":
-            momenta = ostro_momenta(spec)
-            out = {
-                "energy": self.family.energy,
-                "momenta": {
-                    f"p{a}_{kappa}": momenta[kappa][a - 1]
-                    for kappa in range(spec.order)
-                    for a in range(1, spec.dim + 1)
-                },
-                "euler_lagrange": euler_lagrange(spec),
-                "implicit_system": None,  # its place in the report; set below
-                **_hamiltonian(explicit_hamiltonian, spec),
-            }
-        else:
-            out = {"gauge": self.gauge.expr}
-            if self.method == "schmidt2":
-                out["compatibility_residuals"] = chi_check(spec, self.gauge)
-                out["extended_lagrangian"] = gauge_extend_second(spec, self.gauge)
-                out["energy"] = self.family.energy
-                out["momentum_relations"] = [r for _, r in self.family.extra_relations]
-                out.update(_hamiltonian(schmidt_hamiltonian, spec, self.gauge))
-            else:
-                out["extended_lagrangian"] = self.extension.extended_lagrangian
-                out["energy"] = self.family.energy
-        sys = self.system
-        out["implicit_system"] = {
-            "states": list(sys.states),
-            "rhs": {str(s): sys.rhs[s] for s in sys.states},
-            "constraints": list(sys.constraints),
-            "multipliers": list(sys.multipliers),
-        }
-        return out
+    def derived(self, path: str):
+        """The derive-report entry a dotted path names ("energy",
+        "momenta.p1_0", "implicit_system.states"); the top-level entry is
+        built by its DERIVED builder on first read and kept."""
+        key, *rest = path.split(".")
+        if key not in METHODS[self.method].keys:
+            raise KeyError(f"{self.method} reports no {key!r}")
+        if key not in self._derived:
+            self._derived[key] = DERIVED[key](self)
+        node = self._derived[key]
+        for part in rest:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        return node
 
     @cached_property
     def trajectory(self):
@@ -294,6 +282,8 @@ class Job:
         if key != "gamma_components":
             return ClosedOneForm.from_potential(parse(self.config[key]), coords, slots)
         comps = [parse(t) for t in self.config[key]]
+        if len(comps) != len(coords):
+            raise ConfigError(f"gamma_components needs one component per coordinate ({len(coords)}), got {len(comps)}")
         return ClosedOneForm.from_components(comps, coords, slots, rng=rng, boxes=self.boxes, guards=self.guards)
 
     def relatedness(self, gamma: ClosedOneForm, tol: float):
@@ -312,9 +302,27 @@ class Job:
         return gamma_relatedness(self.system, gamma, traj, tol=tol, params=self.params)
 
 
-def _hamiltonian(build, *args) -> dict:
-    """{"hamiltonian": build(*args)}, or None and the reason it failed."""
-    try:
-        return {"hamiltonian": build(*args)}
-    except JetlagError as exc:
-        return {"hamiltonian": None, "hamiltonian_note": str(exc)}
+# derive-report key -> the one builder of its entry from a job: an
+# expression, a symbol, or lists and dicts of them
+DERIVED = {
+    "energy": lambda job: job.family.energy,
+    "momenta": lambda job: {  # momenta[kappa][a - 1] names p{a}_{kappa}
+        f"p{a}_{kappa}": m for kappa, row in enumerate(ostro_momenta(job.spec)) for a, m in enumerate(row, 1)
+    },
+    "euler_lagrange": lambda job: euler_lagrange(job.spec),
+    "implicit_system": lambda job: {
+        "states": list(job.system.states),
+        "rhs": {str(s): job.system.rhs[s] for s in job.system.states},  # assemble interleaves (q, p) in rhs
+        "constraints": list(job.system.constraints),
+        "multipliers": list(job.system.multipliers),
+    },
+    "hamiltonian": lambda job: (
+        explicit_hamiltonian(job.spec) if job.method == "ostrogradsky" else schmidt_hamiltonian(job.spec, job.gauge)
+    ),
+    "gauge": lambda job: job.gauge.expr,
+    "compatibility_residuals": lambda job: chi_check(job.spec, job.gauge),
+    "extended_lagrangian": lambda job: (
+        gauge_extend_second(job.spec, job.gauge) if job.method == "schmidt2" else job.extension.extended_lagrangian
+    ),
+    "momentum_relations": lambda job: [r for _, r in job.family.extra_relations],
+}

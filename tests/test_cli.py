@@ -465,6 +465,8 @@ def _with_initial(initial):
         ("derive", {**BEAM_CONFIG, "lagrangian": "q1_1*q1_2^2", "method": "schmidt2"}),
         ("derive", {**BEAM_CONFIG, "method": "schmidt2deg", "gauge_F": "q1_1*q1_0"}),
         ("derive", {**BEAM_CONFIG, "method": "schmidt2", "gauge_F": "-mu*q1_1*a1_0 + q1_0*m1_0"}),
+        ("hj-check", {**JAVELIN_HJ, "gamma_components": ["A"]}),
+        ("hj-solve-affine", {**BEAM_CONFIG, "affine_f": ["mu", "q1_0"], "affine_g": "0"}),
     ],
     ids=[
         "non-numeric-parameter",
@@ -481,6 +483,8 @@ def _with_initial(initial):
         "schmidt2-gauge-not-derivable",
         "schmidt2deg-singular-gauge-hessian",
         "schmidt2-gauge-uses-auxiliary",
+        "gamma-components-one-short",
+        "affine-f-one-too-many",
     ],
 )
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, verb, config):

@@ -5,7 +5,7 @@ import pytest
 from jetlag import expr
 from jetlag import job as job_mod
 from jetlag.cli import main
-from jetlag.corpus import at_path, build_entries, run_entry
+from jetlag.corpus import build_entries, run_entry
 from jetlag.errors import ConfigError
 from jetlag.job import Job
 from jetlag.printer import to_text
@@ -50,15 +50,20 @@ def test_corpus_entry_derives_once_and_integrates_once(monkeypatch):
 @pytest.mark.parametrize(
     "entry_id, builders",
     [
-        ("beam", ("ostro_momenta", "euler_lagrange", "explicit_hamiltonian")),
-        ("pure-quadratic", ("gauge_extend_second", "schmidt_hamiltonian")),
+        ("beam", {"ostro_momenta": 1, "euler_lagrange": 1, "explicit_hamiltonian": 1}),
+        ("pure-quadratic", {"gauge_extend_second": 1, "schmidt_hamiltonian": 1, "chi_check": 0}),
+        # derive-ok reads the implicit system and the residuals only
+        ("chiral-oscillator", {"euler_lagrange": 1, "ostro_momenta": 0, "explicit_hamiltonian": 0}),
+        ("clement", {"euler_lagrange": 1, "ostro_momenta": 0, "explicit_hamiltonian": 0}),
+        ("javelin", {"ostro_momenta": 0}),
     ],
 )
 def test_corpus_entry_reads_each_derived_form_from_one_derivation(monkeypatch, entry_id, builders):
+    """Each derive-report entry a check reads is built once; one nothing reads is never built."""
     calls = {name: _counting(monkeypatch, name) for name in builders}
     (entry,) = [e for e in build_entries() if e.id == entry_id]
     assert run_entry(entry, seed=1)["passed"]
-    assert {name: len(c) for name, c in calls.items()} == {name: 1 for name in builders}
+    assert {name: len(c) for name, c in calls.items()} == builders
 
 
 def test_corpus_form_paths_name_entries_of_the_derive_report(tmp_path, capsys):
@@ -72,7 +77,10 @@ def test_corpus_form_paths_name_entries_of_the_derive_report(tmp_path, capsys):
         assert main(["derive", "--config", str(config), "--format", "json", "--out", str(tmp_path / "out")]) == 0
         report = json.loads(capsys.readouterr().out)
         for path in paths:
-            assert at_path(report, path) == to_text(at_path(entry.job.derivation, path)), (entry.id, path)
+            node = report
+            for key in path.split("."):
+                node = node[int(key)] if isinstance(node, list) else node[key]
+            assert node == to_text(entry.job.derived(path)), (entry.id, path)
             checked += 1
     assert checked == 12
 
