@@ -19,7 +19,16 @@ import numpy as np
 from .errors import DomainEvalError, NumericFailureError, UnboundSymbolError
 from .symbols import Symbol
 
-_RATIONAL = (int, Fraction)
+# the Fractions of small integers, built once and shared; few, since each
+# costs import time and the pipelines pass Fractions, not ints
+_SMALL = {i: Fraction(i) for i in range(-16, 17)}
+_F0 = _SMALL[0]
+_F1 = _SMALL[1]
+
+
+def _int_fraction(n: int) -> Fraction:
+    f = _SMALL.get(n)
+    return Fraction(n) if f is None else f
 
 
 def _as_coeff(value):
@@ -27,7 +36,7 @@ def _as_coeff(value):
     if isinstance(value, bool):
         raise TypeError("bool is not a coefficient")
     if isinstance(value, int):
-        return Fraction(value)
+        return _int_fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -36,14 +45,38 @@ def _as_coeff(value):
 
 
 class Expr:
-    """Base node; immutable, hashable, compared structurally."""
+    """Base node; immutable, hashable, compared structurally.
 
-    __slots__ = ("key", "free", "_hash")
+    Two write-once caches ride along: _canon is set once simplify has
+    returned the node, and _text holds repr(key) once _sort_text has built
+    it.  Each only ever receives the one value it can hold, so a node stays
+    safe to share across threads.
+    """
 
-    def _finish(self, key, free):
+    __slots__ = ("key", "free", "_hash", "_canon", "_text")
+
+    def _finish(self, key, free, shallow):
+        """shallow is key with each child's key replaced by the child's hash:
+        hashing it costs the node's arity, not its subtree's size, and equal
+        keys still give equal hashes."""
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "free", free)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_hash", hash(shallow))
+        object.__setattr__(self, "_canon", False)
+        object.__setattr__(self, "_text", None)
+
+    def _sort_text(self) -> str:
+        """repr(self.key), built from the children's texts and kept: the
+        canonical order sorts by it.  ValueError for an integer too long to
+        print."""
+        text = self._text
+        if text is None:
+            text = self._build_text()
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def _build_text(self) -> str:
+        return repr(self.key)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
@@ -106,15 +139,11 @@ class Const(Expr):
             key = ("c", "r", value.numerator, value.denominator)
         else:
             key = ("c", "f", repr(value))
-        self._finish(key, frozenset())
+        self._finish(key, frozenset(), key)
 
     @property
     def is_zero(self):
         return self.value == 0
-
-    @property
-    def is_one(self):
-        return self.value == 1
 
 
 class Sym(Expr):
@@ -123,7 +152,14 @@ class Sym(Expr):
     def __init__(self, symbol: Symbol):
         object.__setattr__(self, "symbol", symbol)
         key = ("s", symbol.kind.value, symbol.component, symbol.level, symbol.name)
-        self._finish(key, frozenset((symbol,)))
+        self._finish(key, frozenset((symbol,)), key)
+
+
+def _flat_parts(op, children):
+    """_finish's key, free symbols and shallow key of a sum or product."""
+    key = (op, *[c.key for c in children])
+    free = frozenset().union(*[c.free for c in children])
+    return key, free, (op, *[c._hash for c in children])
 
 
 class Sum(Expr):
@@ -132,9 +168,10 @@ class Sum(Expr):
     def __init__(self, terms):
         terms = tuple(terms)
         object.__setattr__(self, "terms", terms)
-        key = ("+",) + tuple(t.key for t in terms)
-        free = frozenset().union(*(t.free for t in terms)) if terms else frozenset()
-        self._finish(key, free)
+        self._finish(*_flat_parts("+", terms))
+
+    def _build_text(self):
+        return _tuple_text(["'+'"] + [t._sort_text() for t in self.terms])
 
 
 class Prod(Expr):
@@ -143,22 +180,28 @@ class Prod(Expr):
     def __init__(self, factors):
         factors = tuple(factors)
         object.__setattr__(self, "factors", factors)
-        key = ("*",) + tuple(f.key for f in factors)
-        free = frozenset().union(*(f.free for f in factors)) if factors else frozenset()
-        self._finish(key, free)
+        self._finish(*_flat_parts("*", factors))
+
+    def _build_text(self):
+        return _tuple_text(["'*'"] + [f._sort_text() for f in self.factors])
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: Fraction):
-        if not isinstance(exponent, _RATIONAL):
-            raise TypeError("exponent must be rational")
-        exponent = Fraction(exponent)
+        if not isinstance(exponent, Fraction):
+            if not isinstance(exponent, int):
+                raise TypeError("exponent must be rational")
+            exponent = _int_fraction(exponent)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
-        key = ("^", base.key, exponent.numerator, exponent.denominator)
-        self._finish(key, base.free)
+        num, den = exponent.numerator, exponent.denominator
+        self._finish(("^", base.key, num, den), base.free, ("^", base._hash, num, den))
+
+    def _build_text(self):
+        _, _, num, den = self.key
+        return f"('^', {self.base._sort_text()}, {num!r}, {den!r})"
 
 
 class Func(Expr):
@@ -172,7 +215,17 @@ class Func(Expr):
         object.__setattr__(self, "fname", fname)
         object.__setattr__(self, "arg", arg)
         key = ("f", fname, arg.key)
-        self._finish(key, arg.free)
+        self._finish(key, arg.free, ("f", fname, arg._hash))
+
+    def _build_text(self):
+        return f"('f', {self.fname!r}, {self.arg._sort_text()})"
+
+
+def _tuple_text(items) -> str:
+    """repr of a tuple whose items print as the given texts."""
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return "(" + ", ".join(items) + ")"
 
 
 ZERO = Const(0)
@@ -200,7 +253,7 @@ def const(value) -> Expr:
 def add(*terms) -> Expr:
     """Flat sum with constant folding; no like-term collection here."""
     flat = []
-    acc = Fraction(0)
+    acc = _F0
     acc_float = None
     for t in terms:
         t = coerce(t)
@@ -216,7 +269,7 @@ def add(*terms) -> Expr:
                     acc_float = item.value if acc_float is None else acc_float + item.value
             else:
                 flat.append(item)
-    total = float(acc) + acc_float if acc_float is not None else acc
+    total = _mixed_add(acc, acc_float) if acc_float is not None else acc
     if total != 0:
         flat.append(Const(total))
     if not flat:
@@ -229,7 +282,7 @@ def add(*terms) -> Expr:
 def mul(*factors) -> Expr:
     """Flat product with constant folding; zero annihilates."""
     flat = []
-    acc = Fraction(1)
+    acc = _F1
     acc_float = None
     for f in factors:
         f = coerce(f)
@@ -240,19 +293,16 @@ def mul(*factors) -> Expr:
         for item in items:
             if isinstance(item, Const):
                 if isinstance(item.value, Fraction):
-                    acc *= item.value
+                    acc = _coeff_mul(acc, item.value)
                 else:
                     acc_float = item.value if acc_float is None else acc_float * item.value
             else:
                 flat.append(item)
-    if acc_float is not None:
-        coeff = Const(float(acc) * acc_float)
-    else:
-        coeff = Const(acc)
-    if coeff.is_zero:
+    coeff = _mixed_mul(acc, acc_float) if acc_float is not None else acc
+    if coeff == 0:
         return ZERO
-    if not coeff.is_one:
-        flat.insert(0, coeff)
+    if coeff != 1:
+        flat.insert(0, Const(coeff))
     if not flat:
         return ONE
     if len(flat) == 1:
@@ -272,7 +322,8 @@ def pow_(base, exponent) -> Expr:
             exponent = exponent.value
         else:
             raise TypeError("exponent must be a rational constant")
-    exponent = Fraction(exponent)
+    if not isinstance(exponent, Fraction):
+        exponent = _int_fraction(exponent) if isinstance(exponent, int) else Fraction(exponent)
     if exponent == 0:
         return ONE
     if exponent == 1:
@@ -326,6 +377,8 @@ def _exact_root(n: int, d: int):
         return None
     if n < 2:
         return n
+    if d >= n.bit_length():  # 2^d > n: no integer above 1 is a root
+        return None
     r = 1 << -(-n.bit_length() // d)  # 2^ceil(bits/d) > n^(1/d)
     while True:
         s = ((d - 1) * r + n // r ** (d - 1)) // d
@@ -483,8 +536,8 @@ def _term_split(t: Expr):
     if isinstance(t, Prod):
         if isinstance(t.factors[0], Const):
             return t.factors[0].value, t.factors[1:]
-        return Fraction(1), t.factors
-    return Fraction(1), (t,)
+        return _F1, t.factors
+    return _F1, (t,)
 
 
 def _rebuild_term(coeff, factors):
@@ -500,10 +553,16 @@ def _rebuild_term(coeff, factors):
     return Prod(parts)
 
 
-def _canonical_order(keys) -> list:
-    """Node keys sorted by their text: the order of terms and factors."""
+def _factors_text(factors) -> str:
+    """repr of the tuple of the factors' keys."""
+    return _tuple_text([f._sort_text() for f in factors])
+
+
+def _canonical_order(items, text) -> list:
+    """Items sorted by text(item), the repr of their keys: the order of terms
+    and factors."""
     try:
-        return sorted(keys, key=repr)
+        return sorted(items, key=text)
     except ValueError as exc:  # an integer past the interpreter's limit on digits as text
         raise NumericFailureError("an exact constant is too long to order terms by") from exc
 
@@ -512,15 +571,29 @@ def simplify(e: Expr) -> Expr:
     """Canonical form: folding, flattening, like-term collection, sorted order.
 
     Best effort, not a decision procedure; idempotent and eval-equivalent to
-    the input wherever both are defined.
+    the input wherever both are defined.  Each result is marked canonical,
+    and a marked input is returned as it is.
     """
+    try:
+        if e._canon:
+            return e
+    except AttributeError:
+        raise TypeError(f"not an Expr: {e!r}") from None
+    out = _simplify(e)
+    object.__setattr__(out, "_canon", True)
+    return out
+
+
+def _simplify(e: Expr) -> Expr:
     if isinstance(e, (Const, Sym)):
         return e
     if isinstance(e, Sum):
-        bucket = {}
-        const_frac = Fraction(0)
+        bucket = {}  # tuple of factors -> coefficient
+        const_frac = _F0
         const_float = None
-        queue = [simplify(t) for t in e.terms]
+        # map, not a list comprehension: no frame of its own on the stack,
+        # whose depth the parser's nesting bound is set against
+        queue = list(map(simplify, e.terms))
         for t in queue:
             for item in t.terms if isinstance(t, Sum) else (t,):
                 coeff, factors = _term_split(item)
@@ -530,19 +603,16 @@ def simplify(e: Expr) -> Expr:
                     else:
                         const_float = coeff if const_float is None else const_float + coeff
                     continue
-                k = tuple(f.key for f in factors)
-                if k in bucket:
-                    old_coeff, _ = bucket[k]
-                    coeff = _coeff_add(old_coeff, coeff)
-                bucket[k] = (coeff, factors)
+                old = bucket.get(factors)
+                bucket[factors] = coeff if old is None else _coeff_add(old, coeff)
         terms = []
-        for k in _canonical_order(bucket):
-            coeff, factors = bucket[k]
+        for factors in _canonical_order(bucket, _factors_text):
+            coeff = bucket[factors]
             if coeff == 0:
                 continue
             terms.append(_rebuild_term(coeff, factors))
         if const_float is not None:
-            c = float(const_frac) + const_float
+            c = _mixed_add(const_frac, const_float)
             if c != 0.0:
                 terms.append(Const(c))
         elif const_frac != 0:
@@ -553,10 +623,10 @@ def simplify(e: Expr) -> Expr:
             return terms[0]
         return Sum(tuple(terms))
     if isinstance(e, Prod):
-        coeff = Fraction(1)
+        coeff = _F1
         coeff_float = None
-        powers = {}
-        queue = [simplify(f) for f in e.factors]
+        powers = {}  # base -> exponent
+        queue = list(map(simplify, e.factors))
         while queue:
             f = queue.pop(0)
             if isinstance(f, Prod):
@@ -564,45 +634,40 @@ def simplify(e: Expr) -> Expr:
                 continue
             if isinstance(f, Const):
                 if isinstance(f.value, Fraction):
-                    coeff *= f.value
+                    coeff = _coeff_mul(coeff, f.value)
                 else:
                     coeff_float = f.value if coeff_float is None else coeff_float * f.value
                 continue
             if isinstance(f, Pow):
                 base, exp = f.base, f.exponent
             else:
-                base, exp = f, Fraction(1)
-            k = base.key
-            if k in powers:
-                old_base, old_exp = powers[k]
-                powers[k] = (old_base, old_exp + exp)
-            else:
-                powers[k] = (base, exp)
+                base, exp = f, _F1
+            old = powers.get(base)
+            powers[base] = exp if old is None else old + exp
         if coeff == 0 or (coeff_float is not None and coeff_float == 0.0):
             return ZERO
         # distribute a bare constant over a single sum so that -(a+b) and
         # c*(a+b) participate in like-term collection
         if len(powers) == 1:
-            (_, (base, exp)), = powers.items()
+            ((base, exp),) = powers.items()
             if isinstance(base, Sum) and exp == 1:
-                c = float(coeff) * coeff_float if coeff_float is not None else coeff
+                c = _mixed_mul(coeff, coeff_float) if coeff_float is not None else coeff
                 if c != 1:
                     return simplify(add(*(mul(Const(c), t) for t in base.terms)))
                 return base
         factors = []
-        for k in _canonical_order(powers):
-            base, exp = powers[k]
-            piece = pow_(base, exp)
+        for base in _canonical_order(powers, Expr._sort_text):
+            piece = pow_(base, powers[base])
             if isinstance(piece, Const):
                 if isinstance(piece.value, Fraction):
-                    coeff *= piece.value
+                    coeff = _coeff_mul(coeff, piece.value)
                 else:
                     coeff_float = (
                         piece.value if coeff_float is None else coeff_float * piece.value
                     )
             else:
                 factors.append(piece)
-        total = float(coeff) * coeff_float if coeff_float is not None else coeff
+        total = _mixed_mul(coeff, coeff_float) if coeff_float is not None else coeff
         return _rebuild_term(total, tuple(factors))
     if isinstance(e, Pow):
         base = simplify(e.base)
@@ -620,7 +685,33 @@ def simplify(e: Expr) -> Expr:
 def _coeff_add(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
-    return float(a) + float(b)
+    return _mixed_add(a, b)
+
+
+# a float among the coefficients makes their sum or product a float; an
+# exact one too large for a float, or a result past the float range, is a
+# numeric failure rather than a constant that prints as inf or nan
+def _mixed_add(a, b) -> float:
+    return _finite(_const_float(a) + _const_float(b))
+
+
+def _mixed_mul(a, b) -> float:
+    return _finite(_const_float(a) * _const_float(b))
+
+
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise NumericFailureError(f"constant arithmetic gives {x}")
+    return x
+
+
+def _coeff_mul(a: Fraction, b: Fraction) -> Fraction:
+    """a * b, with no Fraction arithmetic when either is the shared one: 1*x is x."""
+    if a is _F1:
+        return b
+    if b is _F1:
+        return a
+    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +741,7 @@ def _tape(exprs, symbols):
     slots = {}
 
     def emit(node):
-        slot = slots.get(node.key)
+        slot = slots.get(node)
         if slot is not None:
             return slot
         if isinstance(node, Const):
@@ -667,9 +758,9 @@ def _tape(exprs, symbols):
             step = (node.fname, emit(node.arg), None)
         else:
             raise TypeError(f"not an Expr: {node!r}")
-        slots[node.key] = len(steps)
+        slots[node] = len(steps)
         steps.append(step)
-        return slots[node.key]
+        return slots[node]
 
     for e in exprs:
         steps.append(("out", emit(e), None))

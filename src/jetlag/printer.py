@@ -105,7 +105,11 @@ def _render_prod(e: Prod):
                 v = -v
             coeff = v if coeff is None else coeff * v
         elif isinstance(f, Pow) and f.exponent < 0:
-            denominator.append(pow_(f.base, -f.exponent))
+            inverse = pow_(f.base, -f.exponent)
+            if isinstance(inverse, Const) and f.exponent != -1:
+                numerator.append(f)  # 0^(-2): as 1/0^2 it would parse back as 1/0
+            else:
+                denominator.append(inverse)
         else:
             numerator.append(f)
     parts = []

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetlag.expr import add, const, func, mul, pow_, sym
+from jetlag.expr import Func, Pow, Prod, Sum, add, const, func, mul, pow_, sym
 from jetlag.symbols import param, q
 
 
@@ -35,6 +35,23 @@ def random_tree(rng, depth=6, pool=SYMBOL_POOL, allow_funcs=True):
         name = ("sin", "cos", "exp")[rng.integers(0, 3)]
         return func(name, random_tree(rng, depth - 2, pool, allow_funcs))
     return pow_(random_tree(rng, depth - 1, pool, allow_funcs), 2)
+
+
+def nodes(e):
+    """Every node of e, e first, children after their parent."""
+    yield e
+    if isinstance(e, Sum):
+        children = e.terms
+    elif isinstance(e, Prod):
+        children = e.factors
+    elif isinstance(e, Pow):
+        children = (e.base,)
+    elif isinstance(e, Func):
+        children = (e.arg,)
+    else:
+        children = ()
+    for child in children:
+        yield from nodes(child)
 
 
 def random_polynomial(rng, symbols, degree=3, terms=6, scale=1.0):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import SYMBOL_POOL, random_tree
+from conftest import SYMBOL_POOL, nodes, random_tree
 from jetlag.calculus import diff, time_derivative
 from jetlag.expr import simplify
 from jetlag.printer import to_text
@@ -36,6 +36,16 @@ def test_canonical_forms_are_byte_identical_to_the_recorded_ones():
     assert [r[0] for r in recorded] == list(SEEDS)
     for r in recorded:
         assert forms(r[0]) == r, f"seed {r[0]}"
+
+
+def test_sort_text_is_the_text_of_the_key():
+    # the canonical order sorts by each node's cached text, which must stay
+    # the repr of its key for the order above not to move
+    for seed in SEEDS:
+        t = random_tree(np.random.default_rng(seed))
+        for e in (t, simplify(t), diff(t, SYMBOL_POOL[seed % 7])):
+            for node in nodes(e):
+                assert node._sort_text() == repr(node.key), f"seed {seed}"
 
 
 if __name__ == "__main__":

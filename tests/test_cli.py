@@ -501,6 +501,8 @@ def test_malformed_config_value_is_usage_error(tmp_path, capsys, verb, config):
         ("derive", "10^10^10*q1_2^2"),  # folding it exactly would not end
         ("derive", "2^14000*2^14000*q1_2^2"),  # 8429 digits: past the int-to-text limit
         ("simulate", "2^14000*2^14000*q1_2^2"),
+        ("derive", "2^(1/2^40)*q1_2^2"),  # a root search from 2^(2^40) ran out of memory
+        ("derive", "2^1100*sin(1)*q1_2^2"),  # 2^1100 met a float: OverflowError
     ],
 )
 def test_huge_constants_end_with_a_contract_exit_code(tmp_path, verb, lagrangian):

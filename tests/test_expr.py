@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 from functools import partial
 
@@ -36,7 +38,7 @@ from jetlag.parser import parse
 from jetlag.sampling import DEFAULT_BOX, equal_numeric, sample_binding, sample_bindings, sample_rows
 from jetlag.symbols import q
 
-from conftest import SYMBOL_POOL, count_calls_everywhere, random_tree
+from conftest import SYMBOL_POOL, count_calls_everywhere, nodes, random_tree
 
 
 def test_simplify_collects_like_terms():
@@ -57,12 +59,68 @@ def test_simplify_power_merge():
     assert simplify(parse("q1_0^3/q1_0")) == simplify(parse("q1_0^2"))
 
 
+def _unmarked_copy(e):
+    """e rebuilt with the node constructors, so no node of it is marked canonical."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Sym):
+        return Sym(e.symbol)
+    if isinstance(e, Sum):
+        return Sum(_unmarked_copy(t) for t in e.terms)
+    if isinstance(e, Prod):
+        return Prod(_unmarked_copy(f) for f in e.factors)
+    if isinstance(e, Pow):
+        return Pow(_unmarked_copy(e.base), e.exponent)
+    return Func(e.fname, _unmarked_copy(e.arg))
+
+
 def test_simplify_idempotent_and_eval_equivalent(rng):
     for _ in range(40):
         e = random_tree(rng, depth=8)
         s = simplify(e)
-        assert simplify(s) == s
+        # simplify returns a marked node as it is, so idempotence is checked
+        # on a copy that simplify has to work through again
+        copy = _unmarked_copy(s)
+        assert not copy._canon
+        assert simplify(copy).key == s.key
         assert equal_numeric(e, s, trials=100, tol=1e-12, rng=np.random.default_rng(3))
+
+
+def test_simplify_returns_a_marked_node_itself(rng):
+    for _ in range(40):
+        s = simplify(random_tree(rng, depth=8))
+        assert s._canon
+        assert simplify(s) is s
+
+
+def test_node_caches_agree_across_threads():
+    # the canonical mark and the sort text are written by whichever thread
+    # gets there first; every thread must still see the same results
+    trees = [random_tree(np.random.default_rng(seed), depth=7) for seed in range(30)]
+    expected = [simplify(_unmarked_copy(t)).key for t in trees]
+    results, errors = [], []
+
+    def work():
+        try:
+            out = [simplify(t) for t in trees]
+            assert all(n._sort_text() == repr(n.key) for s in out for n in nodes(s))
+            results.append([s.key for s in out])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [expected] * 8
 
 
 def test_eval_unbound_symbol_is_error():
@@ -234,6 +292,9 @@ def test_exact_root_of_a_constant_beyond_float_range():
     assert isinstance(pow_(const(10**400 + 1), Fraction(1, 2)), Pow)
     assert pow_(const(0), Fraction(1, 2)) == const(0)
     assert pow_(const(1), Fraction(1, 5)) == const(1)
+    # a root of degree past the bit length of the radicand is not searched
+    # for: the search would start from 2^(2^40)
+    assert isinstance(pow_(const(2), Fraction(1, 2**40)), Pow)
 
 
 def test_constant_beyond_float_range_is_numeric_failure():
@@ -245,6 +306,14 @@ def test_constant_beyond_float_range_is_numeric_failure():
         lambdify([e], [q(1, 0)])
     with pytest.raises(NumericFailureError):
         compile_rows([e], [q(1, 0)])
+
+
+def test_constant_arithmetic_past_the_float_range_is_numeric_failure():
+    # an exact constant too large for a float meets a float one, or float
+    # constants multiply past the range: no constant prints as inf or nan
+    for text in ("2^1100 + sin(1)", "2^14000*sin(1)*q1_0", "exp(300)*exp(300)*exp(300)*q1_0"):
+        with pytest.raises(NumericFailureError):
+            simplify(parse(text))
 
 
 def test_simplify_of_a_constant_too_long_for_text_is_numeric_failure():
@@ -285,22 +354,6 @@ def test_compile_rows_shares_subexpressions_and_broadcasts_constants():
     assert bad.tolist() == [False, False]
     with pytest.raises(UnboundSymbolError):
         compile_rows([parse("q1_0 + mu")], [q(1, 0)])
-
-
-def _subtrees(e):
-    yield e
-    if isinstance(e, Sum):
-        children = e.terms
-    elif isinstance(e, Prod):
-        children = e.factors
-    elif isinstance(e, Pow):
-        children = (e.base,)
-    elif isinstance(e, Func):
-        children = (e.arg,)
-    else:
-        children = ()
-    for child in children:
-        yield from _subtrees(child)
 
 
 def _magnitude(e, binding):
@@ -349,14 +402,14 @@ def test_compile_rows_agrees_with_eval_expr(seed):
                 scalar(row)
         else:
             assert [x.hex() for x in scalar(row)] == [x.hex() for x in reference]
-        subtrees = [list(_subtrees(e)) for e in exprs]
+        subtrees = [list(nodes(e)) for e in exprs]
         # numpy's power and exp may differ from the math module's by an ulp;
         # past 1e6 that ulp moves sin/cos by more than 1e-10 and can flip a
         # sign a domain check depends on, so such rows are not comparable
         if any(
             isinstance(n, Func) and n.fname in ("sin", "cos") and 1e6 < _magnitude(n.arg, binding) < math.inf
-            for nodes in subtrees
-            for n in nodes
+            for subtree in subtrees
+            for n in subtree
         ):
             continue
         try:
@@ -365,9 +418,9 @@ def test_compile_rows_agrees_with_eval_expr(seed):
             assert bad[i]
             continue
         assert not bad[i]
-        for v, x, nodes in zip(values, expected, subtrees):
+        for v, x, subtree in zip(values, expected, subtrees):
             # rounding errors scale with the largest intermediate value
-            scale = max(_magnitude(n, binding) for n in nodes)
+            scale = max(_magnitude(n, binding) for n in subtree)
             assert abs(v[i] - x) <= 1e-12 * scale
 
 

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jetlag
 from jetlag.calculus import diff
 from jetlag.errors import ParseError, UnknownIdentifierError
 from jetlag.expr import Const, Pow, Prod, compile_rows, eval_expr, lambdify, simplify, substitute, sym
@@ -99,6 +104,46 @@ def test_nesting_depth_is_bounded():
         assert lambdify([d], symbols)(rows[0].tolist()) == [eval_expr(d, binding)]
 
 
+# the seconds that parse, simplify, diff, to_text and both compilers take on
+# sin(...)^3*q1_1 + q1_0 wrapped around itself argv[1] times: one parse level
+# and four tree levels per wrap
+_TIME_NESTED = """
+import sys, time
+import numpy as np
+from jetlag.calculus import diff
+from jetlag.expr import compile_rows, lambdify, simplify
+from jetlag.parser import parse
+from jetlag.printer import to_text
+from jetlag.symbols import q
+
+text = "q1_0"
+for _ in range(int(sys.argv[1])):
+    text = f"sin({text})^3*q1_1 + q1_0"
+start = time.perf_counter()
+d = diff(simplify(parse(text)), q(1, 0))
+to_text(d)
+symbols = sorted(d.free)
+lambdify([d], symbols)(np.full(len(symbols), 0.25).tolist())
+compile_rows([d], symbols)(np.full((2, len(symbols)), 0.25))
+print(time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize("wraps", [49, 99])
+def test_deep_nesting_runs_within_its_time_budget(wraps):
+    # 99 wraps took 15 s while each node's key was hashed and ordered as a
+    # whole subtree at every level above it
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIME_NESTED, str(wraps)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jetlag.__file__).resolve().parent.parent)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 2.0
+
+
 def test_syntax_error_offsets():
     with pytest.raises(ParseError) as err:
         parse("q1_0 + ")
@@ -122,6 +167,13 @@ def test_whitespace_insignificant():
     a = parse("  q1_0+ 2 *mu ")
     b = parse("q1_0+2*mu")
     assert a == b
+
+
+def test_zero_to_a_negative_power_prints_back():
+    # 1/0^2 would parse back as 1/0, since 0^2 folds to 0
+    for text in ("-(0^(-2))", "3*0^(-3/2)*q1_0", "q1_0/0"):
+        s = simplify(parse(text))
+        assert simplify(parse(to_text(s))) == s
 
 
 def test_round_trip_eval_equal(rng):
