@@ -19,16 +19,10 @@ import numpy as np
 from .errors import DomainEvalError, NumericFailureError, UnboundSymbolError
 from .symbols import Symbol
 
-# the Fractions of small integers, built once and shared; few, since each
-# costs import time and the pipelines pass Fractions, not ints
-_SMALL = {i: Fraction(i) for i in range(-16, 17)}
-_F0 = _SMALL[0]
-_F1 = _SMALL[1]
-
-
-def _int_fraction(n: int) -> Fraction:
-    f = _SMALL.get(n)
-    return Fraction(n) if f is None else f
+# zero and one, built once: the accumulators start from them, and a
+# coefficient that is the shared one is skipped rather than multiplied
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def _as_coeff(value):
@@ -36,7 +30,7 @@ def _as_coeff(value):
     if isinstance(value, bool):
         raise TypeError("bool is not a coefficient")
     if isinstance(value, int):
-        return _int_fraction(value)
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -193,7 +187,7 @@ class Pow(Expr):
         if not isinstance(exponent, Fraction):
             if not isinstance(exponent, int):
                 raise TypeError("exponent must be rational")
-            exponent = _int_fraction(exponent)
+            exponent = Fraction(exponent)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
         num, den = exponent.numerator, exponent.denominator
@@ -323,7 +317,7 @@ def pow_(base, exponent) -> Expr:
         else:
             raise TypeError("exponent must be a rational constant")
     if not isinstance(exponent, Fraction):
-        exponent = _int_fraction(exponent) if isinstance(exponent, int) else Fraction(exponent)
+        exponent = Fraction(exponent)
     if exponent == 0:
         return ONE
     if exponent == 1:
@@ -646,18 +640,10 @@ def _simplify(e: Expr) -> Expr:
             powers[base] = exp if old is None else old + exp
         if coeff == 0 or (coeff_float is not None and coeff_float == 0.0):
             return ZERO
-        # distribute a bare constant over a single sum so that -(a+b) and
-        # c*(a+b) participate in like-term collection
-        if len(powers) == 1:
-            ((base, exp),) = powers.items()
-            if isinstance(base, Sum) and exp == 1:
-                c = _mixed_mul(coeff, coeff_float) if coeff_float is not None else coeff
-                if c != 1:
-                    return simplify(add(*(mul(Const(c), t) for t in base.terms)))
-                return base
         factors = []
+        settled = True
         for base in _canonical_order(powers, Expr._sort_text):
-            piece = pow_(base, powers[base])
+            piece = _power(base, powers[base])
             if isinstance(piece, Const):
                 if isinstance(piece.value, Fraction):
                     coeff = _coeff_mul(coeff, piece.value)
@@ -665,21 +651,36 @@ def _simplify(e: Expr) -> Expr:
                     coeff_float = (
                         piece.value if coeff_float is None else coeff_float * piece.value
                     )
-            else:
-                factors.append(piece)
+                continue
+            # a merged power can come out as a product, or as a power of
+            # another base (sqrt(x^2)^2 is x^2), which may merge with the
+            # other factors: one more pass collects them
+            if isinstance(piece, Prod) or (piece.base if isinstance(piece, Pow) else piece) is not base:
+                settled = False
+            factors.append(piece)
         total = _mixed_mul(coeff, coeff_float) if coeff_float is not None else coeff
+        if not settled:
+            return simplify(mul(Const(total), *factors))
+        # distribute a bare constant over a single sum so that -(a+b) and
+        # c*(a+b) participate in like-term collection
+        if len(factors) == 1 and isinstance(factors[0], Sum) and total != 1:
+            return simplify(add(*(mul(Const(total), t) for t in factors[0].terms)))
         return _rebuild_term(total, tuple(factors))
     if isinstance(e, Pow):
-        base = simplify(e.base)
-        exp = e.exponent
-        if isinstance(base, Pow) and exp.denominator == 1:
-            return simplify(pow_(base.base, base.exponent * exp))
-        if isinstance(base, Prod) and exp.denominator == 1:
-            return simplify(mul(*(pow_(f, exp) for f in base.factors)))
-        return pow_(base, exp)
+        return _power(simplify(e.base), e.exponent)
     if isinstance(e, Func):
         return func(e.fname, simplify(e.arg))
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def _power(base: Expr, exp: Fraction) -> Expr:
+    """The canonical form of base^exp for a canonical base."""
+    if exp.denominator == 1:
+        if isinstance(base, Pow):
+            return simplify(pow_(base.base, base.exponent * exp))
+        if isinstance(base, Prod):
+            return simplify(mul(*(pow_(f, exp) for f in base.factors)))
+    return pow_(base, exp)
 
 
 def _coeff_add(a, b):

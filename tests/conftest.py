@@ -37,6 +37,17 @@ def random_tree(rng, depth=6, pool=SYMBOL_POOL, allow_funcs=True):
     return pow_(random_tree(rng, depth - 1, pool, allow_funcs), 2)
 
 
+# products whose merged powers come out as a constant, a product or a power
+# of another base, so the factors must be collected once more
+MERGED_POWERS = {
+    "sqrt(2)*sqrt(2)*(q1_0 + q1_1) - 2*q1_0": "2*q1_1",
+    "sqrt(q1_0*q1_1)*sqrt(q1_0*q1_1)*q1_0": "q1_0^2*q1_1",
+    "sqrt(q1_0^2)*sqrt(q1_0^2)*q1_0": "q1_0^3",
+    "sqrt(q1_0^2)*sqrt(q1_0^2)*sqrt(q1_0^2)*sqrt(q1_0^2)": "q1_0^4",
+    "sqrt((q1_0 + q1_1)^2)*sqrt((q1_0 + q1_1)^2)*3": "3*(q1_0 + q1_1)^2",
+}
+
+
 def nodes(e):
     """Every node of e, e first, children after their parent."""
     yield e

@@ -35,10 +35,11 @@ from jetlag.expr import (
     substitute,
 )
 from jetlag.parser import parse
+from jetlag.printer import to_text
 from jetlag.sampling import DEFAULT_BOX, equal_numeric, sample_binding, sample_bindings, sample_rows
 from jetlag.symbols import q
 
-from conftest import SYMBOL_POOL, count_calls_everywhere, nodes, random_tree
+from conftest import MERGED_POWERS, SYMBOL_POOL, count_calls_everywhere, nodes, random_tree
 
 
 def test_simplify_collects_like_terms():
@@ -75,8 +76,11 @@ def _unmarked_copy(e):
 
 
 def test_simplify_idempotent_and_eval_equivalent(rng):
-    for _ in range(40):
-        e = random_tree(rng, depth=8)
+    trees = [random_tree(rng, depth=8) for _ in range(40)]
+    for text in MERGED_POWERS:
+        # under sin, the operand is already simplified and marked
+        trees += [parse(text), func("sin", simplify(parse(text)))]
+    for e in trees:
         s = simplify(e)
         # simplify returns a marked node as it is, so idempotence is checked
         # on a copy that simplify has to work through again
@@ -84,6 +88,11 @@ def test_simplify_idempotent_and_eval_equivalent(rng):
         assert not copy._canon
         assert simplify(copy).key == s.key
         assert equal_numeric(e, s, trials=100, tol=1e-12, rng=np.random.default_rng(3))
+
+
+def test_merged_powers_are_collected():
+    for text, expected in MERGED_POWERS.items():
+        assert to_text(simplify(parse(text))) == expected
 
 
 def test_simplify_returns_a_marked_node_itself(rng):

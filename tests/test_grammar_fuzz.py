@@ -2,8 +2,9 @@
 
 The strategy writes text over the symbol grammar with + - * / ^, unary
 signs, parentheses and sin cos exp ln sqrt.  Each example must end within
-BUDGET_S seconds, either in a toolkit error (the CLI's exit codes 2-4) or in
-a canonical form s whose printed text parses and simplifies back to s.
+BUDGET_S seconds, either in a toolkit error (the CLI's exit codes 2-4) from
+parse, simplify or diff, or in a canonical form s whose printed text parses
+and simplifies back to s without error.
 
 The grammar's number literals are exact, so a float constant (sin(1)) prints
 as its shortest decimal and parses back as that decimal's exact rational;
@@ -89,10 +90,12 @@ def test_generated_text_ends_within_budget_and_prints_back(text):
         try:
             s = simplify(parse(text))
             diff(s, q(1, 0))
-            printed = to_text(s)
-            back = simplify(parse(printed))
-            has_float = any(isinstance(n, Const) and isinstance(n.value, float) for n in nodes(s))
-            expected = simplify(_as_printed(s)) if has_float else s
         except JetlagError:
             return
+        # a canonical form must print to text that parses and simplifies
+        # back, so any error from here on fails the example
+        printed = to_text(s)
+        back = simplify(parse(printed))
+        has_float = any(isinstance(n, Const) and isinstance(n.value, float) for n in nodes(s))
+        expected = simplify(_as_printed(s)) if has_float else s
     assert back == expected, printed

@@ -9,14 +9,14 @@ import pytest
 
 import jetlag
 from jetlag.calculus import diff
-from jetlag.errors import ParseError, UnknownIdentifierError
+from jetlag.errors import NumericFailureError, ParseError, UnknownIdentifierError
 from jetlag.expr import Const, Pow, Prod, compile_rows, eval_expr, lambdify, simplify, substitute, sym
 from jetlag.parser import parse
 from jetlag.printer import to_text
 from jetlag.sampling import equal_numeric
 from jetlag.symbols import q
 
-from conftest import random_tree
+from conftest import MERGED_POWERS, random_tree
 
 
 def test_power_over_division_structure():
@@ -169,11 +169,20 @@ def test_whitespace_insignificant():
     assert a == b
 
 
-def test_zero_to_a_negative_power_prints_back():
-    # 1/0^2 would parse back as 1/0, since 0^2 folds to 0
-    for text in ("-(0^(-2))", "3*0^(-3/2)*q1_0", "q1_0/0"):
+def test_canonical_forms_print_back():
+    # 1/0^2 would parse back as 1/0, since 0^2 folds to 0; the merged
+    # powers once simplified to forms that a second pass changed
+    for text in ("-(0^(-2))", "3*0^(-3/2)*q1_0", "q1_0/0", "10^4095*q1_0", *MERGED_POWERS):
         s = simplify(parse(text))
         assert simplify(parse(to_text(s))) == s
+
+
+def test_constants_longer_than_a_literal_are_not_printed():
+    # 7^5000 has 4226 digits: within the interpreter's limit on printing an
+    # int, past the parser's on reading a literal
+    for text in ("10^4096*q1_0", "(7/3)^5000*q1_0"):
+        with pytest.raises(NumericFailureError, match="too long to print"):
+            to_text(simplify(parse(text)))
 
 
 def test_round_trip_eval_equal(rng):
