@@ -9,6 +9,7 @@ reproduces bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -251,6 +252,7 @@ def _render_text(node, lines, indent):
         lines.append(f"{indent}{node}")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON job config")

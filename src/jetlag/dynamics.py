@@ -9,6 +9,14 @@ states is evaluated and rank-checked once per parameter vector.  Per point
 checked, a state-dependent block is evaluated and rank-checked, and the
 multipliers are solved for.
 
+States, stages and multipliers are lists of Python floats, and every
+floating-point operation runs in the order the numpy version of this module
+used, so trajectories keep their bits.  A 1x1 block is ranked and solved
+with floats; a 2x2 block is ranked without an SVD when a bound certifies
+that it has full rank.  numpy is left only where LAPACK's bits are needed:
+the SVD of any other block, and every solve of a 2x2 or larger block (an LU
+in plain floats differs from LAPACK in the last bits).
+
 A degenerate point (singular constraint Jacobian) aborts integration with a
 typed error that carries the time and step; the toolkit treats that as
 structure, not noise.
@@ -167,22 +175,22 @@ class _MultiplierSolver:
             raise ConstraintViolationError(f"no value for parameter {missing[0]}")
         return [float(binding[s]) for s in self.params]
 
-    def solve(self, state_vec, param_vec, warm=None):
-        """Multipliers at a point.  A constraint with no real value there (a
-        negative number under a root, ln of a nonpositive one) is a numeric
-        failure."""
-        state_vec = [float(v) for v in state_vec]
+    def solve(self, state_vec, param_vec, warm=None) -> list:
+        """Multipliers at a point, as a list of floats; state_vec and
+        param_vec are lists of floats.  A constraint with no real value there
+        (a negative number under a root, ln of a nonpositive one) is a
+        numeric failure."""
         if self.n_mult == 0:
-            return np.zeros(0)
+            return []
         try:
             if self.linear:
-                return self._solve_linear(state_vec + list(param_vec), param_vec)
+                return self._solve_linear(state_vec + param_vec, param_vec)
             if self.n_cons != self.n_mult:
                 raise SingularJacobianError(self.n_cons, self.n_mult)
             # built lazily: the warm start almost always converges
-            starts = (np.full(self.n_mult, v) for v in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
+            starts = ([v] * self.n_mult for v in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
             if warm is not None:
-                starts = itertools.chain([np.array(warm)], starts)
+                starts = itertools.chain([list(warm)], starts)
             last_error = None
             for start in starts:
                 try:
@@ -194,64 +202,101 @@ class _MultiplierSolver:
             raise NumericFailureError(f"constraint evaluation is complex or undefined: {exc}") from exc
 
     def _matrix(self, args, param_vec):
-        """Checked constraint matrix at a point, with its rank."""
+        """Checked constraint matrix at a point, with its rank: a 1x1 block as
+        rows of floats, a larger one as an array."""
         key = tuple(param_vec) if self.constant else None
         if key is not None and key == self._block_key:
             return self._block
-        a = np.array(self._matrix_fn(args)).reshape(self.n_cons, self.n_mult)
-        block = (a, _rank(a))
+        rows = _rows(self._matrix_fn(args), self.n_mult)
+        # a larger block goes to LAPACK, so it is converted once, not per solve
+        block = (rows if len(rows) == 1 else np.array(rows), _rank(rows))
         if key is not None:
             self._block_key, self._block = key, block
         return block
 
     def _solve_linear(self, args, param_vec):
         a, rank = self._matrix(args, param_vec)
-        b = -np.array(self._residue_fn(args))
+        b = [-v for v in self._residue_fn(args)]
         if rank < self.n_mult:
             raise SingularJacobianError(rank, self.n_mult)
         if self.n_cons == self.n_mult:
             return _solve(a, b)
+        b = np.array(b)
         sol, *_ = np.linalg.lstsq(a, b, rcond=None)
         if np.max(np.abs(a @ sol - b)) > 1e-9 * (1.0 + np.max(np.abs(b))):
             raise ConstraintViolationError("overdetermined multiplier system is inconsistent")
-        return sol
+        return sol.tolist()
 
     def _newton(self, lam, state_vec, param_vec):
-        base = list(state_vec) + list(lam) + list(param_vec)
+        n, m = len(state_vec), self.n_mult
+        base = state_vec + lam + param_vec
         for _ in range(50):
-            base[len(self.sys.states) : len(self.sys.states) + self.n_mult] = list(lam)
-            g = np.array(self.cons_fn(base))
-            if np.max(np.abs(g)) <= 1e-12:
+            base[n : n + m] = lam
+            g = self.cons_fn(base)
+            if max(map(abs, g)) <= 1e-12:
                 return lam
-            j = np.array(self._jac_fn(base)).reshape(self.n_cons, self.n_mult)
+            j = _rows(self._jac_fn(base), m)
             rank = _rank(j)
-            if rank < self.n_mult:
-                raise SingularJacobianError(rank, self.n_mult)
-            lam = lam - _solve(j, g)
+            if rank < m:
+                raise SingularJacobianError(rank, m)
+            lam = [x - dx for x, dx in zip(lam, _solve(j, g))]
         raise NumericFailureError("multiplier Newton iteration did not converge")
 
 
+def _rows(flat, n_cols) -> list:
+    """A row-major flat list as a list of rows of n_cols entries."""
+    return [flat[i : i + n_cols] for i in range(0, len(flat), n_cols)]
+
+
 def _rank(a) -> int:
-    """Numeric rank of a finite matrix at the relative tolerance.
+    """Numeric rank of a finite matrix, given as a sequence of rows: the
+    count of its singular values above _RANK_TOL * max(1, max |a_ij|), as
+    np.linalg.matrix_rank gives it.
 
     For a 1x1 block the single singular value is |a|, so the comparison is
-    made directly, without an SVD.
+    made directly.  A 2x2 block that _full_rank_2x2 certifies has rank 2;
+    any other block takes an SVD.
     """
-    if a.shape == (1, 1):
-        x = abs(float(a[0, 0]))
+    if len(a) == 1 and len(a[0]) == 1:
+        x = abs(float(a[0][0]))
         return int(x > _RANK_TOL * max(1.0, x))
+    if len(a) == 2 and len(a[0]) == 2 and _full_rank_2x2(*a[0], *a[1]):
+        return 2
+    a = np.asarray(a, dtype=float)
     spectral = float(np.max(np.abs(a))) if a.size else 0.0
     return int(np.linalg.matrix_rank(a, tol=_RANK_TOL * max(1.0, spectral)))
 
 
-def _solve(a, b):
-    """np.linalg.solve(a, b) for a nonsingular a.
+def _full_rank_2x2(a, b, c, d) -> bool:
+    """Whether LAPACK's smaller singular value of [[a, b], [c, d]] is
+    certainly above the rank tolerance, without an SVD.
+
+    sigma_2 = |det| / sigma_1 >= |det| / ||A||_F.  The computed det is within
+    2^-51 (|ad| + |bc|) of the exact one, and LAPACK's singular values lie
+    within a small multiple of 2^-53 ||A|| of the exact ones; the margin
+    2^-40 ||A||_F covers that and the rounding of the bound.  Once
+    ||A||_F > tol >= 1e-10, underflow costs less than either margin.  A
+    zero, non-finite or overflowing norm gives False, and so does any case
+    the margins cannot settle: the caller then takes the SVD.
+    """
+    tol = _RANK_TOL * max(1.0, abs(a), abs(b), abs(c), abs(d))
+    fro = math.sqrt(a * a + b * b + c * c + d * d)
+    if not tol < fro < math.inf:
+        return False
+    ad, bc = a * d, b * c
+    lower = (abs(ad - bc) - 2.0**-51 * (abs(ad) + abs(bc))) / fro - 2.0**-40 * fro
+    return lower > tol
+
+
+def _solve(a, b) -> list:
+    """np.linalg.solve(a, b) for a nonsingular square a (a sequence of
+    rows), as a list.
 
     A 1x1 block is a float division, which gives the same bits as LAPACK.
     """
-    if a.shape == (1, 1):
-        return np.array([float(b[0]) / float(a[0, 0])])
-    return np.linalg.solve(a, b)
+    if len(a) == 1:
+        return [float(b[0]) / float(a[0][0])]
+    return np.linalg.solve(a, b).tolist()
 
 
 def resolve_multipliers(sys: ImplicitSystem, at: dict, warm=None) -> dict:
@@ -302,12 +347,12 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     param_vec = solver.param_vector(init)
     rhs_fn, cons_fn, energy_fn = solver.rhs_fn, solver.cons_fn, solver.energy_fn
 
-    y = np.array([float(init[s]) for s in states])
+    y = [float(init[s]) for s in states]
     try:
         warm = solver.solve(y, param_vec)
     except SingularJacobianError as exc:
         raise exc.located(t0, 0) from None
-    g0 = cons_fn(y.tolist() + warm.tolist() + param_vec)
+    g0 = cons_fn(y + warm + param_vec)
     if g0 and max(abs(v) for v in g0) > 1e-9:
         raise ConstraintViolationError(
             f"initial data violates constraints by {max(abs(v) for v in g0):g}"
@@ -315,14 +360,14 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
 
     def vector_field(yv, warm_lam):
         lam = solver.solve(yv, param_vec, warm_lam)
-        return np.array(rhs_fn(yv.tolist() + lam.tolist() + param_vec)), lam
+        return rhs_fn(yv + lam + param_vec), lam
 
     times = [t0]
     rows = []
     energies = []
 
     def record(yv, lam):
-        rows.append(yv.tolist() + lam.tolist())
+        rows.append(yv + lam)
         try:
             energies.append(energy_fn(rows[-1] + param_vec)[0])
         except (DomainEvalError, NumericFailureError):  # no finite energy here
@@ -330,16 +375,21 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
 
     record(y, warm)
     t = t0
-    # overflow surfaces through the explicit finite checks, not numpy warnings
+    hh, h6 = 0.5 * h, h / 6.0
+    # overflow in a numpy solve surfaces through the explicit finite checks,
+    # not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             try:
                 k1, lam1 = vector_field(y, warm)
-                k2, lam2 = vector_field(y + 0.5 * h * k1, lam1)
-                k3, lam3 = vector_field(y + 0.5 * h * k2, lam2)
-                k4, lam4 = vector_field(y + h * k3, lam3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not np.all(np.isfinite(y)):
+                k2, lam2 = vector_field([a + hh * b for a, b in zip(y, k1)], lam1)
+                k3, lam3 = vector_field([a + hh * b for a, b in zip(y, k2)], lam2)
+                k4, lam4 = vector_field([a + h * b for a, b in zip(y, k3)], lam3)
+                y = [
+                    a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                    for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+                ]
+                if not all(map(math.isfinite, y)):
                     raise NumericFailureError("state became non-finite during integration")
                 lam_end = solver.solve(y, param_vec, lam4)
             except SingularJacobianError as exc:

@@ -417,7 +417,7 @@ def gamma_relatedness(
     states = np.stack([lifted.column(s) for s in sys.states], axis=1)
     values = []
     for row in states[1:-1].tolist():
-        args = row + solver.solve(row, param_vec).tolist() + param_vec
+        args = row + solver.solve(row, param_vec) + param_vec
         values.append(solver.rhs_fn(args) + solver.cons_fn(args))
     values = np.array(values)
     n = len(sys.states)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import jetlag
-from jetlag import expr, ostro
+from jetlag import cli, expr, ostro
 from jetlag.cli import main
 
 from conftest import count_calls_everywhere
@@ -590,3 +590,16 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "cannot write" in captured.err
         assert captured.out == ""
+
+
+def test_calls_in_one_process_each_get_their_own_arguments(tmp_path, capsys):
+    # the argument parser is built once per process and shared by every call
+    assert cli._build_parser() is cli._build_parser()
+    cfg = write_config(tmp_path, {**BEAM_CONFIG, "simulation": {**BEAM_CONFIG["simulation"], "t1": 0.01}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a"), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "simulate"
+    assert main(["derive", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.startswith("command: derive\n")
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["beam.csv", "beam.report.json"]
+    assert [p.name for p in (tmp_path / "b").iterdir()] == ["beam.report.json"]
+    assert json.loads((tmp_path / "b" / "beam.report.json").read_text())["command"] == "derive"

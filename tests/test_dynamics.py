@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetlag import dynamics
@@ -328,24 +328,32 @@ def test_second_run_of_a_system_compiles_nothing(monkeypatch):
 
 
 def test_constant_block_rank_checked_once_per_run(monkeypatch):
-    # 1x1 block [[mu]] and 2x2 block [[0, mu], [mu, 0]]: free of the states
+    # 1x1 block [[mu]], 2x2 block [[0, mu], [mu, 0]] and 2x1 block [[mu],
+    # [2*mu]]: free of the states.  1x1 and certified 2x2 blocks take no SVD.
     beam = beam_system()
     swap = one_dof_system(
         ("mu*q2_2 - p1_0", "mu*q1_2 - q1_0"),
         multipliers=(q(1, 2), q(2, 2)),
         rhs={q(1, 0): parse("p1_0 + q1_2"), p(1, 0): parse("-q2_2")},
     )
+    tall = one_dof_system(("mu*q1_2 - p1_0", "2*mu*q1_2 - 2*p1_0"))
     ranks = count_calls(monkeypatch, dynamics, "_rank")
     svds = count_calls(monkeypatch, np.linalg, "matrix_rank")
     init = {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}
     integrate_rk4(beam, init, 0.0, 0.1, 1e-3)
     assert (ranks["calls"], svds["calls"]) == (1, 0)  # 1x1: no SVD at all
-    for mu, expected in ((2.0, 1), (2.0, 1), (3.0, 2)):
+    for mu, expected in ((2.0, 2), (2.0, 2), (3.0, 3)):
         integrate_rk4(swap, {q(1, 0): 0.1, p(1, 0): 0.2, param("mu"): mu}, 0.0, 0.05, 1e-3)
+        assert ranks["calls"] == expected  # once per new parameter vector
+    assert svds["calls"] == 0  # the swap block is certified full rank
+    for mu, expected in ((2.0, 1), (2.0, 1), (3.0, 2)):
+        integrate_rk4(tall, {q(1, 0): 0.1, p(1, 0): 0.2, param("mu"): mu}, 0.0, 0.05, 1e-3)
         assert svds["calls"] == expected  # once per new parameter vector
 
 
 def test_state_dependent_block_checked_every_stage(monkeypatch):
+    # 1x1 [[q1_0]]; 2x2 [[q1_0, 1], [1, q1_0]], certified full rank since
+    # q1_0 >= 2; 2x1 [[q1_0], [2*q1_0]], which only an SVD can rank
     cases = [
         (one_dof_system(("q1_0*q1_2 - 1",), rhs={q(1, 0): parse("1"), p(1, 0): parse("0")}), 0),
         (
@@ -353,6 +361,12 @@ def test_state_dependent_block_checked_every_stage(monkeypatch):
                 ("q1_0*q1_2 + q2_2 - p1_0", "q1_2 + q1_0*q2_2"),
                 multipliers=(q(1, 2), q(2, 2)),
                 rhs={q(1, 0): parse("1"), p(1, 0): parse("q2_2")},
+            ),
+            0,
+        ),
+        (
+            one_dof_system(
+                ("q1_0*q1_2 - 1", "2*q1_0*q1_2 - 2"), rhs={q(1, 0): parse("1"), p(1, 0): parse("0")}
             ),
             1,
         ),
@@ -447,4 +461,148 @@ def test_one_by_one_rule_matches_lapack_bit_for_bit(a, b):
     if rank == 1:
         with np.errstate(over="ignore"):
             expected = np.linalg.solve(block, rhs)
-        assert dynamics._solve(block, rhs).tobytes() == expected.tobytes()
+        assert np.array(dynamics._solve(block, rhs)).tobytes() == expected.tobytes()
+
+
+def _lapack_rank(rows):
+    """np.linalg.matrix_rank at the solver's tolerance, or the error it raises."""
+    a = np.array(rows, dtype=float)
+    tol = dynamics._RANK_TOL * max(1.0, float(np.max(np.abs(a))))
+    try:
+        return int(np.linalg.matrix_rank(a, tol=tol))
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+@st.composite
+def _two_by_two(draw):
+    """A 2x2 block as rows: any floats, a rank-one block perturbed across the
+    rank tolerance, a zero row, or non-finite entries."""
+    kind = draw(st.sampled_from(["any", "straddle", "zero-row", "non-finite"]))
+    if kind == "any":
+        scale = st.sampled_from([1.0, 1e-300, 1e-150, 1e-10, 1e10, 1e150, 1e300])
+        return [[draw(_FLOATS) * draw(scale) for _ in range(2)] for _ in range(2)]
+    if kind == "straddle":
+        x, y = draw(st.floats(0.01, 1e4)), draw(st.floats(-1e4, 1e4))
+        k = draw(st.floats(-1e3, 1e3))
+        rows = [[x, y], [k * x, k * y]]
+        # the smaller singular value of the perturbed block is about
+        # |x * e| / ||A||, so e below puts it near factor * tolerance
+        a = np.array(rows)
+        tol = dynamics._RANK_TOL * max(1.0, float(np.max(np.abs(a))))
+        factor = draw(st.floats(0.9, 1.1) | st.floats(0.0, 4.0))
+        rows[1][1] += factor * tol * float(np.linalg.norm(a)) / x * draw(st.sampled_from([1.0, -1.0]))
+        return rows
+    if kind == "zero-row":
+        row = [draw(_FLOATS), draw(_FLOATS)]
+        return [row, [0.0, -0.0]] if draw(st.booleans()) else [[0.0, 0.0], row]
+    special = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    return [[draw(special | _FLOATS) for _ in range(2)] for _ in range(2)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_two_by_two())
+@example([[1.0, 0.0], [0.0, 1e-10]])  # the smaller singular value is the tolerance
+@example([[1.0, 0.0], [0.0, float(np.nextafter(1e-10, 1.0))]])
+@example([[0.0, 2.0], [2.0, 0.0]])
+@example([[1e-300, 0.0], [0.0, 1e-300]])
+@example([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])  # the norm overflows
+@example([[1.0, 2.0], [3.0, 6.0]])
+@example([[0.0, 0.0], [0.0, 0.0]])
+@example([[float("nan"), 1.0], [0.0, 1.0]])
+@example([[float("inf"), 1.0], [0.0, 1.0]])
+def test_two_by_two_rank_matches_lapack(rows):
+    # a 2x2 block is ranked without an SVD only when a bound certifies it
+    try:
+        rank = dynamics._rank(rows)
+    except np.linalg.LinAlgError as exc:
+        rank = type(exc)
+    assert rank == _lapack_rank(rows)
+
+
+def _numpy_rk4(sys, init, h, n_steps):
+    """Reference run: integrate_rk4's stage and multiplier arithmetic on numpy
+    arrays, with an SVD rank check and np.linalg.solve for every block, as
+    the solver did before it moved to lists of floats.  Values and energies
+    of the samples."""
+    solver = sys.solver
+    param_vec = solver.param_vector(init)
+    m = solver.n_mult
+
+    def checked(a):
+        tol = dynamics._RANK_TOL * max(1.0, float(np.max(np.abs(a))))
+        assert np.linalg.matrix_rank(a, tol=tol) == m
+        return a
+
+    def multipliers(y, lam):
+        if solver.linear:
+            args = y.tolist() + param_vec
+            a = checked(np.array(solver._matrix_fn(args)).reshape(m, m))
+            return np.linalg.solve(a, -np.array(solver._residue_fn(args)))
+        for _ in range(50):
+            base = y.tolist() + lam.tolist() + param_vec
+            g = np.array(solver.cons_fn(base))
+            if np.max(np.abs(g)) <= 1e-12:
+                return lam
+            lam = lam - np.linalg.solve(checked(np.array(solver._jac_fn(base)).reshape(m, m)), g)
+        raise AssertionError("reference Newton iteration did not converge")
+
+    def field(y, warm):
+        lam = multipliers(y, warm)
+        return np.array(solver.rhs_fn(y.tolist() + lam.tolist() + param_vec)), lam
+
+    y = np.array([float(init[s]) for s in sys.states])
+    lam = multipliers(y, np.zeros(m))
+    rows = [y.tolist() + lam.tolist()]
+    for _ in range(n_steps):
+        k1, lam1 = field(y, lam)
+        k2, lam2 = field(y + 0.5 * h * k1, lam1)
+        k3, lam3 = field(y + 0.5 * h * k2, lam2)
+        k4, lam4 = field(y + h * k3, lam3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        lam = multipliers(y, lam4)
+        rows.append(y.tolist() + lam.tolist())
+    energies = [solver.energy_fn(row + param_vec)[0] for row in rows]
+    return np.array(rows), np.array(energies)
+
+
+_ORACLE_CASES = {
+    "1x1 linear": (beam_system(), {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}),
+    "2x2 state-dependent linear": (
+        one_dof_system(
+            ("q1_0*q1_2 + q2_2 - p1_0", "q1_2 + q1_0*q2_2"),
+            multipliers=(q(1, 2), q(2, 2)),
+            rhs={q(1, 0): parse("1 + q1_2/10"), p(1, 0): parse("q2_2 - q1_0")},
+        ),
+        {q(1, 0): 2.0, p(1, 0): 0.5},
+    ),
+    "2x2 constant swap": (
+        one_dof_system(
+            ("mu*q2_2 - p1_0", "mu*q1_2 - q1_0"),
+            multipliers=(q(1, 2), q(2, 2)),
+            rhs={q(1, 0): parse("p1_0 + q1_2"), p(1, 0): parse("-q2_2")},
+        ),
+        {q(1, 0): 0.1, p(1, 0): 0.2, param("mu"): 3.0},
+    ),
+    "1x1 Newton": (
+        one_dof_system(("q1_2^3 + q1_2 - p1_0",), rhs={q(1, 0): parse("p1_0 + q1_2"), p(1, 0): parse("-q1_0")}),
+        {q(1, 0): 0.3, p(1, 0): 0.7},
+    ),
+    "2x2 Newton": (
+        one_dof_system(
+            ("q1_2^3 + q1_2 + q2_2 - p1_0", "q2_2^3 + 3*q2_2 + q1_2 - q1_0"),
+            multipliers=(q(1, 2), q(2, 2)),
+            rhs={q(1, 0): parse("p1_0 + q2_2"), p(1, 0): parse("-q1_0*q1_2")},
+        ),
+        {q(1, 0): 0.3, p(1, 0): 0.7},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_float_stages_give_the_numpy_stages_bits(case):
+    sys, init = _ORACLE_CASES[case]
+    traj = integrate_rk4(sys, init, 0.0, 0.5, 1e-2)
+    values, energies = _numpy_rk4(sys, init, 1e-2, 50)
+    assert traj.values.tobytes() == values.tobytes()
+    assert traj.energies.tobytes() == energies.tobytes()

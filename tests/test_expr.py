@@ -342,6 +342,19 @@ def test_sum_adds_left_to_right_in_every_evaluator():
     assert compile_rows([total], symbols)(np.array([row]))[0][0].tolist() == [1.0]
 
 
+def test_long_chain_of_single_use_steps_compiles():
+    # each sum and product below has one use, so lambdify writes them into
+    # their users' lines; past a depth it must start a new line, since
+    # Python's parser refuses more than 200 nested parentheses
+    symbols = [q(1, 0), q(1, 1)]
+    x, y = Sym(symbols[0]), Sym(symbols[1])
+    e = x
+    for i in range(150):
+        e = Sum((Prod((e, y)), const(i + 1)))
+    row = [0.5, 0.9]
+    assert lambdify([e], symbols)(row) == [eval_expr(e, dict(zip(symbols, row)))]
+
+
 def test_constant_powers_fold_exactly_only_up_to_a_bit_bound():
     assert pow_(const(2), 14000) == const(2**14000)
     assert pow_(const(Fraction(1, 3)), -5) == const(243)
