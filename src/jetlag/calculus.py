@@ -256,6 +256,8 @@ def _det(matrix) -> Expr:
         return matrix[0][0]
     total = ZERO
     for j in range(n):
+        if is_zero(matrix[0][j]):  # its piece would vanish in add: skip the minor
+            continue
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
         piece = mul(matrix[0][j], _det(minor))
         total = add(total, piece if j % 2 == 0 else neg(piece))

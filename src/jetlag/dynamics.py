@@ -46,6 +46,7 @@ from .expr import Expr, lambdify, neg, simplify
 from .families import MorseFamily
 
 _RANK_TOL = 1e-10
+NEWTON_STARTS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ class _MultiplierSolver:
             if self.n_cons != self.n_mult:
                 raise SingularJacobianError(self.n_cons, self.n_mult)
             # built lazily: the warm start almost always converges
-            starts = ([v] * self.n_mult for v in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
+            starts = ([v] * self.n_mult for v in NEWTON_STARTS)
             if warm is not None:
                 starts = itertools.chain([list(warm)], starts)
             last_error = None

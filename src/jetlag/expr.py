@@ -768,18 +768,6 @@ def _tape(exprs, symbols):
     return steps
 
 
-# the most parentheses that single-use steps nest inside one line
-_INLINE_DEPTH = 32
-
-
-def _checks_operand(op, payload) -> bool:
-    """Whether lambdify's code for a step tests its operand before using it."""
-    if op == "pow":
-        exp = payload[0]
-        return exp < 0 or exp.denominator != 1
-    return op in ("ln", "out")
-
-
 def lambdify(exprs, symbols):
     """Compile expressions to f(values) -> list[float], where values holds
     one float per symbol in the given order.
@@ -789,24 +777,11 @@ def lambdify(exprs, symbols):
     wherever eval_expr raises, f raises the same error class.  Unbound
     symbols, and constants too large for a float, are construction-time
     errors.  The code runs in this module's namespace.
-
-    compile() costs about 10 us per line, so a sum or product step with one
-    use, by a step that does not test its operand, is written parenthesised
-    into that user's line.  A float sum or product cannot raise, so moving
-    it keeps the order in which the checks raise.
     """
     symbols = list(symbols)
-    steps = _tape(exprs, symbols)
-    uses = [0] * len(steps)
-    for op, arg, payload in steps:
-        if op in ("add", "mul"):
-            for a in arg:
-                uses[a] += 1
-        elif op not in ("const", "sym"):
-            uses[arg] += 2 if _checks_operand(op, payload) else 1
-    names, depths, lines, outputs = [], [], [], []
-    for slot, (op, arg, payload) in enumerate(steps):
-        name, depth = f"v{slot}", 0
+    names, lines, outputs = [], [], []
+    for slot, (op, arg, payload) in enumerate(_tape(exprs, symbols)):
+        name = f"v{slot}"
         if op == "const":
             name = f"({arg!r})" if math.isfinite(arg) else f"float('{arg!r}')"
         elif op == "sym":
@@ -817,13 +792,7 @@ def lambdify(exprs, symbols):
             # v - v is 0.0 for every finite v, and nan for an infinity or a nan
             lines.append(f"if {name} - {name} != 0.0: _nonfinite({name})")
         elif op in ("add", "mul"):
-            text = (" + " if op == "add" else " * ").join(names[a] for a in arg)
-            depth = 1 + max(depths[a] for a in arg)
-            if uses[slot] == 1 and depth <= _INLINE_DEPTH:
-                name = f"({text})"
-            else:
-                lines.append(f"{name} = {text}")
-                depth = 0
+            lines.append(f"{name} = " + (" + " if op == "add" else " * ").join(names[a] for a in arg))
         elif op == "pow":
             base, (exp, float_exp) = names[arg], payload
             guards = [f"{base} == 0.0"] if exp < 0 else []
@@ -836,7 +805,6 @@ def lambdify(exprs, symbols):
                 lines.append(f"if {names[arg]} <= 0.0: _apply_func('ln', {names[arg]})")
             lines.append(f"{name} = math.{Func._TABLE[op].__name__}({names[arg]})")
         names.append(name)
-        depths.append(depth)
     source = ["def f(x):", "    [" + ", ".join(f"x{i}" for i in range(len(symbols))) + "] = x"]
     source += ["    try:"] + [f"        {line}" for line in lines] + ["        pass"]
     source += [

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import diff, linear_coefficients, potential_from_closed_form
-from .dynamics import ImplicitSystem, Trajectory
+from .dynamics import NEWTON_STARTS, ImplicitSystem, Trajectory
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -288,7 +288,7 @@ class _FiberSolver:
         residual they leave."""
         best = None
         shape = (len(self.eqs), len(self.fibers))
-        for start in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
+        for start in NEWTON_STARTS:
             lam = np.full(len(self.fibers), start)
             for _ in range(50):
                 g = np.array(self._g(row + lam.tolist()))

@@ -296,9 +296,15 @@ class Job:
         if missing:
             raise ConfigError(f"simulation initial misses {', '.join(missing)}, used by the one-form")
         at = {s: sim.initial[s] for s in gamma.coordinates} | self.params
-        momenta = {m: eval_expr(c, at) for m, c in zip(gamma.momentum_slots, gamma.component_exprs())}
+        components = gamma.component_exprs()
+        unbound = sorted(str(s) for c in components for s in c.free - at.keys())
+        if unbound:
+            raise ConfigError(f"the one-form uses {unbound[0]}, which is neither a coordinate nor a parameter")
+        momenta = {m: eval_expr(c, at) for m, c in zip(gamma.momentum_slots, components)}
         init = {**sim.initial, **self.params, **momenta}
         traj = integrate_rk4(self.system, init, sim.t0, sim.t1, sim.h)
+        if len(traj.times) < 5:
+            raise ConfigError(f"relatedness needs at least 5 samples, the simulation grid has {len(traj.times)}")
         return gamma_relatedness(self.system, gamma, traj, tol=tol, params=self.params)
 
 

@@ -87,6 +87,35 @@ def test_derive_trivial_lagrangian(tmp_path, capsys):
     assert report["euler_lagrange"] == ["0"]
 
 
+# the seconds that derive takes on the config at argv[1], its report discarded
+_TIME_DERIVE = """
+import contextlib, io, sys, time
+from jetlag.cli import main
+
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["derive", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, time.perf_counter() - start)
+"""
+
+
+def test_derive_beam_in_twelve_dimensions_runs_within_its_time_budget(tmp_path):
+    # the top-derivative determinant was expanded along every entry of each
+    # row, zeros too: 12! minors for a Lagrangian that uses only q1
+    cfg = write_config(tmp_path, {**BEAM_CONFIG, "n": 12})
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIME_DERIVE, cfg, str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jetlag.__file__).resolve().parent.parent)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, seconds = proc.stdout.split()
+    assert code == "0"
+    assert float(seconds) < 2.0
+
+
 def test_derive_chiral_attaches_affine_warning(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -467,6 +496,9 @@ def _with_initial(initial):
         ("derive", {**BEAM_CONFIG, "method": "schmidt2", "gauge_F": "-mu*q1_1*a1_0 + q1_0*m1_0"}),
         ("hj-check", {**JAVELIN_HJ, "gamma_components": ["A"]}),
         ("hj-solve-affine", {**BEAM_CONFIG, "affine_f": ["mu", "q1_0"], "affine_g": "0"}),
+        ("hj-check", {**BEAM_CONFIG, "W": "zz*q1_1"}),
+        ("hj-check", {**BEAM_CONFIG, "W": "lam1*q1_0"}),
+        ("hj-check", {**BEAM_CONFIG, "W": "q1_1", "simulation": {**BEAM_CONFIG["simulation"], "t1": 0.0}}),
     ],
     ids=[
         "non-numeric-parameter",
@@ -485,6 +517,9 @@ def _with_initial(initial):
         "schmidt2-gauge-uses-auxiliary",
         "gamma-components-one-short",
         "affine-f-one-too-many",
+        "one-form-uses-an-unknown-symbol",
+        "one-form-uses-a-multiplier",
+        "relatedness-grid-of-one-sample",
     ],
 )
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, verb, config):

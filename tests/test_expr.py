@@ -343,9 +343,9 @@ def test_sum_adds_left_to_right_in_every_evaluator():
 
 
 def test_long_chain_of_single_use_steps_compiles():
-    # each sum and product below has one use, so lambdify writes them into
-    # their users' lines; past a depth it must start a new line, since
-    # Python's parser refuses more than 200 nested parentheses
+    # 150 nested sums and products, each with one use: the generated code
+    # must compile (Python's parser refuses more than 200 nested
+    # parentheses) and give eval_expr's bits
     symbols = [q(1, 0), q(1, 1)]
     x, y = Sym(symbols[0]), Sym(symbols[1])
     e = x
