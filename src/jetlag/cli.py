@@ -219,16 +219,16 @@ def _write(path: Path, text: str) -> Path:
 
 def _emit(report, args):
     """Write the report file under --out, then print the report."""
+    report_json = json.dumps(report, sort_keys=True, indent=2, default=str)
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2, default=str)
+        text = report_json
     else:
         lines = []
         _render_text(report, lines, "")
         text = "\n".join(lines)
     if args.out:
         name = report.get("problem", report["command"]).replace(" ", "-")
-        report_json = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
-        _write(Path(args.out) / f"{name}.report.json", report_json)
+        _write(Path(args.out) / f"{name}.report.json", report_json + "\n")
     print(text)
 
 

@@ -36,7 +36,6 @@ from .errors import (
     ChartMismatchError,
     ConstraintViolationError,
     DomainEvalError,
-    NonCotangentChartError,
     NotLinearError,
     NumericFailureError,
     SingularJacobianError,
@@ -47,6 +46,8 @@ from .families import MorseFamily
 
 _RANK_TOL = 1e-10
 NEWTON_STARTS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
+NEWTON_STEPS = 50  # iterations per start
+NEWTON_TOL = 1e-12  # max |g| at which an iterate counts as converged
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,6 @@ class Trajectory:
 def assemble(mf: MorseFamily) -> ImplicitSystem:
     """Differential part from the canonical pairing, constraints from fibers."""
     base = mf.base
-    if not base.positions or len(base.positions) != len(base.momenta):
-        raise NonCotangentChartError(f"chart {base.space} is not cotangent-type")
     total = mf.total_energy
     rhs = {}
     for x, y in zip(base.positions, base.momenta):
@@ -210,7 +209,7 @@ class _MultiplierSolver:
             return self._block
         rows = _rows(self._matrix_fn(args), self.n_mult)
         # a larger block goes to LAPACK, so it is converted once, not per solve
-        block = (rows if len(rows) == 1 else np.array(rows), _rank(rows))
+        block = (rows if len(rows) == 1 else np.array(rows), numeric_rank(rows))
         if key is not None:
             self._block_key, self._block = key, block
         return block
@@ -231,13 +230,13 @@ class _MultiplierSolver:
     def _newton(self, lam, state_vec, param_vec):
         n, m = len(state_vec), self.n_mult
         base = state_vec + lam + param_vec
-        for _ in range(50):
+        for _ in range(NEWTON_STEPS):
             base[n : n + m] = lam
             g = self.cons_fn(base)
-            if max(map(abs, g)) <= 1e-12:
+            if max(map(abs, g)) <= NEWTON_TOL:
                 return lam
             j = _rows(self._jac_fn(base), m)
-            rank = _rank(j)
+            rank = numeric_rank(j)
             if rank < m:
                 raise SingularJacobianError(rank, m)
             lam = [x - dx for x, dx in zip(lam, _solve(j, g))]
@@ -249,10 +248,13 @@ def _rows(flat, n_cols) -> list:
     return [flat[i : i + n_cols] for i in range(0, len(flat), n_cols)]
 
 
-def _rank(a) -> int:
+def numeric_rank(a) -> int:
     """Numeric rank of a finite matrix, given as a sequence of rows: the
     count of its singular values above _RANK_TOL * max(1, max |a_ij|), as
     np.linalg.matrix_rank gives it.
+
+    jetlag's one rank rule, also used by ostro.nondegeneracy,
+    hamjac.morse_rank_check and schmidt's gauge condition.
 
     For a 1x1 block the single singular value is |a|, so the comparison is
     made directly.  A 2x2 block that _full_rank_2x2 certifies has rank 2;

@@ -51,10 +51,6 @@ class ChartMismatchError(JetlagError):
     """Point or one-form handed to an operation on the wrong chart."""
 
 
-class NonCotangentChartError(ChartMismatchError):
-    """Chart lacks the paired position/momentum structure assemble() needs."""
-
-
 class DegenerateLagrangianError(JetlagError):
     """Acceleration Hessian is rank deficient where full rank is required."""
 

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import diff, linear_coefficients, potential_from_closed_form
-from .dynamics import NEWTON_STARTS, ImplicitSystem, Trajectory
+from .dynamics import NEWTON_STARTS, NEWTON_STEPS, NEWTON_TOL, ImplicitSystem, Trajectory, numeric_rank
 from .errors import (
     ArityMismatchError,
     ChartMismatchError,
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .expr import Expr, add, coerce, lambdify, mul, neg, simplify, substitute, sym
 from .families import MorseFamily
-from .ostro import svd_rank
 from .sampling import eval_rows, make_rng, sample_rows
 from .symbols import p, q
 
@@ -219,7 +218,7 @@ def morse_rank_check(mf: MorseFamily, points) -> ResidualReport:
     rows = np.array(rows, dtype=float).reshape(len(rows), len(symbols))
     values = eval_rows(entries, symbols, rows)
     blocks = np.array(values, dtype=float).T.reshape(len(rows), needed, len(columns))
-    ranks = [svd_rank(block) for block in blocks]
+    ranks = [numeric_rank(block) for block in blocks.tolist()]
     report = ResidualReport("morse-rank", [], tol=0.0, samples=len(rows))
     report.details["ranks"] = ranks
     report.details["needed"] = needed
@@ -290,9 +289,9 @@ class _FiberSolver:
         shape = (len(self.eqs), len(self.fibers))
         for start in NEWTON_STARTS:
             lam = np.full(len(self.fibers), start)
-            for _ in range(50):
+            for _ in range(NEWTON_STEPS):
                 g = np.array(self._g(row + lam.tolist()))
-                if np.max(np.abs(g)) <= 1e-12:
+                if np.max(np.abs(g)) <= NEWTON_TOL:
                     return lam, 0.0
                 jac = np.array(self._jac(row + lam.tolist())).reshape(shape)
                 sol, *_ = np.linalg.lstsq(jac, -g, rcond=None)
@@ -303,7 +302,7 @@ class _FiberSolver:
             residual = float(np.max(np.abs(g)))
             if best is None or residual < best[1]:
                 best = (lam, residual)
-            if residual <= 1e-12:
+            if residual <= NEWTON_TOL:
                 return best
         return best
 

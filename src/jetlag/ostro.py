@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .calculus import (
     diff,
     hessian,
@@ -21,6 +19,7 @@ from .calculus import (
     solve_linear_symbolic,
 )
 from .charts import chart_cotangent, pullback_to_acceleration_chart
+from .dynamics import numeric_rank
 from .errors import DegenerateLagrangianError, NotLinearError
 from .expr import Expr, add, eval_expr, neg, simplify, substitute, sym
 from .families import MorseFamily, legendre_sum
@@ -111,25 +110,13 @@ def euler_lagrange(L: LagrangianSpec) -> list:
 
 
 def nondegeneracy(L: LagrangianSpec, at: dict) -> dict:
-    """Numeric rank of the top-derivative Hessian at a point.
-
-    Rank by singular values above 1e-10 of the largest one; full means rank
-    equals the configuration dimension.
-    """
+    """Numeric rank of the top-derivative Hessian at a point by the multiplier
+    solver's rule, dynamics.numeric_rank; full means rank equals the
+    configuration dimension."""
     n, k = L.dim, L.order
     tops = [q(a, k) for a in range(1, n + 1)]
-    rows = hessian(L.lagrangian, tops)
-    rank = svd_rank(np.array([[eval_expr(e, at) for e in row] for row in rows], dtype=float))
+    rank = numeric_rank([[eval_expr(e, at) for e in row] for row in hessian(L.lagrangian, tops)])
     return {"rank": rank, "full": rank == n}
-
-
-def svd_rank(mat) -> int:
-    """Number of singular values above 1e-10 of the largest one (0 for an
-    empty or zero matrix)."""
-    if mat.size == 0:
-        return 0
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(svals > 1e-10 * max(svals[0], 1e-300))) if svals[0] > 0 else 0
 
 
 def top_coefficients(L: LagrangianSpec) -> list:

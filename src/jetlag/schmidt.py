@@ -17,6 +17,7 @@ import numpy as np
 
 from .calculus import diff, is_zero, solve_linear_symbolic
 from .charts import chart_tstar_aq, chart_tstar_aqm
+from .dynamics import numeric_rank
 from .errors import GaugeConditionError, IncompatibleGaugeError
 from .expr import Expr, add, eval_expr, mul, neg, simplify, substitute, sym
 from .families import MorseFamily, legendre_sum
@@ -163,12 +164,12 @@ def schmidt_hamiltonian(L: LagrangianSpec, F: GaugeFunction) -> Expr:
 
 
 def _check_cond2(F: GaugeFunction, n: int):
-    """det of the mixed velocity/auxiliary gauge Hessian must not vanish at
-    ten points drawn from seed 0."""
+    """The mixed velocity/auxiliary gauge Hessian must have full rank n, by
+    dynamics.numeric_rank, at ten points drawn from seed 0."""
     mat = [diff(F.d(q(a, 1)), aux(b, 0)) for a in range(1, n + 1) for b in range(1, n + 1)]
     symbols = sorted(set().union(*(e.free for e in mat)))
     values = eval_rows(mat, symbols, sample_rows(symbols, 10, make_rng(0)))
-    if np.any(np.abs(np.linalg.det(np.array(values).T.reshape(-1, n, n))) < 1e-10):
+    if any(numeric_rank(block) < n for block in np.array(values).T.reshape(-1, n, n).tolist()):
         raise GaugeConditionError("mixed gauge Hessian in (velocity, auxiliary) is singular")
 
 

@@ -154,6 +154,26 @@ def test_derive_schmidt2_auto_gauge(tmp_path, capsys):
     assert report["momentum_relations"] == ["pa1 + mu*q1_1"]
 
 
+@pytest.mark.parametrize(
+    "method, n, gauge, code",
+    [
+        ("schmidt3", 2, "1/1000000*(q1_1*m1_0 + q2_1*m2_0)", 0),
+        ("schmidt3", 3, "1/10000*(q1_1*m1_0 + q2_1*m2_0 + q3_1*m3_0)", 0),
+        ("schmidt2deg", 2, "1/1000000*(q1_1*m1_0 + q2_1*m2_0)", 0),
+        ("schmidt3", 2, "q1_1*m1_0 + q1_1*m2_0", 2),  # rank 1 of 2 everywhere
+    ],
+)
+def test_gauge_condition_is_a_rank_test_independent_of_scale(tmp_path, capsys, method, n, gauge, code):
+    # the mixed gauge Hessian s*I has full rank at any scale s the multiplier
+    # solver accepts; a determinant test would reject s^n < 1e-10
+    k = 3 if method == "schmidt3" else 2
+    lagrangian = " + ".join(f"1/2*q{a}_{k}^2" for a in range(1, n + 1))
+    config = {"problem": "scaled", "n": n, "k": k, "lagrangian": lagrangian, "method": method, "gauge_F": gauge}
+    assert main(["derive", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert ("singular" in err) == (code == 2)
+
+
 def test_simulate_beam_and_csv_determinism(tmp_path, capsys):
     cfg = write_config(tmp_path, BEAM_CONFIG)
     out_dir = tmp_path / "runs"

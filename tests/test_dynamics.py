@@ -17,7 +17,6 @@ from jetlag.dynamics import (
 from jetlag.errors import (
     ChartMismatchError,
     ConstraintViolationError,
-    NonCotangentChartError,
     NumericFailureError,
     SingularJacobianError,
     StepSizeError,
@@ -269,11 +268,11 @@ def test_trajectory_csv_format():
     assert _fmt(value) == f"{value:.17g}"
 
 
-def test_assemble_rejects_non_cotangent_chart():
+def test_morse_family_rejects_non_cotangent_chart():
     from jetlag.charts import chart_tkq
     from jetlag.families import MorseFamily
 
-    with pytest.raises((NonCotangentChartError, Exception)):
+    with pytest.raises(ChartMismatchError):
         MorseFamily(chart_tkq(1, 2), (q(1, 2),), parse("0"))
 
 
@@ -337,7 +336,7 @@ def test_constant_block_rank_checked_once_per_run(monkeypatch):
         rhs={q(1, 0): parse("p1_0 + q1_2"), p(1, 0): parse("-q2_2")},
     )
     tall = one_dof_system(("mu*q1_2 - p1_0", "2*mu*q1_2 - 2*p1_0"))
-    ranks = count_calls(monkeypatch, dynamics, "_rank")
+    ranks = count_calls(monkeypatch, dynamics, "numeric_rank")
     svds = count_calls(monkeypatch, np.linalg, "matrix_rank")
     init = {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}
     integrate_rk4(beam, init, 0.0, 0.1, 1e-3)
@@ -372,7 +371,7 @@ def test_state_dependent_block_checked_every_stage(monkeypatch):
         ),
     ]
     for sys, svd_per_check in cases:
-        ranks = count_calls(monkeypatch, dynamics, "_rank")
+        ranks = count_calls(monkeypatch, dynamics, "numeric_rank")
         svds = count_calls(monkeypatch, np.linalg, "matrix_rank")
         integrate_rk4(sys, {q(1, 0): 2.0, p(1, 0): 0.5}, 0.0, 0.1, 1e-2)
         checks = 1 + 5 * 10  # initial data, then four stages and the step's end
@@ -456,7 +455,7 @@ def test_one_by_one_rule_matches_lapack_bit_for_bit(a, b):
     # the 1x1 shortcut in the multiplier solver must reproduce LAPACK exactly
     block, rhs = np.array([[a]]), np.array([b])
     tol = dynamics._RANK_TOL * max(1.0, abs(a))
-    rank = dynamics._rank(block)
+    rank = dynamics.numeric_rank(block)
     assert rank == np.linalg.matrix_rank(block, tol=tol)
     if rank == 1:
         with np.errstate(over="ignore"):
@@ -514,7 +513,7 @@ def _two_by_two(draw):
 def test_two_by_two_rank_matches_lapack(rows):
     # a 2x2 block is ranked without an SVD only when a bound certifies it
     try:
-        rank = dynamics._rank(rows)
+        rank = dynamics.numeric_rank(rows)
     except np.linalg.LinAlgError as exc:
         rank = type(exc)
     assert rank == _lapack_rank(rows)

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from jetlag.calculus import diff, time_derivative
-from jetlag.dynamics import assemble
-from jetlag.errors import DegenerateLagrangianError, NotLinearError
+from jetlag.dynamics import assemble, resolve_multipliers
+from jetlag.errors import DegenerateLagrangianError, NotLinearError, SingularJacobianError
 from jetlag.expr import simplify, substitute
 from jetlag.ostro import (
     LagrangianSpec,
@@ -110,6 +112,27 @@ def test_nondegeneracy(rng):
     affine = LagrangianSpec(1, 2, parse("c*q1_2 + q1_1^2"))
     at_a = sample_binding(sorted(affine.lagrangian.free), rng)
     assert nondegeneracy(affine, at_a)["rank"] == 0
+
+
+SCALED = LagrangianSpec(1, 2, parse("1/2*mu*q1_2^2"))
+SCALED_SYSTEM = assemble(ostro_energy(SCALED))
+
+
+@given(st.floats(-14.0, 3.0).map(lambda e: 10.0**e))
+@example(1e-12)
+@example(1e-10)  # the rank tolerance itself: rank 0
+@example(1.0000000000000002e-10)
+@example(1e3)
+def test_nondegeneracy_agrees_with_the_multiplier_solver(c):
+    # the top-derivative Hessian [[c]] is full rank exactly when the solver
+    # can resolve q1_2 from p1_1 - c*q1_2 = 0
+    at = {param("mu"): c, q(1, 0): 0.1, q(1, 1): -0.2, p(1, 0): 0.3, p(1, 1): 0.4}
+    try:
+        resolve_multipliers(SCALED_SYSTEM, at)
+        solved = True
+    except SingularJacobianError:
+        solved = False
+    assert nondegeneracy(SCALED, at)["full"] == solved
 
 
 def test_explicit_hamiltonian():
