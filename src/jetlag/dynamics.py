@@ -7,7 +7,9 @@ use and keeps it.  A linear constraint block whose entries are free of the
 states is evaluated and rank-checked once per parameter vector.  Per point
 (every RK4 stage, every relatedness sample) the residue is evaluated and
 checked, a state-dependent block is evaluated and rank-checked, and the
-multipliers are solved for.
+multipliers are solved for.  For a linear system all of that, and the
+right-hand side at an RK4 stage, is one generated function per system: one
+call per stage.
 
 States, stages and multipliers are lists of Python floats, and every
 floating-point operation runs in the order the numpy version of this module
@@ -15,7 +17,10 @@ used, so trajectories keep their bits.  A 1x1 block is ranked and solved
 with floats; a 2x2 block is ranked without an SVD when a bound certifies
 that it has full rank.  numpy is left only where LAPACK's bits are needed:
 the SVD of any other block, and every solve of a 2x2 or larger block (an LU
-in plain floats differs from LAPACK in the last bits).
+in plain floats differs from LAPACK in the last bits).  Those solves call
+LAPACK's gesv gufunc directly, the kernel behind np.linalg.solve, and fall
+back to np.linalg.solve when numpy lacks that private module or the result
+is not finite (see _solve).
 
 A degenerate point (singular constraint Jacobian) aborts integration with a
 typed error that carries the time and step; the toolkit treats that as
@@ -27,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction  # noqa: F401 - called by generated code
 from functools import cached_property
 
 import numpy as np
@@ -41,13 +47,19 @@ from .errors import (
     SingularJacobianError,
     StepSizeError,
 )
-from .expr import Expr, lambdify, neg, simplify
+from .expr import Expr, define, frame, lambdify, neg, simplify, step_lines, tape
+from .expr import _apply_func, _nonfinite, _pow  # noqa: F401 - called by generated code
 from .families import MorseFamily
 
 _RANK_TOL = 1e-10
 NEWTON_STARTS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 NEWTON_STEPS = 50  # iterations per start
 NEWTON_TOL = 1e-12  # max |g| at which an iterate counts as converged
+
+try:  # the LAPACK gesv gufunc that np.linalg.solve calls after checking its inputs
+    from numpy.linalg._umath_linalg import solve1 as _gesv
+except ImportError:  # a private module: without it np.linalg.solve does the work
+    _gesv = None
 
 
 @dataclass(frozen=True)
@@ -122,11 +134,21 @@ def assemble(mf: MorseFamily) -> ImplicitSystem:
 class _MultiplierSolver:
     """Resolve constraint multipliers at a state point.
 
+    stage(y, p, warm, block) gives the right-hand side and the multipliers,
+    (k, lam), at a state; multipliers(y, p, warm, block) gives lam alone.
+    y and p are the state and parameter vectors as lists of floats, warm is
+    the Newton warm start (or None) and block is block(p).
+
     Linear constraints solve directly (square solve, or least squares with a
-    full-column-rank check); nonlinear ones go through Newton with warm
-    starting.  Singular Jacobians raise with the observed rank.  A linear
-    block free of the states is evaluated and rank-checked once for the last
-    parameter vector seen; a state-dependent one at every point.
+    full-column-rank check).  Each of the two functions is generated once
+    per system as one straight-line body: the residue, a state-dependent
+    block and its rank check, the solve, and for stage the right-hand side
+    (see _linear_source).  A block free of the states is evaluated and
+    rank-checked by block(), once for the last parameter vector seen.
+    Nonlinear constraints go through Newton with warm starting.  Singular
+    Jacobians raise with the observed rank.  Both functions may call _solve,
+    so they run with numpy's "invalid" flag ignored, as solve(),
+    integrate_rk4 and hamjac.gamma_relatedness run them.
     """
 
     def __init__(self, sys: ImplicitSystem):
@@ -140,22 +162,37 @@ class _MultiplierSolver:
         self.params = sorted(params)
         self.all_symbols = self.symbols + self.params
         try:
-            matrix, residue = linear_coefficients(sys.constraints, sys.multipliers)
-            self.linear = True
-            flat = [entry for row in matrix for entry in row]
-            states = set(sys.states)
-            self.constant = not any(entry.free & states for entry in flat)
-            self._block_key = self._block = None
-            self._matrix_fn = lambdify(flat, list(sys.states) + self.params)
-            self._residue_fn = lambdify(residue, list(sys.states) + self.params)
+            self._matrix, self._residue = linear_coefficients(sys.constraints, sys.multipliers)
         except NotLinearError:
-            self.linear = False
+            self.linear = self.constant = False
             jac = [
                 [diff(c, m) for m in sys.multipliers] for c in sys.constraints
             ]
             self._jac_fn = lambdify([e for row in jac for e in row], self.all_symbols)
+            self.multipliers = self._newton_multipliers
+        else:
+            self.linear = True
+            flat = [entry for row in self._matrix for entry in row]
+            states = set(sys.states)
+            self.constant = self.n_mult > 0 and not any(entry.free & states for entry in flat)
+            if self.constant:
+                self._block_key = self._block = None
+                self._matrix_fn = lambdify(flat, self.params)
+            self.multipliers = define(self._linear_source(with_rhs=False), globals())
 
-    # the system compiled over all_symbols, each on first use and then kept
+    # compiled on first use and then kept
+    @cached_property
+    def stage(self):
+        if self.linear:
+            return define(self._linear_source(with_rhs=True), globals())
+        rhs_fn, multipliers = self.rhs_fn, self.multipliers
+
+        def stage(y, p, warm, block):
+            lam = multipliers(y, p, warm, block)
+            return rhs_fn(y + lam + p), lam
+
+        return stage
+
     @cached_property
     def rhs_fn(self):
         return lambdify([self.sys.rhs[s] for s in self.sys.states], self.all_symbols)
@@ -180,52 +217,97 @@ class _MultiplierSolver:
         param_vec are lists of floats.  A constraint with no real value there
         (a negative number under a root, ln of a nonpositive one) is a
         numeric failure."""
-        if self.n_mult == 0:
-            return []
-        try:
-            if self.linear:
-                return self._solve_linear(state_vec + param_vec, param_vec)
-            if self.n_cons != self.n_mult:
-                raise SingularJacobianError(self.n_cons, self.n_mult)
-            # built lazily: the warm start almost always converges
-            starts = ([v] * self.n_mult for v in NEWTON_STARTS)
-            if warm is not None:
-                starts = itertools.chain([list(warm)], starts)
-            last_error = None
-            for start in starts:
-                try:
-                    return self._newton(start, state_vec, param_vec)
-                except (SingularJacobianError, NumericFailureError, DomainEvalError) as exc:
-                    last_error = exc
-            raise last_error
-        except DomainEvalError as exc:
-            raise NumericFailureError(f"constraint evaluation is complex or undefined: {exc}") from exc
+        with np.errstate(invalid="ignore"):
+            return self.multipliers(state_vec, param_vec, warm, self.block(param_vec))
 
-    def _matrix(self, args, param_vec):
-        """Checked constraint matrix at a point, with its rank: a 1x1 block as
-        rows of floats, a larger one as an array."""
-        key = tuple(param_vec) if self.constant else None
-        if key is not None and key == self._block_key:
-            return self._block
-        rows = _rows(self._matrix_fn(args), self.n_mult)
-        # a larger block goes to LAPACK, so it is converted once, not per solve
-        block = (rows if len(rows) == 1 else np.array(rows), numeric_rank(rows))
-        if key is not None:
-            self._block_key, self._block = key, block
-        return block
+    def block(self, param_vec):
+        """(block, rank) of a linear constraint block free of the states,
+        else None: a 1x1 block as rows of floats, a larger one as an array,
+        converted once for LAPACK.  Evaluated and ranked once per new
+        parameter vector."""
+        if not self.constant:
+            return None
+        key = tuple(param_vec)
+        if key != self._block_key:
+            try:
+                rows = _rows(self._matrix_fn(param_vec), self.n_mult)
+            except DomainEvalError as exc:
+                raise _constraint_failure(exc) from exc
+            self._block_key = key
+            self._block = (rows if len(rows) == 1 else np.array(rows), numeric_rank(rows))
+        return self._block
 
-    def _solve_linear(self, args, param_vec):
-        a, rank = self._matrix(args, param_vec)
-        b = [-v for v in self._residue_fn(args)]
-        if rank < self.n_mult:
-            raise SingularJacobianError(rank, self.n_mult)
-        if self.n_cons == self.n_mult:
-            return _solve(a, b)
-        b = np.array(b)
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if np.max(np.abs(a @ sol - b)) > 1e-9 * (1.0 + np.max(np.abs(b))):
-            raise ConstraintViolationError("overdetermined multiplier system is inconsistent")
-        return sol.tolist()
+    def _linear_source(self, with_rhs):
+        """Source of the generated stage (with_rhs) or multipliers function.
+
+        One tape holds the state-dependent block, the residue and the
+        right-hand side, in that order, so a shared subexpression is
+        computed once and each part's steps come before its last output.
+        The body checks and raises in the order of separate evaluations:
+        block, rank, residue (a domain error in either is a numeric
+        failure), the rank test, the solve, then the right-hand side.
+        """
+        n, m = len(self.sys.states), self.n_mult
+        block = [] if self.constant else [e for row in self._matrix for e in row]
+        exprs = (block + self._residue if m else []) + (
+            [self.sys.rhs[s] for s in self.sys.states] if with_rhs else []
+        )
+        steps = tape(exprs, self.all_symbols)
+        # ends[j]: the tape position just after the j-th output
+        ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
+        lam = ", ".join(f"x{n + j}" for j in range(m))
+        source = [
+            f"def {'stage' if with_rhs else 'multipliers'}(y, p, warm, block):",
+            f"    [{', '.join(f'x{i}' for i in range(n))}] = y",
+            f"    [{', '.join(f'x{i}' for i in range(n + m, len(self.all_symbols)))}] = p",
+        ]
+        names = []
+        if m:
+            checked, guarded = [], False
+            if block:
+                lines, entries, raises = step_lines(steps, ends[len(block)], names)
+                checked += frame(lines, raises)
+                rows = (", ".join(entries[i : i + m]) for i in range(0, len(entries), m))
+                checked += [f"a = [{', '.join(f'[{row}]' for row in rows)}]", "rank = numeric_rank(a)"]
+                guarded = raises
+            else:
+                checked.append("a, rank = block")
+            lines, residue, raises = step_lines(steps, ends[len(block) + self.n_cons], names)
+            checked += frame(lines, raises)
+            if guarded or raises:
+                checked = ["try:", *(f"    {line}" for line in checked)] + [
+                    "except DomainEvalError as exc:",
+                    "    raise _constraint_failure(exc) from exc",
+                ]
+            source += [f"    {line}" for line in checked]
+            source += [f"    if rank < {m}:", f"        raise SingularJacobianError(rank, {m})"]
+            if self.n_cons == m == 1:  # a float division gives LAPACK's bits
+                source.append(f"    x{n} = -{residue[0]} / {entries[0] if block else 'a[0][0]'}")
+            else:
+                solve = "_solve" if self.n_cons == m else "_lstsq"
+                source.append(f"    [{lam}] = {solve}(a, [{', '.join(f'-{r}' for r in residue)}])")
+        if not with_rhs:
+            return source + [f"    return [{lam}]"]
+        lines, k, raises = step_lines(steps, len(steps), names)
+        source += [f"    {line}" for line in frame(lines, raises)]
+        return source + [f"    return [{', '.join(k)}], [{lam}]"]
+
+    def _newton_multipliers(self, y, p, warm, block):
+        if self.n_cons != self.n_mult:
+            raise SingularJacobianError(self.n_cons, self.n_mult)
+        # built lazily: the warm start almost always converges
+        starts = ([v] * self.n_mult for v in NEWTON_STARTS)
+        if warm is not None:
+            starts = itertools.chain([list(warm)], starts)
+        last_error = None
+        for start in starts:
+            try:
+                return self._newton(start, y, p)
+            except (SingularJacobianError, NumericFailureError, DomainEvalError) as exc:
+                last_error = exc
+        if isinstance(last_error, DomainEvalError):
+            raise _constraint_failure(last_error) from last_error
+        raise last_error
 
     def _newton(self, lam, state_vec, param_vec):
         n, m = len(state_vec), self.n_mult
@@ -241,6 +323,10 @@ class _MultiplierSolver:
                 raise SingularJacobianError(rank, m)
             lam = [x - dx for x, dx in zip(lam, _solve(j, g))]
         raise NumericFailureError("multiplier Newton iteration did not converge")
+
+
+def _constraint_failure(exc) -> NumericFailureError:
+    return NumericFailureError(f"constraint evaluation is complex or undefined: {exc}")
 
 
 def _rows(flat, n_cols) -> list:
@@ -295,11 +381,31 @@ def _solve(a, b) -> list:
     """np.linalg.solve(a, b) for a nonsingular square a (a sequence of
     rows), as a list.
 
-    A 1x1 block is a float division, which gives the same bits as LAPACK.
+    A 1x1 block is a float division, which gives the same bits as LAPACK.  A
+    larger one goes straight to LAPACK's gesv gufunc: the kernel that
+    np.linalg.solve runs, without its Python-side checks.  A singular pivot
+    there gives nans and raises numpy's "invalid" flag, so callers run with
+    that flag ignored (np.errstate); any non-finite result is solved again
+    by np.linalg.solve, which turns a singular pivot into LinAlgError and
+    otherwise returns the same bits.
     """
     if len(a) == 1:
         return [float(b[0]) / float(a[0][0])]
+    if _gesv is not None:
+        x = _gesv(a, b, signature="dd->d").tolist()
+        if all(map(math.isfinite, x)):
+            return x
     return np.linalg.solve(a, b).tolist()
+
+
+def _lstsq(a, b) -> list:
+    """Least-squares multipliers of an overdetermined block of full column
+    rank; a system they do not satisfy raises ConstraintViolationError."""
+    a, b = np.array(a), np.array(b)
+    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    if np.max(np.abs(a @ sol - b)) > 1e-9 * (1.0 + np.max(np.abs(b))):
+        raise ConstraintViolationError("overdetermined multiplier system is inconsistent")
+    return sol.tolist()
 
 
 def resolve_multipliers(sys: ImplicitSystem, at: dict, warm=None) -> dict:
@@ -348,22 +454,8 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     if missing:
         raise ConstraintViolationError(f"initial data misses state values for {missing}")
     param_vec = solver.param_vector(init)
-    rhs_fn, cons_fn, energy_fn = solver.rhs_fn, solver.cons_fn, solver.energy_fn
-
-    y = [float(init[s]) for s in states]
-    try:
-        warm = solver.solve(y, param_vec)
-    except SingularJacobianError as exc:
-        raise exc.located(t0, 0) from None
-    g0 = cons_fn(y + warm + param_vec)
-    if g0 and max(abs(v) for v in g0) > 1e-9:
-        raise ConstraintViolationError(
-            f"initial data violates constraints by {max(abs(v) for v in g0):g}"
-        )
-
-    def vector_field(yv, warm_lam):
-        lam = solver.solve(yv, param_vec, warm_lam)
-        return rhs_fn(yv + lam + param_vec), lam
+    stage, multipliers = solver.stage, solver.multipliers
+    cons_fn, energy_fn = solver.cons_fn, solver.energy_fn
 
     times = [t0]
     rows = []
@@ -376,25 +468,36 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
         except (DomainEvalError, NumericFailureError):  # no finite energy here
             energies.append(float("nan"))
 
-    record(y, warm)
-    t = t0
+    y = [float(init[s]) for s in states]
     hh, h6 = 0.5 * h, h / 6.0
-    # overflow in a numpy solve surfaces through the explicit finite checks,
-    # not numpy warnings
+    # a singular pivot in a LAPACK solve surfaces through _solve's finite
+    # check, overflow through the explicit finite checks, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        block = solver.block(param_vec)
+        try:
+            warm = multipliers(y, param_vec, None, block)
+        except SingularJacobianError as exc:
+            raise exc.located(t0, 0) from None
+        g0 = cons_fn(y + warm + param_vec)
+        if g0 and max(abs(v) for v in g0) > 1e-9:
+            raise ConstraintViolationError(
+                f"initial data violates constraints by {max(abs(v) for v in g0):g}"
+            )
+        record(y, warm)
+        t = t0
         for step in range(1, n_steps + 1):
             try:
-                k1, lam1 = vector_field(y, warm)
-                k2, lam2 = vector_field([a + hh * b for a, b in zip(y, k1)], lam1)
-                k3, lam3 = vector_field([a + hh * b for a, b in zip(y, k2)], lam2)
-                k4, lam4 = vector_field([a + h * b for a, b in zip(y, k3)], lam3)
+                k1, lam1 = stage(y, param_vec, warm, block)
+                k2, lam2 = stage([a + hh * b for a, b in zip(y, k1)], param_vec, lam1, block)
+                k3, lam3 = stage([a + hh * b for a, b in zip(y, k2)], param_vec, lam2, block)
+                k4, lam4 = stage([a + h * b for a, b in zip(y, k3)], param_vec, lam3, block)
                 y = [
                     a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
                 ]
                 if not all(map(math.isfinite, y)):
                     raise NumericFailureError("state became non-finite during integration")
-                lam_end = solver.solve(y, param_vec, lam4)
+                lam_end = multipliers(y, param_vec, lam4, block)
             except SingularJacobianError as exc:
                 raise exc.located(t, step) from None
             t += h
@@ -428,15 +531,10 @@ def constraint_sup(sys: ImplicitSystem, traj: Trajectory) -> float:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Canonical CSV: t, roster columns, E; 17 significant digits."""
+    fmt = "{:.17g}".format
     header = ["t"] + [str(s) for s in traj.columns] + ["E"]
     lines = [",".join(header)]
-    energies = traj.energies
-    for i, (t, row) in enumerate(zip(traj.times, traj.values.tolist())):
-        cells = [_fmt(t)] + [_fmt(v) for v in row]
-        cells.append(_fmt(energies[i]) if energies is not None else "")
-        lines.append(",".join(cells))
+    energies = [""] * len(traj.times) if traj.energies is None else map(fmt, traj.energies.tolist())
+    for t, row, energy in zip(traj.times, traj.values.tolist(), energies):
+        lines.append(",".join([fmt(float(t)), *map(fmt, row), energy]))
     return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"

@@ -716,12 +716,13 @@ def _coeff_mul(a: Fraction, b: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# compilation: one tape, written out as straight-line Python (lambdify, one
-# point per call) or run over numpy columns (compile_rows, many rows per call)
+# compilation: one tape, written out as straight-line Python (lambdify and
+# dynamics' multiplier stages, one point per call) or run over numpy columns
+# (compile_rows, many rows per call)
 # ---------------------------------------------------------------------------
 
 
-def _tape(exprs, symbols):
+def tape(exprs, symbols):
     """The expressions as a Wengert list with one step per distinct
     subexpression key.
 
@@ -768,6 +769,76 @@ def _tape(exprs, symbols):
     return steps
 
 
+def step_lines(steps, stop, names):
+    """Straight-line Python for steps[len(names):stop] of a tape.
+
+    names holds one Python expression per slot already written and gets one
+    per new step: a variable v<slot>, a symbol's x<column>, or a constant's
+    literal.  Returns (lines, outputs, raises): the statements, the name of
+    each output in order, and whether a step can raise OverflowError or
+    ValueError (a power or a function), which frame() then maps to
+    eval_expr's errors; sums and products of floats raise neither.  Every
+    output that is not a finite constant is checked once: a non-finite one
+    raises NumericFailureError, as in eval_expr.  The lines call _pow,
+    _apply_func, _nonfinite, Fraction and math by name.
+    """
+    lines, outputs, raises, checked = [], [], False, set()
+    for op, arg, payload in steps[len(names) : stop]:
+        name = f"v{len(names)}"
+        if op == "const":
+            name = f"({arg!r})" if math.isfinite(arg) else f"float('{arg!r}')"
+        elif op == "sym":
+            name = f"x{arg}"
+        elif op == "out":
+            name = names[arg]
+            outputs.append(name)
+            if arg not in checked and not (steps[arg][0] == "const" and math.isfinite(steps[arg][1])):
+                checked.add(arg)
+                # v - v is 0.0 for every finite v, and nan for an infinity or a nan
+                lines.append(f"if {name} - {name} != 0.0: _nonfinite({name})")
+        elif op in ("add", "mul"):
+            lines.append(f"{name} = " + (" + " if op == "add" else " * ").join(names[a] for a in arg))
+        elif op == "pow":
+            raises = True
+            base, (exp, float_exp) = names[arg], payload
+            guards = [f"{base} == 0.0"] if exp < 0 else []
+            guards += [f"{base} < 0.0"] if exp.denominator != 1 else []
+            if guards:  # _pow raises eval_expr's domain error
+                lines.append(f"if {' or '.join(guards)}: _pow({base}, Fraction({exp.numerator}, {exp.denominator}))")
+            lines.append(f"{name} = {base} ** {float_exp!r}")
+        else:
+            raises = True
+            if op == "ln":  # _apply_func raises eval_expr's domain error
+                lines.append(f"if {names[arg]} <= 0.0: _apply_func('ln', {names[arg]})")
+            lines.append(f"{name} = math.{Func._TABLE[op].__name__}({names[arg]})")
+        names.append(name)
+    return lines, outputs, raises
+
+
+def frame(lines, raises):
+    """step_lines' lines, inside the try/except that maps a float
+    OverflowError to NumericFailureError and a ValueError (sin or cos of an
+    infinity) to DomainEvalError, as eval_expr raises them, when a step in
+    them can raise either."""
+    if not raises:
+        return lines
+    return ["try:", *(f"    {line}" for line in lines)] + [
+        "except OverflowError as exc:",
+        "    raise NumericFailureError(str(exc)) from exc",
+        "except ValueError as exc:",
+        "    raise DomainEvalError(str(exc)) from exc",
+    ]
+
+
+def define(source, namespace):
+    """The function that the lines of source define, compiled and run in
+    namespace (a module's globals)."""
+    local = {}
+    exec(compile("\n".join(source), "<jetlag-generated>", "exec"), namespace, local)  # noqa: S102 - our own tape
+    (fn,) = local.values()
+    return fn
+
+
 def lambdify(exprs, symbols):
     """Compile expressions to f(values) -> list[float], where values holds
     one float per symbol in the given order.
@@ -779,44 +850,11 @@ def lambdify(exprs, symbols):
     errors.  The code runs in this module's namespace.
     """
     symbols = list(symbols)
-    names, lines, outputs = [], [], []
-    for slot, (op, arg, payload) in enumerate(_tape(exprs, symbols)):
-        name = f"v{slot}"
-        if op == "const":
-            name = f"({arg!r})" if math.isfinite(arg) else f"float('{arg!r}')"
-        elif op == "sym":
-            name = f"x{arg}"
-        elif op == "out":
-            name = names[arg]
-            outputs.append(name)
-            # v - v is 0.0 for every finite v, and nan for an infinity or a nan
-            lines.append(f"if {name} - {name} != 0.0: _nonfinite({name})")
-        elif op in ("add", "mul"):
-            lines.append(f"{name} = " + (" + " if op == "add" else " * ").join(names[a] for a in arg))
-        elif op == "pow":
-            base, (exp, float_exp) = names[arg], payload
-            guards = [f"{base} == 0.0"] if exp < 0 else []
-            guards += [f"{base} < 0.0"] if exp.denominator != 1 else []
-            if guards:  # _pow raises eval_expr's domain error
-                lines.append(f"if {' or '.join(guards)}: _pow({base}, Fraction({exp.numerator}, {exp.denominator}))")
-            lines.append(f"{name} = {base} ** {float_exp!r}")
-        else:
-            if op == "ln":  # _apply_func raises eval_expr's domain error
-                lines.append(f"if {names[arg]} <= 0.0: _apply_func('ln', {names[arg]})")
-            lines.append(f"{name} = math.{Func._TABLE[op].__name__}({names[arg]})")
-        names.append(name)
+    steps = tape(exprs, symbols)
+    lines, outputs, raises = step_lines(steps, len(steps), [])
     source = ["def f(x):", "    [" + ", ".join(f"x{i}" for i in range(len(symbols))) + "] = x"]
-    source += ["    try:"] + [f"        {line}" for line in lines] + ["        pass"]
-    source += [
-        "    except OverflowError as exc:",
-        "        raise NumericFailureError(str(exc)) from exc",
-        "    except ValueError as exc:  # sin or cos of an infinity",
-        "        raise DomainEvalError(str(exc)) from exc",
-        f"    return [{', '.join(outputs)}]",
-    ]
-    namespace = {}
-    exec(compile("\n".join(source), "<jetlag-lambdify>", "exec"), globals(), namespace)  # noqa: S102 - our own tape
-    return namespace["f"]
+    source += [f"    {line}" for line in frame(lines, raises)] + [f"    return [{', '.join(outputs)}]"]
+    return define(source, globals())
 
 
 def compile_rows(exprs, symbols):
@@ -836,7 +874,7 @@ def compile_rows(exprs, symbols):
     module's in the last bit.  Unbound symbols, and constants too large for
     a float, are construction-time errors.
     """
-    steps = _tape(exprs, symbols)
+    steps = tape(exprs, symbols)
 
     def run(rows):
         cols = np.asarray(rows, dtype=float).T

@@ -415,9 +415,11 @@ def gamma_relatedness(
     param_vec = solver.param_vector(params)
     states = np.stack([lifted.column(s) for s in sys.states], axis=1)
     values = []
-    for row in states[1:-1].tolist():
-        args = row + solver.solve(row, param_vec) + param_vec
-        values.append(solver.rhs_fn(args) + solver.cons_fn(args))
+    with np.errstate(invalid="ignore"):  # see dynamics._solve
+        block = solver.block(param_vec)
+        for row in states[1:-1].tolist():
+            args = row + solver.multipliers(row, param_vec, None, block) + param_vec
+            values.append(solver.rhs_fn(args) + solver.cons_fn(args))
     values = np.array(values)
     n = len(sys.states)
     fd = (states[2:] - states[:-2]) / (2.0 * h)

@@ -614,9 +614,9 @@ def test_auxiliary_factor_derive_compiles_no_scalar_code(tmp_path, monkeypatch, 
 
 
 def test_simulate_compiles_only_the_multiplier_solver(tmp_path, monkeypatch, capsys):
-    calls = count_calls_everywhere(monkeypatch, expr.lambdify)
+    calls = count_calls_everywhere(monkeypatch, expr.define)  # every generated function
     assert main(["simulate", "--config", str(DATA / "beam.json"), "--out", str(tmp_path)]) == 0
-    # constraint matrix, residue, right-hand side, constraints, energy; the
+    # constraint matrix, multipliers, stage, constraints, energy; the
     # constraint sup reuses the solver's compiled constraints
     assert len(calls) == 5
 

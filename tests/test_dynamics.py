@@ -1,9 +1,15 @@
+import importlib
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jetlag
 from jetlag import dynamics
+from jetlag.calculus import diff, linear_coefficients
 from jetlag.dynamics import (
     ImplicitSystem,
     Trajectory,
@@ -17,11 +23,12 @@ from jetlag.dynamics import (
 from jetlag.errors import (
     ChartMismatchError,
     ConstraintViolationError,
+    NotLinearError,
     NumericFailureError,
     SingularJacobianError,
     StepSizeError,
 )
-from jetlag.expr import eval_expr
+from jetlag.expr import eval_expr, lambdify
 from jetlag.hamjac import ClosedOneForm, lift_trajectory
 from jetlag.ostro import LagrangianSpec, euler_lagrange, ostro_energy, ostro_initial_data
 from jetlag.parser import parse
@@ -261,11 +268,12 @@ def test_trajectory_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "t,q1_0,q1_1,p1_0,p1_1,q1_2,E"
     assert len(lines) == len(traj.times) + 1
-    # 17 significant digits
+    # 17 significant digits in every cell; no energy leaves the last cell empty
     value = -1.0 / 3.0
-    from jetlag.dynamics import _fmt
-
-    assert _fmt(value) == f"{value:.17g}"
+    one_row = Trajectory([0.5], [[value]], (q(1, 0),), np.array([value]))
+    assert trajectory_csv(one_row) == f"t,q1_0,E\n0.5,{value:.17g},{value:.17g}\n"
+    one_row.energies = None
+    assert trajectory_csv(one_row) == f"t,q1_0,E\n0.5,{value:.17g},\n"
 
 
 def test_morse_family_rejects_non_cotangent_chart():
@@ -304,11 +312,13 @@ def test_solver_built_once_per_system(monkeypatch):
     sys = beam_system()
     linear = count_calls(monkeypatch, dynamics, "linear_coefficients")
     compiles = count_calls(monkeypatch, dynamics, "lambdify")
+    generated = count_calls(monkeypatch, dynamics, "define")
     at = {q(1, 0): 0.0, q(1, 1): 0.0, p(1, 0): 0.0, p(1, 1): 3.0, **PARAMS}
     for _ in range(100):
         assert resolve_multipliers(sys, at) == {q(1, 2): 3.0}
     assert linear["calls"] == 1
-    assert compiles["calls"] == 2
+    # the constant block, and one function from the residue to the multipliers
+    assert (compiles["calls"], generated["calls"]) == (1, 1)
     assert sys.solver is sys.solver
 
 
@@ -320,10 +330,11 @@ def test_second_run_of_a_system_compiles_nothing(monkeypatch):
     ]
     for sys, init, first_run in cases:
         compiles = count_calls(monkeypatch, dynamics, "lambdify")
+        generated = count_calls(monkeypatch, dynamics, "define")
         integrate_rk4(sys, init, 0.0, 0.05, 1e-2)
-        assert compiles["calls"] == first_run
+        assert compiles["calls"] + generated["calls"] == first_run
         integrate_rk4(sys, init, 0.0, 0.05, 1e-2)
-        assert compiles["calls"] == first_run
+        assert compiles["calls"] + generated["calls"] == first_run
 
 
 def test_constant_block_rank_checked_once_per_run(monkeypatch):
@@ -519,49 +530,163 @@ def test_two_by_two_rank_matches_lapack(rows):
     assert rank == _lapack_rank(rows)
 
 
+def _solve_outcome(solve, a, b):
+    """The bytes of solve(a, b), or the class of the error it raises."""
+    try:
+        return np.array(solve(a, b)).tobytes()
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+@st.composite
+def _square_system(draw):
+    """A 2x2 to 4x4 block and a right-hand side: entries of any sign, each
+    row and column scaled by powers of ten up to 1e+-150, sometimes with one
+    row a multiple of another."""
+    n = draw(st.integers(2, 4))
+    scales = st.sampled_from([1.0, 1e-150, 1e-100, 1e-10, 1e-3, 1e3, 1e10, 1e100, 1e150])
+    row_scales = [draw(scales) for _ in range(n)]
+    col_scales = [draw(scales) for _ in range(n)]
+    entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+    rows = [[draw(entries) * r * c for c in col_scales] for r in row_scales]
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i] = [draw(st.sampled_from([1.0, -2.0, 0.5])) * v for v in rows[j]]
+    return rows, [draw(entries) * draw(scales) for _ in range(n)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_square_system())
+@example(([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]))
+@example(([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]))  # exactly singular
+@example(([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 1.0, 1.0]))
+@example(([[1e-300, 0.0], [0.0, 1e-300]], [1e300, 1e300]))  # the solution overflows
+@example(([[1e150, 1.0], [1.0, 1e-150]], [1.0, -1.0]))
+def test_solve_gives_numpy_solve_bytes(system):
+    # the direct gesv call must give np.linalg.solve's bits, for the rows
+    # of a state-dependent block and for a constant block's array
+    rows, b = system
+    expected = _solve_outcome(np.linalg.solve, rows, b)
+    with np.errstate(invalid="ignore"):  # as the solver's callers run it
+        assert _solve_outcome(dynamics._solve, rows, b) == expected
+        assert _solve_outcome(dynamics._solve, np.array(rows), b) == expected
+
+
+def test_solve_falls_back_to_numpy_without_the_private_gufunc(monkeypatch):
+    # a numpy without numpy.linalg._umath_linalg: a fresh import of the
+    # module takes np.linalg.solve, with the same bits
+    monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+    monkeypatch.delitem(sys.modules, "jetlag.dynamics")
+    monkeypatch.setattr(jetlag, "dynamics", dynamics)  # the import rebinds it
+    fresh = importlib.import_module("jetlag.dynamics")
+    assert fresh is not dynamics
+    assert fresh._gesv is None and dynamics._gesv is not None
+    rows, b = [[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.0, 1.0, 4.0]], [1.0, 2.0, 3.0]
+    assert fresh._solve(rows, b) == dynamics._solve(rows, b) == np.linalg.solve(rows, b).tolist()
+    for case in ("2x2 state-dependent linear", "3x3 state-dependent linear", "2x2 Newton"):
+        system, init = _ORACLE_CASES[case]
+        copy = fresh.ImplicitSystem(
+            system.states, system.rhs, system.constraints, system.multipliers, system.energy
+        )
+        ours = fresh.integrate_rk4(copy, init, 0.0, 0.2, 1e-2)
+        theirs = integrate_rk4(system, init, 0.0, 0.2, 1e-2)
+        assert ours.values.tobytes() == theirs.values.tobytes()
+    with pytest.raises(np.linalg.LinAlgError):
+        fresh._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+
+
+def test_singular_pivot_raises_linalgerror_without_a_warning(monkeypatch):
+    # a full-rank verdict forced on exactly singular blocks, one constant and
+    # one state-dependent, sends them to LAPACK: every caller gets
+    # LinAlgError, as from np.linalg.solve, and numpy warns nowhere
+    monkeypatch.setattr(dynamics, "numeric_rank", lambda rows: len(rows[0]))
+    blocks = [
+        ("q1_2 + q2_2 - p1_0", "q1_2 + q2_2 - q1_0"),
+        ("q1_0*q1_2 + q1_0*q2_2 - p1_0", "q1_2 + q2_2"),
+    ]
+    at = {q(1, 0): 0.5, p(1, 0): 0.2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for constraints in blocks:
+            system = one_dof_system(constraints, multipliers=(q(1, 2), q(2, 2)))
+            with pytest.raises(np.linalg.LinAlgError):
+                resolve_multipliers(system, at)
+            with pytest.raises(np.linalg.LinAlgError):
+                integrate_rk4(system, at, 0.0, 0.1, 1e-2)
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            dynamics._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+
+
 def _numpy_rk4(sys, init, h, n_steps):
     """Reference run: integrate_rk4's stage and multiplier arithmetic on numpy
-    arrays, with an SVD rank check and np.linalg.solve for every block, as
-    the solver did before it moved to lists of floats.  Values and energies
-    of the samples."""
-    solver = sys.solver
-    param_vec = solver.param_vector(init)
-    m = solver.n_mult
+    arrays, as the solver did before it moved to lists of floats, with its
+    own functions compiled here from the system's expressions.  Every block
+    takes an SVD rank check and np.linalg.solve, or np.linalg.lstsq when it
+    is tall; nonlinear constraints take Newton.  Values and energies of the
+    samples; a rank-deficient block raises SingularJacobianError located at
+    the last good time and the failing step."""
+    states, mults = list(sys.states), list(sys.multipliers)
+    rhs = [sys.rhs[s] for s in states]
+    params = sorted({s for e in list(sys.constraints) + rhs for s in e.free} - set(states + mults))
+    symbols = states + mults + params
+    param_vec = [float(init[s]) for s in params]
+    m = len(mults)
+    rhs_fn, energy_fn = lambdify(rhs, symbols), lambdify([sys.energy], symbols)
+    try:
+        matrix, residue = linear_coefficients(sys.constraints, mults)
+        matrix_fn = lambdify([e for row in matrix for e in row], states + params)
+        residue_fn = lambdify(residue, states + params)
+        newton = False
+    except NotLinearError:
+        cons_fn = lambdify(sys.constraints, symbols)
+        jac_fn = lambdify([diff(c, u) for c in sys.constraints for u in mults], symbols)
+        newton = True
 
     def checked(a):
         tol = dynamics._RANK_TOL * max(1.0, float(np.max(np.abs(a))))
-        assert np.linalg.matrix_rank(a, tol=tol) == m
+        rank = np.linalg.matrix_rank(a, tol=tol)
+        if rank < m:
+            raise SingularJacobianError(rank, m)
         return a
 
     def multipliers(y, lam):
-        if solver.linear:
+        if not newton:
             args = y.tolist() + param_vec
-            a = checked(np.array(solver._matrix_fn(args)).reshape(m, m))
-            return np.linalg.solve(a, -np.array(solver._residue_fn(args)))
+            a = checked(np.array(matrix_fn(args)).reshape(-1, m))
+            b = -np.array(residue_fn(args))
+            return np.linalg.solve(a, b) if len(a) == m else np.linalg.lstsq(a, b, rcond=None)[0]
         for _ in range(50):
             base = y.tolist() + lam.tolist() + param_vec
-            g = np.array(solver.cons_fn(base))
+            g = np.array(cons_fn(base))
             if np.max(np.abs(g)) <= 1e-12:
                 return lam
-            lam = lam - np.linalg.solve(checked(np.array(solver._jac_fn(base)).reshape(m, m)), g)
+            lam = lam - np.linalg.solve(checked(np.array(jac_fn(base)).reshape(m, m)), g)
         raise AssertionError("reference Newton iteration did not converge")
 
     def field(y, warm):
         lam = multipliers(y, warm)
-        return np.array(solver.rhs_fn(y.tolist() + lam.tolist() + param_vec)), lam
+        return np.array(rhs_fn(y.tolist() + lam.tolist() + param_vec)), lam
 
-    y = np.array([float(init[s]) for s in sys.states])
-    lam = multipliers(y, np.zeros(m))
+    y = np.array([float(init[s]) for s in states])
+    try:
+        lam = multipliers(y, np.zeros(m))
+    except SingularJacobianError as exc:
+        raise exc.located(0.0, 0) from None
     rows = [y.tolist() + lam.tolist()]
-    for _ in range(n_steps):
-        k1, lam1 = field(y, lam)
-        k2, lam2 = field(y + 0.5 * h * k1, lam1)
-        k3, lam3 = field(y + 0.5 * h * k2, lam2)
-        k4, lam4 = field(y + h * k3, lam3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        lam = multipliers(y, lam4)
+    t = 0.0
+    for step in range(1, n_steps + 1):
+        try:
+            k1, lam1 = field(y, lam)
+            k2, lam2 = field(y + 0.5 * h * k1, lam1)
+            k3, lam3 = field(y + 0.5 * h * k2, lam2)
+            k4, lam4 = field(y + h * k3, lam3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            lam = multipliers(y, lam4)
+        except SingularJacobianError as exc:
+            raise exc.located(t, step) from None
+        t += h
         rows.append(y.tolist() + lam.tolist())
-    energies = [solver.energy_fn(row + param_vec)[0] for row in rows]
+    energies = [energy_fn(row + param_vec)[0] for row in rows]
     return np.array(rows), np.array(energies)
 
 
@@ -582,6 +707,32 @@ _ORACLE_CASES = {
             rhs={q(1, 0): parse("p1_0 + q1_2"), p(1, 0): parse("-q2_2")},
         ),
         {q(1, 0): 0.1, p(1, 0): 0.2, param("mu"): 3.0},
+    ),
+    "2x1 state-dependent least squares": (
+        one_dof_system(
+            ("q1_0*q1_2 - p1_0", "2*q1_0*q1_2 - 2*p1_0"),
+            rhs={q(1, 0): parse("1 + q1_2/10"), p(1, 0): parse("-q1_0*q1_2")},
+        ),
+        {q(1, 0): 2.0, p(1, 0): 0.5},
+    ),
+    "3x3 state-dependent linear": (
+        ImplicitSystem(
+            states=(q(1, 0), q(2, 0), p(1, 0), p(2, 0)),
+            rhs={
+                q(1, 0): parse("p1_0 + q3_2"),
+                q(2, 0): parse("p2_0 - q1_2/2"),
+                p(1, 0): parse("-q1_0*q2_2"),
+                p(2, 0): parse("sin(q2_0)*q3_2"),
+            },
+            constraints=(
+                parse("(2 + q1_0^2)*q1_2 + q2_2 - p1_0"),
+                parse("q1_2 + (3 + cos(q2_0))*q2_2 + q1_0*q3_2 - p2_0"),
+                parse("q2_2 + 4*q3_2 - q1_0*q2_0"),
+            ),
+            multipliers=(q(1, 2), q(2, 2), q(3, 2)),
+            energy=parse("1/2*p1_0^2 + 1/2*p2_0^2"),
+        ),
+        {q(1, 0): 0.3, q(2, 0): -0.4, p(1, 0): 0.7, p(2, 0): 0.1},
     ),
     "1x1 Newton": (
         one_dof_system(("q1_2^3 + q1_2 - p1_0",), rhs={q(1, 0): parse("p1_0 + q1_2"), p(1, 0): parse("-q1_0")}),
@@ -605,3 +756,20 @@ def test_float_stages_give_the_numpy_stages_bits(case):
     values, energies = _numpy_rk4(sys, init, 1e-2, 50)
     assert traj.values.tobytes() == values.tobytes()
     assert traj.energies.tobytes() == energies.tobytes()
+
+
+def test_singular_block_mid_run_aborts_where_the_numpy_stages_abort():
+    # block [[q1_0, 1], [1, q1_0]] with q1_0 = 2 - t: singular at t = 1,
+    # which the fourth stage of step 16 reaches
+    sys = one_dof_system(
+        ("q1_0*q1_2 + q2_2 - p1_0", "q1_2 + q1_0*q2_2"),
+        multipliers=(q(1, 2), q(2, 2)),
+        rhs={q(1, 0): parse("-1"), p(1, 0): parse("q2_2")},
+    )
+    init = {q(1, 0): 2.0, p(1, 0): 0.5}
+    with pytest.raises(SingularJacobianError) as ours:
+        integrate_rk4(sys, init, 0.0, 2.0, 0.0625)
+    with pytest.raises(SingularJacobianError) as reference:
+        _numpy_rk4(sys, init, 0.0625, 32)
+    found = [(e.rank, e.needed, e.time, e.step) for e in (ours.value, reference.value)]
+    assert found == [(1, 2, 0.9375, 16)] * 2

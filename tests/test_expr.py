@@ -355,6 +355,23 @@ def test_long_chain_of_single_use_steps_compiles():
     assert lambdify([e], symbols)(row) == [eval_expr(e, dict(zip(symbols, row)))]
 
 
+def test_sums_and_products_compile_without_an_error_frame():
+    # float + and * cannot raise, so no try/except is written; a constant
+    # output is not checked; the other outputs still are, as in eval_expr
+    symbols = [q(1, 0), q(2, 0)]
+    exprs = [parse("q1_0*q2_0 + 3"), parse("5/2"), parse("q1_0")]
+    f = lambdify(exprs, symbols)
+    if hasattr(f.__code__, "co_exceptiontable"):  # Python 3.11 and later
+        assert f.__code__.co_exceptiontable == b""
+        assert lambdify([parse("q1_0^2")], symbols).__code__.co_exceptiontable != b""
+    assert f([2.0, 3.0]) == [9.0, 2.5, 2.0]
+    for row in ([1e200, 1e200], [float("nan"), 1.0], [float("inf"), 0.0]):
+        with pytest.raises(NumericFailureError):
+            f(row)
+        with pytest.raises(NumericFailureError):
+            [eval_expr(e, dict(zip(symbols, row))) for e in exprs]
+
+
 def test_constant_powers_fold_exactly_only_up_to_a_bit_bound():
     assert pow_(const(2), 14000) == const(2**14000)
     assert pow_(const(Fraction(1, 3)), -5) == const(243)
