@@ -7,9 +7,10 @@ use and keeps it.  A linear constraint block whose entries are free of the
 states is evaluated and rank-checked once per parameter vector.  Per point
 (every RK4 stage, every relatedness sample) the residue is evaluated and
 checked, a state-dependent block is evaluated and rank-checked, and the
-multipliers are solved for.  For a linear system all of that, and the
-right-hand side at an RK4 stage, is one generated function per system: one
-call per stage.
+multipliers are solved for.  For a linear system all of that is one
+generated function per system.  An RK4 stage is one generated function for
+every system: it calls the system's multipliers function and then runs the
+right-hand side.
 
 States, stages and multipliers are lists of Python floats, and every
 floating-point operation runs in the order the numpy version of this module
@@ -140,15 +141,17 @@ class _MultiplierSolver:
     the Newton warm start (or None) and block is block(p).
 
     Linear constraints solve directly (square solve, or least squares with a
-    full-column-rank check).  Each of the two functions is generated once
+    full-column-rank check).  Their multipliers function is generated once
     per system as one straight-line body: the residue, a state-dependent
-    block and its rank check, the solve, and for stage the right-hand side
-    (see _linear_source).  A block free of the states is evaluated and
-    rank-checked by block(), once for the last parameter vector seen.
-    Nonlinear constraints go through Newton with warm starting.  Singular
-    Jacobians raise with the observed rank.  Both functions may call _solve,
-    so they run with numpy's "invalid" flag ignored, as solve(),
-    integrate_rk4 and hamjac.gamma_relatedness run them.
+    block and its rank check, and the solve (see _linear_source).  A block
+    free of the states is evaluated and rank-checked by block(), once for
+    the last parameter vector seen.  Nonlinear constraints go through Newton
+    with warm starting.  Singular Jacobians raise with the observed rank.
+    Every system's stage is generated too: it calls the system's
+    multipliers and then runs the right-hand side.  Both functions may call
+    _solve, so they run with numpy's "invalid" flag ignored, as
+    resolve_multipliers, integrate_rk4 and hamjac.gamma_relatedness run
+    them.
     """
 
     def __init__(self, sys: ImplicitSystem):
@@ -178,24 +181,26 @@ class _MultiplierSolver:
             if self.constant:
                 self._block_key = self._block = None
                 self._matrix_fn = lambdify(flat, self.params)
-            self.multipliers = define(self._linear_source(with_rhs=False), globals())
+            self.multipliers = define(self._linear_source(), globals())
 
     # compiled on first use and then kept
     @cached_property
     def stage(self):
-        if self.linear:
-            return define(self._linear_source(with_rhs=True), globals())
-        rhs_fn, multipliers = self.rhs_fn, self.multipliers
-
-        def stage(y, p, warm, block):
-            lam = multipliers(y, p, warm, block)
-            return rhs_fn(y + lam + p), lam
-
-        return stage
-
-    @cached_property
-    def rhs_fn(self):
-        return lambdify([self.sys.rhs[s] for s in self.sys.states], self.all_symbols)
+        """The generated stage function: the multipliers bound to their
+        slots, then the right-hand side's lines over one tape."""
+        n, m = len(self.sys.states), self.n_mult
+        steps = tape([self.sys.rhs[s] for s in self.sys.states], self.all_symbols)
+        lines, k, raises = step_lines(steps, len(steps), [])
+        body = self._unpack() + [
+            f"[{', '.join(f'x{n + j}' for j in range(m))}] = lam = multipliers(y, p, warm, block)",
+            *frame(lines, raises),
+            f"return [{', '.join(k)}], lam",
+        ]
+        source = ["def bind(multipliers):", "    def stage(y, p, warm, block):"]
+        source += [f"        {line}" for line in body] + ["    return stage"]
+        # multipliers is bound by the closure; everything else is looked up
+        # in this module's namespace when called, so a patched helper is seen
+        return define(source, globals())(self.multipliers)
 
     @cached_property
     def cons_fn(self):
@@ -211,14 +216,6 @@ class _MultiplierSolver:
         if missing:
             raise ConstraintViolationError(f"no value for parameter {missing[0]}")
         return [float(binding[s]) for s in self.params]
-
-    def solve(self, state_vec, param_vec, warm=None) -> list:
-        """Multipliers at a point, as a list of floats; state_vec and
-        param_vec are lists of floats.  A constraint with no real value there
-        (a negative number under a root, ln of a nonpositive one) is a
-        numeric failure."""
-        with np.errstate(invalid="ignore"):
-            return self.multipliers(state_vec, param_vec, warm, self.block(param_vec))
 
     def block(self, param_vec):
         """(block, rank) of a linear constraint block free of the states,
@@ -237,30 +234,28 @@ class _MultiplierSolver:
             self._block = (rows if len(rows) == 1 else np.array(rows), numeric_rank(rows))
         return self._block
 
-    def _linear_source(self, with_rhs):
-        """Source of the generated stage (with_rhs) or multipliers function.
+    def _unpack(self):
+        """The lines that bind the slots x<i> of the states and parameters."""
+        states, params = range(len(self.sys.states)), range(len(self.symbols), len(self.all_symbols))
+        return [f"[{', '.join(f'x{i}' for i in slots)}] = {v}" for v, slots in (("y", states), ("p", params))]
 
-        One tape holds the state-dependent block, the residue and the
-        right-hand side, in that order, so a shared subexpression is
-        computed once and each part's steps come before its last output.
-        The body checks and raises in the order of separate evaluations:
-        block, rank, residue (a domain error in either is a numeric
-        failure), the rank test, the solve, then the right-hand side.
+    def _linear_source(self):
+        """Source of the generated multipliers function of a linear system.
+
+        One tape holds the state-dependent block and the residue, in that
+        order, so a shared subexpression is computed once and each part's
+        steps come before its last output.  The body checks and raises in
+        the order of separate evaluations: block, rank, residue (a domain
+        error in either is a numeric failure), the rank test, then the
+        solve.
         """
         n, m = len(self.sys.states), self.n_mult
         block = [] if self.constant else [e for row in self._matrix for e in row]
-        exprs = (block + self._residue if m else []) + (
-            [self.sys.rhs[s] for s in self.sys.states] if with_rhs else []
-        )
-        steps = tape(exprs, self.all_symbols)
+        steps = tape(block + self._residue if m else [], self.all_symbols)
         # ends[j]: the tape position just after the j-th output
         ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
         lam = ", ".join(f"x{n + j}" for j in range(m))
-        source = [
-            f"def {'stage' if with_rhs else 'multipliers'}(y, p, warm, block):",
-            f"    [{', '.join(f'x{i}' for i in range(n))}] = y",
-            f"    [{', '.join(f'x{i}' for i in range(n + m, len(self.all_symbols)))}] = p",
-        ]
+        source = ["def multipliers(y, p, warm, block):", *(f"    {line}" for line in self._unpack())]
         names = []
         if m:
             checked, guarded = [], False
@@ -286,11 +281,7 @@ class _MultiplierSolver:
             else:
                 solve = "_solve" if self.n_cons == m else "_lstsq"
                 source.append(f"    [{lam}] = {solve}(a, [{', '.join(f'-{r}' for r in residue)}])")
-        if not with_rhs:
-            return source + [f"    return [{lam}]"]
-        lines, k, raises = step_lines(steps, len(steps), names)
-        source += [f"    {line}" for line in frame(lines, raises)]
-        return source + [f"    return [{', '.join(k)}], [{lam}]"]
+        return source + [f"    return [{lam}]"]
 
     def _newton_multipliers(self, y, p, warm, block):
         if self.n_cons != self.n_mult:
@@ -410,14 +401,17 @@ def _lstsq(a, b) -> list:
 
 def resolve_multipliers(sys: ImplicitSystem, at: dict, warm=None) -> dict:
     """Multiplier values at one point; raises SingularJacobianError when the
-    constraint Jacobian cannot pin them down."""
+    constraint Jacobian cannot pin them down.  A constraint with no real
+    value there (a negative number under a root, ln of a nonpositive one)
+    is a numeric failure."""
     solver = sys.solver
     state_vec = [float(at[s]) for s in sys.states]
     param_vec = solver.param_vector(at)
     warm_vec = None
     if warm is not None:
         warm_vec = [float(warm[m]) for m in sys.multipliers]
-    sol = solver.solve(state_vec, param_vec, warm_vec)
+    with np.errstate(invalid="ignore"):  # see _solve
+        sol = solver.multipliers(state_vec, param_vec, warm_vec, solver.block(param_vec))
     return {m: float(v) for m, v in zip(sys.multipliers, sol)}
 
 

@@ -225,7 +225,6 @@ def _tuple_text(items) -> str:
 ZERO = Const(0)
 ONE = Const(1)
 MINUS_ONE = Const(-1)
-HALF = Const(Fraction(1, 2))
 
 
 def coerce(x) -> Expr:

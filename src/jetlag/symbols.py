@@ -31,8 +31,6 @@ class Kind(enum.Enum):
     PARAM = "param"
 
 
-# kinds rendered as prefix{A}_{level}
-_LEVELED = {Kind.Q, Kind.P, Kind.A, Kind.M, Kind.DOTQ, Kind.DOTP}
 # kinds rendered as prefix{A}
 _COMPONENT_ONLY = {Kind.PQ, Kind.PA, Kind.PM, Kind.LAMBDA}
 

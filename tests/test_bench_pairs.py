@@ -1,6 +1,9 @@
 import importlib.util
 import statistics
+import subprocess
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
@@ -61,3 +64,27 @@ def test_sides_alternate_which_runs_first():
     results = tool._alternating({"parent": "P", "change": "C"}, 4, lambda tree: order.append(tree) or tree)
     assert order == ["P", "C", "C", "P", "P", "C", "C", "P"]
     assert results == {"parent": ["P"] * 4, "change": ["C"] * 4}
+
+
+@pytest.mark.parametrize("argv", [[], ["--parent", "HEAD", "--parent-tree", "."]])
+def test_exactly_one_parent_is_named(argv, capsys):
+    with pytest.raises(SystemExit) as done:
+        _tool().main(["--pr", "0", *argv])
+    assert done.value.code == 2
+    assert "--parent" in capsys.readouterr().err
+
+
+def test_revision_names_the_commit_of_a_checkout(tmp_path):
+    tool = _tool()
+    assert tool.revision(tmp_path) == {"commit": None, "dirty": None}
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org"]
+    subprocess.run([*git, "init", "-q"], cwd=tmp_path, check=True)
+    (tmp_path / "a.txt").write_text("a\n")
+    subprocess.run([*git, "add", "a.txt"], cwd=tmp_path, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "a"], cwd=tmp_path, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, capture_output=True, text=True).stdout.strip()
+    assert tool.revision(tmp_path) == {"commit": head, "dirty": False}
+    (tmp_path / "a.txt").write_text("b\n")
+    assert tool.revision(tmp_path) == {"commit": head, "dirty": True}
+    (tmp_path / "sub").mkdir()
+    assert tool.revision(tmp_path / "sub") == {"commit": None, "dirty": None}  # inside a checkout, not its top

@@ -391,6 +391,52 @@ def test_state_dependent_block_checked_every_stage(monkeypatch):
         monkeypatch.undo()
 
 
+def test_block_lines_compile_once_per_system(monkeypatch):
+    # the stage calls the multipliers function, so of the two generated
+    # sources only that one holds the state-dependent block and its check
+    sys = one_dof_system(
+        ("q1_0*q1_2 + q2_2 - p1_0", "q1_2 + q1_0*q2_2"),
+        multipliers=(q(1, 2), q(2, 2)),
+        rhs={q(1, 0): parse("1"), p(1, 0): parse("q2_2")},
+    )
+    sources, real = [], dynamics.define
+    monkeypatch.setattr(dynamics, "define", lambda source, ns: sources.append("\n".join(source)) or real(source, ns))
+    integrate_rk4(sys, {q(1, 0): 2.0, p(1, 0): 0.5}, 0.0, 0.1, 1e-2)
+    assert len(sources) == 2
+    assert sum("numeric_rank(" in source for source in sources) == 1
+    assert sum("multipliers(y, p, warm, block)" in source for source in sources) == 2  # its def, the stage's call
+
+
+def test_system_without_multipliers_matches_a_hand_written_rk4():
+    # no constraints: the stage binds [] = lam and runs the right-hand side
+    sys = ImplicitSystem(
+        states=(q(1, 0), p(1, 0)),
+        rhs={q(1, 0): parse("p1_0"), p(1, 0): parse("-w*sin(q1_0)")},
+        constraints=(),
+        multipliers=(),
+        energy=parse("1/2*p1_0^2 - w*cos(q1_0)"),
+    )
+    h, w = 1e-2, param("w")
+    traj = integrate_rk4(sys, {q(1, 0): 0.5, p(1, 0): 0.0, w: 3.0}, 0.0, 0.5, h)
+
+    def at(y):
+        return {q(1, 0): y[0], p(1, 0): y[1], w: 3.0}
+
+    def field(y):
+        return [eval_expr(sys.rhs[s], at(y)) for s in sys.states]
+
+    rows = [[0.5, 0.0]]
+    for _ in range(50):
+        y = rows[-1]
+        k1 = field(y)
+        k2 = field([a + 0.5 * h * b for a, b in zip(y, k1)])
+        k3 = field([a + 0.5 * h * b for a, b in zip(y, k2)])
+        k4 = field([a + h * b for a, b in zip(y, k3)])
+        rows.append([a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+    assert traj.values.tobytes() == np.array(rows).tobytes()
+    assert traj.energies.tolist() == [eval_expr(sys.energy, at(y)) for y in rows]
+
+
 def test_degenerate_planar_rank_one_of_three_at_step_zero():
     sys = assemble(ostro_energy(PLANAR))
     init = {s: 0.1 for s in sys.states}

@@ -1,14 +1,16 @@
 """Compare a parent commit with the working tree on the perfbench workloads,
 in alternating pairs of runs, and write the result as BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --parent REV --pr N [--pairs 10] \
-        [--workloads corpus derive simulate hj] [--seed 1] [--seconds 5] \
-        [--traced 1] [--parent-tree DIR] [--output FILE]
+    python3 tools/bench_pairs.py (--parent REV | --parent-tree DIR) --pr N \
+        [--pairs 10] [--workloads corpus derive simulate hj] [--seed 1] \
+        [--seconds 5] [--traced 1] [--output FILE]
 
 The parent side runs in a ``git worktree`` of REV, made in a temporary
-directory and removed at the end; ``--parent-tree`` names an existing
-checkout of the parent instead.  The change side is this repository's
-working tree.  Each run is ``python3 perfbench/run.py --workload W --seed S
+directory and removed at the end, or in the existing tree DIR; exactly one
+of the two is given.  The change side is this repository's working tree.
+The output names the tree each side ran in by its commit (``git rev-parse
+HEAD`` when the tree is the top of a git checkout, else null) and whether
+that tree had uncommitted changes.  Each run is ``python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` in its own tree, and its last line of output is the
 result.  Per workload, ``--pairs`` pairs run back to back, and the side
 that runs first alternates from pair to pair, so that a drift in the
@@ -97,15 +99,33 @@ def per_layer(results: dict) -> dict:
     }
 
 
+def revision(tree: Path) -> dict:
+    """{"commit": HEAD's hash, "dirty": whether tracked or untracked files
+    differ from it} of a tree that is the top of a git checkout; both are
+    None for any other directory."""
+
+    def git(*argv):
+        done = subprocess.run(["git", *argv], cwd=tree, capture_output=True, text=True, check=False)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != Path(tree).resolve():
+        return {"commit": None, "dirty": None}
+    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+
+
 def _bench(args, parent_tree: Path) -> dict:
     trees = {"parent": parent_tree, "change": REPO}
+    revisions = {side: revision(tree) for side, tree in trees.items()}
     out = {
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0",
         "protocol": (
-            f"parent ({args.parent}) in its own checkout and change (working tree) run alternately, "
+            f"parent ({revisions['parent']['commit'] or parent_tree}) and change "
+            f"(working tree at {revisions['change']['commit']}) run alternately, "
             "which side first alternating per pair; last line of each run parsed; "
             "written by tools/bench_pairs.py"
         ),
+        "revisions": revisions,
         "machine": {"platform": platform.platform(), "python": platform.python_version(), "cpus": os.cpu_count()},
         "workloads": {},
     }
@@ -128,14 +148,15 @@ def _bench(args, parent_tree: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="parent commit (any git revision)")
+    parent = parser.add_mutually_exclusive_group(required=True)
+    parent.add_argument("--parent", help="parent commit (any git revision), checked out in a temporary worktree")
+    parent.add_argument("--parent-tree", type=Path, help="an existing tree of the parent, run as it is")
     parser.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=5.0)
     parser.add_argument("--traced", type=int, default=1, help="traced runs a side per workload (0: none)")
-    parser.add_argument("--parent-tree", type=Path, help="an existing checkout of the parent, used instead of a worktree")
     parser.add_argument("--output", type=Path, help="default: BENCH_<pr>.json at the repository root")
     args = parser.parse_args(argv)
     output = args.output or REPO / f"BENCH_{args.pr}.json"
