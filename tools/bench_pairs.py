@@ -10,11 +10,11 @@ directory and removed at the end, or in the existing tree DIR; exactly one
 of the two is given.  The change side is this repository's working tree.
 The output names the tree each side ran in by its commit (``git rev-parse
 HEAD`` when the tree is the top of a git checkout, else null) and whether
-that tree had uncommitted changes.  Each run is ``python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0`` in its own tree, and its last line of output is the
-result.  Per workload, ``--pairs`` pairs run back to back, and the side
-that runs first alternates from pair to pair, so that a drift in the
-machine's speed falls on both sides alike.  With ``--traced K``, K traced
+that tree had uncommitted changes.  Each run is ``python3 perfbench/run.py
+--workload W --seed S --seconds T --trace 0`` in its own tree, and its last
+line of output is the result.  Per workload, ``--pairs`` pairs run back to
+back, and the side that runs first alternates from pair to pair, so that a
+drift in the machine's speed falls on both sides alike.  With ``--traced K``, K traced
 runs a side (``--trace 1``, also alternating) give the per-layer metrics,
 as the median of the runs.
 
