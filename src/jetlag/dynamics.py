@@ -7,8 +7,9 @@ use and keeps it.  A linear constraint block whose entries are free of the
 states is evaluated and rank-checked once per parameter vector.  Per point
 (every RK4 stage, every relatedness sample) the residue is evaluated and
 checked, a state-dependent block is evaluated and rank-checked, and the
-multipliers are solved for.  For a linear system all of that is one
-generated function per system.  An RK4 stage is one generated function for
+multipliers are solved for (by Newton when the constraints are nonlinear).
+Each system holds all of that in one generated function, a straight-line
+body or a Newton iteration.  An RK4 stage is one generated function for
 every system: it calls the system's multipliers function and then runs the
 right-hand side.
 
@@ -30,7 +31,6 @@ structure, not noise.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction  # noqa: F401 - called by generated code
@@ -146,12 +146,13 @@ class _MultiplierSolver:
     block and its rank check, and the solve (see _linear_source).  A block
     free of the states is evaluated and rank-checked by block(), once for
     the last parameter vector seen.  Nonlinear constraints go through Newton
-    with warm starting.  Singular Jacobians raise with the observed rank.
-    Every system's stage is generated too: it calls the system's
-    multipliers and then runs the right-hand side.  Both functions may call
-    _solve, so they run with numpy's "invalid" flag ignored, as
-    resolve_multipliers, integrate_rk4 and hamjac.gamma_relatedness run
-    them.
+    from the warm start, then fixed starts, each a generated iteration over
+    the constraints and their Jacobian (see _newton_source).  Singular
+    Jacobians raise with the observed rank.  Every system's stage is
+    generated too: it calls the system's multipliers and then runs the
+    right-hand side.  Both functions may call _solve, so they run with
+    numpy's "invalid" flag ignored, as resolve_multipliers, integrate_rk4
+    and hamjac.gamma_relatedness run them.
     """
 
     def __init__(self, sys: ImplicitSystem):
@@ -168,10 +169,7 @@ class _MultiplierSolver:
             self._matrix, self._residue = linear_coefficients(sys.constraints, sys.multipliers)
         except NotLinearError:
             self.linear = self.constant = False
-            jac = [
-                [diff(c, m) for m in sys.multipliers] for c in sys.constraints
-            ]
-            self._jac_fn = lambdify([e for row in jac for e in row], self.all_symbols)
+            self._newton = define(self._newton_source(), globals())
             self.multipliers = self._newton_multipliers
         else:
             self.linear = True
@@ -283,37 +281,54 @@ class _MultiplierSolver:
                 source.append(f"    [{lam}] = {solve}(a, [{', '.join(f'-{r}' for r in residue)}])")
         return source + [f"    return [{lam}]"]
 
-    def _newton_multipliers(self, y, p, warm, block):
-        if self.n_cons != self.n_mult:
-            raise SingularJacobianError(self.n_cons, self.n_mult)
-        # built lazily: the warm start almost always converges
-        starts = ([v] * self.n_mult for v in NEWTON_STARTS)
-        if warm is not None:
-            starts = itertools.chain([list(warm)], starts)
-        last_error = None
-        for start in starts:
-            try:
-                return self._newton(start, y, p)
-            except (SingularJacobianError, NumericFailureError, DomainEvalError) as exc:
-                last_error = exc
-        if isinstance(last_error, DomainEvalError):
-            raise _constraint_failure(last_error) from last_error
-        raise last_error
+    def _newton_source(self):
+        """Source of a nonlinear system's Newton iteration newton(lam, y, p)
+        from the multipliers lam.
 
-    def _newton(self, lam, state_vec, param_vec):
-        n, m = len(state_vec), self.n_mult
-        base = state_vec + lam + param_vec
-        for _ in range(NEWTON_STEPS):
-            base[n : n + m] = lam
-            g = self.cons_fn(base)
-            if max(map(abs, g)) <= NEWTON_TOL:
-                return lam
-            j = _rows(self._jac_fn(base), m)
-            rank = numeric_rank(j)
-            if rank < m:
-                raise SingularJacobianError(rank, m)
-            lam = [x - dx for x, dx in zip(lam, _solve(j, g))]
-        raise NumericFailureError("multiplier Newton iteration did not converge")
+        One tape holds the constraints, then the Jacobian row by row, so a
+        subexpression they share is computed once.  A pass checks and raises
+        in the order of separate evaluations: constraints, the convergence
+        test (which returns the iterate), Jacobian, rank test, step.  When
+        n_cons != m the body never runs: _newton_multipliers raises first.
+        """
+        n, m, c = len(self.sys.states), self.n_mult, self.n_cons
+        jac = [diff(g, u) for g in self.sys.constraints for u in self.sys.multipliers]
+        steps = tape(list(self.sys.constraints) + jac, self.all_symbols)
+        ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
+        lam, names = ", ".join(f"x{n + j}" for j in range(m)), []
+        lines, g, raises = step_lines(steps, ends[c], names)
+        loop = frame(lines, raises)
+        test = f"abs({g[0]})" if c == 1 else f"max({', '.join(f'abs({v})' for v in g)})"
+        loop += [f"if {test} <= NEWTON_TOL:", f"    return [{lam}]"]
+        lines, entries, raises = step_lines(steps, len(steps), names)
+        loop += frame(lines, raises)
+        rows = (", ".join(entries[i : i + m]) for i in range(0, len(entries), m))
+        loop += [f"a = [{', '.join(f'[{row}]' for row in rows)}]", "rank = numeric_rank(a)"]
+        loop += [f"if rank < {m}:", f"    raise SingularJacobianError(rank, {m})"]
+        if c == m == 1:  # a float division gives _solve's bits
+            loop.append(f"x{n} = x{n} - {g[0]} / {entries[0]}")
+        else:
+            loop.append(f"d = _solve(a, [{', '.join(g)}])")
+            loop.append(f"[{lam}] = [{', '.join(f'x{n + j} - d[{j}]' for j in range(m))}]")
+        source = ["def newton(lam, y, p):", *(f"    {line}" for line in self._unpack())]
+        source += [f"    [{lam}] = lam", "    for _ in range(NEWTON_STEPS):", *(f"        {line}" for line in loop)]
+        return source + ['    raise NumericFailureError("multiplier Newton iteration did not converge")']
+
+    def _newton_multipliers(self, y, p, warm, block):
+        """Newton from warm, when given, then from each NEWTON_STARTS value
+        in every slot; when every start fails, the last error is raised."""
+        m = self.n_mult
+        if self.n_cons != m:
+            raise SingularJacobianError(self.n_cons, m)
+        error = None
+        for v in NEWTON_STARTS if warm is None else (None, *NEWTON_STARTS):
+            try:  # None stands for the warm start, which almost always converges
+                return self._newton(warm if v is None else [v] * m, y, p)
+            except (SingularJacobianError, NumericFailureError, DomainEvalError) as exc:
+                error = exc
+        if isinstance(error, DomainEvalError):
+            raise _constraint_failure(error) from error
+        raise error
 
 
 def _constraint_failure(exc) -> NumericFailureError:

@@ -74,6 +74,22 @@ def test_exactly_one_parent_is_named(argv, capsys):
     assert "--parent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--pairs", "0"], "--pairs must be at least 1"),
+        (["--pairs", "-3"], "--pairs must be at least 1"),
+        (["--traced", "-1"], "--traced must not be negative"),
+    ],
+)
+def test_empty_or_negative_run_counts_are_usage_errors(argv, message, capsys):
+    # rejected before any tree is made or run
+    with pytest.raises(SystemExit) as done:
+        _tool().main(["--pr", "0", "--parent-tree", ".", *argv])
+    assert done.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_revision_names_the_commit_of_a_checkout(tmp_path):
     tool = _tool()
     assert tool.revision(tmp_path) == {"commit": None, "dirty": None}

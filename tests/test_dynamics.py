@@ -407,6 +407,21 @@ def test_block_lines_compile_once_per_system(monkeypatch):
     assert sum("multipliers(y, p, warm, block)" in source for source in sources) == 2  # its def, the stage's call
 
 
+def test_newton_iteration_is_one_generated_function(monkeypatch):
+    # constraints and Jacobian share one generated body; lambdify compiles
+    # the constraints (for the initial-data check) but not the Jacobian
+    sys = one_dof_system(("q1_2^3 + q1_2 - p1_0",))
+    jacobian = [diff(sys.constraints[0], q(1, 2))]
+    sources, real = [], dynamics.define
+    monkeypatch.setattr(dynamics, "define", lambda source, ns: sources.append("\n".join(source)) or real(source, ns))
+    compiled, compile_ = [], dynamics.lambdify
+    monkeypatch.setattr(dynamics, "lambdify", lambda exprs, syms: compiled.append(list(exprs)) or compile_(exprs, syms))
+    integrate_rk4(sys, {q(1, 0): 0.3, p(1, 0): 0.7}, 0.0, 0.1, 1e-2)
+    assert sum("NEWTON_TOL" in source for source in sources) == 1
+    assert list(sys.constraints) in compiled
+    assert jacobian not in compiled
+
+
 def test_system_without_multipliers_matches_a_hand_written_rk4():
     # no constraints: the stage binds [] = lam and runs the right-hand side
     sys = ImplicitSystem(
@@ -494,6 +509,58 @@ def test_complex_values_rejected_in_multiplier_path():
     sys = one_dof_system((cases[0],))
     with pytest.raises(NumericFailureError):
         integrate_rk4(sys, {q(1, 0): -1.0, p(1, 0): 1.0}, 0.0, 0.1, 1e-2)
+
+
+def test_newton_singular_warm_start_falls_through_to_the_next_start():
+    # Jacobian 3*q1_2^2 is singular at 0: the warm start and the first fixed
+    # start both fail, and 0.5 converges to the cube root
+    sys = one_dof_system(("q1_2^3 - p1_0",))
+    at = {q(1, 0): 0.3, p(1, 0): 8.0}
+    lam = resolve_multipliers(sys, at, warm={q(1, 2): 0.0})
+    assert abs(lam[q(1, 2)] - 2.0) < 1e-12
+    assert lam == resolve_multipliers(sys, at)  # the same iteration from 0.5
+    assert lam == resolve_multipliers(sys, at, warm={q(1, 2): 0.5})
+
+
+def test_newton_without_a_real_root_raises_the_last_starts_error(monkeypatch):
+    # q1_2^2 + 1 has no real root: the start 0 has a singular Jacobian, the
+    # others do not converge, and the error of the last start is raised
+    sys = one_dof_system(("q1_2^2 + 1",))
+    at, warm = {q(1, 0): 0.3, p(1, 0): 8.0}, {q(1, 2): 0.0}
+    with pytest.raises(NumericFailureError, match="did not converge") as every:
+        resolve_multipliers(sys, at, warm=warm)
+    starts = dynamics.NEWTON_STARTS
+    monkeypatch.setattr(dynamics, "NEWTON_STARTS", ())
+    with pytest.raises(SingularJacobianError) as first:
+        resolve_multipliers(sys, at, warm=warm)  # the warm start alone
+    assert (first.value.rank, first.value.needed) == (0, 1)
+    monkeypatch.setattr(dynamics, "NEWTON_STARTS", starts[-1:])
+    with pytest.raises(NumericFailureError) as last:
+        resolve_multipliers(sys, at)  # the last start alone
+    assert str(every.value) == str(last.value)
+
+
+def test_newton_complex_at_every_start_is_a_numeric_failure():
+    # (-1 - q1_2^2)^(1/2) is complex for every real q1_2; the message names
+    # the base at the last start, -2
+    sys = one_dof_system(("(-1 - q1_2^2)^(1/2) + q1_2",))
+    at = {q(1, 0): 0.3, p(1, 0): 8.0}
+    for warm in (None, {q(1, 2): 0.25}):
+        with pytest.raises(NumericFailureError, match="complex or undefined") as err:
+            resolve_multipliers(sys, at, warm=warm)
+        assert "negative base -5.0" in str(err.value)
+    with pytest.raises(NumericFailureError, match="complex or undefined"):
+        integrate_rk4(sys, at, 0.0, 0.1, 1e-2)
+
+
+def test_newton_with_more_constraints_than_multipliers_aborts_at_step_zero():
+    sys = one_dof_system(("q1_2^3 - p1_0", "q1_2^3 - 2*p1_0"))
+    with pytest.raises(SingularJacobianError) as err:
+        integrate_rk4(sys, {q(1, 0): 0.3, p(1, 0): 8.0}, 0.25, 0.5, 1e-2)
+    assert (err.value.rank, err.value.needed, err.value.time, err.value.step) == (2, 1, 0.25, 0)
+    with pytest.raises(SingularJacobianError) as err:
+        resolve_multipliers(sys, {q(1, 0): 0.3, p(1, 0): 8.0})
+    assert (err.value.rank, err.value.needed, err.value.time, err.value.step) == (2, 1, None, None)
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -791,6 +858,11 @@ _ORACLE_CASES = {
             rhs={q(1, 0): parse("p1_0 + q2_2"), p(1, 0): parse("-q1_0*q1_2")},
         ),
         {q(1, 0): 0.3, p(1, 0): 0.7},
+    ),
+    # the Jacobian 1 + exp(q1_2) reads the constraint's exp step
+    "1x1 Newton sharing a function step": (
+        one_dof_system(("q1_2 + exp(q1_2) - p1_0",), rhs={q(1, 0): parse("p1_0*q1_2"), p(1, 0): parse("-q1_0")}),
+        {q(1, 0): 0.3, p(1, 0): 2.5},
     ),
 }
 

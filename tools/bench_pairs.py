@@ -152,13 +152,17 @@ def main(argv=None) -> int:
     parent.add_argument("--parent", help="parent commit (any git revision), checked out in a temporary worktree")
     parent.add_argument("--parent-tree", type=Path, help="an existing tree of the parent, run as it is")
     parser.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload (at least 1)")
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=5.0)
     parser.add_argument("--traced", type=int, default=1, help="traced runs a side per workload (0: none)")
     parser.add_argument("--output", type=Path, help="default: BENCH_<pr>.json at the repository root")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if args.traced < 0:
+        parser.error(f"--traced must not be negative, got {args.traced}")
     output = args.output or REPO / f"BENCH_{args.pr}.json"
     if args.parent_tree:
         result = _bench(args, args.parent_tree.resolve())
