@@ -7,6 +7,8 @@ its partial times the same symbol at level k+1.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from fractions import Fraction
 
 from .errors import LevelOverflowError, NotLinearError, UnshiftableSymbolError
@@ -34,10 +36,29 @@ from .symbols import Kind, Symbol
 
 _SHIFTABLE = (Kind.Q, Kind.A, Kind.M)
 
+# {(node, symbol): diff result} of the running job, or None outside one
+_DIFF_MEMO = contextvars.ContextVar("jetlag_diff_memo", default=None)
+
+
+@contextlib.contextmanager
+def job_memo():
+    """Remember diff results in the with block, one job, and no longer."""
+    token = _DIFF_MEMO.set({})
+    try:
+        yield
+    finally:
+        _DIFF_MEMO.reset(token)
+
 
 def diff(e: Expr, s: Symbol) -> Expr:
     """Exact partial derivative with respect to one symbol, simplified."""
-    return simplify(_diff(e, s))
+    memo = _DIFF_MEMO.get()
+    if memo is None:
+        return simplify(_diff(e, s))
+    out = memo.get((e, s))
+    if out is None:
+        out = memo[e, s] = simplify(_diff(e, s))
+    return out
 
 
 def _diff(e: Expr, s: Symbol) -> Expr:
@@ -239,29 +260,35 @@ def solve_linear_symbolic(exprs, unknowns):
     if len(exprs) != n:
         raise NotLinearError("need as many equations as unknowns")
     matrix, residue = linear_coefficients(exprs, unknowns)
-    det = _det(matrix)
+    # columns 0..n-1 of the matrix, then the right-hand side as column n
+    columns = [[row[k] for row in matrix] for k in range(n)] + [[neg(r) for r in residue]]
+    minors = {}
+    det = _det(columns, tuple(range(n)), minors)
     if is_zero(det):
         raise NotLinearError("coefficient matrix is identically singular")
-    rhs = [neg(r) for r in residue]
     solution = []
     for j in range(n):
-        replaced = [[matrix[i][k] if k != j else rhs[i] for k in range(n)] for i in range(n)]
-        solution.append(simplify(div(_det(replaced), det)))
+        replaced = tuple(range(j)) + (n,) + tuple(range(j + 1, n))
+        solution.append(simplify(div(_det(columns, replaced, minors), det)))
     return solution
 
 
-def _det(matrix) -> Expr:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = ZERO
-    for j in range(n):
-        if is_zero(matrix[0][j]):  # its piece would vanish in add: skip the minor
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        piece = mul(matrix[0][j], _det(minor))
-        total = add(total, piece if j % 2 == 0 else neg(piece))
-    return simplify(total)
+def _det(columns, ids, minors) -> Expr:
+    """Laplace expansion along the first row of the last len(ids) rows of the
+    columns ids; minors, keyed by ids, is shared by the Cramer determinants."""
+    if ids not in minors:
+        row = len(columns[0]) - len(ids)
+        if len(ids) == 1:
+            minors[ids] = columns[ids[0]][row]
+        else:
+            total = ZERO
+            for j, c in enumerate(ids):
+                if is_zero(columns[c][row]):  # its piece would vanish in add: skip the minor
+                    continue
+                piece = mul(columns[c][row], _det(columns, ids[:j] + ids[j + 1 :], minors))
+                total = add(total, piece if j % 2 == 0 else neg(piece))
+            minors[ids] = simplify(total)
+    return minors[ids]
 
 
 def hessian(e: Expr, symbols) -> list:

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .calculus import diff, is_zero
+from .calculus import diff, is_zero, job_memo
 from .dynamics import constraint_sup, energy_drift, trajectory_csv
 from .errors import (
     ClosureError,
@@ -290,7 +290,8 @@ def main(argv=None) -> int:
                 "hj-check": cmd_hj_check,
                 "hj-solve-affine": cmd_hj_solve_affine,
             }[args.verb]
-            code, report = handler(job, args)
+            with job_memo():
+                code, report = handler(job, args)
         _emit(report, args)
     except (ConfigError, ParseError, StepSizeError, ConstraintViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .calculus import job_memo
 from .dynamics import assemble, energy_drift, integrate_rk4, resolve_multipliers
 from .errors import SingularJacobianError
 from .expr import simplify
@@ -530,7 +531,8 @@ def run_check(entry: CorpusEntry, check: dict, seed: int = 0) -> dict:
 
 
 def run_entry(entry: CorpusEntry, seed: int = 0) -> dict:
-    results = [run_check(entry, c, seed=seed) for c in entry.checks]
+    with job_memo():
+        results = [run_check(entry, c, seed=seed) for c in entry.checks]
     return {
         "id": entry.id,
         "checks": results,

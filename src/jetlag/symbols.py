@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 
 from .errors import UnknownIdentifierError
 
@@ -44,24 +43,42 @@ _COMPONENT_RE = re.compile(r"^(pq|pa|pm|lam)([0-9]+)$")
 _RESERVED_PREFIX_RE = re.compile(r"^(?:dq|dp|pq|pa|pm|lam|[qpam])[0-9]")
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
+_INTERNED = {}  # (kind, component, level, name) -> the one Symbol with that identity
 
-@dataclass(frozen=True)
+
 class Symbol:
-    """One coordinate symbol; identity is (kind, component, level, name)."""
+    """One coordinate symbol, interned: the one object per identity (kind,
+    component, level, name), hashed as that tuple.  copy and pickle give it back."""
 
-    kind: Kind
-    component: int = 0
-    level: int = 0
-    name: str = ""
+    __slots__ = ("kind", "component", "level", "name", "_hash")
 
-    def __post_init__(self):
-        if self.kind is Kind.PARAM:
-            if not _IDENT_RE.match(self.name):
-                raise ValueError(f"bad parameter name {self.name!r}")
-        elif self.component < 1:
-            raise ValueError(f"component must be >= 1, got {self.component}")
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
+    def __new__(cls, kind: Kind, component: int = 0, level: int = 0, name: str = ""):
+        key = (kind, component, level, name)
+        self = _INTERNED.get(key)
+        if self is not None:
+            return self
+        if kind is Kind.PARAM:
+            if not _IDENT_RE.match(name):
+                raise ValueError(f"bad parameter name {name!r}")
+        elif component < 1:
+            raise ValueError(f"component must be >= 1, got {component}")
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
+        self = object.__new__(cls)
+        for attr, value in zip(cls.__slots__, (*key, hash(key))):
+            object.__setattr__(self, attr, value)
+        return _INTERNED.setdefault(key, self)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Symbol is immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return (Symbol, (self.kind, self.component, self.level, self.name))
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()

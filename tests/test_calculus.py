@@ -4,6 +4,7 @@ import pytest
 from jetlag.calculus import (
     diff,
     is_zero,
+    job_memo,
     iterated_time_derivative,
     potential_from_closed_form,
     solve_linear_symbolic,
@@ -12,12 +13,13 @@ from jetlag.calculus import (
     total_time_derivative,
 )
 from jetlag.errors import LevelOverflowError, NotLinearError, UnshiftableSymbolError
-from jetlag.expr import eval_expr, simplify
+from jetlag.expr import eval_expr, simplify, substitute
 from jetlag.parser import parse
 from jetlag.sampling import equal_numeric, sample_binding
+from jetlag.printer import to_text
 from jetlag.symbols import p, param, q
 
-from conftest import random_polynomial
+from conftest import SYMBOL_POOL, random_polynomial, random_tree
 
 
 def test_diff_basic():
@@ -124,3 +126,29 @@ def test_solve_linear_symbolic():
         solve_linear_symbolic([parse("q1_2^3 - p1_1")], [q(1, 2)])
     with pytest.raises(NotLinearError):
         solve_linear_symbolic([parse("0*q1_2 - p1_1")], [q(1, 2)])
+    # dense 3x3 with symbolic entries: the Cramer determinants share minors
+    # of the matrix and of the right-hand side column
+    unknowns = [q(1, 2), q(2, 2), q(3, 2)]
+    eqs = [parse("mu*q1_2 + q2_2 + q3_2 - p1_1"), parse("q1_2 + 2*q2_2 + q1_0*q3_2 - p2_1"),
+           parse("q1_2 - q2_2 + 3*q3_2 - 1")]
+    sol = solve_linear_symbolic(eqs, unknowns)
+    back = {u: x for u, x in zip(unknowns, sol)}
+    for e in eqs:
+        assert equal_numeric(substitute(e, back), parse("0"))
+
+
+def test_diff_memo_answers_equal_trees_alike():
+    # each tree is built twice, so the second diff of it is a memo hit on a
+    # structurally equal but distinct tree
+    distinct = 0
+    for seed in range(100):
+        s = SYMBOL_POOL[seed % 7]
+        a, b = (random_tree(np.random.default_rng(seed)) for _ in range(2))
+        assert a == b
+        distinct += a is not b  # a leaf may be a shared constant
+        plain = [to_text(diff(a, s)), to_text(diff(b, s))]
+        with job_memo():
+            da, db = diff(a, s), diff(b, s)
+            assert db is da and diff(a, s) is da
+        assert [to_text(da), to_text(db)] == plain
+    assert distinct > 90

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import jetlag
-from jetlag import cli, expr, ostro
+from jetlag import calculus, cli, corpus, expr, ostro
 from jetlag.cli import main
 
 from conftest import count_calls_everywhere
@@ -114,6 +114,74 @@ def test_derive_beam_in_twelve_dimensions_runs_within_its_time_budget(tmp_path):
     code, seconds = proc.stdout.split()
     assert code == "0"
     assert float(seconds) < 2.0
+
+
+def test_dense_derive_in_ten_dimensions_runs_within_its_time_budget(tmp_path):
+    # the top-derivative Hessian I + J has no zero entry: Cramer's rule stays
+    # polynomial only while its determinants share their minors
+    n = 10
+    squares = " + ".join(f"1/2*q{a}_2^2" for a in range(1, n + 1))
+    total = " + ".join(f"q{a}_2" for a in range(1, n + 1))
+    config = {"problem": "dense", "n": n, "k": 2, "lagrangian": f"{squares} + 1/2*({total})^2",
+              "method": "ostrogradsky"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIME_DERIVE, write_config(tmp_path, config), str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jetlag.__file__).resolve().parent.parent)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, seconds = proc.stdout.split()
+    assert code == "0"
+    assert float(seconds) < 3.0
+
+
+def _diff_memos(monkeypatch):
+    """The diff memos that derivatives were computed under, each once, in
+    order of first use (calculus._diff runs on every memo miss)."""
+    seen = []
+    real = calculus._diff
+
+    def noted(e, s):
+        memo = calculus._DIFF_MEMO.get()
+        if not any(m is memo for m in seen):
+            seen.append(memo)
+        return real(e, s)
+
+    monkeypatch.setattr(calculus, "_diff", noted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "verb, config, code",
+    [
+        ("derive", BEAM_CONFIG, 0),
+        ("derive", {**BEAM_CONFIG, "method": "schmidt2", "gauge_F": "a1_0^3"}, 2),  # incompatible
+        ("simulate", {**BEAM_CONFIG, "lagrangian": "1/2*q1_2^2 + 1/6*q1_0^6",
+                      "simulation": {"t0": 0.0, "t1": 2.0, "h": 0.01, "initial": {
+                          "q1_0": 1e60, "q1_1": 1e60, "p1_0": 0.0, "p1_1": 0.0}}}, 4),
+    ],
+)
+def test_no_diff_memo_outlives_its_job(tmp_path, capsys, monkeypatch, verb, config, code):
+    memos = _diff_memos(monkeypatch)
+    assert main([verb, "--config", write_config(tmp_path, config), "--out", str(tmp_path)]) == code
+    capsys.readouterr()
+    assert len(memos) == 1 and memos[0] is not None  # the job differentiated under its memo
+    assert calculus._DIFF_MEMO.get() is None
+
+
+def test_two_jobs_share_no_diff_memo_entry(tmp_path, capsys, monkeypatch):
+    memos = _diff_memos(monkeypatch)
+    cfg = write_config(tmp_path, BEAM_CONFIG)
+    assert main(["derive", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["derive", "--config", cfg, "--out", str(tmp_path)]) == 0
+    first, second = memos
+    assert first is not second
+    assert len(second) == len(first) > 0  # the second job computed every derivative again
+    corpus.run_all(ids=["beam", "clement"])
+    assert len(memos) == 4 and all(m is not None for m in memos)  # one memo per corpus entry
+    assert calculus._DIFF_MEMO.get() is None
 
 
 def test_derive_chiral_attaches_affine_warning(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from jetlag.errors import UnknownIdentifierError
@@ -71,3 +74,53 @@ def test_sort_is_deterministic():
     once = sorted(ROSTER)
     again = sorted(list(reversed(ROSTER)))
     assert once == again
+
+
+def test_sorted_order_is_pinned():
+    assert [s.render() for s in sorted(ROSTER)] == [
+        "q1_0", "q2_3", "p7_0", "p1_1", "a1_0", "a2_1", "m3_0", "pq1", "pa2", "pm3",
+        "dq1_2", "dp4_0", "lam1", "lam12", "A", "c2", "mu", "rho",
+    ]
+
+
+def test_equal_symbols_are_one_object():
+    assert q(1, 0) is Symbol(Kind.Q, 1, 0) is symbol_from_name("q1_0")
+    assert param("mu") is Symbol(Kind.PARAM, name="mu") is symbol_from_name("mu")
+    assert q(1, 0).shifted() is q(1, 1)
+    assert q(1, 0) is not p(1, 0)
+
+
+def test_symbols_are_immutable():
+    s = q(1, 0)
+    with pytest.raises(AttributeError):
+        s.level = 1
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    with pytest.raises(AttributeError):
+        del s.kind
+    assert s.render() == "q1_0"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((Kind.Q, 0, 1), "component must be >= 1, got 0"),
+        ((Kind.LAMBDA, -2), "component must be >= 1, got -2"),
+        ((Kind.Q, 1, -1), "level must be >= 0, got -1"),
+        ((Kind.PARAM, 0, 0, "1x"), "bad parameter name '1x'"),
+        ((Kind.PARAM, 0, 0, ""), "bad parameter name ''"),
+        ((Kind.PARAM, 0, -1, "mu"), "level must be >= 0, got -1"),
+    ],
+)
+def test_bad_symbols_raise_value_error(args, message):
+    for _ in range(2):  # a refused identity is not remembered
+        with pytest.raises(ValueError) as info:
+            Symbol(*args)
+        assert str(info.value) == message
+
+
+def test_copy_and_pickle_give_back_the_interned_symbol():
+    for s in ROSTER:
+        assert copy.copy(s) is s
+        assert copy.deepcopy(s) is s
+        assert pickle.loads(pickle.dumps(s)) is s
