@@ -42,7 +42,7 @@ _DIFF_MEMO = contextvars.ContextVar("jetlag_diff_memo", default=None)
 
 @contextlib.contextmanager
 def job_memo():
-    """Remember diff results in the with block, one job, and no longer."""
+    """diff remembers its results while the with block, one job, runs."""
     token = _DIFF_MEMO.set({})
     try:
         yield
