@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import LevelOverflowError, NotLinearError, UnshiftableSymbolError
 from .expr import (
+    _NODES,
     ONE,
     ZERO,
     Const,
@@ -42,12 +43,14 @@ _DIFF_MEMO = contextvars.ContextVar("jetlag_diff_memo", default=None)
 
 @contextlib.contextmanager
 def job_memo():
-    """diff remembers its results while the with block, one job, runs."""
-    token = _DIFF_MEMO.set({})
+    """diff remembers its results, and the node constructors their nodes,
+    while the with block, one job, runs."""
+    memo, nodes = _DIFF_MEMO.set({}), _NODES.set({})
     try:
         yield
     finally:
-        _DIFF_MEMO.reset(token)
+        _NODES.reset(nodes)
+        _DIFF_MEMO.reset(memo)
 
 
 def diff(e: Expr, s: Symbol) -> Expr:

@@ -11,6 +11,7 @@ rational; applying a transcendental function drops to float.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from fractions import Fraction
 
@@ -41,23 +42,14 @@ def _as_coeff(value):
 class Expr:
     """Base node; immutable, hashable, compared structurally.
 
-    Two write-once caches ride along: _canon is set once simplify has
-    returned the node, and _text holds repr(key) once _sort_text has built
-    it.  Each only ever receives the one value it can hold, so a node stays
-    safe to share across threads.
+    Each subclass builds through _node, so within one job an equal
+    structure is the same object.  Two write-once caches ride along: _canon
+    is set once simplify has returned the node, and _text holds repr(key)
+    once _sort_text has built it.  Each only ever receives the one value it
+    can hold, so a node stays safe to share across threads.
     """
 
     __slots__ = ("key", "free", "_hash", "_canon", "_text")
-
-    def _finish(self, key, free, shallow):
-        """shallow is key with each child's key replaced by the child's hash:
-        hashing it costs the node's arity, not its subtree's size, and equal
-        keys still give equal hashes."""
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "_hash", hash(shallow))
-        object.__setattr__(self, "_canon", False)
-        object.__setattr__(self, "_text", None)
 
     def _sort_text(self) -> str:
         """repr(self.key), built from the children's texts and kept: the
@@ -75,11 +67,15 @@ class Expr:
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
 
+    def __reduce__(self):
+        # every constructor takes the node's own slots, in order
+        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
+
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
-        return isinstance(other, Expr) and self.key == other.key
+        return self is other or (isinstance(other, Expr) and self.key == other.key)
 
     def __repr__(self):
         from .printer import to_text
@@ -123,17 +119,50 @@ class Expr:
         return neg(self)
 
 
+# the running job's nodes by shallow key, or None outside a job: set beside
+# the diff memo by calculus.job_memo
+_NODES = contextvars.ContextVar("jetlag_nodes", default=None)
+
+
+def _node(cls, shallow, *fields):
+    """The node of class cls whose slots hold fields.
+
+    Inside a job it is the one node the job has built for shallow, the
+    constructor's key of the node's payload and its children's ids: an id
+    names the same child for the whole job, since the table keeps the node
+    and the node keeps its children.  Outside a job it is a new node.  The
+    class's _parts(shallow) gives the node's key, free symbols and the key
+    with each child's key replaced by the child's hash, which is hashed:
+    that costs the node's arity, not its subtree's size, and equal keys
+    still give equal hashes.  A constant's shallow key is its key.
+    """
+    table = _NODES.get()
+    if table is not None:
+        node = table.get(shallow)
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, name, value)
+    key, free, hashed = node._parts(shallow)
+    for name, value in zip(Expr.__slots__, (key, free, hash(hashed), False, None)):
+        object.__setattr__(node, name, value)
+    if table is not None:
+        table[shallow] = node
+    return node
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
+    def __new__(cls, value):
         value = _as_coeff(value)
-        object.__setattr__(self, "value", value)
         if isinstance(value, Fraction):
-            key = ("c", "r", value.numerator, value.denominator)
-        else:
-            key = ("c", "f", repr(value))
-        self._finish(key, frozenset(), key)
+            return _node(cls, ("c", "r", value.numerator, value.denominator), value)
+        return _node(cls, ("c", "f", repr(value)), value)
+
+    def _parts(self, shallow):
+        return shallow, frozenset(), shallow
 
     @property
     def is_zero(self):
@@ -143,14 +172,17 @@ class Const(Expr):
 class Sym(Expr):
     __slots__ = ("symbol",)
 
-    def __init__(self, symbol: Symbol):
-        object.__setattr__(self, "symbol", symbol)
+    def __new__(cls, symbol: Symbol):
+        return _node(cls, symbol, symbol)
+
+    def _parts(self, shallow):
+        symbol = self.symbol
         key = ("s", symbol.kind.value, symbol.component, symbol.level, symbol.name)
-        self._finish(key, frozenset((symbol,)), key)
+        return key, frozenset((symbol,)), key
 
 
 def _flat_parts(op, children):
-    """_finish's key, free symbols and shallow key of a sum or product."""
+    """_parts of a sum or product."""
     key = (op, *[c.key for c in children])
     free = frozenset().union(*[c.free for c in children])
     return key, free, (op, *[c._hash for c in children])
@@ -159,10 +191,12 @@ def _flat_parts(op, children):
 class Sum(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
+    def __new__(cls, terms):
         terms = tuple(terms)
-        object.__setattr__(self, "terms", terms)
-        self._finish(*_flat_parts("+", terms))
+        return _node(cls, ("+", *map(id, terms)), terms)
+
+    def _parts(self, shallow):
+        return _flat_parts("+", self.terms)
 
     def _build_text(self):
         return _tuple_text(["'+'"] + [t._sort_text() for t in self.terms])
@@ -171,10 +205,12 @@ class Sum(Expr):
 class Prod(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors):
+    def __new__(cls, factors):
         factors = tuple(factors)
-        object.__setattr__(self, "factors", factors)
-        self._finish(*_flat_parts("*", factors))
+        return _node(cls, ("*", *map(id, factors)), factors)
+
+    def _parts(self, shallow):
+        return _flat_parts("*", self.factors)
 
     def _build_text(self):
         return _tuple_text(["'*'"] + [f._sort_text() for f in self.factors])
@@ -183,15 +219,16 @@ class Prod(Expr):
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Fraction):
+    def __new__(cls, base: Expr, exponent: Fraction):
         if not isinstance(exponent, Fraction):
             if not isinstance(exponent, int):
                 raise TypeError("exponent must be rational")
             exponent = Fraction(exponent)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        num, den = exponent.numerator, exponent.denominator
-        self._finish(("^", base.key, num, den), base.free, ("^", base._hash, num, den))
+        return _node(cls, ("^", id(base), exponent.numerator, exponent.denominator), base, exponent)
+
+    def _parts(self, shallow):
+        base, num, den = self.base, self.exponent.numerator, self.exponent.denominator
+        return ("^", base.key, num, den), base.free, ("^", base._hash, num, den)
 
     def _build_text(self):
         _, _, num, den = self.key
@@ -203,13 +240,14 @@ class Func(Expr):
 
     _TABLE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
 
-    def __init__(self, fname: str, arg: Expr):
-        if fname not in self._TABLE:
+    def __new__(cls, fname: str, arg: Expr):
+        if fname not in cls._TABLE:
             raise ValueError(f"unknown function {fname!r}")
-        object.__setattr__(self, "fname", fname)
-        object.__setattr__(self, "arg", arg)
-        key = ("f", fname, arg.key)
-        self._finish(key, arg.free, ("f", fname, arg._hash))
+        return _node(cls, ("f", fname, id(arg)), fname, arg)
+
+    def _parts(self, shallow):
+        arg = self.arg
+        return ("f", self.fname, arg.key), arg.free, ("f", self.fname, arg._hash)
 
     def _build_text(self):
         return f"('f', {self.fname!r}, {self.arg._sort_text()})"

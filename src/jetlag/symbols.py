@@ -48,9 +48,10 @@ _INTERNED = {}  # (kind, component, level, name) -> the one Symbol with that ide
 
 class Symbol:
     """One coordinate symbol, interned: the one object per identity (kind,
-    component, level, name), hashed as that tuple.  copy and pickle give it back."""
+    component, level, name), hashed as that tuple, with its text kept.  copy
+    and pickle give it back."""
 
-    __slots__ = ("kind", "component", "level", "name", "_hash")
+    __slots__ = ("kind", "component", "level", "name", "_hash", "text")
 
     def __new__(cls, kind: Kind, component: int = 0, level: int = 0, name: str = ""):
         key = (kind, component, level, name)
@@ -64,8 +65,14 @@ class Symbol:
             raise ValueError(f"component must be >= 1, got {component}")
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
+        if kind is Kind.PARAM:
+            text = name
+        elif kind in _COMPONENT_ONLY:
+            text = f"{kind.value}{component}"
+        else:
+            text = f"{kind.value}{component}_{level}"
         self = object.__new__(cls)
-        for attr, value in zip(cls.__slots__, (*key, hash(key))):
+        for attr, value in zip(cls.__slots__, (*key, hash(key), text)):
             object.__setattr__(self, attr, value)
         return _INTERNED.setdefault(key, self)
 
@@ -87,21 +94,17 @@ class Symbol:
         return (_KIND_ORDER[self.kind], self.level, self.component, self.name)
 
     def render(self) -> str:
-        if self.kind is Kind.PARAM:
-            return self.name
-        if self.kind in _COMPONENT_ONLY:
-            return f"{self.kind.value}{self.component}"
-        return f"{self.kind.value}{self.component}_{self.level}"
+        return self.text
 
     def shifted(self, delta: int = 1) -> "Symbol":
         """Same kind/component, derivative level raised by delta."""
         return Symbol(self.kind, self.component, self.level + delta)
 
     def __str__(self):
-        return self.render()
+        return self.text
 
     def __repr__(self):
-        return f"Symbol({self.render()!r})"
+        return f"Symbol({self.text!r})"
 
 
 def q(component: int, level: int) -> Symbol:

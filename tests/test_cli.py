@@ -139,18 +139,20 @@ def test_dense_derive_in_ten_dimensions_runs_within_its_time_budget(tmp_path):
 
 def _diff_memos(monkeypatch):
     """The diff memos that derivatives were computed under, each once, in
-    order of first use (calculus._diff runs on every memo miss)."""
-    seen = []
+    order of first use (calculus._diff runs on every memo miss), and the
+    node table that was open beside each."""
+    seen, tables = [], []
     real = calculus._diff
 
     def noted(e, s):
         memo = calculus._DIFF_MEMO.get()
         if not any(m is memo for m in seen):
             seen.append(memo)
+            tables.append(expr._NODES.get())
         return real(e, s)
 
     monkeypatch.setattr(calculus, "_diff", noted)
-    return seen
+    return seen, tables
 
 
 @pytest.mark.parametrize(
@@ -164,24 +166,30 @@ def _diff_memos(monkeypatch):
     ],
 )
 def test_no_diff_memo_outlives_its_job(tmp_path, capsys, monkeypatch, verb, config, code):
-    memos = _diff_memos(monkeypatch)
+    memos, tables = _diff_memos(monkeypatch)
     assert main([verb, "--config", write_config(tmp_path, config), "--out", str(tmp_path)]) == code
     capsys.readouterr()
     assert len(memos) == 1 and memos[0] is not None  # the job differentiated under its memo
+    assert tables[0]  # and built its nodes in its own table
     assert calculus._DIFF_MEMO.get() is None
+    assert expr._NODES.get() is None
 
 
 def test_two_jobs_share_no_diff_memo_entry(tmp_path, capsys, monkeypatch):
-    memos = _diff_memos(monkeypatch)
+    memos, tables = _diff_memos(monkeypatch)
     cfg = write_config(tmp_path, BEAM_CONFIG)
     assert main(["derive", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert main(["derive", "--config", cfg, "--out", str(tmp_path)]) == 0
     first, second = memos
     assert first is not second
     assert len(second) == len(first) > 0  # the second job computed every derivative again
+    assert tables[0] is not tables[1]
+    assert len(tables[1]) == len(tables[0]) > 0  # and built every node again
     corpus.run_all(ids=["beam", "clement"])
     assert len(memos) == 4 and all(m is not None for m in memos)  # one memo per corpus entry
+    assert len(set(map(id, tables))) == 4 and all(tables)  # and one node table each
     assert calculus._DIFF_MEMO.get() is None
+    assert expr._NODES.get() is None
 
 
 def test_derive_chiral_attaches_affine_warning(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -16,6 +18,7 @@ from jetlag.errors import (
     UnboundSymbolError,
 )
 from jetlag import expr, sampling
+from jetlag.calculus import job_memo
 from jetlag.expr import (
     Const,
     Func,
@@ -130,6 +133,103 @@ def test_node_caches_agree_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert results == [expected] * 8
+
+
+def _one_node_per_class():
+    """One node of each of the six classes, built afresh on every call."""
+    x = Sym(q(1, 0))
+    return [Const(Fraction(3, 2)), x, Sum([x, Const(2)]), Prod([Const(3), x]), Pow(x, Fraction(1, 2)), Func("sin", x)]
+
+
+def test_a_job_builds_each_structure_once():
+    outside = _one_node_per_class(), _one_node_per_class()
+    for a, b in zip(*outside):
+        assert a == b and a is not b
+    with job_memo():
+        first, second = _one_node_per_class(), _one_node_per_class()
+        for a, b in zip(first, second):
+            assert a is b
+        assert all(a == b for a, b in zip(first, outside[0]))
+
+
+def test_a_job_keeps_constants_of_different_keys_apart():
+    pairs = [(0.0, -0.0), (1, 1.0), (Fraction(1, 2), 0.5)]
+    with job_memo():
+        for a, b in pairs:
+            assert Const(a) is Const(a)
+            assert Const(a) is not Const(b) and Const(a) != Const(b)
+        assert [to_text(Const(v)) for pair in pairs for v in pair] == ["0.0", "-0.0", "1", "1.0", "1/2", "0.5"]
+
+
+def test_unmarked_copy_is_the_marked_node_inside_a_job(rng):
+    tree = random_tree(rng, depth=6)
+    s = simplify(tree)
+    assert _unmarked_copy(s) is not s and not _unmarked_copy(s)._canon
+    with job_memo():
+        s = simplify(_unmarked_copy(tree))
+        assert _unmarked_copy(s) is s and s._canon
+
+
+def _copies():
+    return copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))
+
+
+def test_nodes_copy_and_pickle_through_their_constructors():
+    text = "sin(q1_0)^(1/2) + 3/2*q1_1*mu - 0.25 + exp(-q2_0)"
+    e = parse(text)
+    for clone in _copies():
+        out = clone(e)
+        assert out == e and out is not e and to_text(out) == to_text(e)
+        assert all(a == b for a, b in zip(nodes(out), nodes(e)))
+    with job_memo():
+        e = parse(text)
+        for node in nodes(e):
+            assert all(clone(node) is node for clone in _copies())
+
+
+def _texts(seed):
+    """to_text of a simplified random tree and the sort texts of every node
+    of the tree and of its canonical form, or the error class simplify raised."""
+    tree = random_tree(np.random.default_rng(seed), depth=7)
+    try:
+        s = simplify(tree)
+    except NumericFailureError as exc:
+        return type(exc)
+    return to_text(s), [n._sort_text() for n in nodes(tree)], [n._sort_text() for n in nodes(s)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_job_table_changes_no_text(seed):
+    outside = _texts(seed)
+    with job_memo():
+        inside = _texts(seed)
+    assert inside == outside
+
+
+def test_jobs_in_two_threads_keep_their_own_tables():
+    seeds = range(40)
+    expected = [_texts(seed) for seed in seeds]
+    results, tables, errors = {}, {}, []
+
+    def work(name):
+        try:
+            with job_memo():
+                tables[name] = expr._NODES.get()
+                results[name] = [_texts(seed) for seed in seeds]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(name,)) for name in "ab"]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == {"a": expected, "b": expected}
+    assert tables["a"] is not tables["b"] and len(tables["a"]) == len(tables["b"]) > 0
+    assert expr._NODES.get() is None
 
 
 def test_eval_unbound_symbol_is_error():
