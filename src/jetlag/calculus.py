@@ -7,13 +7,11 @@ its partial times the same symbol at level k+1.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from fractions import Fraction
 
 from .errors import LevelOverflowError, NotLinearError, UnshiftableSymbolError
 from .expr import (
-    _NODES,
+    _JOB_TABLE,
     ONE,
     ZERO,
     Const,
@@ -37,30 +35,15 @@ from .symbols import Kind, Symbol
 
 _SHIFTABLE = (Kind.Q, Kind.A, Kind.M)
 
-# {(node, symbol): diff result} of the running job, or None outside one
-_DIFF_MEMO = contextvars.ContextVar("jetlag_diff_memo", default=None)
-
-
-@contextlib.contextmanager
-def job_memo():
-    """diff remembers its results, and the node constructors their nodes,
-    while the with block, one job, runs."""
-    memo, nodes = _DIFF_MEMO.set({}), _NODES.set({})
-    try:
-        yield
-    finally:
-        _NODES.reset(nodes)
-        _DIFF_MEMO.reset(memo)
-
 
 def diff(e: Expr, s: Symbol) -> Expr:
-    """Exact partial derivative with respect to one symbol, simplified."""
-    memo = _DIFF_MEMO.get()
-    if memo is None:
+    """Exact partial derivative with respect to one symbol, simplified; kept in the job table."""
+    table = _JOB_TABLE.get()
+    if table is None:
         return simplify(_diff(e, s))
-    out = memo.get((e, s))
+    out = table.get((e, s))
     if out is None:
-        out = memo[e, s] = simplify(_diff(e, s))
+        out = table[e, s] = simplify(_diff(e, s))
     return out
 
 

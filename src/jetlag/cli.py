@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .calculus import diff, is_zero, job_memo
+from .calculus import diff, is_zero
 from .dynamics import constraint_sup, energy_drift, trajectory_csv
 from .errors import (
     ClosureError,
@@ -28,7 +28,7 @@ from .errors import (
     SingularJacobianError,
     StepSizeError,
 )
-from .expr import Expr
+from .expr import Expr, job_scope
 from .hamjac import (
     affine_hj_solve,
     affine_integrability_check,
@@ -290,7 +290,7 @@ def main(argv=None) -> int:
                 "hj-check": cmd_hj_check,
                 "hj-solve-affine": cmd_hj_solve_affine,
             }[args.verb]
-            with job_memo():
+            with job_scope():
                 code, report = handler(job, args)
         _emit(report, args)
     except (ConfigError, ParseError, StepSizeError, ConstraintViolationError) as exc:

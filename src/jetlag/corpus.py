@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import job_memo
 from .dynamics import assemble, energy_drift, integrate_rk4, resolve_multipliers
 from .errors import SingularJacobianError
-from .expr import simplify
+from .expr import job_scope, simplify
 from .hamjac import (
     affine_hj_solve,
     affine_integrability_check,
@@ -35,11 +34,15 @@ from .schmidt import ostro_schmidt_pullback_check, schmidt_initial_data, schmidt
 from .symbols import p, param, q
 
 
+# every entry ends with the rank check of its Morse family's fiber block
+MORSE_RANK = {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"}
+
+
 class CorpusEntry:
     def __init__(self, config, checks):
         self.job = Job.from_config(config)
         self.id = self.job.problem
-        self.checks = checks
+        self.checks = [*checks, MORSE_RANK]
 
 
 BEAM_L = "1/2*mu*q1_2^2 + rho*q1_0"
@@ -73,7 +76,6 @@ def build_entries():
                 {"name": "affine-symmetry", "kind": "affine-symmetry", "provenance": "trivial", "expect_pass": True},
                 {"name": "affine-integrability", "kind": "affine-integrability", "provenance": "derived", "order": 2, "expect_pass": True},
                 {"name": "affine-solve-verifies", "kind": "affine-solve", "provenance": "derived", "order": 2},
-                {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
         ),
         CorpusEntry(
@@ -90,7 +92,6 @@ def build_entries():
             [
                 {"name": "affine-compatibility", "kind": "affine-integrability", "provenance": "derived", "order": 3, "expect_pass": True},
                 {"name": "affine-solve-verifies", "kind": "affine-solve", "provenance": "derived", "order": 3},
-                {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
         ),
         CorpusEntry(
@@ -156,7 +157,6 @@ def build_entries():
                 {"name": "quartic-solution", "kind": "beam-quartic", "provenance": "derived", "tol": 1e-8},
                 {"name": "energy-drift", "kind": "drift", "provenance": "derived", "tol": 1e-8},
                 {"name": "base-curve-agreement", "kind": "base-agreement", "provenance": "derived", "tol": 1e-6},
-                {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
         ),
         CorpusEntry(
@@ -176,7 +176,6 @@ def build_entries():
                     "provenance": "literature",
                     "expect_pass": False,
                 },
-                {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
         ),
         CorpusEntry(
@@ -196,7 +195,6 @@ def build_entries():
                     "provenance": "literature",
                     "expect_pass": False,
                 },
-                {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
         ),
         CorpusEntry(
@@ -224,7 +222,6 @@ def build_entries():
                 {"name": "hessian-rank-one", "kind": "nondegeneracy", "provenance": "literature", "rank": 1, "full": False},
                 {"name": "velocity-potential-solves", "kind": "hj", "provenance": "literature", "tol": 1e-12},
                 {"name": "multiplier-rank-deficit", "kind": "degenerate-abort", "provenance": "derived", "rank": 1, "of": 3},
-                {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
         ),
         CorpusEntry(
@@ -293,7 +290,6 @@ def build_entries():
                     "box": {"a1_0": [-1.0, 1.0]},
                 },
                 {"name": "base-curve-agreement", "kind": "base-agreement", "provenance": "derived", "tol": 1e-6},
-                {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
         ),
         CorpusEntry(
@@ -362,7 +358,6 @@ def build_entries():
                     "tol": 1e-10,
                 },
                 {"name": "gamma-relatedness", "kind": "relatedness-schmidt", "provenance": "derived", "tol": 1e-5},
-                {"name": "morse-rank", "kind": "morse-rank", "provenance": "derived"},
             ],
         ),
     ]
@@ -531,7 +526,7 @@ def run_check(entry: CorpusEntry, check: dict, seed: int = 0) -> dict:
 
 
 def run_entry(entry: CorpusEntry, seed: int = 0) -> dict:
-    with job_memo():
+    with job_scope():
         results = [run_check(entry, c, seed=seed) for c in entry.checks]
     return {
         "id": entry.id,

@@ -11,6 +11,7 @@ rational; applying a transcendental function drops to float.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 from fractions import Fraction
@@ -119,9 +120,21 @@ class Expr:
         return neg(self)
 
 
-# the running job's nodes by shallow key, or None outside a job: set beside
-# the diff memo by calculus.job_memo
-_NODES = contextvars.ContextVar("jetlag_nodes", default=None)
+# the running job's table, or None outside a job: the nodes by shallow key,
+# and calculus.diff's results by (node, symbol); no shallow key starts with
+# an Expr, so the two kinds of key cannot meet
+_JOB_TABLE = contextvars.ContextVar("jetlag_job_table", default=None)
+
+
+@contextlib.contextmanager
+def job_scope():
+    """The node constructors share their nodes, and diff remembers its
+    results, while the with block, one job, runs."""
+    token = _JOB_TABLE.set({})
+    try:
+        yield
+    finally:
+        _JOB_TABLE.reset(token)
 
 
 def _node(cls, shallow, *fields):
@@ -136,7 +149,7 @@ def _node(cls, shallow, *fields):
     that costs the node's arity, not its subtree's size, and equal keys
     still give equal hashes.  A constant's shallow key is its key.
     """
-    table = _NODES.get()
+    table = _JOB_TABLE.get()
     if table is not None:
         node = table.get(shallow)
         if node is not None:
@@ -657,24 +670,21 @@ def _simplify(e: Expr) -> Expr:
         coeff = _F1
         coeff_float = None
         powers = {}  # base -> exponent
-        queue = list(map(simplify, e.factors))
-        while queue:
-            f = queue.pop(0)
-            if isinstance(f, Prod):
-                queue = list(f.factors) + queue
-                continue
-            if isinstance(f, Const):
-                if isinstance(f.value, Fraction):
-                    coeff = _coeff_mul(coeff, f.value)
+        # one level of flattening: no canonical product has a product factor
+        for g in map(simplify, e.factors):
+            for f in g.factors if isinstance(g, Prod) else (g,):
+                if isinstance(f, Const):
+                    if isinstance(f.value, Fraction):
+                        coeff = _coeff_mul(coeff, f.value)
+                    else:
+                        coeff_float = f.value if coeff_float is None else coeff_float * f.value
+                    continue
+                if isinstance(f, Pow):
+                    base, exp = f.base, f.exponent
                 else:
-                    coeff_float = f.value if coeff_float is None else coeff_float * f.value
-                continue
-            if isinstance(f, Pow):
-                base, exp = f.base, f.exponent
-            else:
-                base, exp = f, _F1
-            old = powers.get(base)
-            powers[base] = exp if old is None else old + exp
+                    base, exp = f, _F1
+                old = powers.get(base)
+                powers[base] = exp if old is None else old + exp
         if coeff == 0 or (coeff_float is not None and coeff_float == 0.0):
             return ZERO
         factors = []

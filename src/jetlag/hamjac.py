@@ -143,9 +143,22 @@ class ResidualReport:
     tol: float
     samples: int
     sup_norms: dict = field(default_factory=dict)
-    overall_sup: float = 0.0
-    passed: bool = False
     details: dict = field(default_factory=dict)
+
+    @property
+    def overall_sup(self) -> float:
+        return max(self.sup_norms.values(), default=0.0)
+
+    @property
+    def passed(self) -> bool:
+        return self.overall_sup <= self.tol
+
+    def record(self, names, values):
+        """Fold each equation's sup of |value| over the rows into sup_norms;
+        an equation with no rows keeps no sup."""
+        for name, v in zip(names, values):
+            if len(v):
+                self.sup_norms[name] = max(self.sup_norms.get(name, 0.0), float(np.max(np.abs(v))))
 
     def to_dict(self) -> dict:
         return {
@@ -162,20 +175,12 @@ class ResidualReport:
         }
 
 
-def _record_sups(report, names, values):
-    """Fold each equation's sup of |value| over the rows into the report."""
-    for name, v in zip(names, values):
-        if len(v):
-            report.sup_norms[name] = max(report.sup_norms.get(name, 0.0), float(np.max(np.abs(v))))
-
-
 def _draw_rows(coordinates, exprs, samples, rng, probe=(), exclude=(), boxes=None, guards=()):
     """The sorted symbols of coordinates, exprs and probe, less exclude, and
     samples rows over them (sampling.sample_rows, boxes and guards passed
     on) at which every probe expression evaluates."""
     symbols = sorted(set(coordinates).union(*(e.free for e in [*exprs, *probe])) - set(exclude))
-    rng = make_rng(rng if rng is not None else 0)
-    return symbols, sample_rows(symbols, samples, rng, boxes=boxes, guards=guards, probe_exprs=list(probe))
+    return symbols, sample_rows(symbols, samples, make_rng(rng), boxes=boxes, guards=guards, probe_exprs=list(probe))
 
 
 def _sample_equations(
@@ -192,10 +197,7 @@ def _sample_equations(
         coordinates, [e for _, e in equations], SAMPLES, rng, probe, boxes=boxes, guards=guards
     )
     report = ResidualReport(label, list(equations), tol, SAMPLES)
-    values = eval_rows([e for _, e in equations], symbols, rows)
-    _record_sups(report, [name for name, _ in equations], values)
-    report.overall_sup = max(report.sup_norms.values(), default=0.0)
-    report.passed = report.overall_sup <= tol
+    report.record([name for name, _ in equations], eval_rows([e for _, e in equations], symbols, rows))
     return report
 
 
@@ -222,8 +224,7 @@ def morse_rank_check(mf: MorseFamily, points) -> ResidualReport:
     report = ResidualReport("morse-rank", [], tol=0.0, samples=len(rows))
     report.details["ranks"] = ranks
     report.details["needed"] = needed
-    report.passed = all(rank == needed for rank in ranks)
-    report.overall_sup = 0.0 if report.passed else float(needed - min(ranks, default=0))
+    report.sup_norms["rank deficit"] = float(needed - min(ranks, default=needed))
     return report
 
 
@@ -347,14 +348,11 @@ def hj_residual(
     lam, consistency = solver.solve_rows(rows)
     consistency_sup = float(np.max(consistency, initial=0.0))
     values = eval_rows([e for _, e in base_eqs], coord_symbols + fibers, np.hstack([rows, lam]))
-    _record_sups(report, [name for name, _ in base_eqs], values)
-    sup = max(report.sup_norms.values(), default=0.0)
-    for name, e in fiber_eqs:
+    report.record([name for name, _ in base_eqs], values)
+    report.details["coordinate_sup"] = report.overall_sup
+    for name, _ in fiber_eqs:
         report.sup_norms[name] = consistency_sup
-    report.overall_sup = max(sup, consistency_sup)
     report.details["fiber_consistency"] = consistency_sup
-    report.details["coordinate_sup"] = sup
-    report.passed = report.overall_sup <= tol
     return report
 
 
@@ -382,11 +380,9 @@ def hj_residual_nondeg(
     )
     report = ResidualReport("hj-explicit", equations, tol, samples)
     values, *partials = eval_rows([composed] + [e for _, e in equations], symbols, rows)
-    _record_sups(report, [name for name, _ in equations], partials)
-    report.overall_sup = max(report.sup_norms.values(), default=0.0)
+    report.record([name for name, _ in equations], partials)
     report.details["constancy_spread"] = float(np.max(values) - np.min(values)) if len(values) else 0.0
     report.details["composed_mean"] = float(np.mean(values)) if len(values) else 0.0
-    report.passed = report.overall_sup <= tol
     return report
 
 
@@ -426,10 +422,7 @@ def gamma_relatedness(
     residuals = np.abs(np.hstack([fd - values[:, :n], values[:, n:]]))
     names = [f"dot[{s}]" for s in sys.states] + [f"constraint[{i}]" for i in range(len(sys.constraints))]
     report = ResidualReport("gamma-relatedness", [], tol, len(times) - 2)
-    for name, column in zip(names, residuals.T):
-        report.sup_norms[name] = float(np.max(column, initial=0.0))
-    report.overall_sup = float(np.max(residuals, initial=0.0))
-    report.passed = report.overall_sup <= tol
+    report.record(names, residuals.T)
     return report
 
 

@@ -17,6 +17,7 @@ _PREC_SUM = 1
 _PREC_PROD = 2
 _PREC_POW = 3
 _PREC_ATOM = 4
+_HALF = Fraction(1, 2)  # the exponent printed as sqrt(...)
 
 
 def to_text(e: Expr) -> str:
@@ -44,7 +45,7 @@ def _render(e):
             return "-" + text, _PREC_SUM  # leading minus parses at sum level
         return text, _PREC_PROD
     if isinstance(e, Pow):
-        if e.exponent == Fraction(1, 2):
+        if e.exponent == _HALF:
             return f"sqrt({to_text(e.base)})", _PREC_ATOM
         base_text = _wrap(e.base, _PREC_POW + 1)  # powers nest via parens only
         if e.exponent.denominator == 1 and e.exponent >= 0:

@@ -15,9 +15,10 @@ DEFAULT_BOX = (-2.0, 2.0)
 
 
 def make_rng(seed_or_rng=0) -> np.random.Generator:
+    """The Generator given, or a new one from the seed given; None is seed 0."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
+    return np.random.default_rng(0 if seed_or_rng is None else seed_or_rng)
 
 
 def sample_rows(
@@ -131,8 +132,7 @@ def equal_numeric(e1: Expr, e2: Expr, trials: int = 100, tol: float = 1e-10, rng
         raise ValueError("trials must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rng = make_rng(rng if rng is not None else 0)
     symbols = sorted(e1.free | e2.free)
-    rows = sample_rows(symbols, trials, rng, probe_exprs=(e1, e2), max_attempts=1000 * trials)
+    rows = sample_rows(symbols, trials, make_rng(rng), probe_exprs=(e1, e2), max_attempts=1000 * trials)
     v1, v2 = eval_rows([e1, e2], symbols, rows)
     return not np.any(np.abs(v1 - v2) > tol * (1.0 + np.abs(v1)))

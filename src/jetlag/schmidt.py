@@ -187,11 +187,7 @@ def third_order_extend(L: LagrangianSpec, F: GaugeFunction) -> SchmidtSystem:
     factor; fibers are all three velocity blocks."""
     if L.order != 3:
         raise ValueError("third-order route needs a third order Lagrangian")
-    n = L.dim
-    _check_cond2(F, n)
-    ext = gauge_extend_second(L, F)
-    family = _aqm_family(ext, n, "schmidt-third-order")
-    return SchmidtSystem(ext, family)
+    return _aqm_extend(L, F, "schmidt-third-order")
 
 
 def degenerate_second_extend(L: LagrangianSpec, F: GaugeFunction) -> SchmidtSystem:
@@ -200,26 +196,28 @@ def degenerate_second_extend(L: LagrangianSpec, F: GaugeFunction) -> SchmidtSyst
     to vanish by the missing a1 dependence."""
     if L.order != 2:
         raise ValueError("degenerate second-order route needs a second order Lagrangian")
-    n = L.dim
     for s in F.expr.free:
         if s.kind is Kind.A:
             raise ValueError("gauge for the degenerate route depends on (q0, q1, m0) only")
+    return _aqm_extend(L, F, "schmidt-second-degenerate")
+
+
+def _aqm_extend(L: LagrangianSpec, F: GaugeFunction, label: str) -> SchmidtSystem:
+    """The tail of both auxiliary-factor routes, once their own guards pass:
+    the gauge condition, L + dF/dt and its Morse family over T*(AQxM)."""
+    n = L.dim
     _check_cond2(F, n)
     ext = gauge_extend_second(L, F)
-    family = _aqm_family(ext, n, "schmidt-second-degenerate")
-    return SchmidtSystem(ext, family)
-
-
-def _aqm_family(ext: Expr, n: int, label: str) -> MorseFamily:
     pairs = [
         (m, v) for a in range(1, n + 1) for m, v in ((pq(a), q(a, 1)), (pa(a), acc(a, 1)), (pm(a), aux(a, 1)))
     ]
-    return MorseFamily(
+    family = MorseFamily(
         base=chart_tstar_aqm(n),
         fibers=tuple(v for _, v in pairs),
         energy=simplify(legendre_sum(ext, pairs)),
         label=label,
     )
+    return SchmidtSystem(ext, family)
 
 
 def pullback_map(L: LagrangianSpec, F: GaugeFunction) -> dict:

@@ -4,7 +4,6 @@ import pytest
 from jetlag.calculus import (
     diff,
     is_zero,
-    job_memo,
     iterated_time_derivative,
     potential_from_closed_form,
     solve_linear_symbolic,
@@ -13,7 +12,7 @@ from jetlag.calculus import (
     total_time_derivative,
 )
 from jetlag.errors import LevelOverflowError, NotLinearError, UnshiftableSymbolError
-from jetlag.expr import eval_expr, simplify, substitute
+from jetlag.expr import eval_expr, job_scope, simplify, substitute
 from jetlag.parser import parse
 from jetlag.sampling import equal_numeric, sample_binding
 from jetlag.printer import to_text
@@ -147,7 +146,7 @@ def test_diff_memo_answers_equal_trees_alike():
         assert a == b
         distinct += a is not b  # a leaf may be a shared constant
         plain = [to_text(diff(a, s)), to_text(diff(b, s))]
-        with job_memo():
+        with job_scope():
             da, db = diff(a, s), diff(b, s)
             assert db is da and diff(a, s) is da
         assert [to_text(da), to_text(db)] == plain

@@ -137,22 +137,26 @@ def test_dense_derive_in_ten_dimensions_runs_within_its_time_budget(tmp_path):
     assert float(seconds) < 3.0
 
 
-def _diff_memos(monkeypatch):
-    """The diff memos that derivatives were computed under, each once, in
-    order of first use (calculus._diff runs on every memo miss), and the
-    node table that was open beside each."""
-    seen, tables = [], []
+def _job_tables(monkeypatch):
+    """The job tables that derivatives were computed under, each once, in
+    order of first use (calculus._diff runs on every miss)."""
+    seen = []
     real = calculus._diff
 
     def noted(e, s):
-        memo = calculus._DIFF_MEMO.get()
-        if not any(m is memo for m in seen):
-            seen.append(memo)
-            tables.append(expr._NODES.get())
+        table = expr._JOB_TABLE.get()
+        if not any(t is table for t in seen):
+            seen.append(table)
         return real(e, s)
 
     monkeypatch.setattr(calculus, "_diff", noted)
-    return seen, tables
+    return seen
+
+
+def _holds_nodes_and_derivatives(table):
+    """The table keeps nodes by shallow key and diff results by (node, symbol)."""
+    derivatives = [k for k in table if isinstance(k, tuple) and len(k) == 2 and isinstance(k[0], expr.Expr)]
+    return 0 < len(derivatives) < len(table)
 
 
 @pytest.mark.parametrize(
@@ -166,30 +170,27 @@ def _diff_memos(monkeypatch):
     ],
 )
 def test_no_diff_memo_outlives_its_job(tmp_path, capsys, monkeypatch, verb, config, code):
-    memos, tables = _diff_memos(monkeypatch)
+    tables = _job_tables(monkeypatch)
     assert main([verb, "--config", write_config(tmp_path, config), "--out", str(tmp_path)]) == code
     capsys.readouterr()
-    assert len(memos) == 1 and memos[0] is not None  # the job differentiated under its memo
-    assert tables[0]  # and built its nodes in its own table
-    assert calculus._DIFF_MEMO.get() is None
-    assert expr._NODES.get() is None
+    assert len(tables) == 1 and tables[0] is not None  # the job differentiated under its table
+    assert _holds_nodes_and_derivatives(tables[0])  # which also holds the job's nodes
+    assert expr._JOB_TABLE.get() is None
 
 
 def test_two_jobs_share_no_diff_memo_entry(tmp_path, capsys, monkeypatch):
-    memos, tables = _diff_memos(monkeypatch)
+    tables = _job_tables(monkeypatch)
     cfg = write_config(tmp_path, BEAM_CONFIG)
     assert main(["derive", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert main(["derive", "--config", cfg, "--out", str(tmp_path)]) == 0
-    first, second = memos
+    first, second = tables
     assert first is not second
-    assert len(second) == len(first) > 0  # the second job computed every derivative again
-    assert tables[0] is not tables[1]
-    assert len(tables[1]) == len(tables[0]) > 0  # and built every node again
+    # the second job built every node and computed every derivative again
+    assert len(second) == len(first) > 0
     corpus.run_all(ids=["beam", "clement"])
-    assert len(memos) == 4 and all(m is not None for m in memos)  # one memo per corpus entry
-    assert len(set(map(id, tables))) == 4 and all(tables)  # and one node table each
-    assert calculus._DIFF_MEMO.get() is None
-    assert expr._NODES.get() is None
+    assert len(tables) == 4 and all(t is not None for t in tables)  # one table per corpus entry
+    assert len(set(map(id, tables))) == 4 and all(map(_holds_nodes_and_derivatives, tables))
+    assert expr._JOB_TABLE.get() is None
 
 
 def test_derive_chiral_attaches_affine_warning(tmp_path, capsys):

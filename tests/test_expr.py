@@ -18,7 +18,6 @@ from jetlag.errors import (
     UnboundSymbolError,
 )
 from jetlag import expr, sampling
-from jetlag.calculus import job_memo
 from jetlag.expr import (
     Const,
     Func,
@@ -32,6 +31,7 @@ from jetlag.expr import (
     const,
     eval_expr,
     func,
+    job_scope,
     lambdify,
     pow_,
     simplify,
@@ -145,7 +145,7 @@ def test_a_job_builds_each_structure_once():
     outside = _one_node_per_class(), _one_node_per_class()
     for a, b in zip(*outside):
         assert a == b and a is not b
-    with job_memo():
+    with job_scope():
         first, second = _one_node_per_class(), _one_node_per_class()
         for a, b in zip(first, second):
             assert a is b
@@ -154,7 +154,7 @@ def test_a_job_builds_each_structure_once():
 
 def test_a_job_keeps_constants_of_different_keys_apart():
     pairs = [(0.0, -0.0), (1, 1.0), (Fraction(1, 2), 0.5)]
-    with job_memo():
+    with job_scope():
         for a, b in pairs:
             assert Const(a) is Const(a)
             assert Const(a) is not Const(b) and Const(a) != Const(b)
@@ -165,7 +165,7 @@ def test_unmarked_copy_is_the_marked_node_inside_a_job(rng):
     tree = random_tree(rng, depth=6)
     s = simplify(tree)
     assert _unmarked_copy(s) is not s and not _unmarked_copy(s)._canon
-    with job_memo():
+    with job_scope():
         s = simplify(_unmarked_copy(tree))
         assert _unmarked_copy(s) is s and s._canon
 
@@ -181,7 +181,7 @@ def test_nodes_copy_and_pickle_through_their_constructors():
         out = clone(e)
         assert out == e and out is not e and to_text(out) == to_text(e)
         assert all(a == b for a, b in zip(nodes(out), nodes(e)))
-    with job_memo():
+    with job_scope():
         e = parse(text)
         for node in nodes(e):
             assert all(clone(node) is node for clone in _copies())
@@ -202,7 +202,7 @@ def _texts(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_a_job_table_changes_no_text(seed):
     outside = _texts(seed)
-    with job_memo():
+    with job_scope():
         inside = _texts(seed)
     assert inside == outside
 
@@ -214,8 +214,8 @@ def test_jobs_in_two_threads_keep_their_own_tables():
 
     def work(name):
         try:
-            with job_memo():
-                tables[name] = expr._NODES.get()
+            with job_scope():
+                tables[name] = expr._JOB_TABLE.get()
                 results[name] = [_texts(seed) for seed in seeds]
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
@@ -229,7 +229,7 @@ def test_jobs_in_two_threads_keep_their_own_tables():
     assert errors == []
     assert results == {"a": expected, "b": expected}
     assert tables["a"] is not tables["b"] and len(tables["a"]) == len(tables["b"]) > 0
-    assert expr._NODES.get() is None
+    assert expr._JOB_TABLE.get() is None
 
 
 def test_eval_unbound_symbol_is_error():
@@ -263,6 +263,13 @@ def test_substitute():
 def test_equal_numeric_examples():
     assert equal_numeric(parse("(q1_0+1)^2"), parse("q1_0^2 + 2*q1_0 + 1"))
     assert not equal_numeric(parse("q1_0^2"), parse("q1_0^3"))
+
+
+def test_no_seed_is_seed_zero():
+    draws = [sampling.make_rng(seed).uniform(size=4).tolist() for seed in (None, 0, None)]
+    assert draws[0] == draws[1] == draws[2]
+    rng = np.random.default_rng(5)
+    assert sampling.make_rng(rng) is rng
 
 
 def test_equal_numeric_rejects_bad_args():

@@ -88,6 +88,13 @@ def test_morse_rank_zero_energy_fails(rng):
     rep = morse_rank_check(fam, points)
     assert not rep.passed
     assert rep.details["ranks"] == [0] * 5
+    assert rep.sup_norms == {"rank deficit": 1.0} and rep.overall_sup == 1.0
+    # two fibers, neither in the energy: the deficit is 2 at every point
+    fam = MorseFamily(chart_cotangent(1, 1), (q(1, 1), q(1, 2)), parse("p1_0*q1_0"))
+    rep = morse_rank_check(fam, [{q(1, 0): 1.0}] * 3)
+    assert rep.details["ranks"] == [0, 0, 0] and rep.details["needed"] == 2
+    assert rep.sup_norms == {"rank deficit": 2.0} and rep.tol == 0.0
+    assert rep.to_dict()["overall_sup"] == 2.0 and rep.to_dict()["passed"] is False
 
 
 def test_morse_rank_is_taken_per_point():
@@ -452,3 +459,70 @@ def test_potential_form_differentiates_W_once(monkeypatch):
     hj_residual(ostro_energy(BEAM), gamma, rng=1, samples=3)
     hj_residual_nondeg(parse("p1_0 + p1_1"), gamma, rng=1, samples=3)
     assert sum(1 for e in calls if e == gamma.potential) == len(coords)
+
+
+def _passing_and_failing_reports():
+    """A passing and a failing report of every kind the checks build."""
+    coords, slots = [q(1, 0), q(1, 1)], [p(1, 0), p(1, 1)]
+    open_form = ClosedOneForm(tuple(coords), tuple(slots), components=(parse("q1_1"), ZERO))
+    constant_form = ClosedOneForm.from_components([parse("2"), parse("3")], coords, slots)
+
+    def section(push):
+        return SectionSigma({q(1, 0): ZERO, q(1, 1): ZERO}, {p(1, 0): parse(push), p(1, 1): ZERO})
+
+    # dE/dl = q1_0*q1_1 loses rank only at the origin
+    rank_family = MorseFamily(chart_cotangent(1, 1), (q(1, 1),), parse("1/2*q1_0*q1_1^2"))
+    full_rank = [{q(1, 0): 1.0, q(1, 1): 0.0}, {q(1, 0): 0.0, q(1, 1): 2.0}]
+    beam_box = {param("mu"): (1.0, 1.0), param("rho"): (1.0, 1.0)}
+    zero_form = ClosedOneForm.from_potential(parse("0"), coords, slots)
+    constant = ClosedOneForm.from_potential(parse("5"), [q(1, 0)], [p(1, 0)])
+    free_particle = assemble(ostro_energy(LagrangianSpec(1, 1, parse("1/2*q1_1^2"))))
+    along = ClosedOneForm.from_potential(parse("c*q1_0"), [q(1, 0)], [p(1, 0)])
+    c = {param("c"): 0.7}
+
+    def line(momentum):
+        return integrate_rk4(free_particle, {q(1, 0): 0.0, p(1, 0): momentum, **c}, 0.0, 1.0, 1e-2)
+
+    return {
+        "closure": (
+            javelin_gamma().closure_report(boxes=JAVELIN_BOX, guards=[JAVELIN_GUARD]),
+            open_form.closure_report(),
+        ),
+        "affine-symmetry": (
+            affine_symmetry_check([parse("q2_1"), parse("q1_1")]),
+            affine_symmetry_check([parse("-q2_1"), parse("q1_1")]),
+        ),
+        "affine-integrability": (
+            affine_integrability_check([parse("0")], parse("c"), order=2),
+            affine_integrability_check([parse("0")], parse("q1_0^2"), order=2),
+        ),
+        "local-vector-field": (
+            local_vf_residual(section("0"), constant_form, tol=1e-12),
+            local_vf_residual(section("1"), constant_form, tol=1e-12),
+        ),
+        "morse-rank": (
+            morse_rank_check(rank_family, full_rank),
+            morse_rank_check(rank_family, full_rank + [{q(1, 0): 0.0, q(1, 1): 0.0}]),
+        ),
+        "hj": (
+            hj_residual(ostro_energy(JAVELIN), javelin_gamma(), tol=1e-9, boxes=JAVELIN_BOX, guards=[JAVELIN_GUARD]),
+            hj_residual(ostro_energy(BEAM), zero_form, tol=1e-8, boxes=beam_box),
+        ),
+        "hj-explicit": (
+            hj_residual_nondeg(parse("1/2*p1_0^2"), constant, tol=1e-12),
+            hj_residual_nondeg(parse("1/2*p1_0^2 + q1_0^2"), constant, tol=1e-12),
+        ),
+        "gamma-relatedness": (
+            gamma_relatedness(free_particle, along, line(0.7), tol=1e-12, params=c),
+            gamma_relatedness(free_particle, along, line(0.2), tol=1e-12, params=c),
+        ),
+    }
+
+
+def test_every_report_kind_takes_its_verdict_from_its_sups():
+    for kind, reports in _passing_and_failing_reports().items():
+        for rep, expected in zip(reports, (True, False)):
+            assert rep.overall_sup == max(rep.sup_norms.values(), default=0.0), kind
+            assert rep.passed == (rep.overall_sup <= rep.tol) == expected, kind
+            out = rep.to_dict()
+            assert (out["overall_sup"], out["passed"]) == (rep.overall_sup, rep.passed), kind

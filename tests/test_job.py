@@ -66,6 +66,12 @@ def test_corpus_entry_reads_each_derived_form_from_one_derivation(monkeypatch, e
     assert {name: len(c) for name, c in calls.items()} == builders
 
 
+def test_every_corpus_entry_ends_with_one_morse_rank_check():
+    for entry in build_entries():
+        kinds = [c["kind"] for c in entry.checks]
+        assert kinds[-1] == "morse-rank" and kinds.count("morse-rank") == 1, entry.id
+
+
 def test_corpus_form_paths_name_entries_of_the_derive_report(tmp_path, capsys):
     checked = 0
     for entry in build_entries():
