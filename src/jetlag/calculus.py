@@ -20,7 +20,7 @@ from .expr import (
     Pow,
     Prod,
     Sum,
-    Sym,
+    Symbol,
     add,
     div,
     func,
@@ -29,9 +29,8 @@ from .expr import (
     pow_,
     simplify,
     substitute,
-    sym,
 )
-from .symbols import Kind, Symbol
+from .symbols import Kind
 
 _SHIFTABLE = (Kind.Q, Kind.A, Kind.M)
 
@@ -50,8 +49,8 @@ def diff(e: Expr, s: Symbol) -> Expr:
 def _diff(e: Expr, s: Symbol) -> Expr:
     if s not in e.free:
         return ZERO
-    if isinstance(e, Sym):
-        return ONE if e.symbol == s else ZERO
+    if isinstance(e, Symbol):
+        return ONE if e is s else ZERO
     if isinstance(e, Sum):
         return add(*(_diff(t, s) for t in e.terms))
     if isinstance(e, Prod):
@@ -102,7 +101,7 @@ def total_time_derivative(e: Expr, max_order: int) -> Expr:
             raise LevelOverflowError(
                 f"symbol {s} at level {s.level} exceeds derivative cap {max_order}"
             )
-        terms.append(mul(_diff(e, s), sym(s.shifted())))
+        terms.append(mul(_diff(e, s), s.shifted()))
     return simplify(add(*terms))
 
 
@@ -129,7 +128,7 @@ def expand(e: Expr) -> Expr:
 
 
 def _expand(e: Expr) -> Expr:
-    if isinstance(e, (Const, Sym)):
+    if isinstance(e, (Const, Symbol)):
         return e
     if isinstance(e, Sum):
         return add(*(_expand(t) for t in e.terms))
@@ -171,10 +170,10 @@ def to_monomials(e: Expr, variables) -> dict:
         coeff_parts = []
         for f in factors:
             base, power = (f.base, f.exponent) if isinstance(f, Pow) else (f, Fraction(1))
-            if isinstance(base, Sym) and base.symbol in var_index:
+            if isinstance(base, Symbol) and base in var_index:
                 if power.denominator != 1 or power < 0:
-                    raise NotLinearError(f"non-polynomial power {power} of {base.symbol}")
-                expo[var_index[base.symbol]] += int(power)
+                    raise NotLinearError(f"non-polynomial power {power} of {base}")
+                expo[var_index[base]] += int(power)
             else:
                 if f.free & set(var_index):
                     raise NotLinearError(f"non-polynomial dependence in factor {f}")
@@ -203,7 +202,7 @@ def potential_from_closed_form(components, variables) -> Expr:
             degree = sum(expo)
             new_expo = list(expo)
             new_expo[i] += 1
-            monomial = mul(*(pow_(sym(v), n) for v, n in zip(variables, new_expo) if n))
+            monomial = mul(*(pow_(v, n) for v, n in zip(variables, new_expo) if n))
             total = add(total, mul(coeff, Const(Fraction(1, degree + 1)), monomial))
     return simplify(total)
 

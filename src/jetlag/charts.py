@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .calculus import max_level
 from .errors import ArityMismatchError, ChartMismatchError, LevelOverflowError
-from .expr import Expr, coerce, substitute, sym
+from .expr import Expr, coerce, substitute
 from .symbols import Symbol, acc, aux, dp, dq, p, pa, pm, pq, q
 
 
@@ -252,9 +252,9 @@ def pullback_to_acceleration_chart(e: Expr, n: int, top: int = 3) -> Expr:
     """Rename jet levels (q2, q3) -> (a0, a1) per the acceleration isomorphism."""
     mapping = {}
     for a in range(1, n + 1):
-        mapping[q(a, 2)] = sym(acc(a, 0))
+        mapping[q(a, 2)] = acc(a, 0)
         if top >= 3:
-            mapping[q(a, 3)] = sym(acc(a, 1))
+            mapping[q(a, 3)] = acc(a, 1)
     return substitute(e, mapping)
 
 
@@ -272,7 +272,7 @@ def semispray_type1(F, n: int, k: int) -> dict:
     table = {}
     for lvl in range(k):
         for a in range(1, n + 1):
-            table[q(a, lvl)] = sym(q(a, lvl + 1))
+            table[q(a, lvl)] = q(a, lvl + 1)
     for a in range(1, n + 1):
         table[q(a, k)] = F[a - 1]
     return table

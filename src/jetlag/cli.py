@@ -40,7 +40,7 @@ from .job import METHODS, Job
 from .ostro import ostro_energy, top_coefficients
 from .printer import to_text
 from .sampling import make_rng
-from .symbols import Symbol, q
+from .symbols import q
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -55,7 +55,7 @@ def _load_config(path) -> Job:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return Job.from_config(config)
 
@@ -93,13 +93,12 @@ def cmd_derive(job, args) -> tuple[int, dict]:
 
 
 def _rendered(node):
-    """A derived entry as report values: expressions as text (str of an Expr is
-    to_text), symbols by name."""
+    """A derived entry as report values: expressions, symbols among them, as text."""
     if isinstance(node, dict):
         return {key: _rendered(value) for key, value in node.items()}
     if isinstance(node, list):
         return [_rendered(item) for item in node]
-    return str(node) if isinstance(node, (Expr, Symbol)) else node
+    return str(node) if isinstance(node, Expr) else node
 
 
 def cmd_simulate(job, args) -> tuple[int, dict]:

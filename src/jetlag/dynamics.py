@@ -387,16 +387,14 @@ def _solve(a, b) -> list:
     """np.linalg.solve(a, b) for a nonsingular square a (a sequence of
     rows), as a list.
 
-    A 1x1 block is a float division, which gives the same bits as LAPACK.  A
-    larger one goes straight to LAPACK's gesv gufunc: the kernel that
-    np.linalg.solve runs, without its Python-side checks.  A singular pivot
-    there gives nans and raises numpy's "invalid" flag, so callers run with
-    that flag ignored (np.errstate); any non-finite result is solved again
-    by np.linalg.solve, which turns a singular pivot into LinAlgError and
-    otherwise returns the same bits.
+    The generated code divides by a 1x1 block itself, with LAPACK's bits; a
+    larger one comes here and goes straight to LAPACK's gesv gufunc: the
+    kernel that np.linalg.solve runs, without its Python-side checks.  A
+    singular pivot there gives nans and raises numpy's "invalid" flag, so
+    callers run with that flag ignored (np.errstate); any non-finite result
+    is solved again by np.linalg.solve, which turns a singular pivot into
+    LinAlgError and otherwise returns the same bits.
     """
-    if len(a) == 1:
-        return [float(b[0]) / float(a[0][0])]
     if _gesv is not None:
         x = _gesv(a, b, signature="dd->d").tolist()
         if all(map(math.isfinite, x)):

@@ -1,7 +1,8 @@
 """Immutable expression trees over jet-coordinate symbols.
 
-Nodes: rational/float constants, symbol references, flat sums and products,
-powers with rational exponents, and the unary functions sin/cos/exp/ln.
+Nodes: rational/float constants, Symbols (the leaves, interned for the whole
+process), flat sums and products, powers with rational exponents, and the
+unary functions sin/cos/exp/ln.
 sqrt(x) and division are normalized at construction to Pow(x, 1/2) and
 Pow(x, -1) so differentiation needs a single power rule.
 
@@ -13,13 +14,14 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import enum
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainEvalError, NumericFailureError, UnboundSymbolError
-from .symbols import Symbol
 
 # zero and one, built once: the accumulators start from them, and a
 # coefficient that is the shared one is skipped rather than multiplied
@@ -43,11 +45,12 @@ def _as_coeff(value):
 class Expr:
     """Base node; immutable, hashable, compared structurally.
 
-    Each subclass builds through _node, so within one job an equal
-    structure is the same object.  Two write-once caches ride along: _canon
-    is set once simplify has returned the node, and _text holds repr(key)
-    once _sort_text has built it.  Each only ever receives the one value it
-    can hold, so a node stays safe to share across threads.
+    Each subclass but the interned Symbol builds through _node, so within
+    one job an equal structure is the same object.  Two write-once caches
+    ride along: _canon is set once simplify has returned the node, and
+    _text holds repr(key) once _sort_text has built it.  Each only ever
+    receives the one value it can hold, so a node stays safe to share
+    across threads.
     """
 
     __slots__ = ("key", "free", "_hash", "_canon", "_text")
@@ -65,8 +68,10 @@ class Expr:
     def _build_text(self) -> str:
         return repr(self.key)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Expr nodes are immutable")
+
+    __delattr__ = __setattr__  # deleting a slot would break a node that others share
 
     def __reduce__(self):
         # every constructor takes the node's own slots, in order
@@ -182,16 +187,81 @@ class Const(Expr):
         return self.value == 0
 
 
-class Sym(Expr):
-    __slots__ = ("symbol",)
+class Kind(enum.Enum):
+    Q = "q"
+    P = "p"
+    A = "a"
+    M = "m"
+    PQ = "pq"
+    PA = "pa"
+    PM = "pm"
+    DOTQ = "dq"
+    DOTP = "dp"
+    LAMBDA = "lam"
+    PARAM = "param"
 
-    def __new__(cls, symbol: Symbol):
-        return _node(cls, symbol, symbol)
 
-    def _parts(self, shallow):
-        symbol = self.symbol
-        key = ("s", symbol.kind.value, symbol.component, symbol.level, symbol.name)
-        return key, frozenset((symbol,)), key
+# kinds rendered as prefix{A}
+_COMPONENT_ONLY = {Kind.PQ, Kind.PA, Kind.PM, Kind.LAMBDA}
+
+_KIND_ORDER = {k: i for i, k in enumerate(Kind)}
+
+_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+_INTERNED = {}  # (kind, component, level, name) -> the one Symbol with that identity
+
+
+class Symbol(Expr):
+    """One coordinate symbol, the leaf node, interned: the one object per
+    identity (kind, component, level, name), hashed as that tuple, with its
+    text, key, free set and sort text kept, canonical from birth.  copy and
+    pickle give it back."""
+
+    __slots__ = ("kind", "component", "level", "name", "text")
+
+    def __new__(cls, kind: Kind, component: int = 0, level: int = 0, name: str = ""):
+        identity = (kind, component, level, name)
+        self = _INTERNED.get(identity)
+        if self is not None:
+            return self
+        if kind is Kind.PARAM:
+            if not _IDENT_RE.match(name):
+                raise ValueError(f"bad parameter name {name!r}")
+            text = name
+        elif component < 1:
+            raise ValueError(f"component must be >= 1, got {component}")
+        elif kind in _COMPONENT_ONLY:
+            text = f"{kind.value}{component}"
+        else:
+            text = f"{kind.value}{component}_{level}"
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
+        key = ("s", kind.value, component, level, name)
+        self = object.__new__(cls)
+        slots = ("_hash", *cls.__slots__, "key", "_canon", "_text")
+        for attr, value in zip(slots, (hash(identity), *identity, text, key, True, repr(key))):
+            object.__setattr__(self, attr, value)
+        object.__setattr__(self, "free", frozenset((self,)))  # hashes self by _hash, set above
+        return _INTERNED.setdefault(identity, self)
+
+    def __reduce__(self):
+        return (Symbol, (self.kind, self.component, self.level, self.name))
+
+    def __lt__(self, other):
+        return self.sort_key() < other.sort_key()
+
+    def sort_key(self):
+        return (_KIND_ORDER[self.kind], self.level, self.component, self.name)
+
+    def shifted(self, delta: int = 1) -> "Symbol":
+        """Same kind/component, derivative level raised by delta."""
+        return Symbol(self.kind, self.component, self.level + delta)
+
+    def __str__(self):
+        return self.text
+
+    def __repr__(self):
+        return f"Symbol({self.text!r})"
 
 
 def _flat_parts(op, children):
@@ -281,17 +351,7 @@ MINUS_ONE = Const(-1)
 def coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
-    if isinstance(x, Symbol):
-        return Sym(x)
     return Const(x)
-
-
-def sym(symbol: Symbol) -> Expr:
-    return Sym(symbol)
-
-
-def const(value) -> Expr:
-    return Const(value)
 
 
 def add(*terms) -> Expr:
@@ -521,11 +581,11 @@ def _const_float(value) -> float:
 def _eval(e, binding):
     if isinstance(e, Const):
         return _const_float(e.value)
-    if isinstance(e, Sym):
+    if isinstance(e, Symbol):
         try:
-            return binding[e.symbol]
+            return binding[e]
         except KeyError:
-            raise UnboundSymbolError(e.symbol) from None
+            raise UnboundSymbolError(e) from None
     if isinstance(e, Sum):
         # left to right, as the compiled evaluators add: sum() of floats is
         # compensated from Python 3.12 on
@@ -553,8 +613,8 @@ def substitute(e: Expr, mapping) -> Expr:
     def walk(node):
         if isinstance(node, Const):
             return node
-        if isinstance(node, Sym):
-            return table.get(node.symbol, node)
+        if isinstance(node, Symbol):
+            return table.get(node, node)
         if isinstance(node, Sum):
             return add(*(walk(t) for t in node.terms))
         if isinstance(node, Prod):
@@ -629,7 +689,7 @@ def simplify(e: Expr) -> Expr:
 
 
 def _simplify(e: Expr) -> Expr:
-    if isinstance(e, (Const, Sym)):
+    if isinstance(e, (Const, Symbol)):
         return e
     if isinstance(e, Sum):
         bucket = {}  # tuple of factors -> coefficient
@@ -795,8 +855,8 @@ def tape(exprs, symbols):
             return slot
         if isinstance(node, Const):
             step = ("const", _const_float(node.value), None)
-        elif isinstance(node, Sym):
-            step = ("sym", index[node.symbol], None)
+        elif isinstance(node, Symbol):
+            step = ("sym", index[node], None)
         elif isinstance(node, Sum):
             step = ("add", [emit(t) for t in node.terms], None)
         elif isinstance(node, Prod):

@@ -14,7 +14,7 @@ from functools import cached_property
 from .calculus import diff
 from .charts import ChartSpec
 from .errors import ChartMismatchError
-from .expr import Expr, add, mul, neg, simplify, sym
+from .expr import Expr, add, mul, neg, simplify
 from .symbols import Kind
 
 
@@ -49,7 +49,7 @@ class MorseFamily:
     def total_energy(self) -> Expr:
         total = self.energy
         for mult, relation in self.extra_relations:
-            total = add(total, mul(sym(mult), relation))
+            total = add(total, mul(mult, relation))
         return simplify(total)
 
     def fiber_equations(self) -> list:
@@ -63,5 +63,5 @@ def legendre_sum(lagrangian: Expr, pairs) -> Expr:
     the energy of both routes, before or after a substitution."""
     total = neg(lagrangian)
     for momentum, velocity in pairs:
-        total = add(total, mul(sym(momentum), sym(velocity)))
+        total = add(total, mul(momentum, velocity))
     return total

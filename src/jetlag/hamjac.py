@@ -25,7 +25,7 @@ from .errors import (
     NumericFailureError,
     UnboundSymbolError,
 )
-from .expr import Expr, add, coerce, lambdify, mul, neg, simplify, substitute, sym
+from .expr import Expr, add, coerce, lambdify, mul, neg, simplify, substitute
 from .families import MorseFamily
 from .sampling import eval_rows, make_rng, sample_rows
 from .symbols import p, q
@@ -501,14 +501,14 @@ def affine_integrability_check(f, g, order: int = 2, rng=None, tol: float = 1e-8
         for b in range(1, n + 1):
             total = diff(g, q(b, 0))
             for a in range(1, n + 1):
-                total = add(total, neg(mul(diff(diff(g, q(b, 1)), q(a, 0)), sym(q(a, 1)))))
+                total = add(total, neg(mul(diff(diff(g, q(b, 1)), q(a, 0)), q(a, 1))))
                 for c in range(1, n + 1):
                     total = add(
                         total,
                         mul(
                             diff(diff(f[c - 1], q(b, 0)), q(a, 0)),
-                            sym(q(c, 1)),
-                            sym(q(a, 1)),
+                            q(c, 1),
+                            q(a, 1),
                         ),
                     )
             equations.append((f"integrability[{b}]", simplify(total)))
@@ -518,15 +518,15 @@ def affine_integrability_check(f, g, order: int = 2, rng=None, tol: float = 1e-8
         for b in range(1, n + 1):
             total = neg(diff(g, q(b, 0)))
             for a in range(1, n + 1):
-                total = add(total, mul(diff(diff(g, q(b, 1)), q(a, 0)), sym(q(a, 1))))
+                total = add(total, mul(diff(diff(g, q(b, 1)), q(a, 0)), q(a, 1)))
                 for c in range(1, n + 1):
                     total = add(
                         total,
                         neg(
                             mul(
                                 diff(diff(f[b - 1], q(c, 1)), q(a, 1)),
-                                sym(q(c, 2)),
-                                sym(q(a, 2)),
+                                q(c, 2),
+                                q(a, 2),
                             )
                         ),
                     )
@@ -535,9 +535,9 @@ def affine_integrability_check(f, g, order: int = 2, rng=None, tol: float = 1e-8
                             total,
                             mul(
                                 diff(diff(diff(f[b - 1], q(a, 0)), q(d, 1)), q(c, 1)),
-                                sym(q(d, 2)),
-                                sym(q(c, 2)),
-                                sym(q(a, 1)),
+                                q(d, 2),
+                                q(c, 2),
+                                q(a, 1),
                             ),
                         )
             equations.append((f"compatibility[{b}]", simplify(total)))
@@ -574,7 +574,7 @@ def affine_hj_solve(
         for b in range(1, n + 1):
             total = diff(g, q(b, 1))
             for a in range(1, n + 1):
-                total = add(total, neg(mul(diff(f[a - 1], q(b, 0)), sym(q(a, 1)))))
+                total = add(total, neg(mul(diff(f[a - 1], q(b, 0)), q(a, 1))))
             comps.append(simplify(total))
         comps.extend(simplify(x) for x in f)
     elif order == 3:
@@ -591,15 +591,15 @@ def affine_hj_solve(
                         total,
                         mul(
                             diff(diff(f[b - 1], q(a, 1)), q(c, 1)),
-                            sym(q(a, 2)),
-                            sym(q(c, 2)),
+                            q(a, 2),
+                            q(c, 2),
                         ),
                     )
             comps.append(simplify(total))
         for b in range(1, n + 1):
             total = None
             for c in range(1, n + 1):
-                piece = neg(mul(diff(f[b - 1], q(c, 1)), sym(q(c, 2))))
+                piece = neg(mul(diff(f[b - 1], q(c, 1)), q(c, 2)))
                 total = piece if total is None else add(total, piece)
             comps.append(simplify(total))
         comps.extend(simplify(x) for x in f)

@@ -1,15 +1,16 @@
 """One job from one JSON config: the only code that reads a config.
 
-``Job.from_config`` checks every field it knows and raises ``ConfigError``
-on a bad one.  What the fields build (the Lagrangian, the gauge, the energy
-family, the implicit system, each entry ``derive`` reports, the trajectory)
-is derived on first use and kept, so a job derives each at most once.
-Nothing kept here draws from a random generator: sampled checks take the
-caller's.
+``Job.from_config`` checks every field it knows, and that every string is
+UTF-8 text, and raises ``ConfigError`` on a bad one.  What the fields build
+(the Lagrangian, the gauge, the energy family, the implicit system, each
+entry ``derive`` reports, the trajectory) is derived on first use and kept,
+so a job derives each at most once.  Nothing kept here draws from a random
+generator: sampled checks take the caller's.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import namedtuple
 from functools import cached_property
@@ -112,6 +113,11 @@ class Job:
     def from_config(cls, config) -> "Job":
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
+        for key, value in config.items():
+            try:  # a JSON \u escape can spell a lone surrogate, which UTF-8 cannot encode
+                json.dumps([key, value], ensure_ascii=False, skipkeys=True, default=repr).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigError(f"config field {key!r} holds a string that is not UTF-8 text") from None
         for key in REQUIRED:
             if key not in config:
                 raise ConfigError(f"config misses required field {key!r}")

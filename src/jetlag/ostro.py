@@ -21,7 +21,7 @@ from .calculus import (
 from .charts import chart_cotangent, pullback_to_acceleration_chart
 from .dynamics import numeric_rank
 from .errors import DegenerateLagrangianError, NotLinearError
-from .expr import Expr, add, eval_expr, neg, simplify, substitute, sym
+from .expr import Expr, add, eval_expr, neg, simplify, substitute
 from .families import MorseFamily, legendre_sum
 from .symbols import Kind, p, q
 
@@ -128,7 +128,7 @@ def top_derivative_solution(L: LagrangianSpec) -> list:
     """Solve p_(k-1) = dL/dq_(k) for the top derivatives (quadratic L only)."""
     n, k = L.dim, L.order
     tops = [q(a, k) for a in range(1, n + 1)]
-    eqs = [add(sym(p(a, k - 1)), neg(diff(L.lagrangian, q(a, k)))) for a in range(1, n + 1)]
+    eqs = [add(p(a, k - 1), neg(diff(L.lagrangian, q(a, k)))) for a in range(1, n + 1)]
     try:
         return solve_linear_symbolic(eqs, tops)
     except NotLinearError as exc:

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .expr import _FOLD_BITS, Const, Expr, add, div, func, mul, neg, pow_, simplify, sym
+from .expr import _FOLD_BITS, Const, Expr, add, div, func, mul, neg, pow_, simplify
 from .symbols import FUNCTION_NAMES, symbol_from_name
 
 _TOKEN_RE = re.compile(
@@ -52,19 +52,19 @@ class _Token:
 
 
 def _tokenize(text: str):
+    # a lone surrogate matches no token, so the text before any bad character encodes
     tokens = []
     pos = 0
-    data = text.encode("utf-8").decode("utf-8")  # validate utf-8 round trip
-    while pos < len(data):
-        m = _TOKEN_RE.match(data, pos)
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
         if not m or m.start() != pos:
-            raise ParseError(f"unexpected character {data[pos]!r}", _byte_offset(data, pos))
+            raise ParseError(f"unexpected character {text[pos]!r}", _byte_offset(text, pos))
         if m.lastgroup != "ws" and m.lastgroup is not None:
             kind = m.lastgroup
             if kind in ("number", "ident", "op"):
-                tokens.append(_Token(kind, m.group(), _byte_offset(data, pos)))
+                tokens.append(_Token(kind, m.group(), _byte_offset(text, pos)))
         pos = m.end()
-    tokens.append(_Token("end", "", _byte_offset(data, len(data))))
+    tokens.append(_Token("end", "", _byte_offset(text, len(text))))
     return tokens
 
 
@@ -143,7 +143,7 @@ class _Parser:
                 arg = self.parse_expr(0)
                 self.expect(")")
                 return func(tok.text, arg)
-            return sym(symbol_from_name(tok.text, tok.offset))
+            return symbol_from_name(tok.text, tok.offset)
         if tok.kind == "op" and tok.text == "(":
             e = self.parse_expr(0)
             self.expect(")")

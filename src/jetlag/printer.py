@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NumericFailureError
-from .expr import Const, Expr, Func, Pow, Prod, Sum, Sym, pow_
+from .expr import Const, Expr, Func, Pow, Prod, Sum, Symbol, pow_
 from .parser import _MAX_DIGITS
 
 _PREC_SUM = 1
@@ -28,8 +28,8 @@ def _render(e):
     """Returns (text, precedence of the produced syntax)."""
     if isinstance(e, Const):
         return _render_const(e.value)
-    if isinstance(e, Sym):
-        return e.symbol.render(), _PREC_ATOM
+    if isinstance(e, Symbol):
+        return e.text, _PREC_ATOM
     if isinstance(e, Sum):
         parts = []
         for i, t in enumerate(e.terms):

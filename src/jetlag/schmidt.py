@@ -19,7 +19,7 @@ from .calculus import diff, is_zero, solve_linear_symbolic
 from .charts import chart_tstar_aq, chart_tstar_aqm
 from .dynamics import numeric_rank
 from .errors import GaugeConditionError, IncompatibleGaugeError
-from .expr import Expr, add, eval_expr, mul, neg, simplify, substitute, sym
+from .expr import Expr, add, eval_expr, mul, neg, simplify, substitute
 from .families import MorseFamily, legendre_sum
 from .ostro import LagrangianSpec, energy_sum
 from .sampling import equal_numeric, eval_rows, make_rng, sample_rows
@@ -73,7 +73,7 @@ def gauge_extend_second(L: LagrangianSpec, F: GaugeFunction) -> Expr:
     for a in range(1, L.dim + 1):
         rates = ((q(a, 0), q(a, 1)), (q(a, 1), acc(a, 0)), (acc(a, 0), acc(a, 1)), (aux(a, 0), aux(a, 1)))
         for s, rate in rates:
-            total = add(total, mul(F.d(s), sym(rate)))
+            total = add(total, mul(F.d(s), rate))
     return simplify(total)
 
 
@@ -101,7 +101,7 @@ def solve_F_quadratic(L: LagrangianSpec) -> GaugeFunction:
             raise IncompatibleGaugeError(
                 "dL/da0 depends on the velocity; supply the gauge function explicitly"
             )
-        piece = neg(mul(grad, sym(q(a, 1))))
+        piece = neg(mul(grad, q(a, 1)))
         total = piece if total is None else add(total, piece)
     return GaugeFunction(simplify(total), n)
 
@@ -111,9 +111,9 @@ def _reduced_energy(L: LagrangianSpec, F: GaugeFunction) -> Expr:
     second-order route, before or after the velocity is eliminated."""
     total = neg(L.acceleration_lagrangian)
     for a in range(1, L.dim + 1):
-        total = add(total, mul(sym(pq(a)), sym(q(a, 1))))
-        total = add(total, neg(mul(F.d(q(a, 0)), sym(q(a, 1)))))
-        total = add(total, neg(mul(F.d(q(a, 1)), sym(acc(a, 0)))))
+        total = add(total, mul(pq(a), q(a, 1)))
+        total = add(total, neg(mul(F.d(q(a, 0)), q(a, 1))))
+        total = add(total, neg(mul(F.d(q(a, 1)), acc(a, 0))))
     return total
 
 
@@ -131,7 +131,7 @@ def schmidt_morse_family(L: LagrangianSpec, F: GaugeFunction) -> MorseFamily:
             raise IncompatibleGaugeError(f"gauge incompatible with Lagrangian: residual {r}")
     n = L.dim
     relations = tuple(
-        (acc(a, 1), simplify(add(sym(pa(a)), neg(F.d(acc(a, 0))))))
+        (acc(a, 1), simplify(add(pa(a), neg(F.d(acc(a, 0))))))
         for a in range(1, n + 1)
     )
     return MorseFamily(
@@ -147,7 +147,7 @@ def velocity_solution(L: LagrangianSpec, F: GaugeFunction) -> list:
     """Solve pa = dF/da0 for the velocities q1 (linear gauge Hessian only)."""
     n = L.dim
     eqs = [
-        add(sym(pa(a)), neg(F.d(acc(a, 0))))
+        add(pa(a), neg(F.d(acc(a, 0))))
         for a in range(1, n + 1)
     ]
     return solve_linear_symbolic(eqs, [q(a, 1) for a in range(1, n + 1)])
@@ -177,7 +177,7 @@ def default_auxiliary_gauge(n: int) -> GaugeFunction:
     """The built-in coupling F = sum_A q1^A m0^A."""
     total = None
     for a in range(1, n + 1):
-        piece = mul(sym(q(a, 1)), sym(aux(a, 0)))
+        piece = mul(q(a, 1), aux(a, 0))
         total = piece if total is None else add(total, piece)
     return GaugeFunction(total, n)
 
@@ -232,9 +232,9 @@ def pullback_map(L: LagrangianSpec, F: GaugeFunction) -> dict:
     zmap = {q(a, 1): z[a - 1] for a in range(1, n + 1)}
     mapping = dict(zmap)
     for a in range(1, n + 1):
-        mapping[q(a, 2)] = sym(acc(a, 0))
+        mapping[q(a, 2)] = acc(a, 0)
         mapping[ost_p(a, 0)] = simplify(
-            add(sym(pq(a)), neg(substitute(F.d(q(a, 0)), zmap)))
+            add(pq(a), neg(substitute(F.d(q(a, 0)), zmap)))
         )
         mapping[ost_p(a, 1)] = simplify(neg(substitute(F.d(q(a, 1)), zmap)))
     return mapping

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetlag.expr import Func, Pow, Prod, Sum, add, const, func, mul, pow_, sym
+from jetlag.expr import Const, Func, Pow, Prod, Sum, add, func, mul, pow_
 from jetlag.symbols import param, q
 
 
@@ -18,10 +18,10 @@ def random_tree(rng, depth=6, pool=SYMBOL_POOL, allow_funcs=True):
     if depth <= 0 or rng.random() < 0.3:
         r = rng.random()
         if r < 0.5:
-            return sym(pool[rng.integers(0, len(pool))])
+            return pool[rng.integers(0, len(pool))]
         if r < 0.8:
-            return const(Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))))
-        return const(float(rng.uniform(-2, 2)))
+            return Const(Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))))
+        return Const(float(rng.uniform(-2, 2)))
     r = rng.random()
     if r < 0.35:
         k = int(rng.integers(2, 4))
@@ -67,43 +67,43 @@ def nodes(e):
 
 def random_polynomial(rng, symbols, degree=3, terms=6, scale=1.0):
     """Random polynomial with float coefficients over the given symbols."""
-    total = const(0)
+    total = Const(0)
     for _ in range(terms):
-        factors = [const(float(rng.uniform(-scale, scale)))]
+        factors = [Const(float(rng.uniform(-scale, scale)))]
         for s in symbols:
             e = int(rng.integers(0, degree + 1))
             if e:
-                factors.append(pow_(sym(s), e))
+                factors.append(pow_(s, e))
         total = add(total, mul(*factors))
     return total
 
 
 def rational_polynomial(rng, symbols, degree=3, terms=6):
     """Random polynomial with exact rational coefficients."""
-    total = const(0)
+    total = Const(0)
     for _ in range(terms):
-        factors = [const(Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 7))))]
+        factors = [Const(Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 7))))]
         for s in symbols:
             e = int(rng.integers(0, degree + 1))
             if e:
-                factors.append(pow_(sym(s), e))
+                factors.append(pow_(s, e))
         total = add(total, mul(*factors))
     return total
 
 
 def bounded_degree_polynomial(rng, symbols, total_degree=3, terms=6):
     """Random rational-coefficient polynomial with capped total degree."""
-    total = const(0)
+    total = Const(0)
     for _ in range(terms):
         budget = int(rng.integers(0, total_degree + 1))
-        factors = [const(Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))))]
+        factors = [Const(Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))))]
         order = list(rng.permutation(len(symbols)))
         for idx in order:
             if budget <= 0:
                 break
             e = int(rng.integers(0, budget + 1))
             if e:
-                factors.append(pow_(sym(symbols[idx]), e))
+                factors.append(pow_(symbols[idx], e))
                 budget -= e
         total = add(total, mul(*factors))
     return total

@@ -314,12 +314,12 @@ _D7 = (
 
 def _eval_rational(e, binding):
     """Exact rational evaluation of a polynomial expression tree."""
-    from jetlag.expr import Const, Pow, Prod, Sum, Sym
+    from jetlag.expr import Const, Pow, Prod, Sum, Symbol
 
     if isinstance(e, Const):
         return Fraction(e.value)
-    if isinstance(e, Sym):
-        return binding[e.symbol]
+    if isinstance(e, Symbol):
+        return binding[e]
     if isinstance(e, Sum):
         return sum((_eval_rational(t, binding) for t in e.terms), Fraction(0))
     if isinstance(e, Prod):

@@ -16,7 +16,7 @@ from jetlag.expr import eval_expr, job_scope, simplify, substitute
 from jetlag.parser import parse
 from jetlag.sampling import equal_numeric, sample_binding
 from jetlag.printer import to_text
-from jetlag.symbols import p, param, q
+from jetlag.symbols import Symbol, p, param, q
 
 from conftest import SYMBOL_POOL, random_polynomial, random_tree
 
@@ -139,12 +139,15 @@ def test_solve_linear_symbolic():
 def test_diff_memo_answers_equal_trees_alike():
     # each tree is built twice, so the second diff of it is a memo hit on a
     # structurally equal but distinct tree
-    distinct = 0
-    for seed in range(100):
+    distinct = trees = seed = 0
+    while trees < 100:
         s = SYMBOL_POOL[seed % 7]
         a, b = (random_tree(np.random.default_rng(seed)) for _ in range(2))
+        seed += 1
         assert a == b
-        distinct += a is not b  # a leaf may be a shared constant
+        if not isinstance(a, Symbol):  # a symbol is one object for the whole process
+            trees += 1
+            distinct += a is not b  # a leaf may be a shared constant
         plain = [to_text(diff(a, s)), to_text(diff(b, s))]
         with job_scope():
             da, db = diff(a, s), diff(b, s)

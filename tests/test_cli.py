@@ -625,6 +625,40 @@ def test_malformed_config_value_is_usage_error(tmp_path, capsys, verb, config):
     assert "error:" in capsys.readouterr().err
 
 
+# a \u escape in JSON can spell a lone surrogate, which no UTF-8 text holds;
+# the last field of each case holds one
+@pytest.mark.parametrize(
+    "verb, fields",
+    [
+        ("derive", {"problem": "beam\ud800"}),
+        ("derive", {"lagrangian": "1/2*q1_2^2 + \udfff"}),
+        ("derive", {"method": "schmidt2", "gauge_F": "q1_1*a1_0 + \ud800"}),
+        ("hj-check", {"W": "q1_1 + \udfff"}),
+        ("hj-check", {"gamma_components": ["\ud800", "q1_0"]}),
+        ("hj-check", {"W": "q1_1", "hj_target": "\ud800"}),
+        ("hj-check", {"W": "q1_1", "domain_guards": [["q1_1 + \udfff", 0.1]]}),
+        ("hj-solve-affine", {"affine_f": ["1"], "affine_g": "\ud800"}),
+        ("hj-solve-affine", {"affine_g": "0", "affine_f": ["\udfff"]}),
+        ("derive", {"schmidt_W": "\ud800"}),
+        ("derive", {"schmidt_W_canonical": "\ud800"}),
+        ("derive", {"parameters": {"mu": 1.0, "rho\ud800": 1.0}}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else list(v)[-1],
+)
+def test_lone_surrogate_in_a_config_is_usage_error(tmp_path, verb, fields):
+    config = {**BEAM_CONFIG, **fields}
+    config["simulation"] = {**config["simulation"], "t1": 0.01}
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetlag.cli", verb, "--config", write_config(tmp_path, config)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jetlag.__file__).resolve().parent.parent)},
+        timeout=20,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "verb, lagrangian",
     [
@@ -667,6 +701,20 @@ def test_over_long_number_literal_is_usage_error(tmp_path, lagrangian):
     )
     assert proc.returncode == 2
     assert "number literal needs more than" in proc.stderr
+
+
+def test_config_nested_past_the_json_reader_is_usage_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BEAM_CONFIG)[:-1] + ', "extra": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetlag.cli", "derive", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jetlag.__file__).resolve().parent.parent)},
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read config") and "Traceback" not in proc.stderr
 
 
 def test_deep_nesting_is_usage_error(tmp_path):

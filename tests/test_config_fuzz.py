@@ -24,11 +24,12 @@ VERBS = ("derive", "hj-check", "simulate")
 
 VALUES = (
     "abc", "", "q1_0*q1_1", "q1_0+1", "1/0", "sqrt(-1)", "q1_0^(1/2)",
+    "\ud800", "q1_0 + \udfff",  # lone surrogates: no UTF-8 text holds one
     -1, 0, 0.5, 2, 3, True,
     [], [1.0], [0.2, 0.1], ["q1_0", 1.0], [["q1_0", 0.1]],
     None, {}, {"q1_0": 1.0}, {"mu": "abc"},
 )
-KEYS = ("q1_0*q1_1", "q1_0+1", "zz", "q1", "", "p1_1", "a1_0")
+KEYS = ("q1_0*q1_1", "q1_0+1", "zz", "q1", "", "p1_1", "a1_0", "\ud800")
 
 
 def _ten_steps(config):

@@ -576,15 +576,36 @@ _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 @example(-1.7e308, 1e-300)
 @example(3.0, 1.0)
 def test_one_by_one_rule_matches_lapack_bit_for_bit(a, b):
-    # the 1x1 shortcut in the multiplier solver must reproduce LAPACK exactly
+    # the generated multiplier solvers divide a 1x1 block [[a]] themselves:
+    # the quotient and the rank verdict must be LAPACK's, for a block free of
+    # the states and for one that holds a state
     block, rhs = np.array([[a]]), np.array([b])
     tol = dynamics._RANK_TOL * max(1.0, abs(a))
     rank = dynamics.numeric_rank(block)
     assert rank == np.linalg.matrix_rank(block, tol=tol)
     if rank == 1:
         with np.errstate(over="ignore"):
-            expected = np.linalg.solve(block, rhs)
-        assert np.array(dynamics._solve(block, rhs)).tobytes() == expected.tobytes()
+            expected = np.linalg.solve(block, rhs).tobytes()
+    for system, at in _one_by_one_blocks(a, b):
+        if rank == 1:
+            assert np.array(list(resolve_multipliers(system, at).values())).tobytes() == expected
+        else:
+            with pytest.raises(SingularJacobianError) as err:
+                resolve_multipliers(system, at)
+            assert (err.value.rank, err.value.needed) == (0, 1)
+
+
+_ONE_BY_ONE = [one_dof_system(("mu*q1_2 - nu",)), one_dof_system(("q1_0*q1_2 - nu",))]
+
+
+def _one_by_one_blocks(a, b):
+    """The two one-constraint systems and points at which each block is
+    [[a]] and the constraint reads a*q1_2 - b."""
+    constant, state_dependent = _ONE_BY_ONE
+    return [
+        (constant, {q(1, 0): 0.5, p(1, 0): 0.2, param("mu"): a, param("nu"): b}),
+        (state_dependent, {q(1, 0): a, p(1, 0): 0.2, param("nu"): b}),
+    ]
 
 
 def _lapack_rank(rows):

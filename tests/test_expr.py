@@ -24,11 +24,9 @@ from jetlag.expr import (
     Pow,
     Prod,
     Sum,
-    Sym,
     ZERO,
     add,
     compile_rows,
-    const,
     eval_expr,
     func,
     job_scope,
@@ -40,7 +38,7 @@ from jetlag.expr import (
 from jetlag.parser import parse
 from jetlag.printer import to_text
 from jetlag.sampling import DEFAULT_BOX, equal_numeric, sample_binding, sample_bindings, sample_rows
-from jetlag.symbols import q
+from jetlag.symbols import Symbol, q
 
 from conftest import MERGED_POWERS, SYMBOL_POOL, count_calls_everywhere, nodes, random_tree
 
@@ -64,11 +62,12 @@ def test_simplify_power_merge():
 
 
 def _unmarked_copy(e):
-    """e rebuilt with the node constructors, so no node of it is marked canonical."""
+    """e rebuilt with the node constructors, so no node of it but a symbol,
+    canonical from birth, is marked canonical."""
     if isinstance(e, Const):
         return Const(e.value)
-    if isinstance(e, Sym):
-        return Sym(e.symbol)
+    if isinstance(e, Symbol):
+        return e
     if isinstance(e, Sum):
         return Sum(_unmarked_copy(t) for t in e.terms)
     if isinstance(e, Prod):
@@ -88,7 +87,7 @@ def test_simplify_idempotent_and_eval_equivalent(rng):
         # simplify returns a marked node as it is, so idempotence is checked
         # on a copy that simplify has to work through again
         copy = _unmarked_copy(s)
-        assert not copy._canon
+        assert copy._canon == isinstance(copy, Symbol)
         assert simplify(copy).key == s.key
         assert equal_numeric(e, s, trials=100, tol=1e-12, rng=np.random.default_rng(3))
 
@@ -136,15 +135,17 @@ def test_node_caches_agree_across_threads():
 
 
 def _one_node_per_class():
-    """One node of each of the six classes, built afresh on every call."""
-    x = Sym(q(1, 0))
-    return [Const(Fraction(3, 2)), x, Sum([x, Const(2)]), Prod([Const(3), x]), Pow(x, Fraction(1, 2)), Func("sin", x)]
+    """One node of each of the five hash-consed classes, built afresh on
+    every call around the one shared symbol."""
+    x = q(1, 0)
+    return [Const(Fraction(3, 2)), Sum([x, Const(2)]), Prod([Const(3), x]), Pow(x, Fraction(1, 2)), Func("sin", x)]
 
 
 def test_a_job_builds_each_structure_once():
     outside = _one_node_per_class(), _one_node_per_class()
     for a, b in zip(*outside):
         assert a == b and a is not b
+    assert outside[0][1].terms[0] is outside[1][1].terms[0] is q(1, 0)
     with job_scope():
         first, second = _one_node_per_class(), _one_node_per_class()
         for a, b in zip(first, second):
@@ -162,7 +163,10 @@ def test_a_job_keeps_constants_of_different_keys_apart():
 
 
 def test_unmarked_copy_is_the_marked_node_inside_a_job(rng):
+    # a canonical bare symbol is shared by every copy: draw a larger form
     tree = random_tree(rng, depth=6)
+    while isinstance(simplify(tree), Symbol):
+        tree = random_tree(rng, depth=6)
     s = simplify(tree)
     assert _unmarked_copy(s) is not s and not _unmarked_copy(s)._canon
     with job_scope():
@@ -325,7 +329,7 @@ def test_equal_numeric_agrees_with_the_point_by_point_loop():
         if kind == 0:  # equal
             pair = (tree, simplify(tree))
         elif kind == 1:  # shifted
-            pair = (tree, add(tree, const(1e-6)))
+            pair = (tree, add(tree, Const(1e-6)))
         else:  # inside a domain the sampler must reject points of
             pair = (func("ln", tree), simplify(func("ln", tree)))
         trials = int(trees.integers(1, 7))
@@ -398,23 +402,27 @@ def test_immutability():
     e = parse("q1_0 + 1")
     with pytest.raises(AttributeError):
         e.terms = ()
+    for node in (e, e.terms[1], parse("sin(q1_0)^(1/2)")):
+        with pytest.raises(AttributeError):
+            del node.key
+    assert e.terms == (q(1, 0), Const(1)) and e.key == ("+", q(1, 0).key, Const(1).key)
 
 
 def test_exact_root_of_a_constant_beyond_float_range():
     # the integer root never goes through a float, so 10^200 folds exactly
-    assert pow_(const(10**400), Fraction(1, 2)) == const(10**200)
-    assert pow_(const(Fraction(10**400, 9)), Fraction(1, 2)) == const(Fraction(10**200, 3))
-    assert pow_(const(3**900), Fraction(1, 3)) == const(3**300)
-    assert isinstance(pow_(const(10**400 + 1), Fraction(1, 2)), Pow)
-    assert pow_(const(0), Fraction(1, 2)) == const(0)
-    assert pow_(const(1), Fraction(1, 5)) == const(1)
+    assert pow_(Const(10**400), Fraction(1, 2)) == Const(10**200)
+    assert pow_(Const(Fraction(10**400, 9)), Fraction(1, 2)) == Const(Fraction(10**200, 3))
+    assert pow_(Const(3**900), Fraction(1, 3)) == Const(3**300)
+    assert isinstance(pow_(Const(10**400 + 1), Fraction(1, 2)), Pow)
+    assert pow_(Const(0), Fraction(1, 2)) == Const(0)
+    assert pow_(Const(1), Fraction(1, 5)) == Const(1)
     # a root of degree past the bit length of the radicand is not searched
     # for: the search would start from 2^(2^40)
-    assert isinstance(pow_(const(2), Fraction(1, 2**40)), Pow)
+    assert isinstance(pow_(Const(2), Fraction(1, 2**40)), Pow)
 
 
 def test_constant_beyond_float_range_is_numeric_failure():
-    huge = pow_(const(10**400), Fraction(1, 3))  # no exact root, no float
+    huge = pow_(Const(10**400), Fraction(1, 3))  # no exact root, no float
     e = huge * parse("q1_0")
     with pytest.raises(NumericFailureError):
         eval_expr(e, {q(1, 0): 1.0})
@@ -434,7 +442,7 @@ def test_constant_arithmetic_past_the_float_range_is_numeric_failure():
 
 def test_simplify_of_a_constant_too_long_for_text_is_numeric_failure():
     # simplify orders factors by their text, which an 8429-digit integer has not
-    e = parse("q1_1") * add(parse("q1_0"), const(Fraction(2) ** 28001))
+    e = parse("q1_1") * add(parse("q1_0"), Const(Fraction(2) ** 28001))
     with pytest.raises(NumericFailureError):
         simplify(e)
 
@@ -442,7 +450,7 @@ def test_simplify_of_a_constant_too_long_for_text_is_numeric_failure():
 def test_sum_adds_left_to_right_in_every_evaluator():
     # sum() of floats is compensated from Python 3.12 on and would give 2.0
     symbols = [q(1, 0), q(1, 1), q(1, 2), q(2, 0)]
-    total = Sum(tuple(Sym(s) for s in symbols))
+    total = Sum(tuple(symbols))
     row = [1e16, 1.0, -1e16, 1.0]
     assert eval_expr(total, dict(zip(symbols, row))) == 1.0
     assert lambdify([total], symbols)(row) == [1.0]
@@ -454,10 +462,10 @@ def test_long_chain_of_single_use_steps_compiles():
     # must compile (Python's parser refuses more than 200 nested
     # parentheses) and give eval_expr's bits
     symbols = [q(1, 0), q(1, 1)]
-    x, y = Sym(symbols[0]), Sym(symbols[1])
+    x, y = symbols
     e = x
     for i in range(150):
-        e = Sum((Prod((e, y)), const(i + 1)))
+        e = Sum((Prod((e, y)), Const(i + 1)))
     row = [0.5, 0.9]
     assert lambdify([e], symbols)(row) == [eval_expr(e, dict(zip(symbols, row)))]
 
@@ -480,9 +488,9 @@ def test_sums_and_products_compile_without_an_error_frame():
 
 
 def test_constant_powers_fold_exactly_only_up_to_a_bit_bound():
-    assert pow_(const(2), 14000) == const(2**14000)
-    assert pow_(const(Fraction(1, 3)), -5) == const(243)
-    tower = pow_(const(10), 10**10)  # 10^10^10 is not computed
+    assert pow_(Const(2), 14000) == Const(2**14000)
+    assert pow_(Const(Fraction(1, 3)), -5) == Const(243)
+    tower = pow_(Const(10), 10**10)  # 10^10^10 is not computed
     assert isinstance(tower, Pow) and tower.exponent == 10**10
     with pytest.raises(NumericFailureError):
         eval_expr(tower, {})

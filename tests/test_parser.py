@@ -10,7 +10,7 @@ import pytest
 import jetlag
 from jetlag.calculus import diff
 from jetlag.errors import NumericFailureError, ParseError, UnknownIdentifierError
-from jetlag.expr import Const, Pow, Prod, compile_rows, eval_expr, lambdify, simplify, substitute, sym
+from jetlag.expr import Const, Pow, Prod, compile_rows, eval_expr, lambdify, simplify, substitute
 from jetlag.parser import parse
 from jetlag.printer import to_text
 from jetlag.sampling import equal_numeric
@@ -95,7 +95,7 @@ def test_nesting_depth_is_bounded():
         e = simplify(parse(text))
         d = diff(e, q(1, 0))
         to_text(d)
-        substitute(d, {q(1, 1): sym(q(1, 0))})
+        substitute(d, {q(1, 1): q(1, 0)})
         symbols = sorted(d.free)
         rows = np.full((2, len(symbols)), 0.25)
         values, bad = compile_rows([d], symbols)(rows)
@@ -155,6 +155,14 @@ def test_syntax_error_offsets():
         parse("(q1_0 + 1")
     with pytest.raises(ParseError):
         parse("q1_0^mu")  # exponent must be rational
+
+
+# a no-break space is whitespace of two bytes in UTF-8
+@pytest.mark.parametrize("text, offset", [("\ud800", 0), ("q1_0 + \udfff", 7), ("q1_0\u00a0+ \udfff", 8)])
+def test_a_lone_surrogate_is_a_parse_error_at_its_byte_offset(text, offset):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse(text)
+    assert err.value.offset == offset
 
 
 def test_unknown_identifier_lists_token():

@@ -3,7 +3,10 @@ import pickle
 
 import pytest
 
+from jetlag import expr
 from jetlag.errors import UnknownIdentifierError
+from jetlag.expr import Expr, job_scope, simplify
+from jetlag.parser import parse
 from jetlag.symbols import (
     Kind,
     Symbol,
@@ -31,7 +34,7 @@ ROSTER = [
 
 def test_render_round_trips():
     for s in ROSTER:
-        assert symbol_from_name(s.render()) == s
+        assert symbol_from_name(s.text) == s
 
 
 def test_identity_is_kind_component_level_name():
@@ -62,7 +65,7 @@ def test_malformed_structured_names_rejected(bad):
 def test_parameters_are_bare_identifiers(name):
     s = symbol_from_name(name)
     assert s.kind is Kind.PARAM
-    assert s.render() == name
+    assert s.text == name
 
 
 def test_shifted_raises_level():
@@ -77,7 +80,7 @@ def test_sort_is_deterministic():
 
 
 def test_sorted_order_is_pinned():
-    assert [s.render() for s in sorted(ROSTER)] == [
+    assert [str(s) for s in sorted(ROSTER)] == [
         "q1_0", "q2_3", "p7_0", "p1_1", "a1_0", "a2_1", "m3_0", "pq1", "pa2", "pm3",
         "dq1_2", "dp4_0", "lam1", "lam12", "A", "c2", "mu", "rho",
     ]
@@ -98,7 +101,7 @@ def test_symbols_are_immutable():
         s.extra = 1
     with pytest.raises(AttributeError):
         del s.kind
-    assert s.render() == "q1_0"
+    assert s.text == "q1_0"
 
 
 @pytest.mark.parametrize(
@@ -124,3 +127,21 @@ def test_copy_and_pickle_give_back_the_interned_symbol():
         assert copy.copy(s) is s
         assert copy.deepcopy(s) is s
         assert pickle.loads(pickle.dumps(s)) is s
+
+
+def test_a_symbol_is_the_leaf_node():
+    x = q(1, 0)
+    assert isinstance(x, Expr)
+    assert parse("q1_0") is x
+    assert simplify(x) is x
+    assert x.free == {x}
+    assert str(2 * x) == "2*q1_0"
+    with job_scope():  # one object for the whole process, kept in no job's table
+        assert parse("q1_0 + 1").terms[0] is x
+        assert x not in expr._JOB_TABLE.get().values()
+
+
+def test_symbol_sort_texts_are_pinned():
+    # canonical term and factor order sorts by these texts
+    assert q(1, 0)._sort_text() == "('s', 'q', 1, 0, '')"
+    assert param("mu")._sort_text() == "('s', 'param', 0, 0, 'mu')"
