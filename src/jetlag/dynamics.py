@@ -4,14 +4,14 @@ fixed-step RK4 with constraint solving.
 Fixed work is done once.  Each ``ImplicitSystem`` builds its multiplier
 solver (linear split of the constraints and compiled callables) on first
 use and keeps it.  A linear constraint block whose entries are free of the
-states is evaluated and rank-checked once per parameter vector.  Per point
-(every RK4 stage, every relatedness sample) the residue is evaluated and
-checked, a state-dependent block is evaluated and rank-checked, and the
+states is evaluated and rank-checked once per parameter vector.  Per state
+(every RK4 stage state, every relatedness sample) the residue is evaluated
+and checked, a state-dependent block is evaluated and rank-checked, and the
 multipliers are solved for (by Newton when the constraints are nonlinear).
 Each system holds all of that in one generated function, a straight-line
-body or a Newton iteration.  An RK4 stage is one generated function for
-every system: it calls the system's multipliers function and then runs the
-right-hand side.
+body or a Newton iteration.  The right-hand side is lambdified like the
+constraints and the energy, and RK4 solves each state's multipliers once
+and carries them into that state's right-hand side and the next solve.
 
 States, stages and multipliers are lists of Python floats, and every
 floating-point operation runs in the order the numpy version of this module
@@ -135,10 +135,11 @@ def assemble(mf: MorseFamily) -> ImplicitSystem:
 class _MultiplierSolver:
     """Resolve constraint multipliers at a state point.
 
-    stage(y, p, warm, block) gives the right-hand side and the multipliers,
-    (k, lam), at a state; multipliers(y, p, warm, block) gives lam alone.
-    y and p are the state and parameter vectors as lists of floats, warm is
-    the Newton warm start (or None) and block is block(p).
+    multipliers(y, p, warm, block) gives the multipliers lam at a state.  y
+    and p are the state and parameter vectors as lists of floats, warm is
+    the Newton warm start (or None) and block is block(p).  rhs_fn, cons_fn
+    and energy_fn evaluate the right-hand side, constraints and energy at
+    y + lam + p.
 
     Linear constraints solve directly (square solve, or least squares with a
     full-column-rank check).  Their multipliers function is generated once
@@ -148,11 +149,9 @@ class _MultiplierSolver:
     the last parameter vector seen.  Nonlinear constraints go through Newton
     from the warm start, then fixed starts, each a generated iteration over
     the constraints and their Jacobian (see _newton_source).  Singular
-    Jacobians raise with the observed rank.  Every system's stage is
-    generated too: it calls the system's multipliers and then runs the
-    right-hand side.  Both functions may call _solve, so they run with
-    numpy's "invalid" flag ignored, as resolve_multipliers, integrate_rk4
-    and hamjac.gamma_relatedness run them.
+    Jacobians raise with the observed rank.  The multipliers function may
+    call _solve, so it runs with numpy's "invalid" flag ignored, as
+    resolve_multipliers, integrate_rk4 and hamjac.gamma_relatedness run it.
     """
 
     def __init__(self, sys: ImplicitSystem):
@@ -183,22 +182,8 @@ class _MultiplierSolver:
 
     # compiled on first use and then kept
     @cached_property
-    def stage(self):
-        """The generated stage function: the multipliers bound to their
-        slots, then the right-hand side's lines over one tape."""
-        n, m = len(self.sys.states), self.n_mult
-        steps = tape([self.sys.rhs[s] for s in self.sys.states], self.all_symbols)
-        lines, k, raises = step_lines(steps, len(steps), [])
-        body = self._unpack() + [
-            f"[{', '.join(f'x{n + j}' for j in range(m))}] = lam = multipliers(y, p, warm, block)",
-            *frame(lines, raises),
-            f"return [{', '.join(k)}], lam",
-        ]
-        source = ["def bind(multipliers):", "    def stage(y, p, warm, block):"]
-        source += [f"        {line}" for line in body] + ["    return stage"]
-        # multipliers is bound by the closure; everything else is looked up
-        # in this module's namespace when called, so a patched helper is seen
-        return define(source, globals())(self.multipliers)
+    def rhs_fn(self):
+        return lambdify([self.sys.rhs[s] for s in self.sys.states], self.all_symbols)
 
     @cached_property
     def cons_fn(self):
@@ -433,12 +418,15 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
 
     The system's solver is built once (see ``ImplicitSystem.solver``) and
     keeps the compiled right-hand side, constraints and energy for every run.
-    Multipliers are solved for at every stage (warm-started), reusing the
-    checked constraint matrix when it is free of the states.  Samples carry
-    the resolved multiplier values and the energy.
+    Multipliers are solved for once per state: the initial data, each
+    stage's state and each step's end, each solve warm-started from the one
+    before and reusing the checked constraint matrix when it is free of the
+    states.  A step's first stage takes the multipliers solved at its start.
+    Samples carry the resolved multiplier values and the energy.
 
-    (t1 - t0)/h must be a whole number of steps to within 1e-9 relative;
-    otherwise StepSizeError.  A singular constraint Jacobian raises
+    (t1 - t0)/h must be a whole number of steps to within 1e-9 relative,
+    and every step must advance the clock; otherwise StepSizeError, raised
+    before any step runs.  A singular constraint Jacobian raises
     SingularJacobianError carrying the last good time and the failing step
     (0 for the initial data).
     """
@@ -454,6 +442,11 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
         raise StepSizeError(
             f"t1 - t0 = {t1 - t0:g} is not a whole number of steps of {h:g} ({ratio:.12g})"
         )
+    times = [t0]
+    for _ in range(n_steps):  # the grid the steps report, summed as t += h
+        times.append(times[-1] + h)
+        if times[-1] == times[-2]:
+            raise StepSizeError(f"a step of {h:g} does not advance the time {times[-2]!r}")
 
     solver = sys.solver
     states = list(sys.states)
@@ -461,10 +454,9 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     if missing:
         raise ConstraintViolationError(f"initial data misses state values for {missing}")
     param_vec = solver.param_vector(init)
-    stage, multipliers = solver.stage, solver.multipliers
-    cons_fn, energy_fn = solver.cons_fn, solver.energy_fn
+    multipliers = solver.multipliers
+    rhs_fn, cons_fn, energy_fn = solver.rhs_fn, solver.cons_fn, solver.energy_fn
 
-    times = [t0]
     rows = []
     energies = []
 
@@ -482,35 +474,37 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     with np.errstate(over="ignore", invalid="ignore"):
         block = solver.block(param_vec)
         try:
-            warm = multipliers(y, param_vec, None, block)
+            lam = multipliers(y, param_vec, None, block)
         except SingularJacobianError as exc:
             raise exc.located(t0, 0) from None
-        g0 = cons_fn(y + warm + param_vec)
+        g0 = cons_fn(y + lam + param_vec)
         if g0 and max(abs(v) for v in g0) > 1e-9:
             raise ConstraintViolationError(
                 f"initial data violates constraints by {max(abs(v) for v in g0):g}"
             )
-        record(y, warm)
-        t = t0
+        record(y, lam)
         for step in range(1, n_steps + 1):
-            try:
-                k1, lam1 = stage(y, param_vec, warm, block)
-                k2, lam2 = stage([a + hh * b for a, b in zip(y, k1)], param_vec, lam1, block)
-                k3, lam3 = stage([a + hh * b for a, b in zip(y, k2)], param_vec, lam2, block)
-                k4, lam4 = stage([a + h * b for a, b in zip(y, k3)], param_vec, lam3, block)
+            try:  # lam holds the multipliers of the latest state solved
+                k1 = rhs_fn(y + lam + param_vec)
+                s = [a + hh * b for a, b in zip(y, k1)]
+                lam = multipliers(s, param_vec, lam, block)
+                k2 = rhs_fn(s + lam + param_vec)
+                s = [a + hh * b for a, b in zip(y, k2)]
+                lam = multipliers(s, param_vec, lam, block)
+                k3 = rhs_fn(s + lam + param_vec)
+                s = [a + h * b for a, b in zip(y, k3)]
+                lam = multipliers(s, param_vec, lam, block)
+                k4 = rhs_fn(s + lam + param_vec)
                 y = [
                     a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
                 ]
                 if not all(map(math.isfinite, y)):
                     raise NumericFailureError("state became non-finite during integration")
-                lam_end = multipliers(y, param_vec, lam4, block)
+                lam = multipliers(y, param_vec, lam, block)
             except SingularJacobianError as exc:
-                raise exc.located(t, step) from None
-            t += h
-            times.append(t)
-            record(y, lam_end)
-            warm = lam_end
+                raise exc.located(times[step - 1], step) from None
+            record(y, lam)
 
     columns = tuple(sys.states) + tuple(sys.multipliers)
     return Trajectory(times, rows, columns, np.array(energies), dict(zip(solver.params, param_vec)))

@@ -824,7 +824,7 @@ def _coeff_mul(a: Fraction, b: Fraction) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # compilation: one tape, written out as straight-line Python (lambdify and
-# dynamics' multiplier stages, one point per call) or run over numpy columns
+# dynamics' multiplier functions, one point per call) or run over numpy columns
 # (compile_rows, many rows per call)
 # ---------------------------------------------------------------------------
 

@@ -414,8 +414,8 @@ def gamma_relatedness(
     with np.errstate(invalid="ignore"):  # see dynamics._solve
         block = solver.block(param_vec)
         for row in states[1:-1].tolist():
-            k, lam = solver.stage(row, param_vec, None, block)
-            values.append(k + solver.cons_fn(row + lam + param_vec))
+            x = row + solver.multipliers(row, param_vec, None, block) + param_vec
+            values.append(solver.rhs_fn(x) + solver.cons_fn(x))
     values = np.array(values)
     n = len(sys.states)
     fd = (states[2:] - states[:-2]) / (2.0 * h)

@@ -322,6 +322,26 @@ def test_simulate_ragged_grid_is_usage_error(tmp_path, capsys):
     assert "whole number of steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "t0, t1",
+    # t0 + 1.0 rounds back to t0: at 1e17 the spacing of floats is 16, at
+    # 2^53 it is 2 and the sum ties to t0's even mantissa
+    [(1e17, 1.0000000000000016e17), (2.0**53, 2.0**53 + 2)],
+)
+def test_simulate_step_that_cannot_advance_the_clock_is_usage_error(tmp_path, t0, t1):
+    config = {**BEAM_CONFIG, "simulation": {**BEAM_CONFIG["simulation"], "t0": t0, "t1": t1, "h": 1.0}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetlag.cli", "simulate", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jetlag.__file__).resolve().parent.parent)},
+        timeout=20,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_simulate_complex_intermediate_is_numeric_failure(tmp_path, capsys):
     # q1_0^(1/2) at q1_0 = -1 compiles to a complex number, which cos rejects
     config = {
@@ -741,7 +761,7 @@ def test_auxiliary_factor_derive_compiles_no_scalar_code(tmp_path, monkeypatch, 
 def test_simulate_compiles_only_the_multiplier_solver(tmp_path, monkeypatch, capsys):
     calls = count_calls_everywhere(monkeypatch, expr.define)  # every generated function
     assert main(["simulate", "--config", str(DATA / "beam.json"), "--out", str(tmp_path)]) == 0
-    # constraint matrix, multipliers, stage, constraints, energy; the
+    # constraint matrix, multipliers, right-hand side, constraints, energy; the
     # constraint sup reuses the solver's compiled constraints
     assert len(calls) == 5
 

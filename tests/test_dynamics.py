@@ -385,15 +385,30 @@ def test_state_dependent_block_checked_every_stage(monkeypatch):
         ranks = count_calls(monkeypatch, dynamics, "numeric_rank")
         svds = count_calls(monkeypatch, np.linalg, "matrix_rank")
         integrate_rk4(sys, {q(1, 0): 2.0, p(1, 0): 0.5}, 0.0, 0.1, 1e-2)
-        checks = 1 + 5 * 10  # initial data, then four stages and the step's end
+        # initial data, then each step's last three stages and its end; the
+        # first stage's state is the previous end, whose check already passed
+        checks = 1 + 4 * 10
         assert ranks["calls"] == checks
         assert svds["calls"] == checks * svd_per_check
         monkeypatch.undo()
 
 
+def test_each_state_solves_its_multipliers_once(monkeypatch):
+    quartic = assemble(ostro_energy(LagrangianSpec(1, 2, parse("1/4*q1_2^4 + q1_2"))))
+    cases = [
+        (beam_system(), {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}),
+        (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}),  # Newton
+    ]
+    for sys, init in cases:
+        solves = count_calls(monkeypatch, sys.solver, "multipliers")
+        integrate_rk4(sys, init, 0.0, 0.1, 1e-2)
+        assert solves["calls"] == 1 + 4 * 10  # initial data, then three stages and the end per step
+        monkeypatch.undo()
+
+
 def test_block_lines_compile_once_per_system(monkeypatch):
-    # the stage calls the multipliers function, so of the two generated
-    # sources only that one holds the state-dependent block and its check
+    # the multipliers function is the one generated source, and it holds
+    # the state-dependent block and its check
     sys = one_dof_system(
         ("q1_0*q1_2 + q2_2 - p1_0", "q1_2 + q1_0*q2_2"),
         multipliers=(q(1, 2), q(2, 2)),
@@ -402,9 +417,8 @@ def test_block_lines_compile_once_per_system(monkeypatch):
     sources, real = [], dynamics.define
     monkeypatch.setattr(dynamics, "define", lambda source, ns: sources.append("\n".join(source)) or real(source, ns))
     integrate_rk4(sys, {q(1, 0): 2.0, p(1, 0): 0.5}, 0.0, 0.1, 1e-2)
-    assert len(sources) == 2
-    assert sum("numeric_rank(" in source for source in sources) == 1
-    assert sum("multipliers(y, p, warm, block)" in source for source in sources) == 2  # its def, the stage's call
+    assert len(sources) == 1
+    assert sources[0].count("numeric_rank(") == 1
 
 
 def test_newton_iteration_is_one_generated_function(monkeypatch):
@@ -423,7 +437,7 @@ def test_newton_iteration_is_one_generated_function(monkeypatch):
 
 
 def test_system_without_multipliers_matches_a_hand_written_rk4():
-    # no constraints: the stage binds [] = lam and runs the right-hand side
+    # no constraints: the multipliers are [] and the right-hand side runs alone
     sys = ImplicitSystem(
         states=(q(1, 0), p(1, 0)),
         rhs={q(1, 0): parse("p1_0"), p(1, 0): parse("-w*sin(q1_0)")},
