@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetlag.calculus import diff
 from jetlag.errors import (
     DomainEvalError,
     DomainExhaustionError,
@@ -31,6 +33,7 @@ from jetlag.expr import (
     func,
     job_scope,
     lambdify,
+    mul,
     pow_,
     simplify,
     substitute,
@@ -445,6 +448,127 @@ def test_simplify_of_a_constant_too_long_for_text_is_numeric_failure():
     e = parse("q1_1") * add(parse("q1_0"), Const(Fraction(2) ** 28001))
     with pytest.raises(NumericFailureError):
         simplify(e)
+
+
+X, Y = q(1, 0), q(1, 1)
+
+
+def _outcome(make):
+    """The key of the node make() returns as text, with x and y for X's and
+    Y's keys and each long integer abbreviated; or the name of the error
+    class it raises."""
+    try:
+        node = make()
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc).__name__
+    text = repr(node.key).replace(repr(X.key), "x").replace(repr(Y.key), "y")
+    return re.sub(r"\d{20,}", lambda m: f"<{len(m.group())} digits {m.group()[:3]}..{m.group()[-3:]}>", text)
+
+
+# per coefficient c, with k = Const(c): add(X, k), add(k, k), mul(X, k),
+# mul(k, k), pow_(k, 2), pow_(X, c), then simplify of Sum((X, k)),
+# Prod((k, X)), Sum((Prod((k, X)), X)) and Prod((k, Sum((X, Y)))), the
+# nodes built directly so that a nan reaches simplify
+@pytest.mark.parametrize(
+    "c, outcomes",
+    [
+        (0.0, ["x", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'f', '0.0')",
+               "('c', 'r', 1, 1)", "x", "('c', 'r', 0, 1)", "x", "('c', 'r', 0, 1)"]),
+        (-0.0, ["x", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'f', '0.0')",
+                "('c', 'r', 1, 1)", "x", "('c', 'r', 0, 1)", "x", "('c', 'r', 0, 1)"]),
+        (math.nan, ["NumericFailureError"] * 4 + ["('c', 'f', 'nan')", "ValueError"] + ["NumericFailureError"] * 4),
+        (Fraction(0), ["x", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)",
+                       "('c', 'r', 1, 1)", "x", "('c', 'r', 0, 1)", "x", "('c', 'r', 0, 1)"]),
+        (1, ["('+', x, ('c', 'r', 1, 1))", "('c', 'r', 2, 1)", "x", "('c', 'r', 1, 1)", "('c', 'r', 1, 1)",
+             "x", "('+', x, ('c', 'r', 1, 1))", "x", "('*', ('c', 'r', 2, 1), x)", "('+', x, y)"]),
+        (1.0, ["('+', x, ('c', 'f', '1.0'))", "('c', 'f', '2.0')", "x", "('c', 'r', 1, 1)", "('c', 'f', '1.0')",
+               "x", "('+', x, ('c', 'f', '1.0'))", "x", "('*', ('c', 'r', 2, 1), x)", "('+', x, y)"]),
+        (10**299, [
+            "('+', x, ('c', 'r', <300 digits 100..000>, 1))",
+            "('c', 'r', <300 digits 200..000>, 1)",
+            "('*', ('c', 'r', <300 digits 100..000>, 1), x)",
+            "('c', 'r', <599 digits 100..000>, 1)",
+            "('c', 'r', <599 digits 100..000>, 1)",
+            "('^', x, <300 digits 100..000>, 1)",
+            "('+', x, ('c', 'r', <300 digits 100..000>, 1))",
+            "('*', ('c', 'r', <300 digits 100..000>, 1), x)",
+            "('*', ('c', 'r', <300 digits 100..001>, 1), x)",
+            "('+', ('*', ('c', 'r', <300 digits 100..000>, 1), x), ('*', ('c', 'r', <300 digits 100..000>, 1), y))",
+        ]),
+    ],
+)
+def test_zero_and_one_coefficients_fold_as_pinned(c, outcomes):
+    k = Const(c)
+    makers = [
+        lambda: add(X, k),
+        lambda: add(k, k),
+        lambda: mul(X, k),
+        lambda: mul(k, k),
+        lambda: pow_(k, 2),
+        lambda: pow_(X, c),
+        lambda: simplify(Sum((X, k))),
+        lambda: simplify(Prod((k, X))),
+        lambda: simplify(Sum((Prod((k, X)), X))),
+        lambda: simplify(Prod((k, Sum((X, Y))))),
+    ]
+    assert [_outcome(make) for make in makers] == outcomes
+    with job_scope():
+        assert [_outcome(make) for make in makers] == outcomes
+
+
+def test_a_bool_is_not_a_coefficient():
+    with pytest.raises(TypeError):
+        expr._as_coeff(True)
+    with pytest.raises(TypeError):
+        Const(False)
+
+
+@pytest.mark.parametrize("bad", [3, "x", None])
+def test_the_tree_walkers_refuse_a_non_expr(bad):
+    walkers = [
+        (lambda: simplify(bad), TypeError),
+        (lambda: to_text(bad), TypeError),
+        (lambda: lambdify([bad], [X]), AttributeError),
+        (lambda: substitute(bad, {X: Y}), TypeError),
+        (lambda: diff(bad, X), AttributeError),
+    ]
+    for walk, error in walkers:
+        with pytest.raises(Exception) as err:
+            walk()
+        assert type(err.value) is error
+
+
+# one node of each class, built by its own constructor: simplify, diff by X,
+# to_text, substitute X by Y, eval_expr and lambdify each have a branch for it
+@pytest.mark.parametrize(
+    "node, text, simplified, derivative, substituted, value",
+    [
+        (Const(Fraction(3, 2)), "3/2", "3/2", "0", "3/2", 1.5),
+        (X, "q1_0", "q1_0", "1", "q1_1", 0.5),
+        (Sum((X, Const(2))), "q1_0 + 2", "q1_0 + 2", "1", "q1_1 + 2", 2.5),
+        (Prod((Const(3), X, Y)), "3*q1_0*q1_1", "3*q1_0*q1_1", "3*q1_1", "3*q1_1*q1_1", 0.375),
+        (Pow(X, Fraction(3)), "q1_0^3", "q1_0^3", "3*q1_0^2", "q1_1^3", 0.125),
+        (Func("sin", X), "sin(q1_0)", "sin(q1_0)", "cos(q1_0)", "sin(q1_1)", math.sin(0.5)),
+    ],
+)
+def test_every_node_class_has_a_branch_in_every_walker(node, text, simplified, derivative, substituted, value):
+    assert to_text(node) == text
+    assert to_text(simplify(node)) == simplified
+    assert to_text(diff(node, X)) == derivative
+    assert to_text(substitute(node, {X: Y})) == substituted
+    assert eval_expr(node, {X: 0.5, Y: 0.25}) == value
+    assert lambdify([node], [X, Y])([0.5, 0.25]) == [value]
+
+
+def test_small_integers_share_one_fraction():
+    # outside any job each Const is a new node, but a small integer's value
+    # is the one Fraction built at import; past the table it is a new one
+    assert Const(5) is not Const(5)
+    assert Const(5).value is Const(5).value
+    assert Const(-64).value is Const(-64).value
+    assert Const(0).value is expr._F0 and Const(1).value is expr._F1
+    assert Const(65).value is not Const(65).value
+    assert Const(10**299).value is not Const(10**299).value
 
 
 def test_sum_adds_left_to_right_in_every_evaluator():

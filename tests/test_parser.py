@@ -144,6 +144,55 @@ def test_deep_nesting_runs_within_its_time_budget(wraps):
     assert float(proc.stdout) < 2.0
 
 
+# a run of + and - folds its constants pairwise from the left, as adding
+# one term at a time does: a float among them is added where it stands, so
+# the last bit of the folded constant does not move
+@pytest.mark.parametrize(
+    "text, printed, bits",
+    [
+        ("1/3 + 0.1 + 2/7 + q1_0", "q1_0 + 151/210", "0x1.3813813813814p+0"),
+        ("1/3 + sin(1) + 2/7 + q1_0", "q1_0 + 1.4605186038555154", "0x1.f5e48c16c24f0p+0"),
+        ("exp(1) + 1/3 + sin(1) - q1_0", "-q1_0 + 3.8930861466002753", "0x1.b250a59814550p+1"),
+        (
+            "(1/10 + sin(2)) - (2/7 - q1_1) + 1/3 + q1_0",
+            "-(-q1_1 + 2/7) + q1_0 + 1.342630760159015",
+            "0x1.ce9213fc57feep+0",
+        ),
+    ],
+)
+def test_a_sum_folds_its_constants_from_the_left(text, printed, bits):
+    e = parse(text)
+    assert to_text(e) == printed
+    assert eval_expr(e, {q(1, 0): 0.5, q(1, 1): 0.25}).hex() == bits
+
+
+# the seconds that parse takes on a flat sum of argv[1] terms, over 100 KB
+_TIME_FLAT_SUM = """
+import sys, time
+from jetlag.parser import parse
+
+text = " + ".join(f"{k}*q1_{k % 3}*q2_{k % 5}" for k in range(1, int(sys.argv[1]) + 1))
+assert len(text) > 100_000
+start = time.perf_counter()
+parse(text)
+print(time.perf_counter() - start)
+"""
+
+
+def test_a_flat_sum_parses_in_linear_time():
+    # 8000 terms took 10.7 s while each + re-flattened every term before it
+    # and each token re-encoded the text before it
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIME_FLAT_SUM, "8000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jetlag.__file__).resolve().parent.parent)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 3.0
+
+
 def test_syntax_error_offsets():
     with pytest.raises(ParseError) as err:
         parse("q1_0 + ")
