@@ -47,37 +47,37 @@ def diff(e: Expr, s: Symbol) -> Expr:
 
 
 def _diff(e: Expr, s: Symbol) -> Expr:
-    if s not in e.free:
-        return ZERO
-    if isinstance(e, Symbol):
-        return ONE if e is s else ZERO
-    if isinstance(e, Sum):
-        return add(*(_diff(t, s) for t in e.terms))
-    if isinstance(e, Prod):
-        pieces = []
-        for i, f in enumerate(e.factors):
-            if s not in f.free:
-                continue
-            rest = e.factors[:i] + e.factors[i + 1 :]
-            pieces.append(mul(_diff(f, s), *rest))
-        return add(*pieces) if pieces else ZERO
-    if isinstance(e, Pow):
-        # d(b^r) = r * b^(r-1) * db, r rational
-        return mul(Const(e.exponent), pow_(e.base, e.exponent - 1), _diff(e.base, s))
-    if isinstance(e, Func):
-        inner = _diff(e.arg, s)
-        if e.fname == "sin":
-            outer = func("cos", e.arg)
-        elif e.fname == "cos":
-            outer = neg(func("sin", e.arg))
-        elif e.fname == "exp":
-            outer = func("exp", e.arg)
-        elif e.fname == "ln":
-            outer = pow_(e.arg, Fraction(-1))
-        else:  # pragma: no cover - Func constructor rejects other names
-            raise ValueError(e.fname)
-        return mul(outer, inner)
-    return ZERO
+    """The partial derivative, unsimplified.  The rules index _DIFF themselves,
+    only for children that hold s: the dispatch adds no stack frame per level."""
+    return _DIFF[type(e)](e, s) if s in e.free else ZERO
+
+
+def _diff_prod(e: Prod, s: Symbol) -> Expr:
+    pieces = []
+    for i, f in enumerate(e.factors):
+        if s in f.free:
+            pieces.append(mul(_DIFF[type(f)](f, s), *e.factors[:i], *e.factors[i + 1 :]))
+    return add(*pieces)
+
+
+# the derivative of each function by its argument
+_OUTER = {
+    "sin": lambda x: func("cos", x),
+    "cos": lambda x: neg(func("sin", x)),
+    "exp": lambda x: func("exp", x),
+    "ln": lambda x: pow_(x, Fraction(-1)),
+}
+
+# the rule for each node class, looked up by type(e)
+_DIFF = {
+    Const: lambda e, s: ZERO,
+    Symbol: lambda e, s: ONE if e is s else ZERO,
+    Sum: lambda e, s: add(*(_DIFF[type(t)](t, s) for t in e.terms if s in t.free)),
+    Prod: _diff_prod,
+    # d(b^r) = r * b^(r-1) * db, r rational
+    Pow: lambda e, s: mul(Const(e.exponent), pow_(e.base, e.exponent - 1), _DIFF[type(e.base)](e.base, s)),
+    Func: lambda e, s: mul(_OUTER[e.fname](e.arg), _DIFF[type(e.arg)](e.arg, s)),
+}
 
 
 def max_level(e: Expr, kinds=_SHIFTABLE) -> int:

@@ -64,12 +64,13 @@ def _residual_tol(job, args):
     return args.tol if args.tol is not None else job.tolerances["residual"]
 
 
-def _affine_status(spec, rng):
-    """When L is affine in its top derivatives, report the symmetry check."""
+def _affine_status(spec, seed):
+    """When L is affine in its top derivatives, report the symmetry check,
+    sampled from a generator seeded with seed, built only then."""
     f = top_coefficients(spec)
     if not all(is_zero(diff(fa, q(b, spec.order))) for fa in f for b in range(1, spec.dim + 1)):
         return None
-    rep = affine_symmetry_check(f, rng=rng)
+    rep = affine_symmetry_check(f, rng=make_rng(seed))
     return {
         "affine_in_top_derivative": True,
         "coefficient_symmetry_passed": bool(rep.passed),
@@ -86,7 +87,7 @@ def cmd_derive(job, args) -> tuple[int, dict]:
             if key != "hamiltonian":
                 raise
             report[key], report["hamiltonian_note"] = None, str(exc)
-    status = _affine_status(job.spec, make_rng(args.seed))
+    status = _affine_status(job.spec, args.seed)
     if status:
         report["affine_warning"] = status
     return EXIT_OK, report

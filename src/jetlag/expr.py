@@ -7,7 +7,10 @@ sqrt(x) and division are normalized at construction to Pow(x, 1/2) and
 Pow(x, -1) so differentiation needs a single power rule.
 
 Coefficient arithmetic stays in exact Fractions as long as the inputs are
-rational; applying a transcendental function drops to float.
+rational; applying a transcendental function drops to float.  The integers
+-64..64 are Fractions built once, at import, and shared: sums and products
+start from the shared zero and one and skip them.  simplify, calculus.diff
+and printer.to_text look up each node's rule in a table keyed by its class.
 """
 
 from __future__ import annotations
@@ -23,18 +26,19 @@ import numpy as np
 
 from .errors import DomainEvalError, NumericFailureError, UnboundSymbolError
 
-# zero and one, built once: the accumulators start from them, and a
-# coefficient that is the shared one is skipped rather than multiplied
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+# the integers -64..64 as Fractions, built once and never added to: _as_coeff hands them
+# out, and sums and products start from the shared zero and one and skip them
+_SMALL = {n: Fraction(n) for n in range(-64, 65)}
+_F0 = _SMALL[0]
+_F1 = _SMALL[1]
 
 
 def _as_coeff(value):
-    """Normalize a python number to Fraction (exact) or float."""
+    """Normalize a python number to Fraction (exact; a small integer's is shared) or float."""
     if isinstance(value, bool):
         raise TypeError("bool is not a coefficient")
     if isinstance(value, int):
-        return Fraction(value)
+        return _SMALL[value] if value in _SMALL else Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -174,10 +178,11 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value):
-        value = _as_coeff(value)
-        if isinstance(value, Fraction):
-            return _node(cls, ("c", "r", value.numerator, value.denominator), value)
-        return _node(cls, ("c", "f", repr(value)), value)
+        if type(value) is not Fraction:
+            value = _as_coeff(value)
+            if not isinstance(value, Fraction):
+                return _node(cls, ("c", "f", repr(value)), value)
+        return _node(cls, ("c", "r", value.numerator, value.denominator), value)
 
     def _parts(self, shallow):
         return shallow, frozenset(), shallow
@@ -360,21 +365,19 @@ def add(*terms) -> Expr:
     acc = _F0
     acc_float = None
     for t in terms:
-        t = coerce(t)
-        if isinstance(t, Sum):
-            items = t.terms
-        else:
-            items = (t,)
-        for item in items:
-            if isinstance(item, Const):
-                if isinstance(item.value, Fraction):
-                    acc += item.value
+        if not isinstance(t, Expr):
+            t = Const(t)
+        for item in t.terms if type(t) is Sum else (t,):
+            if type(item) is Const:
+                v = item.value
+                if isinstance(v, Fraction):
+                    acc = v if acc is _F0 else acc + v
                 else:
-                    acc_float = item.value if acc_float is None else acc_float + item.value
+                    acc_float = v if acc_float is None else acc_float + v
             else:
                 flat.append(item)
     total = _mixed_add(acc, acc_float) if acc_float is not None else acc
-    if total != 0:
+    if total:
         flat.append(Const(total))
     if not flat:
         return ZERO
@@ -389,23 +392,21 @@ def mul(*factors) -> Expr:
     acc = _F1
     acc_float = None
     for f in factors:
-        f = coerce(f)
-        if isinstance(f, Prod):
-            items = f.factors
-        else:
-            items = (f,)
-        for item in items:
-            if isinstance(item, Const):
-                if isinstance(item.value, Fraction):
-                    acc = _coeff_mul(acc, item.value)
+        if not isinstance(f, Expr):
+            f = Const(f)
+        for item in f.factors if type(f) is Prod else (f,):
+            if type(item) is Const:
+                v = item.value
+                if isinstance(v, Fraction):
+                    acc = _coeff_mul(acc, v)
                 else:
-                    acc_float = item.value if acc_float is None else acc_float * item.value
+                    acc_float = v if acc_float is None else acc_float * v
             else:
                 flat.append(item)
     coeff = _mixed_mul(acc, acc_float) if acc_float is not None else acc
-    if coeff == 0:
+    if not coeff:
         return ZERO
-    if coeff != 1:
+    if coeff is not _F1 and coeff != 1:
         flat.insert(0, Const(coeff))
     if not flat:
         return ONE
@@ -428,7 +429,7 @@ def pow_(base, exponent) -> Expr:
             raise TypeError("exponent must be a rational constant")
     if not isinstance(exponent, Fraction):
         exponent = Fraction(exponent)
-    if exponent == 0:
+    if not exponent:
         return ONE
     if exponent == 1:
         return base
@@ -635,22 +636,22 @@ def substitute(e: Expr, mapping) -> Expr:
 
 def _term_split(t: Expr):
     """Split a (already simplified) term into (coeff, tuple of non-const factors)."""
-    if isinstance(t, Const):
+    if type(t) is Const:
         return t.value, ()
-    if isinstance(t, Prod):
-        if isinstance(t.factors[0], Const):
+    if type(t) is Prod:
+        if type(t.factors[0]) is Const:
             return t.factors[0].value, t.factors[1:]
         return _F1, t.factors
     return _F1, (t,)
 
 
 def _rebuild_term(coeff, factors):
-    if coeff == 0:
+    if not coeff:
         return ZERO
     parts = list(factors)
     if not parts:
         return Const(coeff)
-    if coeff != 1:
+    if coeff is not _F1 and coeff != 1:
         parts.insert(0, Const(coeff))
     if len(parts) == 1:
         return parts[0]
@@ -681,103 +682,97 @@ def simplify(e: Expr) -> Expr:
     try:
         if e._canon:
             return e
-    except AttributeError:
+        rule = _SIMPLIFY[type(e)]
+    except (AttributeError, KeyError):
         raise TypeError(f"not an Expr: {e!r}") from None
-    out = _simplify(e)
+    out = rule(e)
     object.__setattr__(out, "_canon", True)
     return out
 
 
-def _simplify(e: Expr) -> Expr:
-    if isinstance(e, (Const, Symbol)):
-        return e
-    if isinstance(e, Sum):
-        bucket = {}  # tuple of factors -> coefficient
-        const_frac = _F0
-        const_float = None
-        # map, not a list comprehension: no frame of its own on the stack,
-        # whose depth the parser's nesting bound is set against
-        queue = list(map(simplify, e.terms))
-        for t in queue:
-            for item in t.terms if isinstance(t, Sum) else (t,):
-                coeff, factors = _term_split(item)
-                if not factors:
-                    if isinstance(coeff, Fraction):
-                        const_frac += coeff
-                    else:
-                        const_float = coeff if const_float is None else const_float + coeff
-                    continue
-                old = bucket.get(factors)
-                bucket[factors] = coeff if old is None else _coeff_add(old, coeff)
-        terms = []
-        for factors in _canonical_order(bucket, _factors_text):
-            coeff = bucket[factors]
-            if coeff == 0:
+def _simplify_sum(e: Sum) -> Expr:
+    bucket = {}  # tuple of factors -> (coefficient, the term while it meets no like term)
+    const_frac = _F0
+    const_float = None
+    # map, not a list comprehension: no frame of its own on the stack,
+    # whose depth the parser's nesting bound is set against
+    queue = list(map(simplify, e.terms))
+    for t in queue:
+        for item in t.terms if type(t) is Sum else (t,):
+            coeff, factors = _term_split(item)
+            if not factors:
+                if isinstance(coeff, Fraction):
+                    const_frac = coeff if const_frac is _F0 else const_frac + coeff
+                else:
+                    const_float = coeff if const_float is None else const_float + coeff
                 continue
+            old = bucket.get(factors)
+            bucket[factors] = (coeff, item) if old is None else (_coeff_add(old[0], coeff), None)
+    terms = []
+    for factors in _canonical_order(bucket, _factors_text):
+        coeff, item = bucket[factors]
+        if item is not None:
+            terms.append(item)
+        elif coeff:
             terms.append(_rebuild_term(coeff, factors))
-        if const_float is not None:
-            c = _mixed_add(const_frac, const_float)
-            if c != 0.0:
-                terms.append(Const(c))
-        elif const_frac != 0:
-            terms.append(Const(const_frac))
-        if not terms:
-            return ZERO
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(terms))
-    if isinstance(e, Prod):
-        coeff = _F1
-        coeff_float = None
-        powers = {}  # base -> exponent
-        # one level of flattening: no canonical product has a product factor
-        for g in map(simplify, e.factors):
-            for f in g.factors if isinstance(g, Prod) else (g,):
-                if isinstance(f, Const):
-                    if isinstance(f.value, Fraction):
-                        coeff = _coeff_mul(coeff, f.value)
-                    else:
-                        coeff_float = f.value if coeff_float is None else coeff_float * f.value
-                    continue
-                if isinstance(f, Pow):
-                    base, exp = f.base, f.exponent
+    if const_float is not None:
+        c = _mixed_add(const_frac, const_float)
+        if c:
+            terms.append(Const(c))
+    elif const_frac:
+        terms.append(Const(const_frac))
+    if not terms:
+        return ZERO
+    if len(terms) == 1:
+        return terms[0]
+    return Sum(tuple(terms))
+
+
+def _simplify_prod(e: Prod) -> Expr:
+    coeff = _F1
+    coeff_float = None
+    powers = {}  # base -> exponent
+    # one level of flattening: no canonical product has a product factor
+    for g in map(simplify, e.factors):
+        for f in g.factors if type(g) is Prod else (g,):
+            if type(f) is Const:
+                if isinstance(f.value, Fraction):
+                    coeff = _coeff_mul(coeff, f.value)
                 else:
-                    base, exp = f, _F1
-                old = powers.get(base)
-                powers[base] = exp if old is None else old + exp
-        if coeff == 0 or (coeff_float is not None and coeff_float == 0.0):
-            return ZERO
-        factors = []
-        settled = True
-        for base in _canonical_order(powers, Expr._sort_text):
-            piece = _power(base, powers[base])
-            if isinstance(piece, Const):
-                if isinstance(piece.value, Fraction):
-                    coeff = _coeff_mul(coeff, piece.value)
-                else:
-                    coeff_float = (
-                        piece.value if coeff_float is None else coeff_float * piece.value
-                    )
+                    coeff_float = f.value if coeff_float is None else coeff_float * f.value
                 continue
-            # a merged power can come out as a product, or as a power of
-            # another base (sqrt(x^2)^2 is x^2), which may merge with the
-            # other factors: one more pass collects them
-            if isinstance(piece, Prod) or (piece.base if isinstance(piece, Pow) else piece) is not base:
-                settled = False
-            factors.append(piece)
-        total = _mixed_mul(coeff, coeff_float) if coeff_float is not None else coeff
-        if not settled:
-            return simplify(mul(Const(total), *factors))
-        # distribute a bare constant over a single sum so that -(a+b) and
-        # c*(a+b) participate in like-term collection
-        if len(factors) == 1 and isinstance(factors[0], Sum) and total != 1:
-            return simplify(add(*(mul(Const(total), t) for t in factors[0].terms)))
-        return _rebuild_term(total, tuple(factors))
-    if isinstance(e, Pow):
-        return _power(simplify(e.base), e.exponent)
-    if isinstance(e, Func):
-        return func(e.fname, simplify(e.arg))
-    raise TypeError(f"not an Expr: {e!r}")
+            if type(f) is Pow:
+                base, exp = f.base, f.exponent
+            else:
+                base, exp = f, _F1
+            old = powers.get(base)
+            powers[base] = exp if old is None else old + exp
+    if not coeff or coeff_float == 0.0:
+        return ZERO
+    factors = []
+    settled = True
+    for base in _canonical_order(powers, Expr._sort_text):
+        piece = _power(base, powers[base])
+        if type(piece) is Const:
+            if isinstance(piece.value, Fraction):
+                coeff = _coeff_mul(coeff, piece.value)
+            else:
+                coeff_float = piece.value if coeff_float is None else coeff_float * piece.value
+            continue
+        # a merged power can come out as a product, or as a power of
+        # another base (sqrt(x^2)^2 is x^2), which may merge with the
+        # other factors: one more pass collects them
+        if type(piece) is Prod or (piece.base if type(piece) is Pow else piece) is not base:
+            settled = False
+        factors.append(piece)
+    total = _mixed_mul(coeff, coeff_float) if coeff_float is not None else coeff
+    if not settled:
+        return simplify(mul(Const(total), *factors))
+    # distribute a bare constant over a single sum so that -(a+b) and
+    # c*(a+b) participate in like-term collection
+    if len(factors) == 1 and type(factors[0]) is Sum and total is not _F1 and total != 1:
+        return simplify(add(*(mul(Const(total), t) for t in factors[0].terms)))
+    return _rebuild_term(total, tuple(factors))
 
 
 def _power(base: Expr, exp: Fraction) -> Expr:
@@ -788,6 +783,18 @@ def _power(base: Expr, exp: Fraction) -> Expr:
         if isinstance(base, Prod):
             return simplify(mul(*(pow_(f, exp) for f in base.factors)))
     return pow_(base, exp)
+
+
+# simplify's rule for each node class, looked up by type(e): one lookup
+# where an isinstance chain tests class after class
+_SIMPLIFY = {
+    Const: lambda e: e,
+    Symbol: lambda e: e,
+    Sum: _simplify_sum,
+    Prod: _simplify_prod,
+    Pow: lambda e: _power(simplify(e.base), e.exponent),
+    Func: lambda e: func(e.fname, simplify(e.arg)),
+}
 
 
 def _coeff_add(a, b):

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .expr import _FOLD_BITS, Const, Expr, add, div, func, mul, neg, pow_, simplify
+from .expr import _FOLD_BITS, ZERO, Const, Expr, Sum, add, div, func, mul, neg, pow_, simplify
 from .symbols import FUNCTION_NAMES, symbol_from_name
 
 _TOKEN_RE = re.compile(
@@ -52,24 +52,21 @@ class _Token:
 
 
 def _tokenize(text: str):
-    # a lone surrogate matches no token, so the text before any bad character encodes
     tokens = []
     pos = 0
+    offset = 0  # pos in bytes of UTF-8, summed token by token (a lone surrogate matches none)
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m or m.start() != pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", _byte_offset(text, pos))
+            raise ParseError(f"unexpected character {text[pos]!r}", offset)
         if m.lastgroup != "ws" and m.lastgroup is not None:
             kind = m.lastgroup
             if kind in ("number", "ident", "op"):
-                tokens.append(_Token(kind, m.group(), _byte_offset(text, pos)))
+                tokens.append(_Token(kind, m.group(), offset))
+        offset += len(m.group().encode("utf-8"))
         pos = m.end()
-    tokens.append(_Token("end", "", _byte_offset(text, len(text))))
+    tokens.append(_Token("end", "", offset))
     return tokens
-
-
-def _byte_offset(text: str, char_index: int) -> int:
-    return len(text[:char_index].encode("utf-8"))
 
 
 class _Parser:
@@ -116,6 +113,8 @@ class _Parser:
             bp = {"+": _BP_ADD, "-": _BP_ADD, "*": _BP_MUL, "/": _BP_MUL, "^": _BP_POW}[tok.text]
             if bp < min_bp:
                 break
+            if bp == _BP_ADD:
+                return self._parse_sum(lhs)
             self.advance()
             if tok.text == "^":
                 # right associative; exponent must be a rational constant
@@ -123,15 +122,26 @@ class _Parser:
                 lhs = self._make_pow(lhs, rhs, tok.offset)
             else:
                 rhs = self.parse_expr(bp + 1)
-                if tok.text == "+":
-                    lhs = add(lhs, rhs)
-                elif tok.text == "-":
-                    lhs = add(lhs, neg(rhs))
-                elif tok.text == "*":
-                    lhs = mul(lhs, rhs)
-                else:
-                    lhs = div(lhs, rhs)
+                lhs = mul(lhs, rhs) if tok.text == "*" else div(lhs, rhs)
         return lhs
+
+    def _parse_sum(self, term: Expr) -> Expr:
+        """The run of + and - that follows term, as one add: a left fold re-flattens the
+        earlier terms at each sign.  The constants still fold pairwise from the left, as
+        in the left fold, so that a float among them moves no bit."""
+        items, const = [], ZERO
+        while True:
+            for item in term.terms if type(term) is Sum else (term,):
+                if type(item) is Const:
+                    const = add(const, item)
+                else:
+                    items.append(item)
+            if not (self._at("+") or self._at("-")):
+                return add(*items, const)
+            sign = self.advance().text
+            term = self.parse_expr(_BP_ADD + 1)
+            if sign == "-":
+                term = neg(term)
 
     def parse_prefix(self) -> Expr:
         tok = self.advance()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import jetlag
-from jetlag import calculus, cli, corpus, expr, ostro
+from jetlag import calculus, cli, corpus, expr, ostro, sampling
 from jetlag.cli import main
 
 from conftest import count_calls_everywhere
@@ -193,23 +193,34 @@ def test_two_jobs_share_no_diff_memo_entry(tmp_path, capsys, monkeypatch):
     assert expr._JOB_TABLE.get() is None
 
 
+# affine in its top derivatives q1_2 and q2_2
+CHIRAL_CONFIG = {
+    "problem": "chiral",
+    "n": 2,
+    "k": 2,
+    "lagrangian": "-lmb*(q1_1*q2_2 - q2_1*q1_2) + m/2*(q1_1^2 + q2_1^2)",
+    "method": "ostrogradsky",
+    "parameters": {"lmb": 1.0, "m": 1.0},
+}
+
+
 def test_derive_chiral_attaches_affine_warning(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        {
-            "problem": "chiral",
-            "n": 2,
-            "k": 2,
-            "lagrangian": "-lmb*(q1_1*q2_2 - q2_1*q1_2) + m/2*(q1_1^2 + q2_1^2)",
-            "method": "ostrogradsky",
-            "parameters": {"lmb": 1.0, "m": 1.0},
-        },
-    )
+    cfg = write_config(tmp_path, CHIRAL_CONFIG)
     code, out = run_cli(capsys, "derive", "--config", cfg, "--format", "json")
     assert code == 0
     report = json.loads(out)
     assert report["affine_warning"]["affine_in_top_derivative"] is True
     assert report["affine_warning"]["coefficient_symmetry_passed"] is False
+
+
+def test_derive_seeds_a_generator_only_for_an_affine_lagrangian(tmp_path, monkeypatch, capsys):
+    calls = count_calls_everywhere(monkeypatch, sampling.make_rng)
+    assert main(["derive", "--config", write_config(tmp_path, BEAM_CONFIG), "--format", "json"]) == 0
+    assert "affine_warning" not in json.loads(capsys.readouterr().out)
+    assert calls == []
+    assert main(["derive", "--config", write_config(tmp_path, CHIRAL_CONFIG), "--format", "json"]) == 0
+    assert "affine_warning" in json.loads(capsys.readouterr().out)
+    assert calls
 
 
 def test_derive_schmidt2_auto_gauge(tmp_path, capsys):
