@@ -7,10 +7,10 @@ sqrt(x) and division are normalized at construction to Pow(x, 1/2) and
 Pow(x, -1) so differentiation needs a single power rule.
 
 Coefficient arithmetic stays in exact Fractions as long as the inputs are
-rational; applying a transcendental function drops to float.  The integers
--64..64 are Fractions built once, at import, and shared: sums and products
-start from the shared zero and one and skip them.  simplify, calculus.diff
-and printer.to_text look up each node's rule in a table keyed by its class.
+rational; applying a transcendental function drops to float.  Zero and one
+are Fractions built once, at import: sums and products start from them and
+skip them.  simplify and calculus.diff look up each node's rule in a table
+keyed by its class.
 """
 
 from __future__ import annotations
@@ -26,19 +26,18 @@ import numpy as np
 
 from .errors import DomainEvalError, NumericFailureError, UnboundSymbolError
 
-# the integers -64..64 as Fractions, built once and never added to: _as_coeff hands them
-# out, and sums and products start from the shared zero and one and skip them
-_SMALL = {n: Fraction(n) for n in range(-64, 65)}
-_F0 = _SMALL[0]
-_F1 = _SMALL[1]
+# zero and one, built once: the accumulators start from them, and a
+# coefficient that is the shared one is skipped rather than multiplied
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def _as_coeff(value):
-    """Normalize a python number to Fraction (exact; a small integer's is shared) or float."""
+    """Normalize a python number to Fraction (exact) or float."""
     if isinstance(value, bool):
         raise TypeError("bool is not a coefficient")
     if isinstance(value, int):
-        return _SMALL[value] if value in _SMALL else Fraction(value)
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -348,8 +347,8 @@ def _tuple_text(items) -> str:
     return "(" + ", ".join(items) + ")"
 
 
-ZERO = Const(0)
-ONE = Const(1)
+ZERO = Const(_F0)
+ONE = Const(_F1)
 MINUS_ONE = Const(-1)
 
 

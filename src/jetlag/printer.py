@@ -21,42 +21,44 @@ _HALF = Fraction(1, 2)  # the exponent printed as sqrt(...)
 
 
 def to_text(e: Expr) -> str:
-    try:
-        render = _RENDER[type(e)]
-    except KeyError:
-        raise TypeError(f"not an Expr: {e!r}") from None
-    return render(e)[0]
+    return _render(e)[0]
 
 
-# each rule returns (text, precedence of the produced syntax)
-def _render_sum(e: Sum):
-    parts = []
-    for i, t in enumerate(e.terms):
-        text, sign = _signed(t)
-        if i == 0:
-            parts.append(text if sign > 0 else "-" + text)
-        else:
-            parts.append((" + " if sign > 0 else " - ") + text)
-    return "".join(parts), _PREC_SUM
-
-
-def _render_product(e: Prod):
-    text, sign = _render_prod(e)  # a leading minus parses at sum level
-    return (text, _PREC_PROD) if sign > 0 else ("-" + text, _PREC_SUM)
-
-
-def _render_pow(e: Pow):
-    if e.exponent == _HALF:
-        return f"sqrt({to_text(e.base)})", _PREC_ATOM
-    base_text = _wrap(e.base, _PREC_POW + 1)  # powers nest via parens only
-    if e.exponent.denominator == 1 and e.exponent >= 0:
-        return f"{base_text}^{e.exponent.numerator}", _PREC_POW
-    if e.exponent.denominator == 1:
-        return f"{base_text}^(-{-e.exponent.numerator})", _PREC_POW
-    return (
-        f"{base_text}^({e.exponent.numerator}/{e.exponent.denominator})",
-        _PREC_POW,
-    )
+def _render(e):
+    """Returns (text, precedence of the produced syntax)."""
+    if isinstance(e, Const):
+        return _render_const(e.value)
+    if isinstance(e, Symbol):
+        return e.text, _PREC_ATOM
+    if isinstance(e, Sum):
+        parts = []
+        for i, t in enumerate(e.terms):
+            text, sign = _signed(t)
+            if i == 0:
+                parts.append(text if sign > 0 else "-" + text)
+            else:
+                parts.append((" + " if sign > 0 else " - ") + text)
+        return "".join(parts), _PREC_SUM
+    if isinstance(e, Prod):
+        text, sign = _render_prod(e)
+        if sign < 0:
+            return "-" + text, _PREC_SUM  # leading minus parses at sum level
+        return text, _PREC_PROD
+    if isinstance(e, Pow):
+        if e.exponent == _HALF:
+            return f"sqrt({to_text(e.base)})", _PREC_ATOM
+        base_text = _wrap(e.base, _PREC_POW + 1)  # powers nest via parens only
+        if e.exponent.denominator == 1 and e.exponent >= 0:
+            return f"{base_text}^{e.exponent.numerator}", _PREC_POW
+        if e.exponent.denominator == 1:
+            return f"{base_text}^(-{-e.exponent.numerator})", _PREC_POW
+        return (
+            f"{base_text}^({e.exponent.numerator}/{e.exponent.denominator})",
+            _PREC_POW,
+        )
+    if isinstance(e, Func):
+        return f"{e.fname}({to_text(e.arg)})", _PREC_ATOM
+    raise TypeError(f"not an Expr: {e!r}")
 
 
 def _render_const(value):
@@ -127,19 +129,7 @@ def _render_prod(e: Prod):
 
 
 def _wrap(e: Expr, min_prec: int) -> str:
-    text, prec = _RENDER[type(e)](e)
+    text, prec = _render(e)
     if prec < min_prec:
         return f"({text})"
     return text
-
-
-# the rule for each node class, looked up by type(e).  to_text and _wrap index
-# it themselves, so that the dispatch adds no stack frame per level of nesting
-_RENDER = {
-    Const: lambda e: _render_const(e.value),
-    Symbol: lambda e: (e.text, _PREC_ATOM),
-    Sum: _render_sum,
-    Prod: _render_product,
-    Pow: _render_pow,
-    Func: lambda e: (f"{e.fname}({to_text(e.arg)})", _PREC_ATOM),
-}

@@ -560,15 +560,12 @@ def test_every_node_class_has_a_branch_in_every_walker(node, text, simplified, d
     assert lambdify([node], [X, Y])([0.5, 0.25]) == [value]
 
 
-def test_small_integers_share_one_fraction():
-    # outside any job each Const is a new node, but a small integer's value
-    # is the one Fraction built at import; past the table it is a new one
-    assert Const(5) is not Const(5)
-    assert Const(5).value is Const(5).value
-    assert Const(-64).value is Const(-64).value
-    assert Const(0).value is expr._F0 and Const(1).value is expr._F1
-    assert Const(65).value is not Const(65).value
-    assert Const(10**299).value is not Const(10**299).value
+def test_zero_and_one_hold_the_shared_fractions():
+    # the accumulators in add, mul and simplify start from _F0 and _F1 and
+    # skip a coefficient that is one of them: ZERO and ONE carry those very
+    # objects, so a sum or product with them skips the arithmetic
+    assert expr.ZERO.value is expr._F0
+    assert expr.ONE.value is expr._F1
 
 
 def test_sum_adds_left_to_right_in_every_evaluator():
