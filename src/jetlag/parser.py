@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .expr import _FOLD_BITS, ZERO, Const, Expr, Sum, add, div, func, mul, neg, pow_, simplify
+from .expr import _FOLD_BITS, ONE, ZERO, Const, Expr, Prod, Sum, add, func, mul, neg, pow_, simplify
 from .symbols import FUNCTION_NAMES, symbol_from_name
 
 _TOKEN_RE = re.compile(
@@ -115,14 +115,13 @@ class _Parser:
                 break
             if bp == _BP_ADD:
                 return self._parse_sum(lhs)
+            if bp == _BP_MUL:
+                lhs = self._parse_product(lhs)
+                continue
             self.advance()
-            if tok.text == "^":
-                # right associative; exponent must be a rational constant
-                rhs = self.parse_expr(_BP_POW)
-                lhs = self._make_pow(lhs, rhs, tok.offset)
-            else:
-                rhs = self.parse_expr(bp + 1)
-                lhs = mul(lhs, rhs) if tok.text == "*" else div(lhs, rhs)
+            # right associative; exponent must be a rational constant
+            rhs = self.parse_expr(_BP_POW)
+            lhs = self._make_pow(lhs, rhs, tok.offset)
         return lhs
 
     def _parse_sum(self, term: Expr) -> Expr:
@@ -142,6 +141,24 @@ class _Parser:
             term = self.parse_expr(_BP_ADD + 1)
             if sign == "-":
                 term = neg(term)
+
+    def _parse_product(self, factor: Expr) -> Expr:
+        """The run of * and / that follows factor, as one mul: a left fold re-flattens
+        the earlier factors at each sign.  The constants fold pairwise from the left as
+        they come, as in _parse_sum."""
+        items, const = [], ONE
+        while True:
+            for item in factor.factors if type(factor) is Prod else (factor,):
+                if type(item) is Const:
+                    const = mul(const, item)
+                else:
+                    items.append(item)
+            if not (self._at("*") or self._at("/")):
+                return mul(*items, const)
+            op = self.advance().text
+            factor = self.parse_expr(_BP_MUL + 1)
+            if op == "/":
+                factor = pow_(factor, Fraction(-1))
 
     def parse_prefix(self) -> Expr:
         tok = self.advance()
@@ -183,8 +200,8 @@ def _number_value(text: str, offset: int) -> Fraction:
     _MAX_DIGITS, which bounds the digits of its numerator and denominator;
     this is judged from the text, before the value is built.
     """
-    mantissa, _, exponent = text.lower().partition("e")
-    whole, _, frac = mantissa.partition(".")
+    mantissa, e, exponent = text.lower().partition("e")
+    whole, point, frac = mantissa.partition(".")
     digits = (whole + frac).lstrip("0")
     if not digits:
         return Fraction(0)
@@ -193,6 +210,8 @@ def _number_value(text: str, offset: int) -> Fraction:
         len(digits) + abs(int(exponent or 0) - len(frac)) > _MAX_DIGITS
     ):
         raise ParseError(f"number literal needs more than {_MAX_DIGITS} digits", offset)
+    if not (e or point):  # an integer: Fraction(text) would match it with a regular expression
+        return Fraction(int(text))
     return Fraction(text)
 
 

@@ -1,4 +1,5 @@
 import importlib
+import math
 import sys
 import warnings
 
@@ -23,6 +24,7 @@ from jetlag.dynamics import (
 from jetlag.errors import (
     ChartMismatchError,
     ConstraintViolationError,
+    DomainEvalError,
     NotLinearError,
     NumericFailureError,
     SingularJacobianError,
@@ -325,8 +327,10 @@ def test_solver_built_once_per_system(monkeypatch):
 def test_second_run_of_a_system_compiles_nothing(monkeypatch):
     quartic = assemble(ostro_energy(LagrangianSpec(1, 2, parse("1/4*q1_2^4 + q1_2"))))
     cases = [
-        (beam_system(), {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}, 5),
-        (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}, 4),  # Newton shares the constraints
+        # the constant block, the RK4 loop, the constraints and the energy
+        (beam_system(), {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}, 4),
+        # the Newton iteration, the RK4 loop, the constraints and the energy
+        (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}, 4),
     ]
     for sys, init, first_run in cases:
         compiles = count_calls(monkeypatch, dynamics, "lambdify")
@@ -394,21 +398,29 @@ def test_state_dependent_block_checked_every_stage(monkeypatch):
 
 
 def test_each_state_solves_its_multipliers_once(monkeypatch):
+    # a linear system's solve is written into the RK4 loop: a state-dependent
+    # 2x2 block calls _solve once per solve, which the loop looks up at call
+    # time; a Newton system's loop calls the solver's multipliers function
+    linear = one_dof_system(
+        ("q1_0*q1_2 + q2_2 - p1_0", "q1_2 + q1_0*q2_2"),
+        multipliers=(q(1, 2), q(2, 2)),
+        rhs={q(1, 0): parse("1"), p(1, 0): parse("q2_2")},
+    )
     quartic = assemble(ostro_energy(LagrangianSpec(1, 2, parse("1/4*q1_2^4 + q1_2"))))
     cases = [
-        (beam_system(), {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}),
-        (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}),  # Newton
+        (linear, {q(1, 0): 2.0, p(1, 0): 0.5}, (dynamics, "_solve")),
+        (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}, (quartic.solver, "multipliers")),
     ]
-    for sys, init in cases:
-        solves = count_calls(monkeypatch, sys.solver, "multipliers")
+    for sys, init, (owner, name) in cases:
+        solves = count_calls(monkeypatch, owner, name)
         integrate_rk4(sys, init, 0.0, 0.1, 1e-2)
         assert solves["calls"] == 1 + 4 * 10  # initial data, then three stages and the end per step
         monkeypatch.undo()
 
 
 def test_block_lines_compile_once_per_system(monkeypatch):
-    # the multipliers function is the one generated source, and it holds
-    # the state-dependent block and its check
+    # the RK4 loop is the one generated source, and it holds the
+    # state-dependent block and its check once, for every stage
     sys = one_dof_system(
         ("q1_0*q1_2 + q2_2 - p1_0", "q1_2 + q1_0*q2_2"),
         multipliers=(q(1, 2), q(2, 2)),
@@ -926,3 +938,131 @@ def test_singular_block_mid_run_aborts_where_the_numpy_stages_abort():
         _numpy_rk4(sys, init, 0.0625, 32)
     found = [(e.rank, e.needed, e.time, e.step) for e in (ours.value, reference.value)]
     assert found == [(1, 2, 0.9375, 16)] * 2
+
+
+def _list_rk4(sys, init, t0, t1, h):
+    """Reference run: integrate_rk4's step loop as it was before the loop
+    was generated, over lists of floats with the solver's multipliers,
+    right-hand side, constraints and energy.  Values and energies of the
+    samples, with integrate_rk4's errors."""
+    times = dynamics._time_grid(t0, t1, h)
+    solver = sys.solver
+    param_vec = solver.param_vector(init)
+    multipliers = solver.multipliers
+    rhs_fn, cons_fn, energy_fn = solver.rhs_fn, solver.cons_fn, solver.energy_fn
+    rows, energies = [], []
+
+    def record(yv, lam):
+        rows.append(yv + lam)
+        try:
+            energies.append(energy_fn(rows[-1] + param_vec)[0])
+        except (DomainEvalError, NumericFailureError):
+            energies.append(float("nan"))
+
+    y = [float(init[s]) for s in sys.states]
+    hh, h6 = 0.5 * h, h / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = solver.block(param_vec)
+        try:
+            lam = multipliers(y, param_vec, None, block)
+        except SingularJacobianError as exc:
+            raise exc.located(t0, 0) from None
+        g0 = cons_fn(y + lam + param_vec)
+        if g0 and max(abs(v) for v in g0) > 1e-9:
+            raise ConstraintViolationError(f"initial data violates constraints by {max(abs(v) for v in g0):g}")
+        record(y, lam)
+        for step in range(1, len(times)):
+            try:
+                k1 = rhs_fn(y + lam + param_vec)
+                s = [a + hh * b for a, b in zip(y, k1)]
+                lam = multipliers(s, param_vec, lam, block)
+                k2 = rhs_fn(s + lam + param_vec)
+                s = [a + hh * b for a, b in zip(y, k2)]
+                lam = multipliers(s, param_vec, lam, block)
+                k3 = rhs_fn(s + lam + param_vec)
+                s = [a + h * b for a, b in zip(y, k3)]
+                lam = multipliers(s, param_vec, lam, block)
+                k4 = rhs_fn(s + lam + param_vec)
+                y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                if not all(map(math.isfinite, y)):
+                    raise NumericFailureError("state became non-finite during integration")
+                lam = multipliers(y, param_vec, lam, block)
+            except SingularJacobianError as exc:
+                raise exc.located(times[step - 1], step) from None
+            record(y, lam)
+    return np.array(rows), np.array(energies)
+
+
+_LOOP_CASES = {
+    "1x1 constant block": _ORACLE_CASES["1x1 linear"],
+    "2x2 state-dependent block": _ORACLE_CASES["2x2 state-dependent linear"],
+    "1x1 Newton": _ORACLE_CASES["1x1 Newton"],
+    "2x2 Newton": _ORACLE_CASES["2x2 Newton"],
+    "no multipliers": (
+        ImplicitSystem(
+            states=(q(1, 0), p(1, 0)),
+            rhs={q(1, 0): parse("p1_0"), p(1, 0): parse("-w*sin(q1_0)")},
+            constraints=(),
+            multipliers=(),
+            energy=parse("1/2*p1_0^2 - w*cos(q1_0)"),
+        ),
+        {q(1, 0): 0.5, p(1, 0): 0.0, param("w"): 3.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_LOOP_CASES))
+def test_generated_loop_gives_the_list_loops_bits(case):
+    sys, init = _LOOP_CASES[case]
+    traj = integrate_rk4(sys, init, 0.0, 0.5, 1e-2)
+    values, energies = _list_rk4(sys, init, 0.0, 0.5, 1e-2)
+    assert traj.values.tobytes() == values.tobytes()
+    assert traj.energies.tobytes() == energies.tobytes()
+
+
+_FAILING_CASES = {
+    # the block -q1_0 reaches 0 at the fourth stage of step 4
+    "singular mid-run": (
+        SingularJacobianError,
+        assemble(ostro_energy(SHRINKING)),
+        {q(1, 0): 1.0, q(1, 1): -4.0, p(1, 0): 0.0, p(1, 1): 0.0},
+        (0.0, 1.0, 0.0625),
+    ),
+    # q1_0' = q1_0 from 1 ends step 1 at 1.1051708333333332, where the
+    # block q1_0 - 1.1051708333333332 is 0; no stage state is there
+    "singular at a step's end": (
+        SingularJacobianError,
+        one_dof_system(
+            ("(q1_0 - 1.1051708333333332)*q1_2 - p1_0",), rhs={q(1, 0): parse("q1_0"), p(1, 0): parse("0")}
+        ),
+        {q(1, 0): 1.0, p(1, 0): 0.0},
+        (0.0, 1.0, 0.1),
+    ),
+    # p1_0' = 1e308: every stage state is finite, and the slope sum
+    # 1e308 + 2.0*1e308 makes the first step's end inf
+    "state overflows": (
+        NumericFailureError,
+        one_dof_system(("q1_2 - p1_0*1e-308",), rhs={q(1, 0): parse("q1_2"), p(1, 0): parse("1e308")}),
+        {q(1, 0): 0.0, p(1, 0): 0.0},
+        (0.0, 2.0, 1.0),
+    ),
+    # ln(q1_0) with q1_0 = 0.1 - t: its argument reaches 0 in step 2
+    "domain error in the right-hand side": (
+        DomainEvalError,
+        one_dof_system(("q1_2 - p1_0",), rhs={q(1, 0): parse("-1"), p(1, 0): parse("ln(q1_0)")}),
+        {q(1, 0): 0.1, p(1, 0): 0.0},
+        (0.0, 1.0, 0.05),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILING_CASES))
+def test_generated_loop_fails_where_the_list_loop_fails(case):
+    error, sys, init, (t0, t1, h) = _FAILING_CASES[case]
+    found = []
+    for run in (integrate_rk4, _list_rk4):
+        with pytest.raises(error) as err:
+            run(sys, init, t0, t1, h)
+        e = err.value
+        found.append((type(e), str(e), getattr(e, "time", None), getattr(e, "step", None)))
+    assert found[0] == found[1]
