@@ -8,11 +8,11 @@ states is evaluated and rank-checked once per parameter vector.  Per state
 (every RK4 stage state, every relatedness sample) the residue is evaluated
 and checked, a state-dependent block is evaluated and rank-checked, and the
 multipliers are solved for (by Newton when the constraints are nonlinear).
-Each system holds all of that in one generated body or Newton iteration.
-RK4 is one generated loop per system, with the right-hand side's tape and
-a linear system's multiplier body written into it once: it solves each
-state's multipliers once and carries them into that state's right-hand
-side and the next solve.  The constraints and the energy are lambdified.
+Each system holds all of that in one generated body.  RK4 is one generated
+loop per system, with the right-hand side's tape and the multiplier body
+written into it once: it solves each state's multipliers once and carries
+them into that state's right-hand side and the next solve.  The
+constraints and the energy are lambdified.
 
 States, stages and multipliers are Python floats (local variables in the
 generated loop, lists of floats elsewhere), and every floating-point
@@ -147,18 +147,18 @@ class _MultiplierSolver:
     run, cons_fn and energy_fn, and resolve_multipliers and
     hamjac.gamma_relatedness need multipliers (and rhs_fn).
 
-    Linear constraints solve directly (square solve, or least squares with a
-    full-column-rank check), in one straight-line body: the residue, a
-    state-dependent block and its rank check, and the solve (see
-    _linear_body), which both multipliers and run hold.  A block free of
-    the states is evaluated and rank-checked by block(), once for the last
-    parameter vector seen.  Nonlinear constraints go through Newton from
-    the warm start, then fixed starts, each a generated iteration over the
-    constraints and their Jacobian (see _newton_source).  Singular
-    Jacobians raise with the observed rank.  A solve may call _solve, so
-    multipliers and run are called with numpy's "invalid" flag ignored, as
-    resolve_multipliers, integrate_rk4 and hamjac.gamma_relatedness call
-    them.
+    Both multipliers and run hold one generated body for the solve, chosen
+    by self.linear.  Linear constraints solve directly (square solve, or
+    least squares with a full-column-rank check), in straight-line code: the
+    residue, a state-dependent block and its rank check, and the solve (see
+    _linear_body).  A block free of the states is evaluated and rank-checked
+    by block(), once for the last parameter vector seen.  Nonlinear
+    constraints go through Newton from the warm start, then fixed starts,
+    each an iteration over the constraints and their Jacobian (see
+    _newton_body).  Singular Jacobians raise with the observed rank.  A
+    solve may call _solve, so multipliers and run are called with numpy's
+    "invalid" flag ignored, as resolve_multipliers, integrate_rk4 and
+    hamjac.gamma_relatedness call them.
     """
 
     def __init__(self, sys: ImplicitSystem):
@@ -175,7 +175,6 @@ class _MultiplierSolver:
             self._matrix, self._residue = linear_coefficients(sys.constraints, sys.multipliers)
         except NotLinearError:
             self.linear = self.constant = False
-            self._newton = define(self._newton_source(), globals())
         else:
             self.linear = True
             flat = [entry for row in self._matrix for entry in row]
@@ -188,11 +187,12 @@ class _MultiplierSolver:
     # compiled on first use and then kept
     @cached_property
     def multipliers(self):
-        if not self.linear:
-            return self._newton_multipliers
         lam = ", ".join(f"x{len(self.sys.states) + j}" for j in range(self.n_mult))
         source = ["def multipliers(y, p, warm, block):", *(f"    {line}" for line in self._unpack())]
-        source += [f"    {line}" for line in self._linear_body()] + [f"    return [{lam}]"]
+        if not self.linear:
+            source += ["    if warm is not None:", f"        [{lam}] = warm"]
+        body = self._linear_body() if self.linear else self._newton_body("warm is not None")
+        source += [f"    {line}" for line in body] + [f"    return [{lam}]"]
         return define(source, globals())
 
     @cached_property
@@ -296,24 +296,20 @@ class _MultiplierSolver:
         rows of states and multipliers at every time, from the initial
         state y.
 
-        One loop holds every state's multiplier solve (a linear system's
-        _linear_body, or a call of multipliers) and the right-hand side's
-        tape, each written once: a step's four stages run as an inner loop
-        whose stage number picks the update.  Stage 0 solves the step's
-        start, the end of the step before (or the initial data, whose
-        constraints are then checked), and records it.  The slope sum
-        k1 + 2.0*k2 + 2.0*k3 + k4 accumulates left to right in k<i>, so
-        every operation is the one that the list form of the step made.
+        One loop holds every state's multiplier solve and the right-hand
+        side's tape, each written once: a step's four stages run as an inner
+        loop whose stage number picks the update.  Every solve but the first
+        is warm-started from the multiplier slots, which hold the solve
+        before.  Stage 0 solves the step's start, the end of the step before
+        (or the initial data, whose constraints are then checked), and
+        records it.  The slope sum k1 + 2.0*k2 + 2.0*k3 + k4 accumulates
+        left to right in k<i>, so every operation is the one that the list
+        form of the step made.
         """
         n, m = len(self.sys.states), self.n_mult
         xs = [f"x{i}" for i in range(n)]
         ys, ks = [f"y{i}" for i in range(n)], [f"k{i}" for i in range(n)]
-        lam = ", ".join(f"x{n + j}" for j in range(m))
-        if self.linear:
-            solve, start = self._linear_body(), []
-        else:
-            solve = [f"lam = multipliers([{', '.join(xs)}], p, lam, block)", f"[{lam}] = lam"]
-            start = ["lam, multipliers = None, self.multipliers"]
+        solve = self._linear_body() if self.linear else self._newton_body("step or stage")
         if solve:
             solve = ["try:", *(f"    {line}" for line in solve)] + [
                 "except SingularJacobianError as exc:  # located at the last good time and the failing step",
@@ -350,22 +346,27 @@ class _MultiplierSolver:
             '        raise NumericFailureError("state became non-finite during integration")',
         ]
         source = ["def run(self, y, p, block, times, h):", *(f"    {line}" for line in self._unpack())]
-        setup = ["hh, h6 = 0.5 * h, h / 6.0", "rows, last = [], len(times) - 1", *start]
-        source += [f"    {line}" for line in setup]
+        source += ["    hh, h6 = 0.5 * h, h / 6.0", "    rows, last = [], len(times) - 1"]
         source += ["    for step in range(last + 1):", "        for stage in (0, 1, 2, 3):"]
         return source + [f"            {line}" for line in stage]
 
-    def _newton_source(self):
-        """Source of a nonlinear system's Newton iteration newton(lam, y, p)
-        from the multipliers lam.
+    def _newton_body(self, warm):
+        """The lines of a nonlinear system's multiplier solve: Newton from the
+        multiplier slots when the condition warm holds, then from each
+        NEWTON_STARTS value in every slot, up to the first start that
+        converges; they leave its root in the slots x<n>, ..., x<n+m-1>.
 
         One tape holds the constraints, then the Jacobian row by row, so a
         subexpression they share is computed once.  A pass checks and raises
         in the order of separate evaluations: constraints, the convergence
-        test (which returns the iterate), Jacobian, rank test, step.  When
-        n_cons != m the body never runs: _newton_multipliers raises first.
+        test, Jacobian, rank test, step.  A start fails on the first error
+        it meets, or after NEWTON_STEPS passes; when every start fails, the
+        last one's error is raised, a domain error as a numeric failure.
+        With n_cons != m no start is tried.
         """
         n, m, c = len(self.sys.states), self.n_mult, self.n_cons
+        if c != m:
+            return [f"raise SingularJacobianError({c}, {m})"]
         jac = [diff(g, u) for g in self.sys.constraints for u in self.sys.multipliers]
         steps = tape(list(self.sys.constraints) + jac, self.all_symbols)
         ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
@@ -373,7 +374,7 @@ class _MultiplierSolver:
         lines, g, raises = step_lines(steps, ends[c], names)
         loop = frame(lines, raises)
         test = f"abs({g[0]})" if c == 1 else f"max({', '.join(f'abs({v})' for v in g)})"
-        loop += [f"if {test} <= NEWTON_TOL:", f"    return [{lam}]"]
+        loop += [f"if {test} <= NEWTON_TOL:", "    break"]
         lines, entries, raises = step_lines(steps, len(steps), names)
         loop += frame(lines, raises)
         rows = (", ".join(entries[i : i + m]) for i in range(0, len(entries), m))
@@ -384,25 +385,23 @@ class _MultiplierSolver:
         else:
             loop.append(f"d = _solve(a, [{', '.join(g)}])")
             loop.append(f"[{lam}] = [{', '.join(f'x{n + j} - d[{j}]' for j in range(m))}]")
-        source = ["def newton(lam, y, p):", *(f"    {line}" for line in self._unpack())]
-        source += [f"    [{lam}] = lam", "    for _ in range(NEWTON_STEPS):", *(f"        {line}" for line in loop)]
-        return source + ['    raise NumericFailureError("multiplier Newton iteration did not converge")']
-
-    def _newton_multipliers(self, y, p, warm, block):
-        """Newton from warm, when given, then from each NEWTON_STARTS value
-        in every slot; when every start fails, the last error is raised."""
-        m = self.n_mult
-        if self.n_cons != m:
-            raise SingularJacobianError(self.n_cons, m)
-        error = None
-        for v in NEWTON_STARTS if warm is None else (None, *NEWTON_STARTS):
-            try:  # None stands for the warm start, which almost always converges
-                return self._newton(warm if v is None else [v] * m, y, p)
-            except (SingularJacobianError, NumericFailureError, DomainEvalError) as exc:
-                error = exc
-        if isinstance(error, DomainEvalError):
-            raise _constraint_failure(error) from error
-        raise error
+        return [
+            f"for start in (None, *NEWTON_STARTS) if {warm} else NEWTON_STARTS:",
+            "    if start is not None:  # None stands for the warm start",
+            f"        [{lam}] = [start] * {m}",
+            "    try:",
+            "        for _ in range(NEWTON_STEPS):",
+            *(f"            {line}" for line in loop),
+            "        else:",
+            '            raise NumericFailureError("multiplier Newton iteration did not converge")',
+            "        break",
+            "    except (SingularJacobianError, NumericFailureError, DomainEvalError) as exc:",
+            "        error = exc",
+            "else:",
+            "    if isinstance(error, DomainEvalError):",
+            "        raise _constraint_failure(error) from error",
+            "    raise error",
+        ]
 
 
 def _constraint_failure(exc) -> NumericFailureError:

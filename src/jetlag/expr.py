@@ -96,7 +96,8 @@ class Expr:
 
         return to_text(self)
 
-    # arithmetic sugar, used heavily by the pipelines
+    # arithmetic sugar for callers of the library; jetlag's own code calls
+    # add, mul, neg, div and pow_ directly
     def __add__(self, other):
         return add(self, coerce(other))
 

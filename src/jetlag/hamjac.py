@@ -21,6 +21,7 @@ from .errors import (
     ArityMismatchError,
     ChartMismatchError,
     ClosureError,
+    DomainEvalError,
     NotLinearError,
     NumericFailureError,
     UnboundSymbolError,
@@ -248,7 +249,15 @@ def _lstsq_rows(a, b):
 
 class _FiberSolver:
     """Numeric fiber resolution at a block of sample rows: least squares when
-    the constraint block is linear, Newton from several starts otherwise."""
+    the constraint block is linear, Newton from several starts otherwise.
+
+    Its Newton iteration is not dynamics._MultiplierSolver's, on purpose:
+    hj_residual reports fiber consistency as a residual, where an RK4 solve
+    must abort.  So it takes least-squares steps (a singular or non-square
+    Jacobian is no error), stops a start on a vanishing step, skips a start
+    that leaves the domain or overflows, keeps the best residual over its
+    starts and raises only when no start gives one.
+    """
 
     def __init__(self, fiber_eqs, fibers, symbols):
         self.fibers = list(fibers)
@@ -290,21 +299,27 @@ class _FiberSolver:
         shape = (len(self.eqs), len(self.fibers))
         for start in NEWTON_STARTS:
             lam = np.full(len(self.fibers), start)
-            for _ in range(NEWTON_STEPS):
+            try:
+                for _ in range(NEWTON_STEPS):
+                    g = np.array(self._g(row + lam.tolist()))
+                    if np.max(np.abs(g)) <= NEWTON_TOL:
+                        return lam, 0.0
+                    jac = np.array(self._jac(row + lam.tolist())).reshape(shape)
+                    sol, *_ = np.linalg.lstsq(jac, -g, rcond=None)
+                    if not np.all(np.isfinite(sol)) or np.max(np.abs(sol)) < 1e-15:
+                        break
+                    lam = lam + sol
                 g = np.array(self._g(row + lam.tolist()))
-                if np.max(np.abs(g)) <= NEWTON_TOL:
-                    return lam, 0.0
-                jac = np.array(self._jac(row + lam.tolist())).reshape(shape)
-                sol, *_ = np.linalg.lstsq(jac, -g, rcond=None)
-                if not np.all(np.isfinite(sol)) or np.max(np.abs(sol)) < 1e-15:
-                    break
-                lam = lam + sol
-            g = np.array(self._g(row + lam.tolist()))
+            except (DomainEvalError, NumericFailureError):
+                continue  # the start left the domain or overflowed: try the next one
             residual = float(np.max(np.abs(g)))
             if best is None or residual < best[1]:
                 best = (lam, residual)
             if residual <= NEWTON_TOL:
                 return best
+        if best is None:
+            at = ", ".join(f"{s}={v!r}" for s, v in zip(self.symbols, row))
+            raise NumericFailureError(f"fiber Newton iteration failed from every start at {at}")
         return best
 
 

@@ -422,6 +422,31 @@ def test_hj_check_zero_potential_fails(tmp_path, capsys):
     assert any("mu*q1_2" in e["expr"] for e in fiber_eqs)
 
 
+LN_FIBER = {
+    "problem": "ln-fiber",
+    "n": 1,
+    "k": 2,
+    "method": "ostrogradsky",
+    "lagrangian": "q1_2*ln(q1_2) - q1_2 + 1/2*q1_1^2",
+    "W": "q1_0*q1_1",
+}
+
+
+def test_hj_check_fiber_newton_skips_starts_outside_the_domain(tmp_path, capsys):
+    # the fiber equation q1_0 = ln(q1_2) has the root exp(q1_0); Newton from
+    # the first start, 0.0, evaluates ln(0), and a later start converges
+    path = write_config(tmp_path, {**LN_FIBER, "sample_box": {"q1_0": [0, 2]}})
+    code, out = run_cli(capsys, "hj-check", "--config", path, "--format", "json")
+    assert code == 1  # W is no generating function of this Lagrangian
+    assert json.loads(out)["residuals"]["details"]["fiber_consistency"] == 0.0
+    # with q1_0 near -2, Newton leaves the domain from every start
+    path = write_config(tmp_path, LN_FIBER, "unboxed.json")
+    assert main(["hj-check", "--config", path]) == 4
+    err = capsys.readouterr().err
+    assert "failed from every start" in err
+    assert "Traceback" not in err
+
+
 def test_hj_solve_affine(tmp_path, capsys):
     config = {
         "problem": "affine",

@@ -310,6 +310,20 @@ def count_calls(monkeypatch, owner, name):
     return counter
 
 
+def count_iterations(monkeypatch, owner, name):
+    """Replace the tuple owner.name by an equal one that counts the loops
+    over it; returns the counter."""
+    counter = {"calls": 0}
+
+    class Counted(tuple):
+        def __iter__(self):
+            counter["calls"] += 1
+            return super().__iter__()
+
+    monkeypatch.setattr(owner, name, Counted(getattr(owner, name)))
+    return counter
+
+
 def test_solver_built_once_per_system(monkeypatch):
     sys = beam_system()
     linear = count_calls(monkeypatch, dynamics, "linear_coefficients")
@@ -329,8 +343,8 @@ def test_second_run_of_a_system_compiles_nothing(monkeypatch):
     cases = [
         # the constant block, the RK4 loop, the constraints and the energy
         (beam_system(), {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}, 4),
-        # the Newton iteration, the RK4 loop, the constraints and the energy
-        (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}, 4),
+        # the RK4 loop, which holds the Newton iteration, the constraints and the energy
+        (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}, 3),
     ]
     for sys, init, first_run in cases:
         compiles = count_calls(monkeypatch, dynamics, "lambdify")
@@ -398,9 +412,9 @@ def test_state_dependent_block_checked_every_stage(monkeypatch):
 
 
 def test_each_state_solves_its_multipliers_once(monkeypatch):
-    # a linear system's solve is written into the RK4 loop: a state-dependent
-    # 2x2 block calls _solve once per solve, which the loop looks up at call
-    # time; a Newton system's loop calls the solver's multipliers function
+    # the solve is written into the RK4 loop, which looks names up at call
+    # time: a state-dependent 2x2 linear block calls _solve once per solve,
+    # and a Newton solve reads its starts, NEWTON_STARTS, once
     linear = one_dof_system(
         ("q1_0*q1_2 + q2_2 - p1_0", "q1_2 + q1_0*q2_2"),
         multipliers=(q(1, 2), q(2, 2)),
@@ -408,11 +422,11 @@ def test_each_state_solves_its_multipliers_once(monkeypatch):
     )
     quartic = assemble(ostro_energy(LagrangianSpec(1, 2, parse("1/4*q1_2^4 + q1_2"))))
     cases = [
-        (linear, {q(1, 0): 2.0, p(1, 0): 0.5}, (dynamics, "_solve")),
-        (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}, (quartic.solver, "multipliers")),
+        (linear, {q(1, 0): 2.0, p(1, 0): 0.5}, count_calls, "_solve"),
+        (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}, count_iterations, "NEWTON_STARTS"),
     ]
-    for sys, init, (owner, name) in cases:
-        solves = count_calls(monkeypatch, owner, name)
+    for sys, init, count, name in cases:
+        solves = count(monkeypatch, dynamics, name)
         integrate_rk4(sys, init, 0.0, 0.1, 1e-2)
         assert solves["calls"] == 1 + 4 * 10  # initial data, then three stages and the end per step
         monkeypatch.undo()
@@ -587,6 +601,28 @@ def test_newton_with_more_constraints_than_multipliers_aborts_at_step_zero():
     with pytest.raises(SingularJacobianError) as err:
         resolve_multipliers(sys, {q(1, 0): 0.3, p(1, 0): 8.0})
     assert (err.value.rank, err.value.needed, err.value.time, err.value.step) == (2, 1, None, None)
+
+
+def test_warm_start_leaving_the_domain_mid_run_falls_through_to_a_fixed_start(monkeypatch):
+    # ln(q1_2) = q1_0 with q1_0 = 8 - 2t^2: from step 3 on, Newton from the
+    # solve before overshoots below 0 (the root falls by more than a factor
+    # e), the start 0.0 evaluates ln(0) and 0.5 converges.  _list_rk4 runs
+    # the same generated solve, so the bits are pinned here instead.
+    sys = one_dof_system(("ln(q1_2) - q1_0",), rhs={q(1, 0): parse("-p1_0"), p(1, 0): parse("4")})
+    traj = integrate_rk4(sys, {q(1, 0): 8.0, p(1, 0): 0.0}, 0.0, 2.0, 0.5)
+    values = [
+        [8.0, 0.0, 2980.957987041729],
+        [7.5, 2.0, 1808.0424144560116],
+        [6.0, 4.0, 403.42879349273517],
+        [3.5, 6.0, 33.11545195869231],
+        [0.0, 8.0, 1.0],
+    ]
+    assert traj.values.tobytes() == np.array(values).tobytes()
+    assert traj.energies.tobytes() == np.array([0.0, 2.0, 8.0, 18.0, 32.0]).tobytes()
+    # step 3's second stage state (5, 5), from step 2's end: the warm start alone fails
+    monkeypatch.setattr(dynamics, "NEWTON_STARTS", ())
+    with pytest.raises(NumericFailureError, match="ln of nonpositive"):
+        resolve_multipliers(sys, {q(1, 0): 5.0, p(1, 0): 5.0}, warm={q(1, 2): values[2][2]})
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -944,7 +980,8 @@ def _list_rk4(sys, init, t0, t1, h):
     """Reference run: integrate_rk4's step loop as it was before the loop
     was generated, over lists of floats with the solver's multipliers,
     right-hand side, constraints and energy.  Values and energies of the
-    samples, with integrate_rk4's errors."""
+    samples, with integrate_rk4's errors.  The multipliers function holds
+    the loop's own solve, so this checks the loop around it."""
     times = dynamics._time_grid(t0, t1, h)
     solver = sys.solver
     param_vec = solver.param_vector(init)
