@@ -17,18 +17,22 @@ constraints and the energy are lambdified.
 States, stages and multipliers are Python floats (local variables in the
 generated loop, lists of floats elsewhere), and every floating-point
 operation runs in the order the numpy version of this module used, so
-trajectories keep their bits.  A 1x1 block is ranked and solved
-with floats; a 2x2 block is ranked without an SVD when a bound certifies
-that it has full rank.  numpy is left only where LAPACK's bits are needed:
-the SVD of any other block, and every solve of a 2x2 or larger block (an LU
-in plain floats differs from LAPACK in the last bits).  Those solves call
-LAPACK's gesv gufunc directly, the kernel behind np.linalg.solve, and fall
-back to np.linalg.solve when numpy lacks that private module or the result
-is not finite (see _solve).
+trajectories keep their bits.  The generated code ranks a 1x1 block
+inline, with numeric_rank's rule, and solves it with a float division; it
+ranks a 2x2 block from its four floats when _full_rank_2x2 certifies full
+rank, and calls numeric_rank only when the certificate fails.  numpy is
+left only where LAPACK's bits are needed: the SVD of any other block, and
+every solve of a 2x2 or larger block (an LU in plain floats differs from
+LAPACK in the last bits).  Those solves call LAPACK's gesv gufunc directly,
+the kernel behind np.linalg.solve; a 2x2 solve writes its floats into
+buffers that the solver keeps, and a larger one goes through _solve.  Both
+fall back to np.linalg.solve when numpy lacks that private module or the
+result is not finite.
 
 A degenerate point (singular constraint Jacobian) aborts integration with a
 typed error that carries the time and step; the toolkit treats that as
-structure, not noise.
+structure, not noise.  integrate_rk4 places it, from the rows the loop has
+recorded, outside the generated loop.
 """
 
 from __future__ import annotations
@@ -142,8 +146,8 @@ class _MultiplierSolver:
     and p are the state and parameter vectors as lists of floats, warm is
     the Newton warm start (or None) and block is block(p).  rhs_fn, cons_fn
     and energy_fn evaluate the right-hand side, constraints and energy at
-    y + lam + p.  run(y, p, block, times, h) is integrate_rk4's step loop
-    (see _run_source).  Each is built on first use: integrate_rk4 needs
+    y + lam + p.  run(y, p, block, times, h, rows) is integrate_rk4's step
+    loop (see _run_source).  Each is built on first use: integrate_rk4 needs
     run, cons_fn and energy_fn, and resolve_multipliers and
     hamjac.gamma_relatedness need multipliers (and rhs_fn).
 
@@ -155,9 +159,12 @@ class _MultiplierSolver:
     by block(), once for the last parameter vector seen.  Nonlinear
     constraints go through Newton from the warm start, then fixed starts,
     each an iteration over the constraints and their Jacobian (see
-    _newton_body).  Singular Jacobians raise with the observed rank.  A
-    solve may call _solve, so multipliers and run are called with numpy's
-    "invalid" flag ignored, as resolve_multipliers, integrate_rk4 and
+    _newton_body).  Singular Jacobians raise with the observed rank.  Rank
+    tests of 1x1 and 2x2 blocks are written into the body (_rank_lines), and
+    a 2x2 solve fills the solver's own float64 buffers, made on first use,
+    and calls LAPACK's gesv on them (_gesv_lines).  A solve may meet a
+    singular pivot, so multipliers and run are called with numpy's "invalid"
+    flag ignored, as resolve_multipliers, integrate_rk4 and
     hamjac.gamma_relatedness call them.
     """
 
@@ -188,16 +195,22 @@ class _MultiplierSolver:
     @cached_property
     def multipliers(self):
         lam = ", ".join(f"x{len(self.sys.states) + j}" for j in range(self.n_mult))
-        source = ["def multipliers(y, p, warm, block):", *(f"    {line}" for line in self._unpack())]
+        source = ["def multipliers(self, y, p, warm, block):", *(f"    {line}" for line in self._unpack())]
         if not self.linear:
             source += ["    if warm is not None:", f"        [{lam}] = warm"]
         body = self._linear_body() if self.linear else self._newton_body("warm is not None")
         source += [f"    {line}" for line in body] + [f"    return [{lam}]"]
-        return define(source, globals())
+        return MethodType(define(source, globals()), self)
 
     @cached_property
     def run(self):
         return MethodType(define(self._run_source(), globals()), self)
+
+    @cached_property
+    def _buffers(self):
+        """(A, B, X): the float64 matrix, right-hand side and solution of
+        the 2x2 solves, filled in place by the generated code."""
+        return np.empty((2, 2)), np.empty(2), np.empty(2)
 
     @cached_property
     def rhs_fn(self):
@@ -245,9 +258,11 @@ class _MultiplierSolver:
             )
 
     def _unpack(self):
-        """The lines that bind the slots x<i> of the states and parameters."""
+        """The lines that bind the slots x<i> of the states and parameters,
+        and the 2x2 solve buffers A, B and X when the solve has that size."""
         states, params = range(len(self.sys.states)), range(len(self.symbols), len(self.all_symbols))
-        return [f"[{', '.join(f'x{i}' for i in slots)}] = {v}" for v, slots in (("y", states), ("p", params))]
+        lines = [f"[{', '.join(f'x{i}' for i in slots)}] = {v}" for v, slots in (("y", states), ("p", params))]
+        return lines + (["A, B, X = self._buffers"] if self.n_mult == self.n_cons == 2 else [])
 
     def _linear_body(self):
         """The lines of a linear system's multiplier solve: from the state
@@ -271,11 +286,10 @@ class _MultiplierSolver:
         names, checked, guarded = [], [], False
         if block:
             lines, entries, raises = step_lines(steps, ends[len(block)], names)
-            checked += frame(lines, raises)
-            rows = (", ".join(entries[i : i + m]) for i in range(0, len(entries), m))
-            checked += [f"a = [{', '.join(f'[{row}]' for row in rows)}]", "rank = numeric_rank(a)"]
+            checked += frame(lines, raises) + _rank_lines(entries, m)
             guarded = raises
         else:
+            entries = None
             checked.append("a, rank = block")
         lines, residue, raises = step_lines(steps, ends[len(block) + self.n_cons], names)
         checked += frame(lines, raises)
@@ -287,14 +301,16 @@ class _MultiplierSolver:
         checked += [f"if rank < {m}:", f"    raise SingularJacobianError(rank, {m})"]
         if self.n_cons == m == 1:  # a float division gives LAPACK's bits
             return checked + [f"x{n} = -{residue[0]} / {entries[0] if block else 'a[0][0]'}"]
-        lam = ", ".join(f"x{n + j}" for j in range(m))
+        lam, b = [f"x{n + j}" for j in range(m)], [f"-{r}" for r in residue]
+        if self.n_cons == m == 2:
+            return checked + _gesv_lines(entries, b, lam)
         solve = "_solve" if self.n_cons == m else "_lstsq"
-        return checked + [f"[{lam}] = {solve}(a, [{', '.join(f'-{r}' for r in residue)}])"]
+        return checked + [f"[{', '.join(lam)}] = {solve}(a, [{', '.join(b)}])"]
 
     def _run_source(self):
-        """Source of the generated RK4 loop run(y, p, block, times, h): the
-        rows of states and multipliers at every time, from the initial
-        state y.
+        """Source of the generated RK4 loop run(y, p, block, times, h, rows):
+        it appends to rows the states and multipliers at every time, from
+        the initial state y, and returns rows.
 
         One loop holds every state's multiplier solve and the right-hand
         side's tape, each written once: a step's four stages run as an inner
@@ -305,20 +321,22 @@ class _MultiplierSolver:
         records it.  The slope sum k1 + 2.0*k2 + 2.0*k3 + k4 accumulates
         left to right in k<i>, so every operation is the one that the list
         form of the step made.
+
+        The loop neither locates a SingularJacobianError nor maps the
+        right-hand side's OverflowError or ValueError: integrate_rk4 does
+        both around the call, the first from the rows recorded so far.  A
+        parameter that the right-hand side returns as it is gets its
+        finiteness check once, before the loop.
         """
         n, m = len(self.sys.states), self.n_mult
         xs = [f"x{i}" for i in range(n)]
         ys, ks = [f"y{i}" for i in range(n)], [f"k{i}" for i in range(n)]
         solve = self._linear_body() if self.linear else self._newton_body("step or stage")
-        if solve:
-            solve = ["try:", *(f"    {line}" for line in solve)] + [
-                "except SingularJacobianError as exc:  # located at the last good time and the failing step",
-                "    if stage == 0 and step:",
-                "        raise exc.located(times[step - 1], step) from None",
-                "    raise exc.located(times[step], step + (stage > 0)) from None",
-            ]
         steps = tape([self.sys.rhs[s] for s in self.sys.states], self.all_symbols)
-        lines, r, raises = step_lines(steps, len(steps), [])
+        lines, r, _ = step_lines(steps, len(steps), [])
+        params = {f"if x{i} - x{i} != 0.0: _nonfinite(x{i})" for i in range(len(self.symbols), len(self.all_symbols))}
+        once = [line for line in lines if line in params]
+        lines = [line for line in lines if line not in params]
 
         def assign(targets, values):
             return f"{', '.join(targets)} = {', '.join(values)}" if targets else "pass"
@@ -332,7 +350,7 @@ class _MultiplierSolver:
             "    if step == last:",
             "        return rows",
             f"    {assign(ys, xs)}",
-            *frame(lines, raises),
+            *lines,
             "if stage < 3:",
             "    if stage:",
             f"        {assign(ks, (f'{k} + 2.0 * {v}' for k, v in zip(ks, r)))}",
@@ -345,8 +363,8 @@ class _MultiplierSolver:
             f"    if {' or '.join(f'{x} - {x} != 0.0' for x in xs) or 'False'}:",
             '        raise NumericFailureError("state became non-finite during integration")',
         ]
-        source = ["def run(self, y, p, block, times, h):", *(f"    {line}" for line in self._unpack())]
-        source += ["    hh, h6 = 0.5 * h, h / 6.0", "    rows, last = [], len(times) - 1"]
+        source = ["def run(self, y, p, block, times, h, rows):", *(f"    {line}" for line in self._unpack() + once)]
+        source += ["    hh, h6 = 0.5 * h, h / 6.0", "    last = len(times) - 1"]
         source += ["    for step in range(last + 1):", "        for stage in (0, 1, 2, 3):"]
         return source + [f"            {line}" for line in stage]
 
@@ -376,12 +394,12 @@ class _MultiplierSolver:
         test = f"abs({g[0]})" if c == 1 else f"max({', '.join(f'abs({v})' for v in g)})"
         loop += [f"if {test} <= NEWTON_TOL:", "    break"]
         lines, entries, raises = step_lines(steps, len(steps), names)
-        loop += frame(lines, raises)
-        rows = (", ".join(entries[i : i + m]) for i in range(0, len(entries), m))
-        loop += [f"a = [{', '.join(f'[{row}]' for row in rows)}]", "rank = numeric_rank(a)"]
+        loop += frame(lines, raises) + _rank_lines(entries, m)
         loop += [f"if rank < {m}:", f"    raise SingularJacobianError(rank, {m})"]
-        if c == m == 1:  # a float division gives _solve's bits
+        if m == 1:  # a float division gives _solve's bits
             loop.append(f"x{n} = x{n} - {g[0]} / {entries[0]}")
+        elif m == 2:
+            loop += _gesv_lines(entries, g, ["d0", "d1"]) + [f"x{n}, x{n + 1} = x{n} - d0, x{n + 1} - d1"]
         else:
             loop.append(f"d = _solve(a, [{', '.join(g)}])")
             loop.append(f"[{lam}] = [{', '.join(f'x{n + j} - d[{j}]' for j in range(m))}]")
@@ -402,6 +420,37 @@ class _MultiplierSolver:
             "        raise _constraint_failure(error) from error",
             "    raise error",
         ]
+
+
+def _rank_lines(entries, m):
+    """Lines that set rank to numeric_rank of the block with m columns whose
+    row-major entries are named by entries: a 1x1 block is compared inline
+    by numeric_rank's rule, and a 2x2 block that _full_rank_2x2 certifies
+    has rank 2 without a call to numeric_rank.  Any other block is bound to
+    a, as rows, for its solve."""
+    if len(entries) == 1:
+        return [f"x = abs({entries[0]})", "rank = int(x > _RANK_TOL * max(1.0, x))"]
+    rows = ", ".join(f"[{', '.join(entries[i : i + m])}]" for i in range(0, len(entries), m))
+    if len(entries) == 4 and m == 2:
+        return [f"rank = 2 if _full_rank_2x2({', '.join(entries)}) else numeric_rank([{rows}])"]
+    return [f"a = [{rows}]", "rank = numeric_rank(a)"]
+
+
+def _gesv_lines(entries, b, out):
+    """Lines that set the two names out to the solution of a nonsingular 2x2
+    system, with _solve's bits: the block's row-major entries (None for the
+    constant block a) and the right-hand side b go into the solver's
+    buffers A and B, and LAPACK's gesv writes X; np.linalg.solve takes over
+    when the result is not finite or numpy lacks gesv."""
+    a, (x0, x1) = "a" if entries is None else "A", out
+    gesv = f"_gesv({a}, B, out=X)" if _gesv is not None else f"X[:] = np.linalg.solve({a}, B)"
+    return [f"A[{i // 2}, {i % 2}] = {e}" for i, e in enumerate(entries or ())] + [
+        f"B[0], B[1] = {b[0]}, {b[1]}",
+        gesv,
+        f"{x0}, {x1} = X.tolist()",
+        f"if {x0} - {x0} != 0.0 or {x1} - {x1} != 0.0:",
+        f"    {x0}, {x1} = np.linalg.solve({a}, B).tolist()",
+    ]
 
 
 def _constraint_failure(exc) -> NumericFailureError:
@@ -460,9 +509,10 @@ def _solve(a, b) -> list:
     """np.linalg.solve(a, b) for a nonsingular square a (a sequence of
     rows), as a list.
 
-    The generated code divides by a 1x1 block itself, with LAPACK's bits; a
-    larger one comes here and goes straight to LAPACK's gesv gufunc: the
-    kernel that np.linalg.solve runs, without its Python-side checks.  A
+    The generated code divides by a 1x1 block itself, with LAPACK's bits,
+    and hands a 2x2 block to gesv itself, from its floats (_gesv_lines); a
+    3x3 or larger one comes here and goes straight to LAPACK's gesv gufunc:
+    the kernel that np.linalg.solve runs, without its Python-side checks.  A
     singular pivot there gives nans and raises numpy's "invalid" flag, so
     callers run with that flag ignored (np.errstate); any non-finite result
     is solved again by np.linalg.solve, which turns a singular pivot into
@@ -527,10 +577,21 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
         raise ConstraintViolationError(f"initial data misses state values for {missing}")
     param_vec = solver.param_vector(init)
     run, energy_fn = solver.run, solver.energy_fn  # compiled before anything is evaluated
+    rows = []
     # a singular pivot in a LAPACK solve surfaces through _solve's finite
     # check, overflow through the explicit finite checks, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = run([float(init[s]) for s in states], param_vec, solver.block(param_vec), times, h)
+        block = solver.block(param_vec)
+        try:
+            run([float(init[s]) for s in states], param_vec, block, times, h, rows)
+        except SingularJacobianError as exc:  # at the last good time and the failing step
+            raise exc.located(times[max(len(rows) - 1, 0)], len(rows)) from None
+        except OverflowError as exc:  # the right-hand side's, as eval_expr raises it
+            raise NumericFailureError(str(exc)) from exc
+        except ValueError as exc:  # sin or cos of an infinity; LinAlgError is LAPACK's own
+            if isinstance(exc, np.linalg.LinAlgError):
+                raise
+            raise DomainEvalError(str(exc)) from exc
     columns = tuple(sys.states) + tuple(sys.multipliers)
     energies = np.array(_energies(energy_fn, rows, param_vec))
     return Trajectory(times, rows, columns, energies, dict(zip(solver.params, param_vec)))
@@ -593,11 +654,14 @@ def constraint_sup(sys: ImplicitSystem, traj: Trajectory) -> float:
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    """Canonical CSV: t, roster columns, E; 17 significant digits."""
-    fmt = "{:.17g}".format
-    header = ["t"] + [str(s) for s in traj.columns] + ["E"]
-    lines = [",".join(header)]
-    energies = [""] * len(traj.times) if traj.energies is None else map(fmt, traj.energies.tolist())
-    for t, row, energy in zip(traj.times, traj.values.tolist(), energies):
-        lines.append(",".join([fmt(float(t)), *map(fmt, row), energy]))
+    """Canonical CSV: t, roster columns, E; 17 significant digits, and an
+    empty E when the run recorded no energies.  Each row is one "%.17g"
+    format, which gives "{:.17g}".format's text for every float."""
+    lines = [",".join(["t"] + [str(s) for s in traj.columns] + ["E"])]
+    fmt = ",".join(["%.17g"] * (len(traj.columns) + 1)) + (",%.17g" if traj.energies is not None else ",")
+    rows = zip(traj.times, traj.values.tolist())
+    if traj.energies is None:
+        lines += [fmt % (t, *row) for t, row in rows]
+    else:
+        lines += [fmt % (t, *row, e) for (t, row), e in zip(rows, traj.energies.tolist())]
     return "\n".join(lines) + "\n"

@@ -380,41 +380,56 @@ def test_constant_block_rank_checked_once_per_run(monkeypatch):
 
 
 def test_state_dependent_block_checked_every_stage(monkeypatch):
-    # 1x1 [[q1_0]]; 2x2 [[q1_0, 1], [1, q1_0]], certified full rank since
-    # q1_0 >= 2; 2x1 [[q1_0], [2*q1_0]], which only an SVD can rank
+    # 2x2 [[q1_0, 1], [1, q1_0]], certified full rank by _full_rank_2x2
+    # since q1_0 >= 2; 2x1 [[q1_0], [2*q1_0]], which only numeric_rank's SVD
+    # can rank.  Counted: (certificates, numeric_rank calls, SVDs) per check.
     cases = [
-        (one_dof_system(("q1_0*q1_2 - 1",), rhs={q(1, 0): parse("1"), p(1, 0): parse("0")}), 0),
         (
             one_dof_system(
                 ("q1_0*q1_2 + q2_2 - p1_0", "q1_2 + q1_0*q2_2"),
                 multipliers=(q(1, 2), q(2, 2)),
                 rhs={q(1, 0): parse("1"), p(1, 0): parse("q2_2")},
             ),
-            0,
+            (1, 0, 0),
         ),
         (
             one_dof_system(
                 ("q1_0*q1_2 - 1", "2*q1_0*q1_2 - 2"), rhs={q(1, 0): parse("1"), p(1, 0): parse("0")}
             ),
-            1,
+            (0, 1, 1),
         ),
     ]
-    for sys, svd_per_check in cases:
-        ranks = count_calls(monkeypatch, dynamics, "numeric_rank")
-        svds = count_calls(monkeypatch, np.linalg, "matrix_rank")
+    for sys, per_check in cases:
+        counters = [
+            count_calls(monkeypatch, dynamics, "_full_rank_2x2"),
+            count_calls(monkeypatch, dynamics, "numeric_rank"),
+            count_calls(monkeypatch, np.linalg, "matrix_rank"),
+        ]
         integrate_rk4(sys, {q(1, 0): 2.0, p(1, 0): 0.5}, 0.0, 0.1, 1e-2)
         # initial data, then each step's last three stages and its end; the
         # first stage's state is the previous end, whose check already passed
         checks = 1 + 4 * 10
-        assert ranks["calls"] == checks
-        assert svds["calls"] == checks * svd_per_check
+        assert [c["calls"] for c in counters] == [checks * k for k in per_check]
         monkeypatch.undo()
+    # a 1x1 block is ranked inline, with no call to count: the block
+    # q1_0 - 1.1631923020833332 is 0 at the third stage state of step 2
+    # alone (q1_0' = q1_0 from 1, h = 0.1), and the run aborts there
+    sys = one_dof_system(
+        ("(q1_0 - 1.1631923020833332)*q1_2 - p1_0",), rhs={q(1, 0): parse("q1_0"), p(1, 0): parse("0")}
+    )
+    init = {q(1, 0): 1.0, p(1, 0): 0.0}
+    found = []
+    for run in (integrate_rk4, _list_rk4):
+        with pytest.raises(SingularJacobianError) as err:
+            run(sys, init, 0.0, 1.0, 0.1)
+        found.append((err.value.rank, err.value.needed, err.value.time, err.value.step))
+    assert found == [(0, 1, 0.1, 2)] * 2
 
 
 def test_each_state_solves_its_multipliers_once(monkeypatch):
     # the solve is written into the RK4 loop, which looks names up at call
-    # time: a state-dependent 2x2 linear block calls _solve once per solve,
-    # and a Newton solve reads its starts, NEWTON_STARTS, once
+    # time: a state-dependent 2x2 linear block calls LAPACK's gesv, _gesv,
+    # once per solve, and a Newton solve reads its starts, NEWTON_STARTS, once
     linear = one_dof_system(
         ("q1_0*q1_2 + q2_2 - p1_0", "q1_2 + q1_0*q2_2"),
         multipliers=(q(1, 2), q(2, 2)),
@@ -422,7 +437,7 @@ def test_each_state_solves_its_multipliers_once(monkeypatch):
     )
     quartic = assemble(ostro_energy(LagrangianSpec(1, 2, parse("1/4*q1_2^4 + q1_2"))))
     cases = [
-        (linear, {q(1, 0): 2.0, p(1, 0): 0.5}, count_calls, "_solve"),
+        (linear, {q(1, 0): 2.0, p(1, 0): 0.5}, count_calls, "_gesv"),
         (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}, count_iterations, "NEWTON_STARTS"),
     ]
     for sys, init, count, name in cases:
@@ -1090,6 +1105,33 @@ _FAILING_CASES = {
         {q(1, 0): 0.1, p(1, 0): 0.0},
         (0.0, 1.0, 0.05),
     ),
+    # q1_0' = exp(q1_0) from 0 blows up at t = 1: a stage state past 709.8
+    # makes exp overflow (OverflowError, mapped as eval_expr maps it)
+    "overflow in the right-hand side": (
+        NumericFailureError,
+        one_dof_system(("q1_2 - p1_0",), rhs={q(1, 0): parse("exp(q1_0)"), p(1, 0): parse("0")}),
+        {q(1, 0): 0.0, p(1, 0): 0.0},
+        (0.0, 2.0, 0.125),
+    ),
+    # q1_0 = t: the product q1_0*1e308 overflows to inf once t > 1.8, and sin
+    # of it raises ValueError
+    "ValueError in the right-hand side": (
+        DomainEvalError,
+        one_dof_system(("q1_2 - p1_0",), rhs={q(1, 0): parse("1"), p(1, 0): parse("sin(q1_0*1e308)")}),
+        {q(1, 0): 0.0, p(1, 0): 0.0},
+        (0.0, 4.0, 0.5),
+    ),
+    # as "singular at a step's end", for Newton: the Jacobian
+    # (q1_0 - 1.1051708333333332)*exp(q1_2) is 0 for every start at the end
+    # of step 1, solved at stage 0 of the loop's next step
+    "Newton singular at a step's end": (
+        SingularJacobianError,
+        one_dof_system(
+            ("(q1_0 - 1.1051708333333332)*exp(q1_2) - p1_0",), rhs={q(1, 0): parse("q1_0"), p(1, 0): parse("0")}
+        ),
+        {q(1, 0): 1.0, p(1, 0): -1.0},
+        (0.0, 1.0, 0.1),
+    ),
 }
 
 
@@ -1103,3 +1145,86 @@ def test_generated_loop_fails_where_the_list_loop_fails(case):
         e = err.value
         found.append((type(e), str(e), getattr(e, "time", None), getattr(e, "step", None)))
     assert found[0] == found[1]
+
+
+def test_parameter_in_the_right_hand_side_checked_once_before_the_loop(monkeypatch):
+    # the beam's p1_0' = -rho returns the parameter slot x6 as it is: the
+    # loop checks it once, before the first step, with eval_expr's message
+    sources, real = [], dynamics.define
+    monkeypatch.setattr(dynamics, "define", lambda source, ns: sources.append(source) or real(source, ns))
+    init = {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}
+    for rho in (float("inf"), float("nan")):
+        with pytest.raises(NumericFailureError, match=f"non-finite value {rho}"):
+            integrate_rk4(beam_system(), {**init, param("rho"): rho}, 0.0, 0.1, 1e-2)
+    run = next(source for source in sources if source[0].startswith("def run("))
+    checks = [i for i, line in enumerate(run) if "_nonfinite(x6)" in line]
+    assert len(checks) == 1 and checks[0] < run.index("    for step in range(last + 1):")
+    # a finite rho runs as before
+    traj = integrate_rk4(beam_system(), init, 0.0, 0.1, 1e-2)
+    assert traj.values.tobytes() == _list_rk4(beam_system(), init, 0.0, 0.1, 1e-2)[0].tobytes()
+
+
+_RANK_VALUES = (
+    st.sampled_from([0.0, -0.0, 1e-10, -1e-10, float("inf"), -float("inf"), float("nan"), 1e308, -1.7e308])
+    | st.floats(5e-324, 1e-300)
+    | st.floats(1e-11, 1e-9)
+    | st.floats(1e307, 1.7976931348623157e308)
+    | st.floats()
+)
+
+
+def _rank_outcome(rank, *args):
+    """rank(*args), or the class of the error it raises."""
+    try:
+        return rank(*args)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+def _generated_rank(entries, m):
+    """The rank that the generated rank lines give for the block with
+    row-major entries and m columns."""
+    names = [f"v{i}" for i in range(len(entries))]
+    local = dict(zip(names, entries))
+    exec("\n".join(dynamics._rank_lines(names, m)), vars(dynamics), local)  # noqa: S102 - our own lines
+    return local["rank"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_RANK_VALUES, min_size=1, max_size=1) | st.lists(_RANK_VALUES, min_size=4, max_size=4))
+@example([1e-10])
+@example([float(np.nextafter(1e-10, 1.0))])
+@example([5e-324])
+@example([float("nan")])
+@example([1.0, 0.0, 0.0, 1e-10])
+@example([1.7e308, 1.7e308, 1.7e308, -1.7e308])
+@example([float("inf"), 1.0, 0.0, 1.0])
+def test_generated_rank_lines_decide_as_numeric_rank(entries):
+    # the RK4 loop and the multipliers function rank a 1x1 or 2x2 block with
+    # inline lines; their verdict is numeric_rank's for any entries
+    m = 1 if len(entries) == 1 else 2
+    rows = [entries[i : i + m] for i in range(0, len(entries), m)]
+    assert _rank_outcome(_generated_rank, entries, m) == _rank_outcome(dynamics.numeric_rank, rows)
+
+
+_CSV_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e308, float("inf"), -float("inf"), float("nan")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6, unique=True),
+    st.integers(0, 3),
+    st.booleans(),
+    st.data(),
+)
+def test_trajectory_csv_matches_per_value_format(times, n_cols, with_energies, data):
+    times = sorted(times)
+    values = [[data.draw(_CSV_FLOATS) for _ in range(n_cols)] for _ in times]
+    energies = [data.draw(_CSV_FLOATS) for _ in times] if with_energies else None
+    columns = tuple(q(i + 1, 0) for i in range(n_cols))
+    traj = Trajectory(times, values, columns, None if energies is None else np.array(energies))
+    fmt = "{:.17g}".format
+    lines = [",".join(["t", *map(str, columns), "E"])]
+    for i, t in enumerate(times):
+        lines.append(",".join([fmt(t), *map(fmt, values[i]), fmt(energies[i]) if with_energies else ""]))
+    assert trajectory_csv(traj) == "\n".join(lines) + "\n"
