@@ -3,16 +3,16 @@ fixed-step RK4 with constraint solving.
 
 Fixed work is done once.  Each ``ImplicitSystem`` builds its multiplier
 solver (linear split of the constraints and compiled callables) on first
-use and keeps it.  A linear constraint block whose entries are free of the
-states is evaluated and rank-checked once per parameter vector.  Per state
-(every RK4 stage state, every relatedness sample) the residue is evaluated
-and checked, a state-dependent block is evaluated and rank-checked, and the
-multipliers are solved for (by Newton when the constraints are nonlinear).
-Each system holds all of that in one generated body.  RK4 is one generated
+use and keeps it.  Per state (every RK4 stage state, every relatedness
+sample) the residue is evaluated and checked, a state-dependent block is
+evaluated and rank-checked, and the multipliers are solved for (by Newton
+when the constraints are nonlinear).  Each system holds all of that in one
+generated body, after a prologue that evaluates and rank-checks a linear
+constraint block free of the states once per call.  RK4 is one generated
 loop per system, with the right-hand side's tape and the multiplier body
-written into it once: it solves each state's multipliers once and carries
-them into that state's right-hand side and the next solve.  The
-constraints and the energy are lambdified.
+written into it once and the prologue before it: it solves each state's
+multipliers once and carries them into that state's right-hand side and
+the next solve.  The constraints and the energy are lambdified.
 
 States, stages and multipliers are Python floats (local variables in the
 generated loop, lists of floats elsewhere), and every floating-point
@@ -142,30 +142,32 @@ def assemble(mf: MorseFamily) -> ImplicitSystem:
 class _MultiplierSolver:
     """Resolve constraint multipliers at a state point.
 
-    multipliers(y, p, warm, block) gives the multipliers lam at a state.  y
-    and p are the state and parameter vectors as lists of floats, warm is
-    the Newton warm start (or None) and block is block(p).  rhs_fn, cons_fn
-    and energy_fn evaluate the right-hand side, constraints and energy at
-    y + lam + p.  run(y, p, block, times, h, rows) is integrate_rk4's step
-    loop (see _run_source).  Each is built on first use: integrate_rk4 needs
-    run, cons_fn and energy_fn, and resolve_multipliers and
+    multipliers(y, p, warm) gives the multipliers lam at a state.  y and p
+    are the state and parameter vectors as lists of floats and warm is the
+    Newton warm start (or None).  rhs_fn, cons_fn and energy_fn evaluate the
+    right-hand side, constraints and energy at y + lam + p.
+    run(y, p, times, h, rows) is integrate_rk4's step loop (see
+    _run_source).  Each is built on first use: integrate_rk4 needs run,
+    cons_fn and energy_fn, and resolve_multipliers and
     hamjac.gamma_relatedness need multipliers (and rhs_fn).
 
     Both multipliers and run hold one generated body for the solve, chosen
-    by self.linear.  Linear constraints solve directly (square solve, or
-    least squares with a full-column-rank check), in straight-line code: the
-    residue, a state-dependent block and its rank check, and the solve (see
-    _linear_body).  A block free of the states is evaluated and rank-checked
-    by block(), once for the last parameter vector seen.  Nonlinear
+    by self.linear, and its prologue: multipliers runs the prologue at the
+    top of each call, run once before its first step.  Linear constraints
+    solve directly (square solve, or least squares with a full-column-rank
+    check), in straight-line code: the residue, a state-dependent block and
+    its rank check, and the solve (see _linear_body).  A block free of the
+    states is evaluated and rank-checked in the prologue.  Nonlinear
     constraints go through Newton from the warm start, then fixed starts,
     each an iteration over the constraints and their Jacobian (see
     _newton_body).  Singular Jacobians raise with the observed rank.  Rank
     tests of 1x1 and 2x2 blocks are written into the body (_rank_lines), and
     a 2x2 solve fills the solver's own float64 buffers, made on first use,
-    and calls LAPACK's gesv on them (_gesv_lines).  A solve may meet a
-    singular pivot, so multipliers and run are called with numpy's "invalid"
-    flag ignored, as resolve_multipliers, integrate_rk4 and
-    hamjac.gamma_relatedness call them.
+    and calls LAPACK's gesv on them (_gesv_lines); the prologue writes the
+    entries that stay fixed.  A solve may meet a singular pivot, so
+    multipliers and run are called with numpy's "invalid" flag ignored, as
+    resolve_multipliers, integrate_rk4 and hamjac.gamma_relatedness call
+    them.
     """
 
     def __init__(self, sys: ImplicitSystem):
@@ -187,18 +189,15 @@ class _MultiplierSolver:
             flat = [entry for row in self._matrix for entry in row]
             states = set(sys.states)
             self.constant = self.n_mult > 0 and not any(entry.free & states for entry in flat)
-            if self.constant:
-                self._block_key = self._block = None
-                self._matrix_fn = lambdify(flat, self.params)
 
     # compiled on first use and then kept
     @cached_property
     def multipliers(self):
         lam = ", ".join(f"x{len(self.sys.states) + j}" for j in range(self.n_mult))
-        source = ["def multipliers(self, y, p, warm, block):", *(f"    {line}" for line in self._unpack())]
+        prologue, body = self._linear_body() if self.linear else self._newton_body("warm is not None")
+        source = ["def multipliers(self, y, p, warm):", *(f"    {line}" for line in self._unpack() + prologue)]
         if not self.linear:
             source += ["    if warm is not None:", f"        [{lam}] = warm"]
-        body = self._linear_body() if self.linear else self._newton_body("warm is not None")
         source += [f"    {line}" for line in body] + [f"    return [{lam}]"]
         return MethodType(define(source, globals()), self)
 
@@ -231,23 +230,6 @@ class _MultiplierSolver:
             raise ConstraintViolationError(f"no value for parameter {missing[0]}")
         return [float(binding[s]) for s in self.params]
 
-    def block(self, param_vec):
-        """(block, rank) of a linear constraint block free of the states,
-        else None: a 1x1 block as rows of floats, a larger one as an array,
-        converted once for LAPACK.  Evaluated and ranked once per new
-        parameter vector."""
-        if not self.constant:
-            return None
-        key = tuple(param_vec)
-        if key != self._block_key:
-            try:
-                rows = _rows(self._matrix_fn(param_vec), self.n_mult)
-            except DomainEvalError as exc:
-                raise _constraint_failure(exc) from exc
-            self._block_key = key
-            self._block = (rows if len(rows) == 1 else np.array(rows), numeric_rank(rows))
-        return self._block
-
     def _check_initial(self, row, p):
         """Raise ConstraintViolationError when the constraints at the
         initial row of states and multipliers are off by more than 1e-9."""
@@ -265,52 +247,47 @@ class _MultiplierSolver:
         return lines + (["A, B, X = self._buffers"] if self.n_mult == self.n_cons == 2 else [])
 
     def _linear_body(self):
-        """The lines of a linear system's multiplier solve: from the state
-        and parameter slots and block, they set the multiplier slots
-        x<n>, ..., x<n+m-1>.
+        """(prologue, body): the lines of a linear system's multiplier solve.
+        body, run after prologue, sets the multiplier slots x<n>, ...,
+        x<n+m-1> from the state and parameter slots.
 
-        One tape holds the state-dependent block and the residue, in that
-        order, so a shared subexpression is computed once and each part's
-        steps come before its last output.  The lines check and raise in
-        the order of separate evaluations: block, rank, residue (a domain
-        error in either is a numeric failure), the rank test, then the
-        solve.
+        One tape holds the block and the residue, in that order, so a
+        shared subexpression is computed once and each part's steps come
+        before its last output.  The lines check and raise in the order of
+        separate evaluations: block, rank, residue (a domain error in either
+        is a numeric failure), the rank test, then the solve.  A block free
+        of the states is evaluated, ranked and written into the 2x2 solve's
+        buffer by prologue; body keeps the rest.
         """
         n, m = len(self.sys.states), self.n_mult
         if not m:
-            return []
-        block = [] if self.constant else [e for row in self._matrix for e in row]
+            return [], []
+        block = [e for row in self._matrix for e in row]
         steps = tape(block + self._residue, self.all_symbols)
         # ends[j]: the tape position just after the j-th output
         ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
-        names, checked, guarded = [], [], False
-        if block:
-            lines, entries, raises = step_lines(steps, ends[len(block)], names)
-            checked += frame(lines, raises) + _rank_lines(entries, m)
-            guarded = raises
+        names = []
+        lines, entries, block_raises = step_lines(steps, ends[len(block)], names)
+        ranked = frame(lines, block_raises) + _rank_lines(entries, m)
+        lines, residue, raises = step_lines(steps, len(steps), names)
+        if self.constant:
+            prologue, body = _guard(ranked, block_raises), _guard(frame(lines, raises), raises)
         else:
-            entries = None
-            checked.append("a, rank = block")
-        lines, residue, raises = step_lines(steps, ends[len(block) + self.n_cons], names)
-        checked += frame(lines, raises)
-        if guarded or raises:
-            checked = ["try:", *(f"    {line}" for line in checked)] + [
-                "except DomainEvalError as exc:",
-                "    raise _constraint_failure(exc) from exc",
-            ]
-        checked += [f"if rank < {m}:", f"    raise SingularJacobianError(rank, {m})"]
+            prologue, body = [], _guard(ranked + frame(lines, raises), block_raises or raises)
+        body += [f"if rank < {m}:", f"    raise SingularJacobianError(rank, {m})"]
         if self.n_cons == m == 1:  # a float division gives LAPACK's bits
-            return checked + [f"x{n} = -{residue[0]} / {entries[0] if block else 'a[0][0]'}"]
+            return prologue, body + [f"x{n} = -{residue[0]} / {entries[0]}"]
         lam, b = [f"x{n + j}" for j in range(m)], [f"-{r}" for r in residue]
         if self.n_cons == m == 2:
-            return checked + _gesv_lines(entries, b, lam)
+            fill, solve = _gesv_lines(entries, b, lam, self.constant)
+            return prologue + fill, body + solve
         solve = "_solve" if self.n_cons == m else "_lstsq"
-        return checked + [f"[{', '.join(lam)}] = {solve}(a, [{', '.join(b)}])"]
+        return prologue, body + [f"[{', '.join(lam)}] = {solve}(a, [{', '.join(b)}])"]
 
     def _run_source(self):
-        """Source of the generated RK4 loop run(y, p, block, times, h, rows):
-        it appends to rows the states and multipliers at every time, from
-        the initial state y, and returns rows.
+        """Source of the generated RK4 loop run(y, p, times, h, rows): it
+        appends to rows the states and multipliers at every time, from the
+        initial state y and parameters p, and returns rows.
 
         One loop holds every state's multiplier solve and the right-hand
         side's tape, each written once: a step's four stages run as an inner
@@ -326,12 +303,12 @@ class _MultiplierSolver:
         right-hand side's OverflowError or ValueError: integrate_rk4 does
         both around the call, the first from the rows recorded so far.  A
         parameter that the right-hand side returns as it is gets its
-        finiteness check once, before the loop.
+        finiteness check once, before the loop, after the solve's prologue.
         """
         n, m = len(self.sys.states), self.n_mult
         xs = [f"x{i}" for i in range(n)]
         ys, ks = [f"y{i}" for i in range(n)], [f"k{i}" for i in range(n)]
-        solve = self._linear_body() if self.linear else self._newton_body("step or stage")
+        prologue, solve = self._linear_body() if self.linear else self._newton_body("step or stage")
         steps = tape([self.sys.rhs[s] for s in self.sys.states], self.all_symbols)
         lines, r, _ = step_lines(steps, len(steps), [])
         params = {f"if x{i} - x{i} != 0.0: _nonfinite(x{i})" for i in range(len(self.symbols), len(self.all_symbols))}
@@ -363,16 +340,18 @@ class _MultiplierSolver:
             f"    if {' or '.join(f'{x} - {x} != 0.0' for x in xs) or 'False'}:",
             '        raise NumericFailureError("state became non-finite during integration")',
         ]
-        source = ["def run(self, y, p, block, times, h, rows):", *(f"    {line}" for line in self._unpack() + once)]
+        source = ["def run(self, y, p, times, h, rows):", *(f"    {line}" for line in self._unpack() + prologue + once)]
         source += ["    hh, h6 = 0.5 * h, h / 6.0", "    last = len(times) - 1"]
         source += ["    for step in range(last + 1):", "        for stage in (0, 1, 2, 3):"]
         return source + [f"            {line}" for line in stage]
 
     def _newton_body(self, warm):
-        """The lines of a nonlinear system's multiplier solve: Newton from the
-        multiplier slots when the condition warm holds, then from each
-        NEWTON_STARTS value in every slot, up to the first start that
-        converges; they leave its root in the slots x<n>, ..., x<n+m-1>.
+        """(prologue, body): the lines of a nonlinear system's multiplier
+        solve.  body runs Newton from the multiplier slots when the
+        condition warm holds, then from each NEWTON_STARTS value in every
+        slot, up to the first start that converges; it leaves its root in
+        the slots x<n>, ..., x<n+m-1>.  prologue writes a 2x2 Jacobian's
+        literal constants into the solve's buffer, once.
 
         One tape holds the constraints, then the Jacobian row by row, so a
         subexpression they share is computed once.  A pass checks and raises
@@ -384,7 +363,7 @@ class _MultiplierSolver:
         """
         n, m, c = len(self.sys.states), self.n_mult, self.n_cons
         if c != m:
-            return [f"raise SingularJacobianError({c}, {m})"]
+            return [], [f"raise SingularJacobianError({c}, {m})"]
         jac = [diff(g, u) for g in self.sys.constraints for u in self.sys.multipliers]
         steps = tape(list(self.sys.constraints) + jac, self.all_symbols)
         ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
@@ -396,14 +375,16 @@ class _MultiplierSolver:
         lines, entries, raises = step_lines(steps, len(steps), names)
         loop += frame(lines, raises) + _rank_lines(entries, m)
         loop += [f"if rank < {m}:", f"    raise SingularJacobianError(rank, {m})"]
+        prologue = []
         if m == 1:  # a float division gives _solve's bits
             loop.append(f"x{n} = x{n} - {g[0]} / {entries[0]}")
         elif m == 2:
-            loop += _gesv_lines(entries, g, ["d0", "d1"]) + [f"x{n}, x{n + 1} = x{n} - d0, x{n + 1} - d1"]
+            prologue, solve = _gesv_lines(entries, g, ["d0", "d1"], constant=False)
+            loop += solve + [f"x{n}, x{n + 1} = x{n} - d0, x{n + 1} - d1"]
         else:
             loop.append(f"d = _solve(a, [{', '.join(g)}])")
             loop.append(f"[{lam}] = [{', '.join(f'x{n + j} - d[{j}]' for j in range(m))}]")
-        return [
+        return prologue, [
             f"for start in (None, *NEWTON_STARTS) if {warm} else NEWTON_STARTS:",
             "    if start is not None:  # None stands for the warm start",
             f"        [{lam}] = [start] * {m}",
@@ -436,20 +417,26 @@ def _rank_lines(entries, m):
     return [f"a = [{rows}]", "rank = numeric_rank(a)"]
 
 
-def _gesv_lines(entries, b, out):
-    """Lines that set the two names out to the solution of a nonsingular 2x2
-    system, with _solve's bits: the block's row-major entries (None for the
-    constant block a) and the right-hand side b go into the solver's
-    buffers A and B, and LAPACK's gesv writes X; np.linalg.solve takes over
-    when the result is not finite or numpy lacks gesv."""
-    a, (x0, x1) = "a" if entries is None else "A", out
-    gesv = f"_gesv({a}, B, out=X)" if _gesv is not None else f"X[:] = np.linalg.solve({a}, B)"
-    return [f"A[{i // 2}, {i % 2}] = {e}" for i, e in enumerate(entries or ())] + [
+def _gesv_lines(entries, b, out, constant):
+    """(fill, solve): lines that set the two names out to the solution of a
+    nonsingular 2x2 system, with _solve's bits.  The block's row-major
+    entries go into the solver's buffer A: fill, run once before the
+    solves, writes those that stay fixed (every entry of a constant block,
+    else the literal constants), and solve writes the others and the
+    right-hand side b into A and B.  LAPACK's gesv then writes X;
+    np.linalg.solve takes over when the result is not finite or numpy
+    lacks gesv."""
+    x0, x1 = out
+    fill, solve = [], []
+    for i, e in enumerate(entries):  # a literal is no identifier: "(-0.375)"
+        (fill if constant or not e.isidentifier() else solve).append(f"A[{i // 2}, {i % 2}] = {e}")
+    gesv = "_gesv(A, B, out=X)" if _gesv is not None else "X[:] = np.linalg.solve(A, B)"
+    return fill, solve + [
         f"B[0], B[1] = {b[0]}, {b[1]}",
         gesv,
         f"{x0}, {x1} = X.tolist()",
         f"if {x0} - {x0} != 0.0 or {x1} - {x1} != 0.0:",
-        f"    {x0}, {x1} = np.linalg.solve({a}, B).tolist()",
+        f"    {x0}, {x1} = np.linalg.solve(A, B).tolist()",
     ]
 
 
@@ -457,9 +444,15 @@ def _constraint_failure(exc) -> NumericFailureError:
     return NumericFailureError(f"constraint evaluation is complex or undefined: {exc}")
 
 
-def _rows(flat, n_cols) -> list:
-    """A row-major flat list as a list of rows of n_cols entries."""
-    return [flat[i : i + n_cols] for i in range(0, len(flat), n_cols)]
+def _guard(lines, raises):
+    """lines inside a try that turns a DomainEvalError into
+    _constraint_failure's numeric failure, when raises says one can occur."""
+    if not raises:
+        return lines
+    return ["try:", *(f"    {line}" for line in lines)] + [
+        "except DomainEvalError as exc:",
+        "    raise _constraint_failure(exc) from exc",
+    ]
 
 
 def numeric_rank(a) -> int:
@@ -547,7 +540,7 @@ def resolve_multipliers(sys: ImplicitSystem, at: dict, warm=None) -> dict:
     if warm is not None:
         warm_vec = [float(warm[m]) for m in sys.multipliers]
     with np.errstate(invalid="ignore"):  # see _solve
-        sol = solver.multipliers(state_vec, param_vec, warm_vec, solver.block(param_vec))
+        sol = solver.multipliers(state_vec, param_vec, warm_vec)
     return {m: float(v) for m, v in zip(sys.multipliers, sol)}
 
 
@@ -558,10 +551,11 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     keeps its generated RK4 loop, ``run``, and the compiled energy for every
     run.  The loop solves for the multipliers once per state: the initial
     data, each stage's state and each step's end, each solve warm-started
-    from the one before and reusing the checked constraint matrix when it is
-    free of the states.  A step's first stage takes the multipliers solved
-    at its start.  Samples carry the resolved multiplier values and the
-    energy, evaluated over the samples once the loop is done.
+    from the one before; a constraint matrix free of the states is evaluated
+    and checked once, before the first step.  A step's first stage takes
+    the multipliers solved at its start.  Samples carry the resolved
+    multiplier values and the energy, evaluated over the samples once the
+    loop is done.
 
     (t1 - t0)/h must be a whole number of steps to within 1e-9 relative,
     and every step must advance the clock; otherwise StepSizeError, raised
@@ -581,9 +575,8 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     # a singular pivot in a LAPACK solve surfaces through _solve's finite
     # check, overflow through the explicit finite checks, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        block = solver.block(param_vec)
         try:
-            run([float(init[s]) for s in states], param_vec, block, times, h, rows)
+            run([float(init[s]) for s in states], param_vec, times, h, rows)
         except SingularJacobianError as exc:  # at the last good time and the failing step
             raise exc.located(times[max(len(rows) - 1, 0)], len(rows)) from None
         except OverflowError as exc:  # the right-hand side's, as eval_expr raises it

@@ -427,9 +427,8 @@ def gamma_relatedness(
     states = np.stack([lifted.column(s) for s in sys.states], axis=1)
     values = []
     with np.errstate(invalid="ignore"):  # see dynamics._solve
-        block = solver.block(param_vec)
         for row in states[1:-1].tolist():
-            x = row + solver.multipliers(row, param_vec, None, block) + param_vec
+            x = row + solver.multipliers(row, param_vec, None) + param_vec
             values.append(solver.rhs_fn(x) + solver.cons_fn(x))
     values = np.array(values)
     n = len(sys.states)

@@ -797,10 +797,10 @@ def test_auxiliary_factor_derive_compiles_no_scalar_code(tmp_path, monkeypatch, 
 def test_simulate_compiles_only_the_multiplier_solver(tmp_path, monkeypatch, capsys):
     calls = count_calls_everywhere(monkeypatch, expr.define)  # every generated function
     assert main(["simulate", "--config", str(DATA / "beam.json"), "--out", str(tmp_path)]) == 0
-    # constraint matrix, RK4 loop, constraints, energy; the loop holds the
-    # multiplier solve and the right-hand side, and the constraint sup
-    # reuses the solver's compiled constraints
-    assert len(calls) == 4
+    # RK4 loop, constraints, energy; the loop holds the constant constraint
+    # matrix, the multiplier solve and the right-hand side, and the
+    # constraint sup reuses the solver's compiled constraints
+    assert len(calls) == 3
 
 
 def test_ostrogradsky_derive_builds_the_energy_once(tmp_path, monkeypatch, capsys):

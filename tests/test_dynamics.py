@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import sys
 import warnings
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jetlag
-from jetlag import dynamics
+from jetlag import dynamics, hamjac
 from jetlag.calculus import diff, linear_coefficients
 from jetlag.dynamics import (
     ImplicitSystem,
@@ -333,16 +334,16 @@ def test_solver_built_once_per_system(monkeypatch):
     for _ in range(100):
         assert resolve_multipliers(sys, at) == {q(1, 2): 3.0}
     assert linear["calls"] == 1
-    # the constant block, and one function from the residue to the multipliers
-    assert (compiles["calls"], generated["calls"]) == (1, 1)
+    # one function, which evaluates the constant block and then solves
+    assert (compiles["calls"], generated["calls"]) == (0, 1)
     assert sys.solver is sys.solver
 
 
 def test_second_run_of_a_system_compiles_nothing(monkeypatch):
     quartic = assemble(ostro_energy(LagrangianSpec(1, 2, parse("1/4*q1_2^4 + q1_2"))))
     cases = [
-        # the constant block, the RK4 loop, the constraints and the energy
-        (beam_system(), {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}, 4),
+        # the RK4 loop, which evaluates the constant block, the constraints and the energy
+        (beam_system(), {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}, 3),
         # the RK4 loop, which holds the Newton iteration, the constraints and the energy
         (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}, 3),
     ]
@@ -355,28 +356,104 @@ def test_second_run_of_a_system_compiles_nothing(monkeypatch):
         assert compiles["calls"] + generated["calls"] == first_run
 
 
-def test_constant_block_rank_checked_once_per_run(monkeypatch):
-    # 1x1 block [[mu]], 2x2 block [[0, mu], [mu, 0]] and 2x1 block [[mu],
-    # [2*mu]]: free of the states.  1x1 and certified 2x2 blocks take no SVD.
-    beam = beam_system()
+def _state_free_blocks():
+    """Systems whose blocks are free of the states, with mu in every entry:
+    1x1 [[mu]] (the beam), 2x2 [[0, mu], [mu, 0]] and 2x1 [[mu], [2*mu]]."""
     swap = one_dof_system(
         ("mu*q2_2 - p1_0", "mu*q1_2 - q1_0"),
         multipliers=(q(1, 2), q(2, 2)),
         rhs={q(1, 0): parse("p1_0 + q1_2"), p(1, 0): parse("-q2_2")},
     )
     tall = one_dof_system(("mu*q1_2 - p1_0", "2*mu*q1_2 - 2*p1_0"))
-    ranks = count_calls(monkeypatch, dynamics, "numeric_rank")
-    svds = count_calls(monkeypatch, np.linalg, "matrix_rank")
+    return {"1x1": beam_system(), "2x2": swap, "2x1": tall}
+
+
+def test_constant_block_rank_checked_once_per_run(monkeypatch):
+    # a block free of the states is ranked once per integrate_rk4 or
+    # resolve_multipliers call.  The 1x1 block is ranked inline and the
+    # swap block is certified full rank: neither takes an SVD.
+    beam, swap, tall = _state_free_blocks().values()
+    counters = [
+        count_calls(monkeypatch, dynamics, "_full_rank_2x2"),
+        count_calls(monkeypatch, dynamics, "numeric_rank"),
+        count_calls(monkeypatch, np.linalg, "matrix_rank"),
+    ]
+
+    def counts():
+        return [c["calls"] for c in counters]
+
     init = {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}
     integrate_rk4(beam, init, 0.0, 0.1, 1e-3)
-    assert (ranks["calls"], svds["calls"]) == (1, 0)  # 1x1: no SVD at all
-    for mu, expected in ((2.0, 2), (2.0, 2), (3.0, 3)):
+    resolve_multipliers(beam, init)
+    assert counts() == [0, 0, 0]  # 1x1: no call at all
+    for mu in (2.0, 2.0, 3.0):
         integrate_rk4(swap, {q(1, 0): 0.1, p(1, 0): 0.2, param("mu"): mu}, 0.0, 0.05, 1e-3)
-        assert ranks["calls"] == expected  # once per new parameter vector
-    assert svds["calls"] == 0  # the swap block is certified full rank
-    for mu, expected in ((2.0, 1), (2.0, 1), (3.0, 2)):
+    resolve_multipliers(swap, {q(1, 0): 0.1, p(1, 0): 0.2, param("mu"): 3.0})
+    assert counts() == [4, 0, 0]
+    for mu in (2.0, 2.0, 3.0):
         integrate_rk4(tall, {q(1, 0): 0.1, p(1, 0): 0.2, param("mu"): mu}, 0.0, 0.05, 1e-3)
-        assert svds["calls"] == expected  # once per new parameter vector
+    resolve_multipliers(tall, {q(1, 0): 0.1, p(1, 0): 0.2, param("mu"): 3.0})
+    assert counts() == [4, 4, 4]
+
+
+def test_state_free_block_evaluated_and_ranked_before_the_first_step():
+    # the generated loop's prologue evaluates the block (every line that
+    # reads mu's slot) and sets its rank; the loop only tests the rank
+    for case, sys in _state_free_blocks().items():
+        run = sys.solver._run_source()
+        loop = run.index("    for step in range(last + 1):")
+        mu = f"x{sys.solver.all_symbols.index(param('mu'))}"
+        reads = [i for i, line in enumerate(run) if re.search(rf"\b{mu}\b", line)]
+        ranks = [i for i, line in enumerate(run) if re.match(r"\s*rank = ", line)]
+        assert reads and max(reads) < loop, case
+        assert len(ranks) == 1 and ranks[0] < loop, case
+        assert sum("if rank < " in line for line in run[loop:]) == 1, case
+
+
+def test_constant_jacobian_entries_written_once_before_the_first_step():
+    # the 2x2 Newton Jacobian [[3*q1_2^2 + 1, 1], [1, 3*q2_2^2 + 3]]: its
+    # literal off-diagonals go into the solve's buffer once, before the
+    # loop, and its diagonal at every Newton pass
+    sys, init = _ORACLE_CASES["2x2 Newton"]
+    run = sys.solver._run_source()
+    loop = run.index("    for step in range(last + 1):")
+    for entry in ("A[0, 1] = ", "A[1, 0] = ", "A[0, 0] = ", "A[1, 1] = "):
+        (at,) = [i for i, line in enumerate(run) if line.lstrip().startswith(entry)]
+        assert (at < loop) == (entry in ("A[0, 1] = ", "A[1, 0] = ")), entry
+    traj = integrate_rk4(sys, init, 0.0, 0.2, 1e-2)
+    assert traj.values.tobytes() == _numpy_rk4(sys, init, 1e-2, 20)[0].tobytes()
+
+
+def test_state_free_block_errors_raise_before_any_row():
+    # c^(1/2) has no real value at c = -1: every caller of the solver
+    # raises the constraint's numeric failure before it records a row
+    sys = one_dof_system(("c^(1/2)*q1_2 - p1_0",), rhs={q(1, 0): parse("p1_0"), p(1, 0): parse("-q1_2")})
+    at = {q(1, 0): 0.1, p(1, 0): 0.2}
+    times = [0.05 * i for i in range(6)]
+    traj = Trajectory(times, [[0.1 + t, 0.2, 0.0] for t in times], sys.states + sys.multipliers)
+    gamma = ClosedOneForm.from_potential(parse("1/5*q1_0"), [q(1, 0)], [p(1, 0)])
+    for c in (-1.0, 4.0):
+        binding = {**at, param("c"): c}
+        calls = [
+            lambda: resolve_multipliers(sys, binding),
+            lambda: integrate_rk4(sys, binding, 0.0, 0.1, 1e-2),
+            lambda: hamjac.gamma_relatedness(sys, gamma, traj, params={param("c"): c}),
+        ]
+        for call in calls:
+            if c < 0:
+                with pytest.raises(NumericFailureError, match="complex or undefined"):
+                    call()
+            else:
+                call()
+    rows = []
+    with pytest.raises(NumericFailureError, match="complex or undefined"):
+        sys.solver.run([0.1, 0.2], [-1.0], dynamics._time_grid(0.0, 0.1, 1e-2), 1e-2, rows)
+    assert rows == []
+    # a block of rank 0 aborts at the initial data
+    sys = one_dof_system(("c*q1_2 - p1_0",))
+    with pytest.raises(SingularJacobianError) as err:
+        integrate_rk4(sys, {**at, param("c"): 0.0}, 0.5, 1.0, 1e-2)
+    assert (err.value.rank, err.value.needed, err.value.time, err.value.step) == (0, 1, 0.5, 0)
 
 
 def test_state_dependent_block_checked_every_stage(monkeypatch):
@@ -1014,9 +1091,8 @@ def _list_rk4(sys, init, t0, t1, h):
     y = [float(init[s]) for s in sys.states]
     hh, h6 = 0.5 * h, h / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
-        block = solver.block(param_vec)
         try:
-            lam = multipliers(y, param_vec, None, block)
+            lam = multipliers(y, param_vec, None)
         except SingularJacobianError as exc:
             raise exc.located(t0, 0) from None
         g0 = cons_fn(y + lam + param_vec)
@@ -1027,18 +1103,18 @@ def _list_rk4(sys, init, t0, t1, h):
             try:
                 k1 = rhs_fn(y + lam + param_vec)
                 s = [a + hh * b for a, b in zip(y, k1)]
-                lam = multipliers(s, param_vec, lam, block)
+                lam = multipliers(s, param_vec, lam)
                 k2 = rhs_fn(s + lam + param_vec)
                 s = [a + hh * b for a, b in zip(y, k2)]
-                lam = multipliers(s, param_vec, lam, block)
+                lam = multipliers(s, param_vec, lam)
                 k3 = rhs_fn(s + lam + param_vec)
                 s = [a + h * b for a, b in zip(y, k3)]
-                lam = multipliers(s, param_vec, lam, block)
+                lam = multipliers(s, param_vec, lam)
                 k4 = rhs_fn(s + lam + param_vec)
                 y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
                 if not all(map(math.isfinite, y)):
                     raise NumericFailureError("state became non-finite during integration")
-                lam = multipliers(y, param_vec, lam, block)
+                lam = multipliers(y, param_vec, lam)
             except SingularJacobianError as exc:
                 raise exc.located(times[step - 1], step) from None
             record(y, lam)
