@@ -257,7 +257,9 @@ class _MultiplierSolver:
         separate evaluations: block, rank, residue (a domain error in either
         is a numeric failure), the rank test, then the solve.  A block free
         of the states is evaluated, ranked and written into the 2x2 solve's
-        buffer by prologue; body keeps the rest.
+        buffer by prologue; body keeps the rest.  The block's temporaries
+        are named b<slot>, apart from the v<slot> that run's right-hand side
+        reassigns at every stage, so that body reads the prologue's values.
         """
         n, m = len(self.sys.states), self.n_mult
         if not m:
@@ -267,7 +269,7 @@ class _MultiplierSolver:
         # ends[j]: the tape position just after the j-th output
         ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
         names = []
-        lines, entries, block_raises = step_lines(steps, ends[len(block)], names)
+        lines, entries, block_raises = step_lines(steps, ends[len(block)], names, prefix="b")
         ranked = frame(lines, block_raises) + _rank_lines(entries, m)
         lines, residue, raises = step_lines(steps, len(steps), names)
         if self.constant:
@@ -279,8 +281,8 @@ class _MultiplierSolver:
             return prologue, body + [f"x{n} = -{residue[0]} / {entries[0]}"]
         lam, b = [f"x{n + j}" for j in range(m)], [f"-{r}" for r in residue]
         if self.n_cons == m == 2:
-            fill, solve = _gesv_lines(entries, b, lam, self.constant)
-            return prologue + fill, body + solve
+            fill, solve = _gesv_lines(entries, b, lam)
+            return (prologue + fill, body + solve) if self.constant else (prologue, body + fill + solve)
         solve = "_solve" if self.n_cons == m else "_lstsq"
         return prologue, body + [f"[{', '.join(lam)}] = {solve}(a, [{', '.join(b)}])"]
 
@@ -350,8 +352,7 @@ class _MultiplierSolver:
         solve.  body runs Newton from the multiplier slots when the
         condition warm holds, then from each NEWTON_STARTS value in every
         slot, up to the first start that converges; it leaves its root in
-        the slots x<n>, ..., x<n+m-1>.  prologue writes a 2x2 Jacobian's
-        literal constants into the solve's buffer, once.
+        the slots x<n>, ..., x<n+m-1>.  prologue is empty.
 
         One tape holds the constraints, then the Jacobian row by row, so a
         subexpression they share is computed once.  A pass checks and raises
@@ -375,16 +376,15 @@ class _MultiplierSolver:
         lines, entries, raises = step_lines(steps, len(steps), names)
         loop += frame(lines, raises) + _rank_lines(entries, m)
         loop += [f"if rank < {m}:", f"    raise SingularJacobianError(rank, {m})"]
-        prologue = []
         if m == 1:  # a float division gives _solve's bits
             loop.append(f"x{n} = x{n} - {g[0]} / {entries[0]}")
         elif m == 2:
-            prologue, solve = _gesv_lines(entries, g, ["d0", "d1"], constant=False)
-            loop += solve + [f"x{n}, x{n + 1} = x{n} - d0, x{n + 1} - d1"]
+            fill, solve = _gesv_lines(entries, g, ["d0", "d1"])
+            loop += fill + solve + [f"x{n}, x{n + 1} = x{n} - d0, x{n + 1} - d1"]
         else:
             loop.append(f"d = _solve(a, [{', '.join(g)}])")
             loop.append(f"[{lam}] = [{', '.join(f'x{n + j} - d[{j}]' for j in range(m))}]")
-        return prologue, [
+        return [], [
             f"for start in (None, *NEWTON_STARTS) if {warm} else NEWTON_STARTS:",
             "    if start is not None:  # None stands for the warm start",
             f"        [{lam}] = [start] * {m}",
@@ -417,21 +417,17 @@ def _rank_lines(entries, m):
     return [f"a = [{rows}]", "rank = numeric_rank(a)"]
 
 
-def _gesv_lines(entries, b, out, constant):
+def _gesv_lines(entries, b, out):
     """(fill, solve): lines that set the two names out to the solution of a
-    nonsingular 2x2 system, with _solve's bits.  The block's row-major
-    entries go into the solver's buffer A: fill, run once before the
-    solves, writes those that stay fixed (every entry of a constant block,
-    else the literal constants), and solve writes the others and the
-    right-hand side b into A and B.  LAPACK's gesv then writes X;
-    np.linalg.solve takes over when the result is not finite or numpy
-    lacks gesv."""
+    nonsingular 2x2 system, with _solve's bits.  fill writes the block's
+    row-major entries into the solver's buffer A (once for a block that
+    stays fixed), and solve writes the right-hand side b into B.  LAPACK's
+    gesv then writes X; np.linalg.solve takes over when the result is not
+    finite or numpy lacks gesv."""
     x0, x1 = out
-    fill, solve = [], []
-    for i, e in enumerate(entries):  # a literal is no identifier: "(-0.375)"
-        (fill if constant or not e.isidentifier() else solve).append(f"A[{i // 2}, {i % 2}] = {e}")
+    fill = [f"A[{i // 2}, {i % 2}] = {e}" for i, e in enumerate(entries)]
     gesv = "_gesv(A, B, out=X)" if _gesv is not None else "X[:] = np.linalg.solve(A, B)"
-    return fill, solve + [
+    return fill, [
         f"B[0], B[1] = {b[0]}, {b[1]}",
         gesv,
         f"{x0}, {x1} = X.tolist()",

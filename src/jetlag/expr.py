@@ -883,22 +883,22 @@ def tape(exprs, symbols):
     return steps
 
 
-def step_lines(steps, stop, names):
+def step_lines(steps, stop, names, prefix="v"):
     """Straight-line Python for steps[len(names):stop] of a tape.
 
     names holds one Python expression per slot already written and gets one
-    per new step: a variable v<slot>, a symbol's x<column>, or a constant's
-    literal.  Returns (lines, outputs, raises): the statements, the name of
-    each output in order, and whether a step can raise OverflowError or
-    ValueError (a power or a function), which frame() then maps to
-    eval_expr's errors; sums and products of floats raise neither.  Every
-    output that is not a finite constant is checked once: a non-finite one
-    raises NumericFailureError, as in eval_expr.  The lines call _pow,
-    _apply_func, _nonfinite, Fraction and math by name.
+    per new step: a variable <prefix><slot>, a symbol's x<column>, or a
+    constant's literal.  Returns (lines, outputs, raises): the statements,
+    the name of each output in order, and whether a step can raise
+    OverflowError or ValueError (a power or a function), which frame() then
+    maps to eval_expr's errors; sums and products of floats raise neither.
+    Every output that is not a finite constant is checked once: a
+    non-finite one raises NumericFailureError, as in eval_expr.  The lines
+    call _pow, _apply_func, _nonfinite, Fraction and math by name.
     """
     lines, outputs, raises, checked = [], [], False, set()
     for op, arg, payload in steps[len(names) : stop]:
-        name = f"v{len(names)}"
+        name = f"{prefix}{len(names)}"
         if op == "const":
             name = f"({arg!r})" if math.isfinite(arg) else f"float('{arg!r}')"
         elif op == "sym":

@@ -398,8 +398,11 @@ def test_constant_block_rank_checked_once_per_run(monkeypatch):
 
 def test_state_free_block_evaluated_and_ranked_before_the_first_step():
     # the generated loop's prologue evaluates the block (every line that
-    # reads mu's slot) and sets its rank; the loop only tests the rank
-    for case, sys in _state_free_blocks().items():
+    # reads mu's slot) and sets its rank; the loop only tests the rank, and
+    # reassigns no name that the prologue sets (nor do the right-hand
+    # side's temporaries)
+    systems = {**_state_free_blocks(), "2*mu": _ORACLE_CASES["1x1 state-free block computed before the loop"][0]}
+    for case, sys in systems.items():
         run = sys.solver._run_source()
         loop = run.index("    for step in range(last + 1):")
         mu = f"x{sys.solver.all_symbols.index(param('mu'))}"
@@ -408,20 +411,21 @@ def test_state_free_block_evaluated_and_ranked_before_the_first_step():
         assert reads and max(reads) < loop, case
         assert len(ranks) == 1 and ranks[0] < loop, case
         assert sum("if rank < " in line for line in run[loop:]) == 1, case
+        assigned = [{m[1] for m in map(re.compile(r"\s*(\w+) = ").match, part) if m} for part in (run[:loop], run[loop:])]
+        assert not assigned[0] & assigned[1], case
 
 
-def test_constant_jacobian_entries_written_once_before_the_first_step():
-    # the 2x2 Newton Jacobian [[3*q1_2^2 + 1, 1], [1, 3*q2_2^2 + 3]]: its
-    # literal off-diagonals go into the solve's buffer once, before the
-    # loop, and its diagonal at every Newton pass
-    sys, init = _ORACLE_CASES["2x2 Newton"]
-    run = sys.solver._run_source()
-    loop = run.index("    for step in range(last + 1):")
-    for entry in ("A[0, 1] = ", "A[1, 0] = ", "A[0, 0] = ", "A[1, 1] = "):
-        (at,) = [i for i, line in enumerate(run) if line.lstrip().startswith(entry)]
-        assert (at < loop) == (entry in ("A[0, 1] = ", "A[1, 0] = ")), entry
-    traj = integrate_rk4(sys, init, 0.0, 0.2, 1e-2)
-    assert traj.values.tobytes() == _numpy_rk4(sys, init, 1e-2, 20)[0].tobytes()
+def test_2x2_block_entries_written_before_the_loop_only_when_state_free():
+    # the swap block [[0, mu], [mu, 0]] goes into the solve's buffer once,
+    # before the loop; a Newton Jacobian, even its constant off-diagonals,
+    # at every pass
+    for case, before in (("2x2 constant swap", True), ("2x2 Newton", False)):
+        sys, init = _ORACLE_CASES[case]
+        run = sys.solver._run_source()
+        loop = run.index("    for step in range(last + 1):")
+        for entry in ("A[0, 0] = ", "A[0, 1] = ", "A[1, 0] = ", "A[1, 1] = "):
+            (at,) = [i for i, line in enumerate(run) if line.lstrip().startswith(entry)]
+            assert (at < loop) == before, (case, entry)
 
 
 def test_state_free_block_errors_raise_before_any_row():
@@ -1034,6 +1038,21 @@ _ORACLE_CASES = {
         ),
         {q(1, 0): 0.3, p(1, 0): 0.7},
     ),
+    # a state-free block whose entry 2*mu is a computed step at the slot
+    # where the right-hand side's tape computes 3*p1_0
+    "1x1 state-free block computed before the loop": (
+        one_dof_system(("2*mu*q1_2 - p1_0",), rhs={q(1, 0): parse("3*p1_0"), p(1, 0): parse("-q1_2")}),
+        {q(1, 0): 0.3, p(1, 0): 0.7, param("mu"): 1.5},
+    ),
+    # a state-free block whose residue reads the block's step exp(mu), at
+    # the slot where the right-hand side's tape computes exp(p1_0)
+    "1x1 state-free block sharing a step with the residue": (
+        one_dof_system(
+            ("exp(mu)*q1_2 - exp(mu)*p1_0 + q1_0",),
+            rhs={q(1, 0): parse("exp(p1_0) + q1_2"), p(1, 0): parse("-2*q1_0*q1_2")},
+        ),
+        {q(1, 0): 0.3, p(1, 0): 0.7, param("mu"): 0.5},
+    ),
     # the Jacobian 1 + exp(q1_2) reads the constraint's exp step
     "1x1 Newton sharing a function step": (
         one_dof_system(("q1_2 + exp(q1_2) - p1_0",), rhs={q(1, 0): parse("p1_0*q1_2"), p(1, 0): parse("-q1_0")}),
@@ -1123,6 +1142,8 @@ def _list_rk4(sys, init, t0, t1, h):
 
 _LOOP_CASES = {
     "1x1 constant block": _ORACLE_CASES["1x1 linear"],
+    "1x1 computed state-free block": _ORACLE_CASES["1x1 state-free block computed before the loop"],
+    "1x1 state-free block sharing a step": _ORACLE_CASES["1x1 state-free block sharing a step with the residue"],
     "2x2 state-dependent block": _ORACLE_CASES["2x2 state-dependent linear"],
     "1x1 Newton": _ORACLE_CASES["1x1 Newton"],
     "2x2 Newton": _ORACLE_CASES["2x2 Newton"],
