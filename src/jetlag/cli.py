@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +59,15 @@ def _load_config(path) -> Job:
     except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return Job.from_config(config)
+
+
+def _check_options(args):
+    """--seed seeds numpy's generator, which takes no negative seed, and
+    --tol follows the rule of the config's tolerances: a finite number."""
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.tol is not None and not math.isfinite(args.tol):
+        raise ConfigError(f"--tol must be a finite number, got {args.tol}")
 
 
 def _residual_tol(job, args):
@@ -280,6 +290,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         if args.verb == "corpus":
             code, report = cmd_corpus(args)
         else:

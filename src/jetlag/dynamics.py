@@ -23,11 +23,11 @@ ranks a 2x2 block from its four floats when _full_rank_2x2 certifies full
 rank, and calls numeric_rank only when the certificate fails.  numpy is
 left only where LAPACK's bits are needed: the SVD of any other block, and
 every solve of a 2x2 or larger block (an LU in plain floats differs from
-LAPACK in the last bits).  Those solves call LAPACK's gesv gufunc directly,
-the kernel behind np.linalg.solve; a 2x2 solve writes its floats into
-buffers that the solver keeps, and a larger one goes through _solve.  Both
-fall back to np.linalg.solve when numpy lacks that private module or the
-result is not finite.
+LAPACK in the last bits).  One emitter, _solve_lines, writes every square
+solve: a larger block's floats go into buffers that the solver keeps, and
+LAPACK's gesv gufunc, the kernel behind np.linalg.solve, is called on them
+directly; np.linalg.solve takes over when numpy lacks that private module
+or the result is not finite.
 
 A degenerate point (singular constraint Jacobian) aborts integration with a
 typed error that carries the time and step; the toolkit treats that as
@@ -161,13 +161,14 @@ class _MultiplierSolver:
     constraints go through Newton from the warm start, then fixed starts,
     each an iteration over the constraints and their Jacobian (see
     _newton_body).  Singular Jacobians raise with the observed rank.  Rank
-    tests of 1x1 and 2x2 blocks are written into the body (_rank_lines), and
-    a 2x2 solve fills the solver's own float64 buffers, made on first use,
-    and calls LAPACK's gesv on them (_gesv_lines); the prologue writes the
-    entries that stay fixed.  A solve may meet a singular pivot, so
-    multipliers and run are called with numpy's "invalid" flag ignored, as
-    resolve_multipliers, integrate_rk4 and hamjac.gamma_relatedness call
-    them.
+    tests of 1x1 and 2x2 blocks are written into the body (_rank_lines).
+    Both bodies write their square solve with _solve_lines: a 1x1 block is
+    a float division, and a larger one fills the solver's own float64
+    buffers, made on first use, and calls LAPACK's gesv on them; the
+    prologue writes the entries that stay fixed.  A solve may meet a
+    singular pivot, so multipliers and run are called with numpy's
+    "invalid" flag ignored, as resolve_multipliers, integrate_rk4 and
+    hamjac.gamma_relatedness call them.
     """
 
     def __init__(self, sys: ImplicitSystem):
@@ -208,8 +209,10 @@ class _MultiplierSolver:
     @cached_property
     def _buffers(self):
         """(A, B, X): the float64 matrix, right-hand side and solution of
-        the 2x2 solves, filled in place by the generated code."""
-        return np.empty((2, 2)), np.empty(2), np.empty(2)
+        the square solves of size 2 or more, filled in place by the
+        generated code."""
+        m = self.n_mult
+        return np.empty((m, m)), np.empty(m), np.empty(m)
 
     @cached_property
     def rhs_fn(self):
@@ -241,10 +244,11 @@ class _MultiplierSolver:
 
     def _unpack(self):
         """The lines that bind the slots x<i> of the states and parameters,
-        and the 2x2 solve buffers A, B and X when the solve has that size."""
+        and the solve buffers A, B and X when the block is square and of
+        size 2 or more."""
         states, params = range(len(self.sys.states)), range(len(self.symbols), len(self.all_symbols))
         lines = [f"[{', '.join(f'x{i}' for i in slots)}] = {v}" for v, slots in (("y", states), ("p", params))]
-        return lines + (["A, B, X = self._buffers"] if self.n_mult == self.n_cons == 2 else [])
+        return lines + (["A, B, X = self._buffers"] if self.n_mult == self.n_cons >= 2 else [])
 
     def _linear_body(self):
         """(prologue, body): the lines of a linear system's multiplier solve.
@@ -256,7 +260,7 @@ class _MultiplierSolver:
         before its last output.  The lines check and raise in the order of
         separate evaluations: block, rank, residue (a domain error in either
         is a numeric failure), the rank test, then the solve.  A block free
-        of the states is evaluated, ranked and written into the 2x2 solve's
+        of the states is evaluated, ranked and written into the solve's
         buffer by prologue; body keeps the rest.  The block's temporaries
         are named b<slot>, apart from the v<slot> that run's right-hand side
         reassigns at every stage, so that body reads the prologue's values.
@@ -277,14 +281,11 @@ class _MultiplierSolver:
         else:
             prologue, body = [], _guard(ranked + frame(lines, raises), block_raises or raises)
         body += [f"if rank < {m}:", f"    raise SingularJacobianError(rank, {m})"]
-        if self.n_cons == m == 1:  # a float division gives LAPACK's bits
-            return prologue, body + [f"x{n} = -{residue[0]} / {entries[0]}"]
         lam, b = [f"x{n + j}" for j in range(m)], [f"-{r}" for r in residue]
-        if self.n_cons == m == 2:
-            fill, solve = _gesv_lines(entries, b, lam)
-            return (prologue + fill, body + solve) if self.constant else (prologue, body + fill + solve)
-        solve = "_solve" if self.n_cons == m else "_lstsq"
-        return prologue, body + [f"[{', '.join(lam)}] = {solve}(a, [{', '.join(b)}])"]
+        if self.n_cons != m:
+            return prologue, body + [f"[{', '.join(lam)}] = _lstsq(a, [{', '.join(b)}])"]
+        fill, solve = _solve_lines(entries, b, lam)
+        return (prologue + fill, body + solve) if self.constant else (prologue, body + fill + solve)
 
     def _run_source(self):
         """Source of the generated RK4 loop run(y, p, times, h, rows): it
@@ -376,14 +377,8 @@ class _MultiplierSolver:
         lines, entries, raises = step_lines(steps, len(steps), names)
         loop += frame(lines, raises) + _rank_lines(entries, m)
         loop += [f"if rank < {m}:", f"    raise SingularJacobianError(rank, {m})"]
-        if m == 1:  # a float division gives _solve's bits
-            loop.append(f"x{n} = x{n} - {g[0]} / {entries[0]}")
-        elif m == 2:
-            fill, solve = _gesv_lines(entries, g, ["d0", "d1"])
-            loop += fill + solve + [f"x{n}, x{n + 1} = x{n} - d0, x{n + 1} - d1"]
-        else:
-            loop.append(f"d = _solve(a, [{', '.join(g)}])")
-            loop.append(f"[{lam}] = [{', '.join(f'x{n + j} - d[{j}]' for j in range(m))}]")
+        fill, solve = _solve_lines(entries, g, [f"d{j}" for j in range(m)])
+        loop += fill + solve + [f"{lam} = {', '.join(f'x{n + j} - d{j}' for j in range(m))}"]
         return [], [
             f"for start in (None, *NEWTON_STARTS) if {warm} else NEWTON_STARTS:",
             "    if start is not None:  # None stands for the warm start",
@@ -408,7 +403,7 @@ def _rank_lines(entries, m):
     row-major entries are named by entries: a 1x1 block is compared inline
     by numeric_rank's rule, and a 2x2 block that _full_rank_2x2 certifies
     has rank 2 without a call to numeric_rank.  Any other block is bound to
-    a, as rows, for its solve."""
+    a, as rows, which a tall block's _lstsq also reads."""
     if len(entries) == 1:
         return [f"x = abs({entries[0]})", "rank = int(x > _RANK_TOL * max(1.0, x))"]
     rows = ", ".join(f"[{', '.join(entries[i : i + m])}]" for i in range(0, len(entries), m))
@@ -417,22 +412,28 @@ def _rank_lines(entries, m):
     return [f"a = [{rows}]", "rank = numeric_rank(a)"]
 
 
-def _gesv_lines(entries, b, out):
-    """(fill, solve): lines that set the two names out to the solution of a
-    nonsingular 2x2 system, with _solve's bits.  fill writes the block's
-    row-major entries into the solver's buffer A (once for a block that
-    stays fixed), and solve writes the right-hand side b into B.  LAPACK's
-    gesv then writes X; np.linalg.solve takes over when the result is not
-    finite or numpy lacks gesv."""
-    x0, x1 = out
-    fill = [f"A[{i // 2}, {i % 2}] = {e}" for i, e in enumerate(entries)]
+def _solve_lines(entries, b, out):
+    """(fill, solve): lines that set the names out to the solution of the
+    nonsingular square system with row-major entries and right-hand side
+    b, with np.linalg.solve's bits.  A 1x1 system is a float division,
+    which gives LAPACK's bits, and has no fill.  A larger one is solved on
+    the solver's buffers: fill writes the entries into A (once for a block
+    that stays fixed), and solve writes b into B.  LAPACK's gesv, the kernel
+    behind np.linalg.solve without its Python-side checks, then writes X.  A
+    singular pivot there gives nans and raises numpy's "invalid" flag, so
+    callers run the lines with that flag ignored (np.errstate).
+    np.linalg.solve takes over when the result is not finite, turning a
+    singular pivot into LinAlgError, or when numpy lacks gesv."""
+    m, names = len(out), ", ".join(out)
+    if m == 1:
+        return [], [f"{names} = {b[0]} / {entries[0]}"]
     gesv = "_gesv(A, B, out=X)" if _gesv is not None else "X[:] = np.linalg.solve(A, B)"
-    return fill, [
-        f"B[0], B[1] = {b[0]}, {b[1]}",
+    return [f"A[{i // m}, {i % m}] = {e}" for i, e in enumerate(entries)], [
+        f"{', '.join(f'B[{i}]' for i in range(m))} = {', '.join(b)}",
         gesv,
-        f"{x0}, {x1} = X.tolist()",
-        f"if {x0} - {x0} != 0.0 or {x1} - {x1} != 0.0:",
-        f"    {x0}, {x1} = np.linalg.solve(A, B).tolist()",
+        f"{names} = X.tolist()",
+        f"if {' or '.join(f'{x} - {x} != 0.0' for x in out)}:",
+        f"    {names} = np.linalg.solve(A, B).tolist()",
     ]
 
 
@@ -494,26 +495,6 @@ def _full_rank_2x2(a, b, c, d) -> bool:
     return lower > tol
 
 
-def _solve(a, b) -> list:
-    """np.linalg.solve(a, b) for a nonsingular square a (a sequence of
-    rows), as a list.
-
-    The generated code divides by a 1x1 block itself, with LAPACK's bits,
-    and hands a 2x2 block to gesv itself, from its floats (_gesv_lines); a
-    3x3 or larger one comes here and goes straight to LAPACK's gesv gufunc:
-    the kernel that np.linalg.solve runs, without its Python-side checks.  A
-    singular pivot there gives nans and raises numpy's "invalid" flag, so
-    callers run with that flag ignored (np.errstate); any non-finite result
-    is solved again by np.linalg.solve, which turns a singular pivot into
-    LinAlgError and otherwise returns the same bits.
-    """
-    if _gesv is not None:
-        x = _gesv(a, b, signature="dd->d").tolist()
-        if all(map(math.isfinite, x)):
-            return x
-    return np.linalg.solve(a, b).tolist()
-
-
 def _lstsq(a, b) -> list:
     """Least-squares multipliers of an overdetermined block of full column
     rank; a system they do not satisfy raises ConstraintViolationError."""
@@ -535,7 +516,7 @@ def resolve_multipliers(sys: ImplicitSystem, at: dict, warm=None) -> dict:
     warm_vec = None
     if warm is not None:
         warm_vec = [float(warm[m]) for m in sys.multipliers]
-    with np.errstate(invalid="ignore"):  # see _solve
+    with np.errstate(invalid="ignore"):  # see _solve_lines
         sol = solver.multipliers(state_vec, param_vec, warm_vec)
     return {m: float(v) for m, v in zip(sys.multipliers, sol)}
 
@@ -568,8 +549,9 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     param_vec = solver.param_vector(init)
     run, energy_fn = solver.run, solver.energy_fn  # compiled before anything is evaluated
     rows = []
-    # a singular pivot in a LAPACK solve surfaces through _solve's finite
-    # check, overflow through the explicit finite checks, not numpy warnings
+    # a singular pivot in a LAPACK solve surfaces through the finite check
+    # that _solve_lines writes, overflow through the explicit finite checks,
+    # not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             run([float(init[s]) for s in states], param_vec, times, h, rows)

@@ -426,7 +426,7 @@ def gamma_relatedness(
     param_vec = solver.param_vector(params)
     states = np.stack([lifted.column(s) for s in sys.states], axis=1)
     values = []
-    with np.errstate(invalid="ignore"):  # see dynamics._solve
+    with np.errstate(invalid="ignore"):  # see dynamics._solve_lines
         for row in states[1:-1].tolist():
             x = row + solver.multipliers(row, param_vec, None) + param_vec
             values.append(solver.rhs_fn(x) + solver.cons_fn(x))

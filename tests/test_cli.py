@@ -715,6 +715,36 @@ def test_lone_surrogate_in_a_config_is_usage_error(tmp_path, verb, fields):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def _cli_process(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "jetlag.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jetlag.__file__).resolve().parent.parent)},
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("verb", ["corpus", "hj-check"])
+def test_negative_seed_is_usage_error(tmp_path, verb):
+    # numpy's generator takes no negative seed
+    args = ["run", "--filter", ""] if verb == "corpus" else ["--config", write_config(tmp_path, PLANAR_CONFIG)]
+    proc = _cli_process(verb, *args, "--seed", "-1", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --seed must be a non-negative integer, got -1\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tol_is_usage_error(tmp_path, tol):
+    # a tolerance is a finite number, as in a config; no report holds NaN
+    cfg = write_config(tmp_path, PLANAR_CONFIG)
+    proc = _cli_process("hj-check", "--config", cfg, f"--tol={tol}", "--format", "json", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: --tol must be a finite number, got {float(tol)}\n"
+    assert proc.stdout == "" and not list(tmp_path.glob("*.report.json"))
+
+
 @pytest.mark.parametrize(
     "verb, lagrangian",
     [

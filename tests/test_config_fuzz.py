@@ -3,8 +3,10 @@
 Each example takes one corpus config, with its simulation grid cut to ten
 steps, applies one to three mutations (drop a key or list element, replace
 a value by a string, number, list, null or object, rename a key) and runs
-``derive``, ``hj-check`` or ``simulate`` on it.  Any exception escaping
-``main`` fails the test.
+``derive``, ``hj-check`` or ``simulate`` on it, with or without a drawn
+``--seed`` and ``--tol``, some of them invalid, and ``--format json``.  Any
+exception escaping ``main`` fails the test, and so does a report on
+standard output that is not strict JSON (NaN and Infinity are not JSON).
 """
 
 import contextlib
@@ -30,6 +32,8 @@ VALUES = (
     None, {}, {"q1_0": 1.0}, {"mu": "abc"},
 )
 KEYS = ("q1_0*q1_1", "q1_0+1", "zz", "q1", "", "p1_1", "a1_0", "\ud800")
+SEEDS = (None, 0, 7, -1, 2**70)  # None: the option is not given
+TOLS = (None, 1e-8, -1, float("nan"), float("inf"))
 
 
 def _ten_steps(config):
@@ -73,9 +77,21 @@ def test_mutated_corpus_configs_end_with_a_contract_exit_code(data):
         if any(True for _ in _paths(config)):
             _mutate(config, data)
     verb = data.draw(st.sampled_from(VERBS))
+    options = ["--format", "json"]
+    for name, values in (("--seed", SEEDS), ("--tol", TOLS)):
+        value = data.draw(st.sampled_from(values))
+        if value is not None:
+            options.append(f"{name}={value}")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main([verb, "--config", str(path), "--out", tmp])
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main([verb, "--config", str(path), "--out", tmp, *options])
     assert code in range(5)
+    if stdout.getvalue():
+        json.loads(stdout.getvalue(), parse_constant=_reject)
+
+
+def _reject(constant):
+    raise AssertionError(f"the report holds {constant}, which is not JSON")

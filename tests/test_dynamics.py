@@ -401,7 +401,11 @@ def test_state_free_block_evaluated_and_ranked_before_the_first_step():
     # reads mu's slot) and sets its rank; the loop only tests the rank, and
     # reassigns no name that the prologue sets (nor do the right-hand
     # side's temporaries)
-    systems = {**_state_free_blocks(), "2*mu": _ORACLE_CASES["1x1 state-free block computed before the loop"][0]}
+    systems = {
+        **_state_free_blocks(),
+        "2*mu": _ORACLE_CASES["1x1 state-free block computed before the loop"][0],
+        "3x3": _ORACLE_CASES["3x3 state-free linear"][0],
+    }
     for case, sys in systems.items():
         run = sys.solver._run_source()
         loop = run.index("    for step in range(last + 1):")
@@ -830,18 +834,34 @@ def _solve_outcome(solve, a, b):
         return type(exc)
 
 
+def _emitted_solve(a, b, module=dynamics, solves=1):
+    """The solution, as a list, that the lines of module._solve_lines give
+    for the square block with rows a and right-hand side b, on buffers
+    shaped as the solver's: the fill runs once, then the solve lines run
+    solves times, as for a block free of the states."""
+    m = len(b)
+    entries, rhs, out = [f"a{i}" for i in range(m * m)], [f"b{i}" for i in range(m)], [f"x{i}" for i in range(m)]
+    fill, solve = module._solve_lines(entries, rhs, out)
+    local = dict(zip(entries + rhs, [v for row in a for v in row] + list(b)))
+    local.update(A=np.empty((m, m)), B=np.empty(m), X=np.empty(m))
+    exec("\n".join(fill), vars(module), local)  # noqa: S102 - our own lines
+    for _ in range(solves):
+        exec("\n".join(solve), vars(module), local)  # noqa: S102 - our own lines
+    return [local[x] for x in out]
+
+
 @st.composite
 def _square_system(draw):
-    """A 2x2 to 4x4 block and a right-hand side: entries of any sign, each
+    """A 1x1 to 4x4 block and a right-hand side: entries of any sign, each
     row and column scaled by powers of ten up to 1e+-150, sometimes with one
     row a multiple of another."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
     scales = st.sampled_from([1.0, 1e-150, 1e-100, 1e-10, 1e-3, 1e3, 1e10, 1e100, 1e150])
     row_scales = [draw(scales) for _ in range(n)]
     col_scales = [draw(scales) for _ in range(n)]
     entries = st.floats(-1e3, 1e3, allow_subnormal=False)
     rows = [[draw(entries) * r * c for c in col_scales] for r in row_scales]
-    if draw(st.booleans()):
+    if n > 1 and draw(st.booleans()):
         i, j = draw(st.permutations(range(n)))[:2]
         rows[i] = [draw(st.sampled_from([1.0, -2.0, 0.5])) * v for v in rows[j]]
     return rows, [draw(entries) * draw(scales) for _ in range(n)]
@@ -854,28 +874,37 @@ def _square_system(draw):
 @example(([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 1.0, 1.0]))
 @example(([[1e-300, 0.0], [0.0, 1e-300]], [1e300, 1e300]))  # the solution overflows
 @example(([[1e150, 1.0], [1.0, 1e-150]], [1.0, -1.0]))
+@example(([[3.0]], [1.0]))
+@example(([[0.0]], [1.0]))  # rank 0
 def test_solve_gives_numpy_solve_bytes(system):
-    # the direct gesv call must give np.linalg.solve's bits, for the rows
-    # of a state-dependent block and for a constant block's array
+    # the emitted solve lines must give np.linalg.solve's bits, for a block
+    # filled before each solve and for a constant block's buffer, filled
+    # once and solved from twice
     rows, b = system
     expected = _solve_outcome(np.linalg.solve, rows, b)
+    if len(rows) == 1 and rows[0][0] == 0.0:
+        # the generated body ranks a 1x1 block 0 and raises before dividing
+        assert expected is np.linalg.LinAlgError and _generated_rank(rows[0], 1) == 0
+        return
     with np.errstate(invalid="ignore"):  # as the solver's callers run it
-        assert _solve_outcome(dynamics._solve, rows, b) == expected
-        assert _solve_outcome(dynamics._solve, np.array(rows), b) == expected
+        assert _solve_outcome(_emitted_solve, rows, b) == expected
+        assert _solve_outcome(lambda a, b: _emitted_solve(a, b, solves=2), rows, b) == expected
 
 
 def test_solve_falls_back_to_numpy_without_the_private_gufunc(monkeypatch):
     # a numpy without numpy.linalg._umath_linalg: a fresh import of the
-    # module takes np.linalg.solve, with the same bits
+    # module emits np.linalg.solve in place of gesv, with the same bits
     monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
     monkeypatch.delitem(sys.modules, "jetlag.dynamics")
     monkeypatch.setattr(jetlag, "dynamics", dynamics)  # the import rebinds it
     fresh = importlib.import_module("jetlag.dynamics")
     assert fresh is not dynamics
     assert fresh._gesv is None and dynamics._gesv is not None
+    assert "_gesv" not in "\n".join(fresh._solve_lines(["a", "b", "c", "d"], ["e", "f"], ["x", "y"])[1])
     rows, b = [[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.0, 1.0, 4.0]], [1.0, 2.0, 3.0]
-    assert fresh._solve(rows, b) == dynamics._solve(rows, b) == np.linalg.solve(rows, b).tolist()
-    for case in ("2x2 state-dependent linear", "3x3 state-dependent linear", "2x2 Newton"):
+    assert _emitted_solve(rows, b, fresh) == _emitted_solve(rows, b) == np.linalg.solve(rows, b).tolist()
+    cases = ("2x2 state-dependent linear", "3x3 state-dependent linear", "3x3 state-free linear", "2x2 Newton", "3x3 Newton")
+    for case in cases:
         system, init = _ORACLE_CASES[case]
         copy = fresh.ImplicitSystem(
             system.states, system.rhs, system.constraints, system.multipliers, system.energy
@@ -884,29 +913,42 @@ def test_solve_falls_back_to_numpy_without_the_private_gufunc(monkeypatch):
         theirs = integrate_rk4(system, init, 0.0, 0.2, 1e-2)
         assert ours.values.tobytes() == theirs.values.tobytes()
     with pytest.raises(np.linalg.LinAlgError):
-        fresh._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+        _emitted_solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0], fresh)
 
 
 def test_singular_pivot_raises_linalgerror_without_a_warning(monkeypatch):
-    # a full-rank verdict forced on exactly singular blocks, one constant and
-    # one state-dependent, sends them to LAPACK: every caller gets
+    # a full-rank verdict forced on exactly singular blocks, constant and
+    # state-dependent, 2x2 and 3x3, sends them to LAPACK: every caller gets
     # LinAlgError, as from np.linalg.solve, and numpy warns nowhere
     monkeypatch.setattr(dynamics, "numeric_rank", lambda rows: len(rows[0]))
     blocks = [
         ("q1_2 + q2_2 - p1_0", "q1_2 + q2_2 - q1_0"),
         ("q1_0*q1_2 + q1_0*q2_2 - p1_0", "q1_2 + q2_2"),
+        ("q1_2 + q2_2 + q3_2 - p1_0", "q1_2 + q2_2 + q3_2 - q1_0", "q1_2 - q3_2"),
     ]
     at = {q(1, 0): 0.5, p(1, 0): 0.2}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for constraints in blocks:
-            system = one_dof_system(constraints, multipliers=(q(1, 2), q(2, 2)))
+            system = one_dof_system(constraints, multipliers=(q(1, 2), q(2, 2), q(3, 2))[: len(constraints)])
             with pytest.raises(np.linalg.LinAlgError):
                 resolve_multipliers(system, at)
             with pytest.raises(np.linalg.LinAlgError):
                 integrate_rk4(system, at, 0.0, 0.1, 1e-2)
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-            dynamics._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+            _emitted_solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+
+
+def test_every_square_block_is_solved_by_the_one_emitter():
+    # a square block of size 2 or more, linear or Newton, is solved by gesv
+    # on the solver's buffers; a 1x1 block by a division
+    for case, (system, _) in _ORACLE_CASES.items():
+        solver = system.solver
+        source = "\n".join(solver._run_source())
+        square = solver.n_cons == solver.n_mult >= 2
+        assert ("A, B, X = self._buffers" in source) == square, case
+        assert source.count("_gesv(A, B, out=X)") == square, case
+        assert "_solve(" not in source, case
 
 
 def _numpy_rk4(sys, init, h, n_steps):
@@ -1026,6 +1068,26 @@ _ORACLE_CASES = {
         ),
         {q(1, 0): 0.3, q(2, 0): -0.4, p(1, 0): 0.7, p(2, 0): 0.1},
     ),
+    # a state-free 3x3 block whose entry 2*mu is a computed step
+    "3x3 state-free linear": (
+        ImplicitSystem(
+            states=(q(1, 0), q(2, 0), p(1, 0), p(2, 0)),
+            rhs={
+                q(1, 0): parse("p1_0 + q3_2"),
+                q(2, 0): parse("p2_0 - q1_2"),
+                p(1, 0): parse("q2_2 - q1_0"),
+                p(2, 0): parse("-q2_0*q3_2"),
+            },
+            constraints=(
+                parse("mu*q1_2 + q2_2 - p1_0"),
+                parse("q1_2 + 2*mu*q2_2 + q3_2 - p2_0"),
+                parse("q2_2 + 3*q3_2 - q1_0*q2_0"),
+            ),
+            multipliers=(q(1, 2), q(2, 2), q(3, 2)),
+            energy=parse("1/2*p1_0^2 + 1/2*p2_0^2"),
+        ),
+        {q(1, 0): 0.3, q(2, 0): -0.4, p(1, 0): 0.7, p(2, 0): 0.1, param("mu"): 1.5},
+    ),
     "1x1 Newton": (
         one_dof_system(("q1_2^3 + q1_2 - p1_0",), rhs={q(1, 0): parse("p1_0 + q1_2"), p(1, 0): parse("-q1_0")}),
         {q(1, 0): 0.3, p(1, 0): 0.7},
@@ -1035,6 +1097,18 @@ _ORACLE_CASES = {
             ("q1_2^3 + q1_2 + q2_2 - p1_0", "q2_2^3 + 3*q2_2 + q1_2 - q1_0"),
             multipliers=(q(1, 2), q(2, 2)),
             rhs={q(1, 0): parse("p1_0 + q2_2"), p(1, 0): parse("-q1_0*q1_2")},
+        ),
+        {q(1, 0): 0.3, p(1, 0): 0.7},
+    ),
+    "3x3 Newton": (
+        one_dof_system(
+            (
+                "q1_2^3 + q1_2 + q2_2 - p1_0",
+                "q2_2^3 + 3*q2_2 + q1_2 + q3_2 - q1_0",
+                "q3_2^3 + 2*q3_2 + q2_2 - p1_0*q1_0",
+            ),
+            multipliers=(q(1, 2), q(2, 2), q(3, 2)),
+            rhs={q(1, 0): parse("p1_0 + q3_2"), p(1, 0): parse("-q1_0*q1_2")},
         ),
         {q(1, 0): 0.3, p(1, 0): 0.7},
     ),
