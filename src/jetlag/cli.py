@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .calculus import diff, is_zero
-from .dynamics import constraint_sup, energy_drift, trajectory_csv
+from .dynamics import energy_drift, trajectory_csv
 from .errors import (
     ClosureError,
     ConfigError,
@@ -129,7 +129,7 @@ def cmd_simulate(job, args) -> tuple[int, dict]:
     report["csv"] = str(csv_path)
     report["samples"] = len(traj.times)
     report["energy_drift"] = energy_drift(traj)
-    report["constraint_sup"] = constraint_sup(job.system, traj)
+    report["constraint_sup"] = traj.constraint_sup
     return EXIT_OK, report
 
 
@@ -287,9 +287,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _check_options(args)
         if args.verb == "corpus":
             code, report = cmd_corpus(args)
@@ -304,6 +303,8 @@ def main(argv=None) -> int:
             with job_scope():
                 code, report = handler(job, args)
         _emit(report, args)
+    except SystemExit as exc:  # argparse's, after its usage error (2) or --help (0)
+        return exc.code
     except (ConfigError, ParseError, StepSizeError, ConstraintViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

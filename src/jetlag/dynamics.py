@@ -12,7 +12,8 @@ constraint block free of the states once per call.  RK4 is one generated
 loop per system, with the right-hand side's tape and the multiplier body
 written into it once and the prologue before it: it solves each state's
 multipliers once and carries them into that state's right-hand side and
-the next solve.  The constraints and the energy are lambdified.
+the next solve, and evaluates the constraints and the energy at each sample
+it records.
 
 States, stages and multipliers are Python floats (local variables in the
 generated loop, lists of floats elsewhere), and every floating-point
@@ -97,6 +98,7 @@ class Trajectory:
     columns: tuple  # the symbol of each column, in CSV order
     energies: np.ndarray | None = None  # the energy at every sample, when the run recorded it
     params: dict = field(default_factory=dict)  # {Symbol: value} of the run's parameters
+    constraint_sup: float | None = None  # max |g| over the samples, when the run recorded it
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -144,12 +146,12 @@ class _MultiplierSolver:
 
     multipliers(y, p, warm) gives the multipliers lam at a state.  y and p
     are the state and parameter vectors as lists of floats and warm is the
-    Newton warm start (or None).  rhs_fn, cons_fn and energy_fn evaluate the
-    right-hand side, constraints and energy at y + lam + p.
-    run(y, p, times, h, rows) is integrate_rk4's step loop (see
-    _run_source).  Each is built on first use: integrate_rk4 needs run,
-    cons_fn and energy_fn, and resolve_multipliers and
-    hamjac.gamma_relatedness need multipliers (and rhs_fn).
+    Newton warm start (or None).  rhs_fn and cons_fn evaluate the
+    right-hand side and constraints at y + lam + p.  run(y, p, times, h,
+    rows, energies) is integrate_rk4's step loop (see _run_source).  Each is
+    built on first use: integrate_rk4 needs run alone, and
+    resolve_multipliers and hamjac.gamma_relatedness need multipliers (and
+    rhs_fn and cons_fn).
 
     Both multipliers and run hold one generated body for the solve, chosen
     by self.linear, and its prologue: multipliers runs the prologue at the
@@ -222,25 +224,12 @@ class _MultiplierSolver:
     def cons_fn(self):
         return lambdify(list(self.sys.constraints), self.all_symbols)
 
-    @cached_property
-    def energy_fn(self):
-        return lambdify([self.sys.energy], self.all_symbols)
-
     def param_vector(self, binding) -> list:
         """The parameter values in solver order, from a {Symbol: value} binding."""
         missing = [s for s in self.params if s not in binding]
         if missing:
             raise ConstraintViolationError(f"no value for parameter {missing[0]}")
         return [float(binding[s]) for s in self.params]
-
-    def _check_initial(self, row, p):
-        """Raise ConstraintViolationError when the constraints at the
-        initial row of states and multipliers are off by more than 1e-9."""
-        g0 = self.cons_fn(row + p)
-        if g0 and max(abs(v) for v in g0) > 1e-9:
-            raise ConstraintViolationError(
-                f"initial data violates constraints by {max(abs(v) for v in g0):g}"
-            )
 
     def _unpack(self):
         """The lines that bind the slots x<i> of the states and parameters,
@@ -288,25 +277,26 @@ class _MultiplierSolver:
         return (prologue + fill, body + solve) if self.constant else (prologue, body + fill + solve)
 
     def _run_source(self):
-        """Source of the generated RK4 loop run(y, p, times, h, rows): it
-        appends to rows the states and multipliers at every time, from the
-        initial state y and parameters p, and returns rows.
+        """Source of the generated RK4 loop run(y, p, times, h, rows,
+        energies): from the initial state y and parameters p, it appends the
+        states and multipliers at every time to rows, the energy there to
+        energies, and returns the sup of |g| over those samples.
 
         One loop holds every state's multiplier solve and the right-hand
         side's tape, each written once: a step's four stages run as an inner
         loop whose stage number picks the update.  Every solve but the first
         is warm-started from the multiplier slots, which hold the solve
         before.  Stage 0 solves the step's start, the end of the step before
-        (or the initial data, whose constraints are then checked), and
-        records it.  The slope sum k1 + 2.0*k2 + 2.0*k3 + k4 accumulates
-        left to right in k<i>, so every operation is the one that the list
-        form of the step made.
+        (or the initial data), and records it (_record_lines).  The slope
+        sum k1 + 2.0*k2 + 2.0*k3 + k4 accumulates left to right in k<i>, so
+        every operation is the one that the list form of the step made.
 
-        The loop neither locates a SingularJacobianError nor maps the
-        right-hand side's OverflowError or ValueError: integrate_rk4 does
-        both around the call, the first from the rows recorded so far.  A
-        parameter that the right-hand side returns as it is gets its
-        finiteness check once, before the loop, after the solve's prologue.
+        The loop neither locates a SingularJacobianError nor maps an
+        OverflowError or ValueError of the right-hand side or the
+        constraints: integrate_rk4 does both around the call, the first from
+        the rows recorded so far.  A parameter that the right-hand side
+        returns as it is gets its finiteness check once, before the loop,
+        after the solve's prologue.
         """
         n, m = len(self.sys.states), self.n_mult
         xs = [f"x{i}" for i in range(n)]
@@ -324,11 +314,11 @@ class _MultiplierSolver:
         stage = [
             *solve,
             "if stage == 0:",
+            *(f"    {line}" for line in self._record_lines()),
             f"    rows.append([{', '.join(f'x{i}' for i in range(n + m))}])",
-            "    if step == 0:",
-            "        self._check_initial(rows[0], p)",
+            "    energies.append(energy)",
             "    if step == last:",
-            "        return rows",
+            "        return sup",
             f"    {assign(ys, xs)}",
             *lines,
             "if stage < 3:",
@@ -343,10 +333,38 @@ class _MultiplierSolver:
             f"    if {' or '.join(f'{x} - {x} != 0.0' for x in xs) or 'False'}:",
             '        raise NumericFailureError("state became non-finite during integration")',
         ]
-        source = ["def run(self, y, p, times, h, rows):", *(f"    {line}" for line in self._unpack() + prologue + once)]
-        source += ["    hh, h6 = 0.5 * h, h / 6.0", "    last = len(times) - 1"]
+        source = ["def run(self, y, p, times, h, rows, energies):"]
+        source += [f"    {line}" for line in self._unpack() + prologue + once]
+        source += ["    hh, h6 = 0.5 * h, h / 6.0", "    last = len(times) - 1", "    sup = 0.0"]
         source += ["    for step in range(last + 1):", "        for stage in (0, 1, 2, 3):"]
         return source + [f"            {line}" for line in stage]
+
+    def _record_lines(self):
+        """run's lines at a sample it records: sup becomes the largest of
+        itself and each |g|, which may not pass 1e-9 at step 0, and energy
+        the energy, or nan where eval_expr would raise.  One tape holds the
+        constraints, then the energy, split after the constraints' last
+        output; its temporaries g<slot> stay apart from v<slot> and b<slot>.
+        A constraint's error propagates.  The energy's output may be a
+        state's slot or a literal, so it is copied to a name of its own."""
+        steps = tape([*self.sys.constraints, self.sys.energy], self.all_symbols)
+        ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
+        names = []
+        lines, g, _ = step_lines(steps, ends[self.n_cons], names, prefix="g")
+        if g:
+            lines += [
+                f"sup = max(sup, {', '.join(f'abs({v})' for v in g)})",
+                "if step == 0 and sup > 1e-9:",
+                '    raise ConstraintViolationError(f"initial data violates constraints by {sup:g}")',
+            ]
+        energy_lines, (energy,), _ = step_lines(steps, len(steps), names, prefix="g")
+        return lines + [
+            "try:",
+            *(f"    {line}" for line in energy_lines),
+            f"    energy = {energy}",
+            "except (DomainEvalError, NumericFailureError, OverflowError, ValueError):",
+            "    energy = math.nan",
+        ]
 
     def _newton_body(self, warm):
         """(prologue, body): the lines of a nonlinear system's multiplier
@@ -525,20 +543,20 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     """Classical fixed-step RK4 on the multiplier-resolved vector field.
 
     The system's solver is built once (see ``ImplicitSystem.solver``) and
-    keeps its generated RK4 loop, ``run``, and the compiled energy for every
-    run.  The loop solves for the multipliers once per state: the initial
-    data, each stage's state and each step's end, each solve warm-started
-    from the one before; a constraint matrix free of the states is evaluated
-    and checked once, before the first step.  A step's first stage takes
-    the multipliers solved at its start.  Samples carry the resolved
-    multiplier values and the energy, evaluated over the samples once the
-    loop is done.
+    keeps its generated RK4 loop, ``run``, for every run.  The loop solves
+    for the multipliers once per state: the initial data, each stage's
+    state and each step's end, each solve warm-started from the one before;
+    a constraint matrix free of the states is evaluated and checked once,
+    before the first step.  A step's first stage takes the multipliers
+    solved at its start.  The loop records each sample's multipliers and
+    energy (nan where it has no finite value), and the sup of |g|.
 
     (t1 - t0)/h must be a whole number of steps to within 1e-9 relative,
     and every step must advance the clock; otherwise StepSizeError, raised
     before any step runs.  A singular constraint Jacobian raises
     SingularJacobianError carrying the last good time and the failing step
-    (0 for the initial data).
+    (0 for the initial data).  Initial data off the constraints by more
+    than 1e-9 raise ConstraintViolationError.
     """
     times = _time_grid(t0, t1, h)
     solver = sys.solver
@@ -547,25 +565,24 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     if missing:
         raise ConstraintViolationError(f"initial data misses state values for {missing}")
     param_vec = solver.param_vector(init)
-    run, energy_fn = solver.run, solver.energy_fn  # compiled before anything is evaluated
-    rows = []
+    run = solver.run  # compiled before anything is evaluated
+    rows, energies = [], []
     # a singular pivot in a LAPACK solve surfaces through the finite check
     # that _solve_lines writes, overflow through the explicit finite checks,
     # not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            run([float(init[s]) for s in states], param_vec, times, h, rows)
+            sup = run([float(init[s]) for s in states], param_vec, times, h, rows, energies)
         except SingularJacobianError as exc:  # at the last good time and the failing step
             raise exc.located(times[max(len(rows) - 1, 0)], len(rows)) from None
-        except OverflowError as exc:  # the right-hand side's, as eval_expr raises it
+        except OverflowError as exc:  # the right-hand side's or constraints', as eval_expr raises it
             raise NumericFailureError(str(exc)) from exc
         except ValueError as exc:  # sin or cos of an infinity; LinAlgError is LAPACK's own
             if isinstance(exc, np.linalg.LinAlgError):
                 raise
             raise DomainEvalError(str(exc)) from exc
     columns = tuple(sys.states) + tuple(sys.multipliers)
-    energies = np.array(_energies(energy_fn, rows, param_vec))
-    return Trajectory(times, rows, columns, energies, dict(zip(solver.params, param_vec)))
+    return Trajectory(times, rows, columns, np.array(energies), dict(zip(solver.params, param_vec)), sup)
 
 
 def _time_grid(t0, t1, h) -> list:
@@ -592,18 +609,6 @@ def _time_grid(t0, t1, h) -> list:
     return times
 
 
-def _energies(energy_fn, rows, param_vec) -> list:
-    """The energy at each row of states and multipliers; nan where it has
-    no finite value."""
-    energies = []
-    for row in rows:
-        try:
-            energies.append(energy_fn(row + param_vec)[0])
-        except (DomainEvalError, NumericFailureError):
-            energies.append(float("nan"))
-    return energies
-
-
 def energy_drift(traj: Trajectory) -> float:
     """max |E(t) - E(t0)| / (1 + |E(t0)|) along the run."""
     energies = traj.energies
@@ -611,17 +616,6 @@ def energy_drift(traj: Trajectory) -> float:
         return 0.0
     e0 = energies[0]
     return float(np.max(np.abs(energies - e0)) / (1.0 + abs(e0)))
-
-
-def constraint_sup(sys: ImplicitSystem, traj: Trajectory) -> float:
-    """max |g| over the samples of an integrate_rk4 run of sys, with the
-    solver's compiled constraints and the run's parameters."""
-    solver = sys.solver
-    if traj.columns != tuple(sys.states) + tuple(sys.multipliers):
-        raise ValueError("trajectory columns are not the system's states and multipliers")
-    param_vec = [traj.params[s] for s in solver.params]
-    values = (v for row in traj.values.tolist() for v in solver.cons_fn(row + param_vec))
-    return max(map(abs, values), default=0.0)
 
 
 def trajectory_csv(traj: Trajectory) -> str:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import jetlag
 from jetlag import calculus, cli, corpus, expr, ostro, sampling
@@ -826,11 +830,13 @@ def test_auxiliary_factor_derive_compiles_no_scalar_code(tmp_path, monkeypatch, 
 
 def test_simulate_compiles_only_the_multiplier_solver(tmp_path, monkeypatch, capsys):
     calls = count_calls_everywhere(monkeypatch, expr.define)  # every generated function
+    lambdified = count_calls_everywhere(monkeypatch, expr.lambdify)
     assert main(["simulate", "--config", str(DATA / "beam.json"), "--out", str(tmp_path)]) == 0
-    # RK4 loop, constraints, energy; the loop holds the constant constraint
-    # matrix, the multiplier solve and the right-hand side, and the
-    # constraint sup reuses the solver's compiled constraints
-    assert len(calls) == 3
+    assert lambdified == []
+    # the RK4 loop alone: it holds the constant constraint matrix, the
+    # multiplier solve and the right-hand side, and evaluates the
+    # constraints and the energy at every sample
+    assert len(calls) == 1
 
 
 def test_ostrogradsky_derive_builds_the_energy_once(tmp_path, monkeypatch, capsys):
@@ -870,3 +876,39 @@ def test_calls_in_one_process_each_get_their_own_arguments(tmp_path, capsys):
     assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["beam.csv", "beam.report.json"]
     assert [p.name for p in (tmp_path / "b").iterdir()] == ["beam.report.json"]
     assert json.loads((tmp_path / "b" / "beam.report.json").read_text())["command"] == "derive"
+
+
+ARGV_VERBS = ("derive", "simulate", "hj-check", "hj-solve-affine", "corpus", "frobnicate")
+ARGV_TOKENS = (
+    *ARGV_VERBS, "run", "list", "--config", "--out", "--seed", "--tol", "--format", "--filter", "--help", "-h",
+    "--bogus", "json", "text", "beam", "no-such-entry", "abc", "", "-1", "0", "7", "1e-8", "nan", "-inf",
+    str(DATA / "beam.json"), str(DATA / "derive-ostrogradsky.json"), "missing.json", "out",
+)
+# a verb first (or nothing), then any tokens
+_ARGV = st.builds(
+    lambda verb, rest: verb + rest,
+    st.lists(st.sampled_from(ARGV_VERBS), max_size=1),
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=6),
+)
+
+
+# the autouse fixture's working directory, tmp_path, serves every example
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_ARGV)
+@example(["hj-check", "--tol", "abc"])
+@example(["frobnicate"])
+@example([])
+@example(["--help"])
+def test_main_returns_an_exit_code_for_every_argv(argv):
+    # argparse's own exits (2 for a usage error, 0 for --help) are returned
+    # too, not raised
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert type(code) is int and 0 <= code <= 4
+
+
+def test_help_exits_0():
+    proc = _cli_process("--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: jetlag")
+    assert proc.stderr == ""

@@ -16,7 +16,6 @@ from jetlag.dynamics import (
     ImplicitSystem,
     Trajectory,
     assemble,
-    constraint_sup,
     energy_drift,
     integrate_rk4,
     resolve_multipliers,
@@ -116,10 +115,10 @@ def test_constraint_sup_reads_the_solvers_constraints():
     sys = beam_system()
     init = {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}
     traj = integrate_rk4(sys, init, 0.0, 0.2, 1e-2)
-    # the same bits as compiling the constraints over the columns afresh
-    assert constraint_sup(sys, traj) == float(np.abs(traj.evaluate(sys.constraints, PARAMS)).max())
-    with pytest.raises(ValueError, match="not the system's states"):
-        constraint_sup(sys, Trajectory(traj.times, traj.values[:, :1], traj.columns[:1]))
+    # the loop's sup has the bits of compiling the constraints over the columns afresh
+    assert traj.constraint_sup == float(np.abs(traj.evaluate(sys.constraints, PARAMS)).max())
+    # a trajectory that no run recorded has none
+    assert Trajectory(traj.times, traj.values[:, :1], traj.columns[:1]).constraint_sup is None
 
 
 def test_projection_property():
@@ -287,14 +286,14 @@ def test_morse_family_rejects_non_cotangent_chart():
         MorseFamily(chart_tkq(1, 2), (q(1, 2),), parse("0"))
 
 
-def one_dof_system(constraints, multipliers=(q(1, 2),), rhs=None):
-    """Implicit system on (q1_0, p1_0) with the given constraint texts."""
+def one_dof_system(constraints, multipliers=(q(1, 2),), rhs=None, energy="1/2*p1_0^2"):
+    """Implicit system on (q1_0, p1_0) with the given constraint and energy texts."""
     return ImplicitSystem(
         states=(q(1, 0), p(1, 0)),
         rhs=rhs or {q(1, 0): parse("p1_0"), p(1, 0): parse("0")},
         constraints=tuple(parse(c) for c in constraints),
         multipliers=tuple(multipliers),
-        energy=parse("1/2*p1_0^2"),
+        energy=parse(energy),
     )
 
 
@@ -343,9 +342,9 @@ def test_second_run_of_a_system_compiles_nothing(monkeypatch):
     quartic = assemble(ostro_energy(LagrangianSpec(1, 2, parse("1/4*q1_2^4 + q1_2"))))
     cases = [
         # the RK4 loop, which evaluates the constant block, the constraints and the energy
-        (beam_system(), {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}, 3),
+        (beam_system(), {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): 0.4, p(1, 1): 0.9, **PARAMS}, 1),
         # the RK4 loop, which holds the Newton iteration, the constraints and the energy
-        (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}, 3),
+        (quartic, {q(1, 0): 0.1, q(1, 1): 0.2, p(1, 0): 0.0, p(1, 1): 9.0}, 1),
     ]
     for sys, init, first_run in cases:
         compiles = count_calls(monkeypatch, dynamics, "lambdify")
@@ -397,10 +396,11 @@ def test_constant_block_rank_checked_once_per_run(monkeypatch):
 
 
 def test_state_free_block_evaluated_and_ranked_before_the_first_step():
-    # the generated loop's prologue evaluates the block (every line that
-    # reads mu's slot) and sets its rank; the loop only tests the rank, and
-    # reassigns no name that the prologue sets (nor do the right-hand
-    # side's temporaries)
+    # the generated loop's prologue evaluates the block (every block line
+    # that reads mu's slot) and sets its rank; the loop only tests the rank,
+    # and reassigns no name that the prologue sets but the running sup of
+    # |g| (nor do the right-hand side's temporaries).  The constraints, and
+    # the beam's energy, read mu at every sample.
     systems = {
         **_state_free_blocks(),
         "2*mu": _ORACLE_CASES["1x1 state-free block computed before the loop"][0],
@@ -410,13 +410,14 @@ def test_state_free_block_evaluated_and_ranked_before_the_first_step():
         run = sys.solver._run_source()
         loop = run.index("    for step in range(last + 1):")
         mu = f"x{sys.solver.all_symbols.index(param('mu'))}"
-        reads = [i for i, line in enumerate(run) if re.search(rf"\b{mu}\b", line)]
+        block = {line.strip() for part in sys.solver._linear_body() for line in part}
+        reads = [i for i, line in enumerate(run) if line.strip() in block and re.search(rf"\b{mu}\b", line)]
         ranks = [i for i, line in enumerate(run) if re.match(r"\s*rank = ", line)]
         assert reads and max(reads) < loop, case
         assert len(ranks) == 1 and ranks[0] < loop, case
         assert sum("if rank < " in line for line in run[loop:]) == 1, case
         assigned = [{m[1] for m in map(re.compile(r"\s*(\w+) = ").match, part) if m} for part in (run[:loop], run[loop:])]
-        assert not assigned[0] & assigned[1], case
+        assert assigned[0] & assigned[1] == {"sup"}, case
 
 
 def test_2x2_block_entries_written_before_the_loop_only_when_state_free():
@@ -453,10 +454,10 @@ def test_state_free_block_errors_raise_before_any_row():
                     call()
             else:
                 call()
-    rows = []
+    rows, energies = [], []
     with pytest.raises(NumericFailureError, match="complex or undefined"):
-        sys.solver.run([0.1, 0.2], [-1.0], dynamics._time_grid(0.0, 0.1, 1e-2), 1e-2, rows)
-    assert rows == []
+        sys.solver.run([0.1, 0.2], [-1.0], dynamics._time_grid(0.0, 0.1, 1e-2), 1e-2, rows, energies)
+    assert rows == energies == []
     # a block of rank 0 aborts at the initial data
     sys = one_dof_system(("c*q1_2 - p1_0",))
     with pytest.raises(SingularJacobianError) as err:
@@ -548,18 +549,16 @@ def test_block_lines_compile_once_per_system(monkeypatch):
 
 
 def test_newton_iteration_is_one_generated_function(monkeypatch):
-    # constraints and Jacobian share one generated body; lambdify compiles
-    # the constraints (for the initial-data check) but not the Jacobian
+    # constraints and Jacobian share one generated body, and the loop
+    # evaluates the constraints at every sample: lambdify compiles neither
     sys = one_dof_system(("q1_2^3 + q1_2 - p1_0",))
-    jacobian = [diff(sys.constraints[0], q(1, 2))]
     sources, real = [], dynamics.define
     monkeypatch.setattr(dynamics, "define", lambda source, ns: sources.append("\n".join(source)) or real(source, ns))
     compiled, compile_ = [], dynamics.lambdify
     monkeypatch.setattr(dynamics, "lambdify", lambda exprs, syms: compiled.append(list(exprs)) or compile_(exprs, syms))
     integrate_rk4(sys, {q(1, 0): 0.3, p(1, 0): 0.7}, 0.0, 0.1, 1e-2)
     assert sum("NEWTON_TOL" in source for source in sources) == 1
-    assert list(sys.constraints) in compiled
-    assert jacobian not in compiled
+    assert compiled == []
 
 
 def test_system_without_multipliers_matches_a_hand_written_rk4():
@@ -1164,14 +1163,16 @@ def test_singular_block_mid_run_aborts_where_the_numpy_stages_abort():
 def _list_rk4(sys, init, t0, t1, h):
     """Reference run: integrate_rk4's step loop as it was before the loop
     was generated, over lists of floats with the solver's multipliers,
-    right-hand side, constraints and energy.  Values and energies of the
-    samples, with integrate_rk4's errors.  The multipliers function holds
-    the loop's own solve, so this checks the loop around it."""
+    right-hand side and constraints, and the energy compiled here.  Values
+    and energies of the samples, with integrate_rk4's errors.  The
+    multipliers function holds the loop's own solve, so this checks the
+    loop around it."""
     times = dynamics._time_grid(t0, t1, h)
     solver = sys.solver
     param_vec = solver.param_vector(init)
     multipliers = solver.multipliers
-    rhs_fn, cons_fn, energy_fn = solver.rhs_fn, solver.cons_fn, solver.energy_fn
+    rhs_fn, cons_fn = solver.rhs_fn, solver.cons_fn
+    energy_fn = lambdify([sys.energy], solver.all_symbols)
     rows, energies = [], []
 
     def record(yv, lam):
@@ -1231,6 +1232,42 @@ _LOOP_CASES = {
         ),
         {q(1, 0): 0.5, p(1, 0): 0.0, param("w"): 3.0},
     ),
+    # ln(q1_0) with q1_0 = 0.1 - t: nan from t = 0.1 on.  In this and the
+    # next two cases the failing step is not the energy's last one.
+    "energy leaving its domain": (
+        one_dof_system(("q1_2 - p1_0",), rhs={q(1, 0): parse("-1"), p(1, 0): parse("0")}, energy="2*ln(q1_0)"),
+        {q(1, 0): 0.1, p(1, 0): 0.0},
+    ),
+    # exp(2000*q1_0) with q1_0 = t overflows (OverflowError) past t = 0.355
+    "energy overflowing": (
+        one_dof_system(("q1_2 - p1_0",), rhs={q(1, 0): parse("1"), p(1, 0): parse("0")}, energy="exp(2000*q1_0)/2"),
+        {q(1, 0): 0.0, p(1, 0): 0.0},
+    ),
+    # sin(1e308*q1_0^2) with q1_0 = 4*t takes the sine of an infinity
+    # (ValueError) past t = 0.34
+    "energy taking the sine of an infinity": (
+        one_dof_system(("q1_2 - p1_0",), rhs={q(1, 0): parse("4"), p(1, 0): parse("0")}, energy="sin(1e308*q1_0^2)/2"),
+        {q(1, 0): 0.0, p(1, 0): 0.0},
+    ),
+    # the energy's output is the slot of a state, which the constraint reads too
+    "energy a bare state symbol": (
+        one_dof_system(("q1_2 - p1_0",), rhs={q(1, 0): parse("p1_0"), p(1, 0): parse("-q1_0")}, energy="p1_0"),
+        {q(1, 0): 0.3, p(1, 0): 0.7},
+    ),
+    # the energy's output is a literal
+    "constant energy": (
+        one_dof_system(("q1_2 - p1_0",), rhs={q(1, 0): parse("p1_0"), p(1, 0): parse("-q1_0")}, energy="7/2"),
+        {q(1, 0): 0.3, p(1, 0): 0.7},
+    ),
+    # the energy reads the constraint's step exp(q1_0), and ends with steps of its own
+    "energy sharing a step with a constraint": (
+        one_dof_system(
+            ("exp(q1_0)*q1_2 - p1_0",),
+            rhs={q(1, 0): parse("q1_2"), p(1, 0): parse("-q1_0")},
+            energy="exp(q1_0) + 1/2*p1_0^2",
+        ),
+        {q(1, 0): 0.3, p(1, 0): 0.7},
+    ),
 }
 
 
@@ -1241,6 +1278,10 @@ def test_generated_loop_gives_the_list_loops_bits(case):
     values, energies = _list_rk4(sys, init, 0.0, 0.5, 1e-2)
     assert traj.values.tobytes() == values.tobytes()
     assert traj.energies.tobytes() == energies.tobytes()
+    # the loop's sup of |g| over the samples, 0.0 without constraints
+    param_vec = sys.solver.param_vector(init)
+    g = [v for row in values.tolist() for v in sys.solver.cons_fn(row + param_vec)]
+    assert traj.constraint_sup == max(map(abs, g), default=0.0)
 
 
 _FAILING_CASES = {
@@ -1301,6 +1342,13 @@ _FAILING_CASES = {
             ("(q1_0 - 1.1051708333333332)*exp(q1_2) - p1_0",), rhs={q(1, 0): parse("q1_0"), p(1, 0): parse("0")}
         ),
         {q(1, 0): 1.0, p(1, 0): -1.0},
+        (0.0, 1.0, 0.1),
+    ),
+    # no multiplier, and q1_0 - p1_0 is 0.5 at the initial data
+    "initial data off a multiplier-free constraint": (
+        ConstraintViolationError,
+        one_dof_system(("q1_0 - p1_0",), multipliers=()),
+        {q(1, 0): 1.0, p(1, 0): 0.5},
         (0.0, 1.0, 0.1),
     ),
 }

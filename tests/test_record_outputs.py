@@ -36,3 +36,21 @@ def test_compare_names_every_run_that_differs_or_is_missing(tmp_path):
         (tmp_path / name).write_text(json.dumps(record))
     assert tool.main(["--compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 1
     assert tool.main(["--compare", str(tmp_path / "a.json"), str(tmp_path / "a.json")]) == 0
+
+
+def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkeypatch):
+    tool = _tool()
+    monkeypatch.chdir(tmp_path)
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    runs = tool.edge_runs(cli, configs, tmp_path / "out")
+    codes = {name: run["exit"] for name, run in runs.items()}
+    assert codes == {
+        "edge/hj-solve-affine": 0,
+        "edge/simulate-degenerate": 3,
+        "edge/simulate-blowup": 4,
+        "edge/simulate-negative-step": 2,
+        "edge/corpus-list": 0,
+        "edge/corpus-run-beam": 0,
+    }
+    assert "Traceback" not in "".join(run["stderr"] for run in runs.values())

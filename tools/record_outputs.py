@@ -6,14 +6,18 @@ trees (or two runs of one tree) produce the same bytes.
 
 The first form runs, in one process, the perfbench derive, simulate and hj
 job lists (``perfbench.gen.make_jobs``) at each of ``--seeds``, once with
-``--format json`` and once with ``--format text``, and ``corpus run`` at
-seeds 1, 2, 3 and 7 (``CORPUS_SEEDS``).  It imports ``jetlag`` from
-``ROOT/src`` and ``perfbench`` from ``ROOT``, where ROOT defaults to this
-repository, so a second checkout can be recorded by the same script.  Every run works in one
-temporary directory, reads its config from ``configs/`` and writes under
-``--out out``, both relative, so that the paths in reports do not depend on
-where the directory is.  Per run the record holds the exit code, standard
-output, standard error and the SHA-256 of every file the run wrote.
+``--format json`` and once with ``--format text``, ``corpus run`` at
+seeds 1, 2, 3 and 7 (``CORPUS_SEEDS``), and the fixed runs of ``EDGE_RUNS``,
+which reach the verbs and exit codes that the lists miss.  It imports
+``jetlag`` from ``ROOT/src`` and ``perfbench`` from ``ROOT``, where ROOT
+defaults to this repository, so a second checkout can be recorded by the
+same script; the edge runs' configs always come from this repository's
+``tests/data``, so that every checkout records the same runs.  Every run
+works in one temporary directory, reads its config from ``configs/`` and
+writes under ``--out out``, both relative, so that the paths in reports do
+not depend on where the directory is.  Per run the record holds the exit
+code, standard output, standard error and the SHA-256 of every file the run
+wrote.
 
 The second form lists the runs whose records differ, or that only one
 record has, and exits 1 if there is any; otherwise it exits 0.
@@ -37,6 +41,16 @@ REPO = Path(__file__).resolve().parent.parent
 LISTS = ("derive", "simulate", "hj")
 FORMATS = ("json", "text")
 CORPUS_SEEDS = (1, 2, 3, 7)
+DATA = REPO / "tests" / "data"
+# name: (argv, config in DATA or None); the comment gives the exit code
+EDGE_RUNS = {
+    "hj-solve-affine": (["hj-solve-affine"], "edge-hj-solve-affine.json"),  # 0
+    "simulate-degenerate": (["simulate"], "edge-degenerate-planar.json"),  # 3
+    "simulate-blowup": (["simulate"], "edge-blowup.json"),  # 4
+    "simulate-negative-step": (["simulate"], "edge-negative-step.json"),  # 2, from the config
+    "corpus-list": (["corpus", "list"], None),  # 0
+    "corpus-run-beam": (["corpus", "run", "--filter", "beam"], None),  # 0
+}
 
 
 def _import(root: Path):
@@ -88,8 +102,20 @@ def record(root: Path, seeds) -> dict:
             for seed in CORPUS_SEEDS:
                 argv = ["corpus", "run", "--seed", str(seed), "--out", str(out), "--format", "json"]
                 runs[f"corpus/seed{seed}"] = _run(cli, argv, out)
+            runs.update(edge_runs(cli, configs, out))
         finally:
             os.chdir(cwd)
+    return runs
+
+
+def edge_runs(cli, configs: Path, out: Path) -> dict:
+    """The record of every EDGE_RUNS run, with its config copied into configs."""
+    runs = {}
+    for name, (argv, config) in EDGE_RUNS.items():
+        if config is not None:
+            shutil.copyfile(DATA / config, configs / config)
+            argv = [*argv, "--config", str(configs / config)]
+        runs[f"edge/{name}"] = _run(cli, [*argv, "--seed", "1", "--out", str(out), "--format", "json"], out)
     return runs
 
 
