@@ -179,7 +179,7 @@ class _MultiplierSolver:
         self.n_cons = len(sys.constraints)
         self.symbols = list(sys.states) + list(sys.multipliers)
         params = set()
-        for e in list(sys.constraints) + [sys.rhs[s] for s in sys.states]:
+        for e in [*sys.constraints, *(sys.rhs[s] for s in sys.states), sys.energy]:
             params |= {s for s in e.free if s not in self.symbols}
         self.params = sorted(params)
         self.all_symbols = self.symbols + self.params

@@ -1,15 +1,16 @@
 """Immutable expression trees over jet-coordinate symbols.
 
-Nodes: rational/float constants, Symbols (the leaves, interned for the whole
+Nodes: rational constants, Symbols (the leaves, interned for the whole
 process), flat sums and products, powers with rational exponents, and the
 unary functions sin/cos/exp/ln.
 sqrt(x) and division are normalized at construction to Pow(x, 1/2) and
 Pow(x, -1) so differentiation needs a single power rule.
 
-Coefficient arithmetic stays in exact Fractions as long as the inputs are
-rational; applying a transcendental function drops to float.  Zero and one
-are Fractions built once, at import: sums and products start from them and
-skip them.  simplify and calculus.diff look up each node's rule in a table
+Every coefficient is an exact Fraction.  A function of a constant folds only
+where its value is exact (sin(0), cos(0), exp(0), ln(1)); any other, such as
+sin(1), stays a Func node, evaluated like every function.  Zero and one are
+Fractions built once, at import: sums and products start from them and skip
+them.  simplify and calculus.diff look up each node's rule in a table
 keyed by its class.
 """
 
@@ -32,8 +33,10 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _as_coeff(value):
-    """Normalize a python number to Fraction (exact) or float."""
+def _as_coeff(value) -> Fraction:
+    """A python number as an exact Fraction.  A float becomes the exact value
+    of its shortest decimal, which the parser gives that text; an infinity or
+    a nan is a ValueError."""
     if isinstance(value, bool):
         raise TypeError("bool is not a coefficient")
     if isinstance(value, int):
@@ -41,7 +44,9 @@ def _as_coeff(value):
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
-        return value
+        if not math.isfinite(value):
+            raise ValueError(f"a constant must be finite, not {value}")
+        return Fraction(repr(float(value)))  # float(): numpy 2's repr of a float64 is no literal
     raise TypeError(f"cannot use {type(value).__name__} as a constant")
 
 
@@ -180,8 +185,6 @@ class Const(Expr):
     def __new__(cls, value):
         if type(value) is not Fraction:
             value = _as_coeff(value)
-            if not isinstance(value, Fraction):
-                return _node(cls, ("c", "f", repr(value)), value)
         return _node(cls, ("c", "r", value.numerator, value.denominator), value)
 
     def _parts(self, shallow):
@@ -363,22 +366,16 @@ def add(*terms) -> Expr:
     """Flat sum with constant folding; no like-term collection here."""
     flat = []
     acc = _F0
-    acc_float = None
     for t in terms:
         if not isinstance(t, Expr):
             t = Const(t)
         for item in t.terms if type(t) is Sum else (t,):
             if type(item) is Const:
-                v = item.value
-                if isinstance(v, Fraction):
-                    acc = v if acc is _F0 else acc + v
-                else:
-                    acc_float = v if acc_float is None else acc_float + v
+                acc = item.value if acc is _F0 else acc + item.value
             else:
                 flat.append(item)
-    total = _mixed_add(acc, acc_float) if acc_float is not None else acc
-    if total:
-        flat.append(Const(total))
+    if acc:
+        flat.append(Const(acc))
     if not flat:
         return ZERO
     if len(flat) == 1:
@@ -390,24 +387,18 @@ def mul(*factors) -> Expr:
     """Flat product with constant folding; zero annihilates."""
     flat = []
     acc = _F1
-    acc_float = None
     for f in factors:
         if not isinstance(f, Expr):
             f = Const(f)
         for item in f.factors if type(f) is Prod else (f,):
             if type(item) is Const:
-                v = item.value
-                if isinstance(v, Fraction):
-                    acc = _coeff_mul(acc, v)
-                else:
-                    acc_float = v if acc_float is None else acc_float * v
+                acc = _coeff_mul(acc, item.value)
             else:
                 flat.append(item)
-    coeff = _mixed_mul(acc, acc_float) if acc_float is not None else acc
-    if not coeff:
+    if not acc:
         return ZERO
-    if coeff is not _F1 and coeff != 1:
-        flat.insert(0, Const(coeff))
+    if acc is not _F1 and acc != 1:
+        flat.insert(0, Const(acc))
     if not flat:
         return ONE
     if len(flat) == 1:
@@ -423,10 +414,9 @@ def pow_(base, exponent) -> Expr:
     """Power with rational exponent; folds constant bases where exact."""
     base = coerce(base)
     if isinstance(exponent, Expr):
-        if isinstance(exponent, Const) and isinstance(exponent.value, Fraction):
-            exponent = exponent.value
-        else:
+        if not isinstance(exponent, Const):
             raise TypeError("exponent must be a rational constant")
+        exponent = exponent.value
     if not isinstance(exponent, Fraction):
         exponent = Fraction(exponent)
     if not exponent:
@@ -440,37 +430,27 @@ def pow_(base, exponent) -> Expr:
     return Pow(base, exponent)
 
 
-def _fold_const_pow(value, exponent: Fraction):
-    """Exact fold when possible, float fold otherwise; None keeps it symbolic.
+def _fold_const_pow(value: Fraction, exponent: Fraction):
+    """The exact power as a Const, or None, which keeps it symbolic.
 
     An exact result is folded only up to _FOLD_BITS bits, judged from the
     operands' bit lengths before it is computed: 10^10^10 stays a power.
     """
-    if isinstance(value, Fraction):
-        if value == 0:
-            return None if exponent < 0 else ZERO  # 0^-n: eval reports the domain error
-        if exponent.denominator != 1:
-            # fractional exponent of a rational: exact only for perfect powers
-            if value < 0:
-                return None
-            num = _exact_root(value.numerator, exponent.denominator)
-            den = _exact_root(value.denominator, exponent.denominator)
-            if num is None or den is None:
-                return None
-            value = Fraction(num, den)
-        n = exponent.numerator
-        if abs(n) * (max(value.numerator.bit_length(), value.denominator.bit_length()) - 1) > _FOLD_BITS:
+    if value == 0:
+        return None if exponent < 0 else ZERO  # 0^-n: eval reports the domain error
+    if exponent.denominator != 1:
+        # fractional exponent of a rational: exact only for perfect powers
+        if value < 0:
             return None
-        return Const(value**n)
-    # float base
-    if value < 0 and exponent.denominator != 1:
+        num = _exact_root(value.numerator, exponent.denominator)
+        den = _exact_root(value.denominator, exponent.denominator)
+        if num is None or den is None:
+            return None
+        value = Fraction(num, den)
+    n = exponent.numerator
+    if abs(n) * (max(value.numerator.bit_length(), value.denominator.bit_length()) - 1) > _FOLD_BITS:
         return None
-    if value == 0 and exponent < 0:
-        return None
-    try:
-        return Const(float(value) ** float(exponent))
-    except OverflowError:
-        return None
+    return Const(value**n)
 
 
 def _exact_root(n: int, d: int):
@@ -502,22 +482,18 @@ def div(a, b) -> Expr:
 
 
 def func(fname: str, arg) -> Expr:
+    """fname(arg), folded to a constant only where the value is exact."""
     arg = coerce(arg)
     if fname == "sqrt":
         return pow_(arg, Fraction(1, 2))
     if isinstance(arg, Const):
         value = arg.value
-        if value == 0 and fname in ("sin",):
+        if value == 0 and fname == "sin":
             return ZERO
         if value == 0 and fname in ("cos", "exp"):
             return ONE
         if value == 1 and fname == "ln":
             return ZERO
-        if isinstance(value, float) or fname in Func._TABLE:
-            try:
-                return Const(_apply_func(fname, _const_float(value)))
-            except (DomainEvalError, NumericFailureError):
-                pass
     return Func(fname, arg)
 
 
@@ -568,7 +544,7 @@ def _nonfinite(v):
     raise NumericFailureError(f"non-finite value {v}")
 
 
-def _const_float(value) -> float:
+def _as_float(value) -> float:
     """float(value) of an exact constant or exponent; too large is a numeric failure."""
     try:
         return float(value)
@@ -581,7 +557,7 @@ def _const_float(value) -> float:
 
 def _eval(e, binding):
     if isinstance(e, Const):
-        return _const_float(e.value)
+        return _as_float(e.value)
     if isinstance(e, Symbol):
         try:
             return binding[e]
@@ -692,8 +668,7 @@ def simplify(e: Expr) -> Expr:
 
 def _simplify_sum(e: Sum) -> Expr:
     bucket = {}  # tuple of factors -> (coefficient, the term while it meets no like term)
-    const_frac = _F0
-    const_float = None
+    const = _F0
     # map, not a list comprehension: no frame of its own on the stack,
     # whose depth the parser's nesting bound is set against
     queue = list(map(simplify, e.terms))
@@ -701,13 +676,10 @@ def _simplify_sum(e: Sum) -> Expr:
         for item in t.terms if type(t) is Sum else (t,):
             coeff, factors = _term_split(item)
             if not factors:
-                if isinstance(coeff, Fraction):
-                    const_frac = coeff if const_frac is _F0 else const_frac + coeff
-                else:
-                    const_float = coeff if const_float is None else const_float + coeff
+                const = coeff if const is _F0 else const + coeff
                 continue
             old = bucket.get(factors)
-            bucket[factors] = (coeff, item) if old is None else (_coeff_add(old[0], coeff), None)
+            bucket[factors] = (coeff, item) if old is None else (old[0] + coeff, None)
     terms = []
     for factors in _canonical_order(bucket, _factors_text):
         coeff, item = bucket[factors]
@@ -715,12 +687,8 @@ def _simplify_sum(e: Sum) -> Expr:
             terms.append(item)
         elif coeff:
             terms.append(_rebuild_term(coeff, factors))
-    if const_float is not None:
-        c = _mixed_add(const_frac, const_float)
-        if c:
-            terms.append(Const(c))
-    elif const_frac:
-        terms.append(Const(const_frac))
+    if const:
+        terms.append(Const(const))
     if not terms:
         return ZERO
     if len(terms) == 1:
@@ -730,16 +698,12 @@ def _simplify_sum(e: Sum) -> Expr:
 
 def _simplify_prod(e: Prod) -> Expr:
     coeff = _F1
-    coeff_float = None
     powers = {}  # base -> exponent
     # one level of flattening: no canonical product has a product factor
     for g in map(simplify, e.factors):
         for f in g.factors if type(g) is Prod else (g,):
             if type(f) is Const:
-                if isinstance(f.value, Fraction):
-                    coeff = _coeff_mul(coeff, f.value)
-                else:
-                    coeff_float = f.value if coeff_float is None else coeff_float * f.value
+                coeff = _coeff_mul(coeff, f.value)
                 continue
             if type(f) is Pow:
                 base, exp = f.base, f.exponent
@@ -747,17 +711,14 @@ def _simplify_prod(e: Prod) -> Expr:
                 base, exp = f, _F1
             old = powers.get(base)
             powers[base] = exp if old is None else old + exp
-    if not coeff or coeff_float == 0.0:
+    if not coeff:
         return ZERO
     factors = []
     settled = True
     for base in _canonical_order(powers, Expr._sort_text):
         piece = _power(base, powers[base])
         if type(piece) is Const:
-            if isinstance(piece.value, Fraction):
-                coeff = _coeff_mul(coeff, piece.value)
-            else:
-                coeff_float = piece.value if coeff_float is None else coeff_float * piece.value
+            coeff = _coeff_mul(coeff, piece.value)
             continue
         # a merged power can come out as a product, or as a power of
         # another base (sqrt(x^2)^2 is x^2), which may merge with the
@@ -765,14 +726,13 @@ def _simplify_prod(e: Prod) -> Expr:
         if type(piece) is Prod or (piece.base if type(piece) is Pow else piece) is not base:
             settled = False
         factors.append(piece)
-    total = _mixed_mul(coeff, coeff_float) if coeff_float is not None else coeff
     if not settled:
-        return simplify(mul(Const(total), *factors))
+        return simplify(mul(Const(coeff), *factors))
     # distribute a bare constant over a single sum so that -(a+b) and
     # c*(a+b) participate in like-term collection
-    if len(factors) == 1 and type(factors[0]) is Sum and total is not _F1 and total != 1:
-        return simplify(add(*(mul(Const(total), t) for t in factors[0].terms)))
-    return _rebuild_term(total, tuple(factors))
+    if len(factors) == 1 and type(factors[0]) is Sum and coeff is not _F1 and coeff != 1:
+        return simplify(add(*(mul(Const(coeff), t) for t in factors[0].terms)))
+    return _rebuild_term(coeff, tuple(factors))
 
 
 def _power(base: Expr, exp: Fraction) -> Expr:
@@ -795,29 +755,6 @@ _SIMPLIFY = {
     Pow: lambda e: _power(simplify(e.base), e.exponent),
     Func: lambda e: func(e.fname, simplify(e.arg)),
 }
-
-
-def _coeff_add(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return _mixed_add(a, b)
-
-
-# a float among the coefficients makes their sum or product a float; an
-# exact one too large for a float, or a result past the float range, is a
-# numeric failure rather than a constant that prints as inf or nan
-def _mixed_add(a, b) -> float:
-    return _finite(_const_float(a) + _const_float(b))
-
-
-def _mixed_mul(a, b) -> float:
-    return _finite(_const_float(a) * _const_float(b))
-
-
-def _finite(x: float) -> float:
-    if not math.isfinite(x):
-        raise NumericFailureError(f"constant arithmetic gives {x}")
-    return x
 
 
 def _coeff_mul(a: Fraction, b: Fraction) -> Fraction:
@@ -861,7 +798,7 @@ def tape(exprs, symbols):
         if slot is not None:
             return slot
         if isinstance(node, Const):
-            step = ("const", _const_float(node.value), None)
+            step = ("const", _as_float(node.value), None)
         elif isinstance(node, Symbol):
             step = ("sym", index[node], None)
         elif isinstance(node, Sum):
@@ -869,7 +806,7 @@ def tape(exprs, symbols):
         elif isinstance(node, Prod):
             step = ("mul", [emit(f) for f in node.factors], None)
         elif isinstance(node, Pow):
-            step = ("pow", emit(node.base), (node.exponent, _const_float(node.exponent)))
+            step = ("pow", emit(node.base), (node.exponent, _as_float(node.exponent)))
         elif isinstance(node, Func):
             step = (node.fname, emit(node.arg), None)
         else:
@@ -892,21 +829,21 @@ def step_lines(steps, stop, names, prefix="v"):
     the name of each output in order, and whether a step can raise
     OverflowError or ValueError (a power or a function), which frame() then
     maps to eval_expr's errors; sums and products of floats raise neither.
-    Every output that is not a finite constant is checked once: a
-    non-finite one raises NumericFailureError, as in eval_expr.  The lines
-    call _pow, _apply_func, _nonfinite, Fraction and math by name.
+    Every output that is not a constant is checked once: a non-finite one
+    raises NumericFailureError, as in eval_expr.  The lines call _pow,
+    _apply_func, _nonfinite, Fraction and math by name.
     """
     lines, outputs, raises, checked = [], [], False, set()
     for op, arg, payload in steps[len(names) : stop]:
         name = f"{prefix}{len(names)}"
         if op == "const":
-            name = f"({arg!r})" if math.isfinite(arg) else f"float('{arg!r}')"
+            name = f"({arg!r})"
         elif op == "sym":
             name = f"x{arg}"
         elif op == "out":
             name = names[arg]
             outputs.append(name)
-            if arg not in checked and not (steps[arg][0] == "const" and math.isfinite(steps[arg][1])):
+            if arg not in checked and steps[arg][0] != "const":
                 checked.add(arg)
                 # v - v is 0.0 for every finite v, and nan for an infinity or a nan
                 lines.append(f"if {name} - {name} != 0.0: _nonfinite({name})")

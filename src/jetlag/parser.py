@@ -1,9 +1,9 @@
 """Pratt parser for expression text.
 
 Grammar: ^ binds tightest (right associative), then unary minus, then * and /,
-then + and -.  Functions sin/cos/exp/ln/sqrt apply via parentheses.  Exponents
-must fold to rational constants.  Whitespace is insignificant; errors carry
-byte offsets.
+then + and -.  Functions sin/cos/exp/ln/sqrt apply via parentheses.  Number
+literals are exact rationals, and exponents must fold to constants.
+Whitespace is insignificant; errors carry byte offsets.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .expr import _FOLD_BITS, ONE, ZERO, Const, Expr, Prod, Sum, add, func, mul, neg, pow_, simplify
+from .expr import _FOLD_BITS, Const, Expr, add, func, mul, neg, pow_, simplify
 from .symbols import FUNCTION_NAMES, symbol_from_name
 
 _TOKEN_RE = re.compile(
@@ -126,35 +126,24 @@ class _Parser:
 
     def _parse_sum(self, term: Expr) -> Expr:
         """The run of + and - that follows term, as one add: a left fold re-flattens the
-        earlier terms at each sign.  The constants still fold pairwise from the left, as
-        in the left fold, so that a float among them moves no bit."""
-        items, const = [], ZERO
+        earlier terms at each sign."""
+        items = []
         while True:
-            for item in term.terms if type(term) is Sum else (term,):
-                if type(item) is Const:
-                    const = add(const, item)
-                else:
-                    items.append(item)
+            items.append(term)
             if not (self._at("+") or self._at("-")):
-                return add(*items, const)
+                return add(*items)
             sign = self.advance().text
             term = self.parse_expr(_BP_ADD + 1)
             if sign == "-":
                 term = neg(term)
 
     def _parse_product(self, factor: Expr) -> Expr:
-        """The run of * and / that follows factor, as one mul: a left fold re-flattens
-        the earlier factors at each sign.  The constants fold pairwise from the left as
-        they come, as in _parse_sum."""
-        items, const = [], ONE
+        """The run of * and / that follows factor, as one mul, as _parse_sum."""
+        items = []
         while True:
-            for item in factor.factors if type(factor) is Prod else (factor,):
-                if type(item) is Const:
-                    const = mul(const, item)
-                else:
-                    items.append(item)
+            items.append(factor)
             if not (self._at("*") or self._at("/")):
-                return mul(*items, const)
+                return mul(*items)
             op = self.advance().text
             factor = self.parse_expr(_BP_MUL + 1)
             if op == "/":
@@ -188,7 +177,7 @@ class _Parser:
     @staticmethod
     def _make_pow(base: Expr, exponent: Expr, offset: int) -> Expr:
         folded = simplify(exponent)
-        if not isinstance(folded, Const) or not isinstance(folded.value, Fraction):
+        if not isinstance(folded, Const):
             raise ParseError("exponent must be a rational constant", offset)
         return pow_(base, folded.value)
 

@@ -61,26 +61,20 @@ def _render(e):
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _render_const(value):
-    if isinstance(value, Fraction):
-        # no integer longer than a literal the parser reads back
-        try:
-            text = str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-        except ValueError:  # past the interpreter's limit on digits of an int as text
-            text = None
-        if text is None or (
-            len(text) > _MAX_DIGITS and max(len(part.lstrip("-")) for part in text.split("/")) > _MAX_DIGITS
-        ):
-            bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-            raise NumericFailureError(f"an exact constant of {bits} bits is too long to print")
-        prec = _PREC_ATOM if value >= 0 and value.denominator == 1 else _PREC_PROD
-        if value < 0:
-            return text, _PREC_SUM
-        return text, prec
-    text = repr(value)
+def _render_const(value: Fraction):
+    # no integer longer than a literal the parser reads back
+    try:
+        text = str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past the interpreter's limit on digits of an int as text
+        text = None
+    if text is None or (
+        len(text) > _MAX_DIGITS and max(len(part.lstrip("-")) for part in text.split("/")) > _MAX_DIGITS
+    ):
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        raise NumericFailureError(f"an exact constant of {bits} bits is too long to print")
     if value < 0:
         return text, _PREC_SUM
-    return text, _PREC_ATOM
+    return text, _PREC_ATOM if value.denominator == 1 else _PREC_PROD
 
 
 def _signed(t):

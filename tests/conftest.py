@@ -66,7 +66,9 @@ def nodes(e):
 
 
 def random_polynomial(rng, symbols, degree=3, terms=6, scale=1.0):
-    """Random polynomial with float coefficients over the given symbols."""
+    """Random polynomial over the given symbols whose coefficients are drawn
+    as floats and held, as every Const holds a float, as the exact value of
+    its shortest decimal."""
     total = Const(0)
     for _ in range(terms):
         factors = [Const(float(rng.uniform(-scale, scale)))]

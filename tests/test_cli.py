@@ -284,6 +284,26 @@ def test_simulate_beam_and_csv_determinism(tmp_path, capsys):
     assert csv_path.read_bytes() == first
 
 
+def test_simulate_binds_a_parameter_that_only_the_energy_reads(tmp_path, capsys):
+    # c drops out of the Euler-Lagrange equations but not out of the energy
+    config = {
+        **BEAM_CONFIG,
+        "problem": "energy-parameter",
+        "lagrangian": "1/2*q1_2^2 + c",
+        "parameters": {"c": 2.0},
+        "simulation": {
+            "t0": 0.0, "t1": 0.1, "h": 0.01,
+            "initial": {"q1_0": 0.0, "q1_1": 0.0, "p1_0": 0.0, "p1_1": 1.0},
+        },
+    }
+    cfg = write_config(tmp_path, config)
+    code, out = run_cli(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--format", "json")
+    assert code == 0
+    rows = (tmp_path / "o" / "energy-parameter.csv").read_text().splitlines()
+    assert rows[0].endswith(",E") and len(rows) == 12
+    assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {"-1.5"}  # p1_1*q1_2 - 1/2*q1_2^2 - c
+
+
 def test_simulate_incomplete_initial_state_is_usage_error(tmp_path, capsys):
     partial = {**BEAM_CONFIG, "simulation": {**BEAM_CONFIG["simulation"], "initial": {"q1_0": 0.0}}}
     cfg = write_config(tmp_path, partial)
@@ -758,7 +778,7 @@ def test_non_finite_tol_is_usage_error(tmp_path, tol):
         ("derive", "2^14000*2^14000*q1_2^2"),  # 8429 digits: past the int-to-text limit
         ("simulate", "2^14000*2^14000*q1_2^2"),
         ("derive", "2^(1/2^40)*q1_2^2"),  # a root search from 2^(2^40) ran out of memory
-        ("derive", "2^1100*sin(1)*q1_2^2"),  # 2^1100 met a float: OverflowError
+        ("derive", "2^1100*sin(1)*q1_2^2"),  # an OverflowError while sin(1) folded to a float
     ],
 )
 def test_huge_constants_end_with_a_contract_exit_code(tmp_path, verb, lagrangian):

@@ -157,12 +157,41 @@ def test_a_job_builds_each_structure_once():
 
 
 def test_a_job_keeps_constants_of_different_keys_apart():
-    pairs = [(0.0, -0.0), (1, 1.0), (Fraction(1, 2), 0.5)]
+    # hash(-1) == hash(-2) in CPython: the table must tell them apart by key
+    pairs = [(0, 1), (-1, -2), (Fraction(1, 2), Fraction(-1, 2))]
     with job_scope():
         for a, b in pairs:
             assert Const(a) is Const(a)
             assert Const(a) is not Const(b) and Const(a) != Const(b)
-        assert [to_text(Const(v)) for pair in pairs for v in pair] == ["0.0", "-0.0", "1", "1.0", "1/2", "0.5"]
+        assert [to_text(Const(v)) for pair in pairs for v in pair] == ["0", "1", "-1", "-2", "1/2", "-1/2"]
+
+
+def test_a_float_constant_is_the_exact_value_of_its_shortest_decimal():
+    # the value that the parser gives the float's text, so one node per value
+    assert Const(0.1) == parse("0.1") == Const(Fraction(1, 10))
+    assert Const(np.float64(0.1)) == Const(Fraction(1, 10))  # numpy 2's repr is np.float64(0.1)
+    with job_scope():
+        assert Const(0.1) is Const(Fraction(1, 10)) is Const(np.float64(0.1))
+        assert Const(-0.0) is Const(0.0) is Const(0)
+        assert Const(0.5) is Const(Fraction(1, 2)) and Const(1.0) is Const(1)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Const(value)
+        with pytest.raises(ValueError):
+            parse("q1_0") + value
+
+
+def test_a_function_of_a_constant_stays_symbolic():
+    # only exact values fold; sin(1) prints, parses and evaluates as a function
+    exact = [("sin", 0), ("cos", 0), ("exp", 0), ("ln", 1)]
+    assert [to_text(func(f, Const(v))) for f, v in exact] == ["0", "1", "1", "0"]
+    s = simplify(parse("sin(1)*q1_0 + sin(1)*q1_0"))
+    assert to_text(s) == "2*sin(1)*q1_0"
+    assert simplify(parse(to_text(s))) == s
+    e = parse("sin(1)")
+    assert isinstance(e, Func) and to_text(e) == "sin(1)"
+    assert eval_expr(e, {}) == math.sin(1.0)
+    assert lambdify([e], [])([]) == [math.sin(1.0)]
 
 
 def test_unmarked_copy_is_the_marked_node_inside_a_job(rng):
@@ -436,11 +465,26 @@ def test_constant_beyond_float_range_is_numeric_failure():
 
 
 def test_constant_arithmetic_past_the_float_range_is_numeric_failure():
-    # an exact constant too large for a float meets a float one, or float
-    # constants multiply past the range: no constant prints as inf or nan
-    for text in ("2^1100 + sin(1)", "2^14000*sin(1)*q1_0", "exp(300)*exp(300)*exp(300)*q1_0"):
+    # no constant folds to a float, so these texts simplify; an exact
+    # constant too large for a float fails where it is evaluated or compiled
+    x = q(1, 0)
+    for text in ("2^1100 + sin(1)", "2^14000*sin(1)*q1_0"):
+        e = simplify(parse(text))
         with pytest.raises(NumericFailureError):
-            simplify(parse(text))
+            eval_expr(e, {x: 1.0})
+        for compile_ in (lambdify, compile_rows):
+            with pytest.raises(NumericFailureError):
+                compile_([e], [x])
+    # and a function of constants that overflows fails where it is evaluated
+    e = simplify(parse("exp(300)*exp(300)*exp(300)*q1_0"))
+    assert to_text(e) == "exp(300)^3*q1_0"
+    for make in (lambda: e, lambda: parse("exp(300)*exp(300)*exp(300)*q1_0")):
+        with pytest.raises(NumericFailureError):
+            eval_expr(make(), {x: 1.0})
+        f = lambdify([make()], [x])
+        with pytest.raises(NumericFailureError):
+            f([1.0])
+        assert compile_rows([make()], [x])(np.array([[1.0]]))[1].tolist() == [True]
 
 
 def test_simplify_of_a_constant_too_long_for_text_is_numeric_failure():
@@ -468,21 +512,22 @@ def _outcome(make):
 # per coefficient c, with k = Const(c): add(X, k), add(k, k), mul(X, k),
 # mul(k, k), pow_(k, 2), pow_(X, c), then simplify of Sum((X, k)),
 # Prod((k, X)), Sum((Prod((k, X)), X)) and Prod((k, Sum((X, Y)))), the
-# nodes built directly so that a nan reaches simplify
+# nodes built directly; a float is the exact value of its shortest decimal,
+# so 0.0, -0.0 and 1.0 fold as 0 and 1 do, and a nan is no constant
 @pytest.mark.parametrize(
     "c, outcomes",
     [
-        (0.0, ["x", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'f', '0.0')",
+        (0.0, ["x", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)",
                "('c', 'r', 1, 1)", "x", "('c', 'r', 0, 1)", "x", "('c', 'r', 0, 1)"]),
-        (-0.0, ["x", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'f', '0.0')",
+        (-0.0, ["x", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)",
                 "('c', 'r', 1, 1)", "x", "('c', 'r', 0, 1)", "x", "('c', 'r', 0, 1)"]),
-        (math.nan, ["NumericFailureError"] * 4 + ["('c', 'f', 'nan')", "ValueError"] + ["NumericFailureError"] * 4),
+        (math.nan, ["ValueError"] * 10),
         (Fraction(0), ["x", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)", "('c', 'r', 0, 1)",
                        "('c', 'r', 1, 1)", "x", "('c', 'r', 0, 1)", "x", "('c', 'r', 0, 1)"]),
         (1, ["('+', x, ('c', 'r', 1, 1))", "('c', 'r', 2, 1)", "x", "('c', 'r', 1, 1)", "('c', 'r', 1, 1)",
              "x", "('+', x, ('c', 'r', 1, 1))", "x", "('*', ('c', 'r', 2, 1), x)", "('+', x, y)"]),
-        (1.0, ["('+', x, ('c', 'f', '1.0'))", "('c', 'f', '2.0')", "x", "('c', 'r', 1, 1)", "('c', 'f', '1.0')",
-               "x", "('+', x, ('c', 'f', '1.0'))", "x", "('*', ('c', 'r', 2, 1), x)", "('+', x, y)"]),
+        (1.0, ["('+', x, ('c', 'r', 1, 1))", "('c', 'r', 2, 1)", "x", "('c', 'r', 1, 1)", "('c', 'r', 1, 1)",
+               "x", "('+', x, ('c', 'r', 1, 1))", "x", "('*', ('c', 'r', 2, 1), x)", "('+', x, y)"]),
         (10**299, [
             "('+', x, ('c', 'r', <300 digits 100..000>, 1))",
             "('c', 'r', <300 digits 200..000>, 1)",
@@ -498,22 +543,21 @@ def _outcome(make):
     ],
 )
 def test_zero_and_one_coefficients_fold_as_pinned(c, outcomes):
-    k = Const(c)
     makers = [
-        lambda: add(X, k),
-        lambda: add(k, k),
-        lambda: mul(X, k),
-        lambda: mul(k, k),
-        lambda: pow_(k, 2),
-        lambda: pow_(X, c),
-        lambda: simplify(Sum((X, k))),
-        lambda: simplify(Prod((k, X))),
-        lambda: simplify(Sum((Prod((k, X)), X))),
-        lambda: simplify(Prod((k, Sum((X, Y))))),
+        lambda k: add(X, k),
+        lambda k: add(k, k),
+        lambda k: mul(X, k),
+        lambda k: mul(k, k),
+        lambda k: pow_(k, 2),
+        lambda k: pow_(X, c),
+        lambda k: simplify(Sum((X, k))),
+        lambda k: simplify(Prod((k, X))),
+        lambda k: simplify(Sum((Prod((k, X)), X))),
+        lambda k: simplify(Prod((k, Sum((X, Y))))),
     ]
-    assert [_outcome(make) for make in makers] == outcomes
+    assert [_outcome(lambda: make(Const(c))) for make in makers] == outcomes
     with job_scope():
-        assert [_outcome(make) for make in makers] == outcomes
+        assert [_outcome(lambda: make(Const(c))) for make in makers] == outcomes
 
 
 def test_a_bool_is_not_a_coefficient():

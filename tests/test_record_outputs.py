@@ -2,7 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from jetlag import cli
+from jetlag import cli, dynamics, hamjac
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "record_outputs.py"
 
@@ -43,6 +43,21 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     configs = tmp_path / "configs"
     configs.mkdir()
+    # and the solve paths that they miss: hamjac's fiber Newton, and LAPACK's
+    # gesv on a 3x3 block in the generated RK4 loop
+    entered = {"fiber newton": 0, "3x3 gesv": 0}
+    newton, gesv = hamjac._FiberSolver._newton, dynamics._gesv
+
+    def counting_newton(self, row):
+        entered["fiber newton"] += 1
+        return newton(self, row)
+
+    def counting_gesv(A, B, out):
+        entered["3x3 gesv"] += A.shape == (3, 3)
+        return gesv(A, B, out=out)
+
+    monkeypatch.setattr(hamjac._FiberSolver, "_newton", counting_newton)
+    monkeypatch.setattr(dynamics, "_gesv", counting_gesv)
     runs = tool.edge_runs(cli, configs, tmp_path / "out")
     codes = {name: run["exit"] for name, run in runs.items()}
     assert codes == {
@@ -52,5 +67,8 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
         "edge/simulate-negative-step": 2,
         "edge/corpus-list": 0,
         "edge/corpus-run-beam": 0,
+        "edge/hj-check-fiber-newton": 1,
+        "edge/simulate-coupled-3x3": 0,
     }
     assert "Traceback" not in "".join(run["stderr"] for run in runs.values())
+    assert all(entered.values()), entered

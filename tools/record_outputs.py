@@ -8,7 +8,7 @@ The first form runs, in one process, the perfbench derive, simulate and hj
 job lists (``perfbench.gen.make_jobs``) at each of ``--seeds``, once with
 ``--format json`` and once with ``--format text``, ``corpus run`` at
 seeds 1, 2, 3 and 7 (``CORPUS_SEEDS``), and the fixed runs of ``EDGE_RUNS``,
-which reach the verbs and exit codes that the lists miss.  It imports
+which reach the verbs, exit codes and solve paths that the lists miss.  It imports
 ``jetlag`` from ``ROOT/src`` and ``perfbench`` from ``ROOT``, where ROOT
 defaults to this repository, so a second checkout can be recorded by the
 same script; the edge runs' configs always come from this repository's
@@ -50,6 +50,8 @@ EDGE_RUNS = {
     "simulate-negative-step": (["simulate"], "edge-negative-step.json"),  # 2, from the config
     "corpus-list": (["corpus", "list"], None),  # 0
     "corpus-run-beam": (["corpus", "run", "--filter", "beam"], None),  # 0
+    "hj-check-fiber-newton": (["hj-check"], "edge-hj-fiber-newton.json"),  # 1, through hamjac's fiber Newton
+    "simulate-coupled-3x3": (["simulate"], "edge-coupled-3x3.json"),  # 0, a state-free 3x3 block through gesv
 }
 
 
