@@ -5,10 +5,10 @@ Fixed work is done once.  Each ``ImplicitSystem`` builds its multiplier
 solver (linear split of the constraints and compiled callables) on first
 use and keeps it.  Per state (every RK4 stage state, every relatedness
 sample) the residue is evaluated and checked, a state-dependent block is
-evaluated and rank-checked, and the multipliers are solved for (by Newton
-when the constraints are nonlinear).  Each system holds all of that in one
-generated body, after a prologue that evaluates and rank-checks a linear
-constraint block free of the states once per call.  RK4 is one generated
+evaluated and rank-checked, and the multipliers are solved for (a square
+solve, by Newton when the constraints are nonlinear).  Each system holds
+all of that in one generated body, after a prologue that evaluates and
+rank-checks a linear constraint block free of the states once per call.  RK4 is one generated
 loop per system, with the right-hand side's tape and the multiplier body
 written into it once and the prologue before it: it solves each state's
 multipliers once and carries them into that state's right-hand side and
@@ -73,7 +73,8 @@ except ImportError:  # a private module: without it np.linalg.solve does the wor
 
 @dataclass(frozen=True)
 class ImplicitSystem:
-    """q' = dE/dp, p' = -dE/dq plus algebraic constraints in the multipliers."""
+    """q' = dE/dp, p' = -dE/dq plus one algebraic constraint per multiplier,
+    as a Morse family's fiber equations dS/dlambda = 0 give them."""
 
     states: tuple
     rhs: dict
@@ -84,6 +85,8 @@ class ImplicitSystem:
     def __post_init__(self):
         if set(self.rhs) != set(self.states):
             raise ChartMismatchError("rhs must cover every state exactly once")
+        if len(self.constraints) != len(self.multipliers):
+            raise ChartMismatchError("one constraint per multiplier required")
 
     @cached_property
     def solver(self) -> _MultiplierSolver:
@@ -156,12 +159,11 @@ class _MultiplierSolver:
     Both multipliers and run hold one generated body for the solve, chosen
     by self.linear, and its prologue: multipliers runs the prologue at the
     top of each call, run once before its first step.  Linear constraints
-    solve directly (square solve, or least squares with a full-column-rank
-    check), in straight-line code: the residue, a state-dependent block and
-    its rank check, and the solve (see _linear_body).  A block free of the
-    states is evaluated and rank-checked in the prologue.  Nonlinear
-    constraints go through Newton from the warm start, then fixed starts,
-    each an iteration over the constraints and their Jacobian (see
+    solve directly, in straight-line code: the residue, a state-dependent
+    block and its rank check, and the solve (see _linear_body).  A block
+    free of the states is evaluated and rank-checked in the prologue.
+    Nonlinear constraints go through Newton from the warm start, then fixed
+    starts, each an iteration over the constraints and their Jacobian (see
     _newton_body).  Singular Jacobians raise with the observed rank.  Rank
     tests of 1x1 and 2x2 blocks are written into the body (_rank_lines).
     Both bodies write their square solve with _solve_lines: a 1x1 block is
@@ -176,7 +178,6 @@ class _MultiplierSolver:
     def __init__(self, sys: ImplicitSystem):
         self.sys = sys
         self.n_mult = len(sys.multipliers)
-        self.n_cons = len(sys.constraints)
         self.symbols = list(sys.states) + list(sys.multipliers)
         params = set()
         for e in [*sys.constraints, *(sys.rhs[s] for s in sys.states), sys.energy]:
@@ -237,7 +238,7 @@ class _MultiplierSolver:
         size 2 or more."""
         states, params = range(len(self.sys.states)), range(len(self.symbols), len(self.all_symbols))
         lines = [f"[{', '.join(f'x{i}' for i in slots)}] = {v}" for v, slots in (("y", states), ("p", params))]
-        return lines + (["A, B, X = self._buffers"] if self.n_mult == self.n_cons >= 2 else [])
+        return lines + (["A, B, X = self._buffers"] if self.n_mult >= 2 else [])
 
     def _linear_body(self):
         """(prologue, body): the lines of a linear system's multiplier solve.
@@ -248,11 +249,12 @@ class _MultiplierSolver:
         shared subexpression is computed once and each part's steps come
         before its last output.  The lines check and raise in the order of
         separate evaluations: block, rank, residue (a domain error in either
-        is a numeric failure), the rank test, then the solve.  A block free
-        of the states is evaluated, ranked and written into the solve's
-        buffer by prologue; body keeps the rest.  The block's temporaries
-        are named b<slot>, apart from the v<slot> that run's right-hand side
-        reassigns at every stage, so that body reads the prologue's values.
+        is a numeric failure), the rank test, then the square solve.  A
+        block free of the states is evaluated, ranked and written into the
+        solve's buffer by prologue; body keeps the rest.  The block's
+        temporaries are named b<slot>, apart from the v<slot> that run's
+        right-hand side reassigns at every stage, so that body reads the
+        prologue's values.
         """
         n, m = len(self.sys.states), self.n_mult
         if not m:
@@ -270,10 +272,7 @@ class _MultiplierSolver:
         else:
             prologue, body = [], _guard(ranked + frame(lines, raises), block_raises or raises)
         body += [f"if rank < {m}:", f"    raise SingularJacobianError(rank, {m})"]
-        lam, b = [f"x{n + j}" for j in range(m)], [f"-{r}" for r in residue]
-        if self.n_cons != m:
-            return prologue, body + [f"[{', '.join(lam)}] = _lstsq(a, [{', '.join(b)}])"]
-        fill, solve = _solve_lines(entries, b, lam)
+        fill, solve = _solve_lines(entries, [f"-{r}" for r in residue], [f"x{n + j}" for j in range(m)])
         return (prologue + fill, body + solve) if self.constant else (prologue, body + fill + solve)
 
     def _run_source(self):
@@ -341,22 +340,19 @@ class _MultiplierSolver:
 
     def _record_lines(self):
         """run's lines at a sample it records: sup becomes the largest of
-        itself and each |g|, which may not pass 1e-9 at step 0, and energy
-        the energy, or nan where eval_expr would raise.  One tape holds the
-        constraints, then the energy, split after the constraints' last
-        output; its temporaries g<slot> stay apart from v<slot> and b<slot>.
-        A constraint's error propagates.  The energy's output may be a
-        state's slot or a literal, so it is copied to a name of its own."""
+        itself and each |g|, reported and not checked (the solve has just
+        made g vanish, to rounding), and energy the energy, or nan where
+        eval_expr would raise.  One tape holds the constraints, then the
+        energy, split after the constraints' last output; its temporaries
+        g<slot> stay apart from v<slot> and b<slot>.  A constraint's error
+        propagates.  The energy's output may be a state's slot or a literal,
+        so it is copied to a name of its own."""
         steps = tape([*self.sys.constraints, self.sys.energy], self.all_symbols)
         ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
         names = []
-        lines, g, _ = step_lines(steps, ends[self.n_cons], names, prefix="g")
+        lines, g, _ = step_lines(steps, ends[self.n_mult], names, prefix="g")
         if g:
-            lines += [
-                f"sup = max(sup, {', '.join(f'abs({v})' for v in g)})",
-                "if step == 0 and sup > 1e-9:",
-                '    raise ConstraintViolationError(f"initial data violates constraints by {sup:g}")',
-            ]
+            lines.append(f"sup = max(sup, {', '.join(f'abs({v})' for v in g)})")
         energy_lines, (energy,), _ = step_lines(steps, len(steps), names, prefix="g")
         return lines + [
             "try:",
@@ -379,18 +375,15 @@ class _MultiplierSolver:
         test, Jacobian, rank test, step.  A start fails on the first error
         it meets, or after NEWTON_STEPS passes; when every start fails, the
         last one's error is raised, a domain error as a numeric failure.
-        With n_cons != m no start is tried.
         """
-        n, m, c = len(self.sys.states), self.n_mult, self.n_cons
-        if c != m:
-            return [], [f"raise SingularJacobianError({c}, {m})"]
+        n, m = len(self.sys.states), self.n_mult
         jac = [diff(g, u) for g in self.sys.constraints for u in self.sys.multipliers]
         steps = tape(list(self.sys.constraints) + jac, self.all_symbols)
         ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
         lam, names = ", ".join(f"x{n + j}" for j in range(m)), []
-        lines, g, raises = step_lines(steps, ends[c], names)
+        lines, g, raises = step_lines(steps, ends[m], names)
         loop = frame(lines, raises)
-        test = f"abs({g[0]})" if c == 1 else f"max({', '.join(f'abs({v})' for v in g)})"
+        test = f"abs({g[0]})" if m == 1 else f"max({', '.join(f'abs({v})' for v in g)})"
         loop += [f"if {test} <= NEWTON_TOL:", "    break"]
         lines, entries, raises = step_lines(steps, len(steps), names)
         loop += frame(lines, raises) + _rank_lines(entries, m)
@@ -420,14 +413,14 @@ def _rank_lines(entries, m):
     """Lines that set rank to numeric_rank of the block with m columns whose
     row-major entries are named by entries: a 1x1 block is compared inline
     by numeric_rank's rule, and a 2x2 block that _full_rank_2x2 certifies
-    has rank 2 without a call to numeric_rank.  Any other block is bound to
-    a, as rows, which a tall block's _lstsq also reads."""
+    has rank 2 without a call to numeric_rank.  Any other block goes to
+    numeric_rank as rows."""
     if len(entries) == 1:
         return [f"x = abs({entries[0]})", "rank = int(x > _RANK_TOL * max(1.0, x))"]
     rows = ", ".join(f"[{', '.join(entries[i : i + m])}]" for i in range(0, len(entries), m))
     if len(entries) == 4 and m == 2:
         return [f"rank = 2 if _full_rank_2x2({', '.join(entries)}) else numeric_rank([{rows}])"]
-    return [f"a = [{rows}]", "rank = numeric_rank(a)"]
+    return [f"rank = numeric_rank([{rows}])"]
 
 
 def _solve_lines(entries, b, out):
@@ -513,16 +506,6 @@ def _full_rank_2x2(a, b, c, d) -> bool:
     return lower > tol
 
 
-def _lstsq(a, b) -> list:
-    """Least-squares multipliers of an overdetermined block of full column
-    rank; a system they do not satisfy raises ConstraintViolationError."""
-    a, b = np.array(a), np.array(b)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if np.max(np.abs(a @ sol - b)) > 1e-9 * (1.0 + np.max(np.abs(b))):
-        raise ConstraintViolationError("overdetermined multiplier system is inconsistent")
-    return sol.tolist()
-
-
 def resolve_multipliers(sys: ImplicitSystem, at: dict, warm=None) -> dict:
     """Multiplier values at one point; raises SingularJacobianError when the
     constraint Jacobian cannot pin them down.  A constraint with no real
@@ -555,8 +538,8 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     and every step must advance the clock; otherwise StepSizeError, raised
     before any step runs.  A singular constraint Jacobian raises
     SingularJacobianError carrying the last good time and the failing step
-    (0 for the initial data).  Initial data off the constraints by more
-    than 1e-9 raise ConstraintViolationError.
+    (0 for the initial data).  The initial data need not satisfy the
+    constraints: the first solve sets the multipliers that make them hold.
     """
     times = _time_grid(t0, t1, h)
     solver = sys.solver

@@ -406,8 +406,10 @@ def mul(*factors) -> Expr:
     return Prod(flat)
 
 
-# largest exact power folded, in bits (about 4900 decimal digits)
-_FOLD_BITS = 1 << 14
+# the most decimal digits of an exact integer as text: the parser reads no
+# literal with more, the printer writes none, and a constant power folds only
+# within them (Python's int-to-text limit is 4300 digits)
+_MAX_DIGITS = 4096
 
 
 def pow_(base, exponent) -> Expr:
@@ -433,8 +435,9 @@ def pow_(base, exponent) -> Expr:
 def _fold_const_pow(value: Fraction, exponent: Fraction):
     """The exact power as a Const, or None, which keeps it symbolic.
 
-    An exact result is folded only up to _FOLD_BITS bits, judged from the
-    operands' bit lengths before it is computed: 10^10^10 stays a power.
+    An exact result is folded only when its numerator and denominator
+    print in _MAX_DIGITS digits, judged from the operands before it is
+    computed: 10^4096 and 10^10^10 stay powers.
     """
     if value == 0:
         return None if exponent < 0 else ZERO  # 0^-n: eval reports the domain error
@@ -447,8 +450,9 @@ def _fold_const_pow(value: Fraction, exponent: Fraction):
         if num is None or den is None:
             return None
         value = Fraction(num, den)
-    n = exponent.numerator
-    if abs(n) * (max(value.numerator.bit_length(), value.denominator.bit_length()) - 1) > _FOLD_BITS:
+    n, size = exponent.numerator, max(abs(value.numerator), value.denominator)
+    # |n| is capped so that the product stays a float: past the cap no size >= 2 folds
+    if min(abs(n), 4 * _MAX_DIGITS) * math.log2(size) >= _MAX_DIGITS * math.log2(10):
         return None
     return Const(value**n)
 
@@ -782,7 +786,10 @@ def tape(exprs, symbols):
     None), ("pow", slot, (exponent, float exponent)), (function name, slot,
     None), and after each expression's own steps ("out", slot, None), which
     marks that slot as the next output.  A slot is a position in the list.
-    Unbound symbols, and constants too large for a float, raise here.
+    A subtree free of symbols that eval_expr evaluates, such as sin(1), is
+    one "const" step of its value; where eval_expr raises, the subtree keeps
+    its steps, so the error surfaces where the tape is run.  Unbound
+    symbols, and constants too large for a float, raise here.
     """
     index = {s: i for i, s in enumerate(symbols)}
     exprs = list(exprs)
@@ -799,6 +806,8 @@ def tape(exprs, symbols):
             return slot
         if isinstance(node, Const):
             step = ("const", _as_float(node.value), None)
+        elif not node.free and (value := _constant_value(node)) is not None:
+            step = ("const", value, None)
         elif isinstance(node, Symbol):
             step = ("sym", index[node], None)
         elif isinstance(node, Sum):
@@ -818,6 +827,14 @@ def tape(exprs, symbols):
     for e in exprs:
         steps.append(("out", emit(e), None))
     return steps
+
+
+def _constant_value(node):
+    """eval_expr's value of a node free of symbols, or None where it raises."""
+    try:
+        return eval_expr(node, {})
+    except (DomainEvalError, NumericFailureError):
+        return None
 
 
 def step_lines(steps, stop, names, prefix="v"):

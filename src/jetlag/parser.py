@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .expr import _FOLD_BITS, Const, Expr, add, func, mul, neg, pow_, simplify
+from .expr import _MAX_DIGITS, Const, Expr, add, func, mul, neg, pow_, simplify
 from .symbols import FUNCTION_NAMES, symbol_from_name
 
 _TOKEN_RE = re.compile(
@@ -24,11 +24,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-# the most decimal digits of a literal's numerator or denominator: a digit
-# carries under 4 bits, so the value stays under expr._FOLD_BITS bits, and
-# its integers stay within Python's int-to-text limit (4300 digits)
-_MAX_DIGITS = _FOLD_BITS // 4
 
 # the most nested levels (groups, function arguments, unary signs, exponents
 # and right operands; the whole expression is not one): at this depth every

@@ -10,8 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NumericFailureError
-from .expr import Const, Expr, Func, Pow, Prod, Sum, Symbol, pow_
-from .parser import _MAX_DIGITS
+from .expr import _MAX_DIGITS, Const, Expr, Func, Pow, Prod, Sum, Symbol, pow_
 
 _PREC_SUM = 1
 _PREC_PROD = 2

@@ -304,6 +304,29 @@ def test_simulate_binds_a_parameter_that_only_the_energy_reads(tmp_path, capsys)
     assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {"-1.5"}  # p1_1*q1_2 - 1/2*q1_2^2 - c
 
 
+def test_simulate_reports_a_constraint_left_at_rounding_level(tmp_path, capsys):
+    # the solve of mu*q1_2 + q1_1 - p1_1 = 0 at p1_1 = 3.3e8 leaves |g| at
+    # rounding level, ~2e-8: the run records it as constraint_sup, and does
+    # not hold it against an absolute bound
+    config = {
+        **BEAM_CONFIG,
+        "problem": "rounding",
+        "lagrangian": "1/2*mu*q1_2^2 + q1_1*q1_2",
+        "parameters": {"mu": 0.1},
+        "simulation": {
+            "t0": 0.0, "t1": 0.02, "h": 0.01,
+            "initial": {"q1_0": 0.0, "q1_1": 0.1, "p1_0": 0.0, "p1_1": 3.3e8},
+        },
+    }
+    cfg = write_config(tmp_path, config)
+    code, out = run_cli(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert 0.0 < report["constraint_sup"] < 1e-6
+    rows = (tmp_path / "o" / "rounding.csv").read_text().splitlines()
+    assert len(rows[1:]) == report["samples"] == 3
+
+
 def test_simulate_incomplete_initial_state_is_usage_error(tmp_path, capsys):
     partial = {**BEAM_CONFIG, "simulation": {**BEAM_CONFIG["simulation"], "initial": {"q1_0": 0.0}}}
     cfg = write_config(tmp_path, partial)

@@ -468,7 +468,7 @@ def test_constant_arithmetic_past_the_float_range_is_numeric_failure():
     # no constant folds to a float, so these texts simplify; an exact
     # constant too large for a float fails where it is evaluated or compiled
     x = q(1, 0)
-    for text in ("2^1100 + sin(1)", "2^14000*sin(1)*q1_0"):
+    for text in ("2^1100 + sin(1)", "2^4000*sin(1)*q1_0"):
         e = simplify(parse(text))
         with pytest.raises(NumericFailureError):
             eval_expr(e, {x: 1.0})
@@ -652,8 +652,44 @@ def test_sums_and_products_compile_without_an_error_frame():
             [eval_expr(e, dict(zip(symbols, row))) for e in exprs]
 
 
+def test_a_symbol_free_subtree_is_one_constant_step():
+    # sin(1) and exp(1/3) are evaluated once, by eval_expr, when the tape
+    # is built: the compiled code reads their values and calls no function
+    x = q(1, 0)
+    e = parse("sin(1)*q1_0 + exp(1/3)")
+    steps = expr.tape([e], [x])
+    assert {op for op, _, _ in steps} == {"sym", "const", "mul", "add", "out"}
+    assert {math.sin(1.0), math.exp(1 / 3)} <= {arg for op, arg, _ in steps if op == "const"}
+    lines, _, raises = expr.step_lines(steps, len(steps), [])
+    assert not raises and "math." not in "\n".join(lines)
+    assert lambdify([e], [x])([0.5]) == [eval_expr(e, {x: 0.5})]
+    assert compile_rows([e], [x])(np.array([[0.5]]))[0][0].tolist() == [eval_expr(e, {x: 0.5})]
+
+
+def test_a_symbol_free_subtree_without_a_value_keeps_its_steps():
+    # ln(-1) has no value: its steps stay in the tape, so the compiled code
+    # raises eval_expr's error and a probe rejects every row
+    x = q(1, 0)
+    e = parse("1/2*q1_0^2 + ln(-1)")
+    assert "ln" in {op for op, _, _ in expr.tape([e], [x])}
+    with pytest.raises(DomainEvalError):
+        eval_expr(e, {x: 0.5})
+    with pytest.raises(DomainEvalError):
+        lambdify([e], [x])([0.5])
+    assert compile_rows([e], [x])(np.array([[0.5], [1.0]]))[1].tolist() == [True, True]
+
+
 def test_constant_powers_fold_exactly_only_up_to_a_bit_bound():
-    assert pow_(Const(2), 14000) == Const(2**14000)
+    # a power folds only when it prints: 2^13606 has 4096 digits, 2^13607
+    # has 4097, one past the longest literal the parser reads back
+    assert pow_(Const(2), 13606) == Const(2**13606)
+    assert len(to_text(pow_(Const(2), 13606))) == 4096
+    assert isinstance(pow_(Const(2), 13607), Pow)
+    assert pow_(Const(Fraction(1, 10)), -4095) == Const(10**4095)
+    assert isinstance(pow_(Const(Fraction(1, 10)), 4096), Pow)
+    # an exponent too large for a float is judged too
+    assert isinstance(pow_(Const(2), -(10**400)), Pow)
+    assert pow_(Const(-1), 10**400) == Const(1)
     assert pow_(Const(Fraction(1, 3)), -5) == Const(243)
     tower = pow_(Const(10), 10**10)  # 10^10^10 is not computed
     assert isinstance(tower, Pow) and tower.exponent == 10**10

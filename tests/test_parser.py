@@ -312,11 +312,15 @@ def test_canonical_forms_print_back():
 
 
 def test_constants_longer_than_a_literal_are_not_printed():
-    # 7^5000 has 4226 digits: within the interpreter's limit on printing an
-    # int, past the parser's on reading a literal
-    for text in ("10^4096*q1_0", "(7/3)^5000*q1_0"):
+    # a product of folded powers can pass the parser's 4096 digits: 10^4097,
+    # and 7^5000 with 4226 digits, within the interpreter's limit on
+    # printing an int.  A single power past the bound is not folded, and
+    # prints as a power.
+    for text in ("10^2048*10^2049*q1_0", "(7/3)^2500*(7/3)^2500*q1_0"):
         with pytest.raises(NumericFailureError, match="too long to print"):
             to_text(simplify(parse(text)))
+    for text in ("10^4096*q1_0", "(7/3)^5000*q1_0"):
+        assert to_text(simplify(parse(text))) == text
 
 
 def test_round_trip_eval_equal(rng):

@@ -2,7 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from jetlag import cli, dynamics, hamjac
+from jetlag import cli, dynamics, errors, hamjac
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "record_outputs.py"
 
@@ -43,21 +43,28 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     configs = tmp_path / "configs"
     configs.mkdir()
-    # and the solve paths that they miss: hamjac's fiber Newton, and LAPACK's
-    # gesv on a 3x3 block in the generated RK4 loop
-    entered = {"fiber newton": 0, "3x3 gesv": 0}
-    newton, gesv = hamjac._FiberSolver._newton, dynamics._gesv
+    # and the paths that they miss: hamjac's fiber Newton, LAPACK's gesv on a
+    # 3x3 block in the generated RK4 loop, three error classes, a constraint
+    # with no real value and a non-finite compiled value
+    entered = {}
 
-    def counting_newton(self, row):
-        entered["fiber newton"] += 1
-        return newton(self, row)
+    def count(owner, name, key, when=lambda *args: True):
+        entered[key] = 0
+        real = getattr(owner, name)
 
-    def counting_gesv(A, B, out):
-        entered["3x3 gesv"] += A.shape == (3, 3)
-        return gesv(A, B, out=out)
+        def counted(*args, **kwargs):
+            entered[key] += bool(when(*args))
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(hamjac._FiberSolver, "_newton", counting_newton)
-    monkeypatch.setattr(dynamics, "_gesv", counting_gesv)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(hamjac._FiberSolver, "_newton", "fiber newton")
+    count(dynamics, "_gesv", "3x3 gesv", lambda A, B: A.shape == (3, 3))
+    count(errors.ParseError, "__init__", "ParseError", lambda self, *args: type(self) is errors.ParseError)
+    count(errors.UnknownIdentifierError, "__init__", "UnknownIdentifierError")
+    count(errors.ClosureError, "__init__", "ClosureError")
+    count(dynamics, "_constraint_failure", "constraint failure")
+    count(dynamics, "_nonfinite", "non-finite value")  # the name the generated RK4 loop calls
     runs = tool.edge_runs(cli, configs, tmp_path / "out")
     codes = {name: run["exit"] for name, run in runs.items()}
     assert codes == {
@@ -69,6 +76,13 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
         "edge/corpus-run-beam": 0,
         "edge/hj-check-fiber-newton": 1,
         "edge/simulate-coupled-3x3": 0,
+        "edge/derive-parse-error": 2,
+        "edge/derive-unknown-identifier": 2,
+        "edge/hj-check-open-form": 1,
+        "edge/simulate-constraint-domain": 4,
+        "edge/simulate-nonfinite": 4,
+        "edge/simulate-sin1": 0,
+        "edge/derive-sin1": 0,
     }
     assert "Traceback" not in "".join(run["stderr"] for run in runs.values())
     assert all(entered.values()), entered

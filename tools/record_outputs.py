@@ -52,6 +52,13 @@ EDGE_RUNS = {
     "corpus-run-beam": (["corpus", "run", "--filter", "beam"], None),  # 0
     "hj-check-fiber-newton": (["hj-check"], "edge-hj-fiber-newton.json"),  # 1, through hamjac's fiber Newton
     "simulate-coupled-3x3": (["simulate"], "edge-coupled-3x3.json"),  # 0, a state-free 3x3 block through gesv
+    "derive-parse-error": (["derive"], "edge-parse-error.json"),  # 2, ParseError
+    "derive-unknown-identifier": (["derive"], "edge-unknown-identifier.json"),  # 2, UnknownIdentifierError
+    "hj-check-open-form": (["hj-check"], "edge-open-form.json"),  # 1, ClosureError
+    "simulate-constraint-domain": (["simulate"], "edge-constraint-domain.json"),  # 4, ln of a negative in a constraint
+    "simulate-nonfinite": (["simulate"], "edge-nonfinite.json"),  # 4, an infinite right-hand side
+    "simulate-sin1": (["simulate"], "edge-sin1.json"),  # 0, functions of constants
+    "derive-sin1": (["derive"], "edge-sin1.json"),  # 0, functions of constants
 }
 
 
