@@ -928,9 +928,9 @@ def _numpy_rk4(sys, init, h, n_steps):
     arrays, as the solver did before it moved to lists of floats, with its
     own functions compiled here from the system's expressions.  Every block
     takes an SVD rank check and np.linalg.solve; nonlinear constraints take
-    Newton.  Values and energies of the
-    samples; a rank-deficient block raises SingularJacobianError located at
-    the last good time and the failing step."""
+    Newton.  Values and energies of the samples; a rank-deficient block
+    raises SingularJacobianError located at the last good time and the
+    failing step."""
     states, mults = list(sys.states), list(sys.multipliers)
     rhs = [sys.rhs[s] for s in states]
     params = sorted({s for e in list(sys.constraints) + rhs for s in e.free} - set(states + mults))
@@ -1129,10 +1129,9 @@ def test_singular_block_mid_run_aborts_where_the_numpy_stages_abort():
 def _list_rk4(sys, init, t0, t1, h):
     """Reference run: integrate_rk4's step loop as it was before the loop
     was generated, over lists of floats with the solver's multipliers and
-    right-hand side, and the energy compiled here.  Values
-    and energies of the samples, with integrate_rk4's errors.  The
-    multipliers function holds the loop's own solve, so this checks the
-    loop around it."""
+    right-hand side, and the energy compiled here.  Values and energies of
+    the samples, with integrate_rk4's errors.  The multipliers function
+    holds the loop's own solve, so this checks the loop around it."""
     times = dynamics._time_grid(t0, t1, h)
     solver = sys.solver
     param_vec = solver.param_vector(init)
