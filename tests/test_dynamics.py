@@ -218,13 +218,25 @@ def test_degenerate_point_aborts():
         integrate_rk4(sys, init, 0.0, 1.0, 1e-2)
 
 
+def test_overdetermined_inconsistent_constraints_detected():
+    # two linear constraints on one multiplier, which no value meets: the
+    # system is refused when it is built, before any multiplier is resolved
+    with pytest.raises(ChartMismatchError, match="one constraint per multiplier"):
+        one_dof_system(("q1_2 - 1", "q1_2 - 2"))
+
+
+def test_newton_with_more_constraints_than_multipliers_aborts_at_step_zero():
+    # the nonlinear (Newton) form of the tall system above: it is refused
+    # when it is built, so no run reaches step 0
+    with pytest.raises(ChartMismatchError, match="one constraint per multiplier"):
+        one_dof_system(("q1_2^3 - p1_0", "q1_2^3 - 2*p1_0"))
+
+
 def test_non_square_systems_are_refused_at_construction():
-    # a Morse family gives one fiber equation per multiplier: a tall, a wide
-    # or a multiplier-free constrained system is not one, and a plain ODE
-    # (no constraint, no multiplier) is
+    # a Morse family gives one fiber equation per multiplier: a wide or a
+    # multiplier-free constrained system is not one (tall ones are refused in
+    # the two tests above), and a plain ODE (no constraint, no multiplier) is
     cases = [
-        (("q1_2 - 1", "q1_2 - 2"), (q(1, 2),)),
-        (("q1_2^3 - p1_0", "q1_2^3 - 2*p1_0"), (q(1, 2),)),
         (("q1_2 + q2_2 - p1_0",), (q(1, 2), q(2, 2))),
         (("q1_0 - p1_0",), ()),
     ]
