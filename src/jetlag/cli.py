@@ -128,7 +128,8 @@ def cmd_simulate(job, args) -> tuple[int, dict]:
     csv_path = _write(Path(args.out) / f"{job.problem}.csv", trajectory_csv(traj))
     report["csv"] = str(csv_path)
     report["samples"] = len(traj.times)
-    report["energy_drift"] = energy_drift(traj)
+    drift = energy_drift(traj)
+    report["energy_drift"] = drift if math.isfinite(drift) else None  # NaN and Infinity are no JSON
     report["constraint_sup"] = traj.constraint_sup
     return EXIT_OK, report
 

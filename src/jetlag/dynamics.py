@@ -2,7 +2,7 @@
 fixed-step RK4 with constraint solving.
 
 Fixed work is done once.  Each ``ImplicitSystem`` builds its multiplier
-solver (linear split of the constraints and compiled callables) on first
+solver (linear split of the constraints and generated functions) on first
 use and keeps it.  Per state (every RK4 stage state, every relatedness
 sample) the residue is evaluated and checked, a state-dependent block is
 evaluated and rank-checked, and the multipliers are solved for (a square
@@ -39,7 +39,7 @@ recorded, outside the generated loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction  # noqa: F401 - called by generated code
 from functools import cached_property
 from types import MethodType
@@ -56,7 +56,7 @@ from .errors import (
     SingularJacobianError,
     StepSizeError,
 )
-from .expr import Expr, define, frame, lambdify, neg, simplify, step_lines, tape
+from .expr import Expr, define, frame, neg, simplify, step_lines, tape
 from .expr import _apply_func, _nonfinite, _pow  # noqa: F401 - called by generated code
 from .families import MorseFamily
 
@@ -100,7 +100,6 @@ class Trajectory:
     values: np.ndarray  # (len(times), len(columns)): one row per time
     columns: tuple  # the symbol of each column, in CSV order
     energies: np.ndarray | None = None  # the energy at every sample, when the run recorded it
-    params: dict = field(default_factory=dict)  # {Symbol: value} of the run's parameters
     constraint_sup: float | None = None  # max |g| over the samples, when the run recorded it
 
     def __post_init__(self):
@@ -114,16 +113,6 @@ class Trajectory:
         if symbol not in self.columns:
             raise ChartMismatchError(f"trajectory has no column {symbol}")
         return self.values[:, self.columns.index(symbol)].copy()
-
-    def evaluate(self, exprs, params=None) -> np.ndarray:
-        """Values of exprs at every sample, one row per time, with eval_expr's
-        bits; params binds symbols that are not columns."""
-        exprs, params = list(exprs), params or {}
-        extra = [s for s in params if s not in self.columns]
-        fn = lambdify(exprs, list(self.columns) + extra)
-        tail = [float(params[s]) for s in extra]
-        rows = [fn(row + tail) for row in self.values.tolist()]
-        return np.array(rows, dtype=float).reshape(len(self.times), len(exprs))
 
 
 def assemble(mf: MorseFamily) -> ImplicitSystem:
@@ -147,14 +136,15 @@ def assemble(mf: MorseFamily) -> ImplicitSystem:
 class _MultiplierSolver:
     """Resolve constraint multipliers at a state point.
 
-    multipliers(y, p, warm) gives the multipliers lam at a state.  y and p
+    It owns exactly two generated functions, each built on first use.
+    multipliers(y, p, warm) gives the multipliers lam at a state: y and p
     are the state and parameter vectors as lists of floats and warm is the
-    Newton warm start (or None).  rhs_fn and cons_fn evaluate the
-    right-hand side and constraints at y + lam + p.  run(y, p, times, h,
-    rows, energies) is integrate_rk4's step loop (see _run_source).  Each is
-    built on first use: integrate_rk4 needs run alone, and
-    resolve_multipliers and hamjac.gamma_relatedness need multipliers (and
-    rhs_fn and cons_fn).
+    Newton warm start (or None); resolve_multipliers and
+    hamjac.gamma_relatedness call it.  run(y, p, times, h, rows, energies)
+    is integrate_rk4's step loop (see _run_source).  all_symbols orders the
+    slots of both: the states, the multipliers, then the parameters.  A
+    caller that evaluates more at a state, as gamma_relatedness evaluates
+    the right-hand side and the constraints, compiles it over all_symbols.
 
     Both multipliers and run hold one generated body for the solve, chosen
     by self.linear, and its prologue: multipliers runs the prologue at the
@@ -216,14 +206,6 @@ class _MultiplierSolver:
         generated code."""
         m = self.n_mult
         return np.empty((m, m)), np.empty(m), np.empty(m)
-
-    @cached_property
-    def rhs_fn(self):
-        return lambdify([self.sys.rhs[s] for s in self.sys.states], self.all_symbols)
-
-    @cached_property
-    def cons_fn(self):
-        return lambdify(list(self.sys.constraints), self.all_symbols)
 
     def param_vector(self, binding) -> list:
         """The parameter values in solver order, from a {Symbol: value} binding."""
@@ -565,7 +547,7 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
                 raise
             raise DomainEvalError(str(exc)) from exc
     columns = tuple(sys.states) + tuple(sys.multipliers)
-    return Trajectory(times, rows, columns, np.array(energies), dict(zip(solver.params, param_vec)), sup)
+    return Trajectory(times, rows, columns, np.array(energies), sup)
 
 
 def _time_grid(t0, t1, h) -> list:

@@ -117,15 +117,20 @@ class ClosedOneForm:
 
 def lift_trajectory(gamma: ClosedOneForm, traj: Trajectory, params=None) -> Trajectory:
     """The trajectory with its momentum columns overwritten by gamma(q) at
-    every sample: the one lift of curves through a one-form.  params binds
-    the symbols of gamma's components that are not columns."""
+    every sample, with eval_expr's bits: the one lift of curves through a
+    one-form.  params binds the symbols of gamma's components that are not
+    columns."""
     missing = [s for s in gamma.coordinates + gamma.momentum_slots if s not in traj.columns]
     if missing:
         raise ChartMismatchError(f"trajectory misses columns {missing}")
+    params = params or {}
+    extra = [s for s in params if s not in traj.columns]
+    components = lambdify(gamma.component_exprs(), list(traj.columns) + extra)
+    tail = [float(params[s]) for s in extra]
+    slots = [traj.columns.index(m) for m in gamma.momentum_slots]
     values = traj.values.copy()
-    values[:, [traj.columns.index(m) for m in gamma.momentum_slots]] = traj.evaluate(
-        gamma.component_exprs(), params
-    )
+    lifted = [components(row + tail) for row in values.tolist()]
+    values[:, slots] = np.reshape(lifted, (len(values), len(slots)))
     return Trajectory(list(traj.times), values, traj.columns)
 
 
@@ -253,10 +258,11 @@ class _FiberSolver:
 
     Its Newton iteration is not dynamics._MultiplierSolver's, on purpose:
     hj_residual reports fiber consistency as a residual, where an RK4 solve
-    must abort.  So it takes least-squares steps (a singular or non-square
-    Jacobian is no error), stops a start on a vanishing step, skips a start
-    that leaves the domain or overflows, keeps the best residual over its
-    starts and raises only when no start gives one.
+    must abort.  So it takes least-squares steps (a singular Jacobian is no
+    error; hj_residual passes one fiber equation per fiber, so the Jacobian
+    is square), stops a start on a vanishing step, skips a start that
+    leaves the domain or overflows, keeps the best residual over its starts
+    and raises only when no start gives one.
     """
 
     def __init__(self, fiber_eqs, fibers, symbols):
@@ -412,7 +418,9 @@ def gamma_relatedness(
     and test the full implicit system on it.
 
     Momentum velocities come from differentiating the form along the curve
-    (chain rule on central finite differences of the samples).
+    (chain rule on central finite differences of the samples).  At each
+    lifted state, one function compiled here evaluates the right-hand side
+    and the constraints at the solver's multipliers.
     """
     if len(traj.times) < 5:
         raise NumericFailureError("trajectory too short for finite differencing (< 5 samples)")
@@ -424,12 +432,12 @@ def gamma_relatedness(
     lifted = lift_trajectory(gamma, traj, params)
     solver = sys.solver
     param_vec = solver.param_vector(params)
+    field = lambdify([*(sys.rhs[s] for s in sys.states), *sys.constraints], solver.all_symbols)
     states = np.stack([lifted.column(s) for s in sys.states], axis=1)
     values = []
     with np.errstate(invalid="ignore"):  # see dynamics._solve_lines
         for row in states[1:-1].tolist():
-            x = row + solver.multipliers(row, param_vec, None) + param_vec
-            values.append(solver.rhs_fn(x) + solver.cons_fn(x))
+            values.append(field(row + solver.multipliers(row, param_vec, None) + param_vec))
     values = np.array(values)
     n = len(sys.states)
     fd = (states[2:] - states[:-2]) / (2.0 * h)

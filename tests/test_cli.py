@@ -327,6 +327,33 @@ def test_simulate_reports_a_constraint_left_at_rounding_level(tmp_path, capsys):
     assert len(rows[1:]) == report["samples"] == 3
 
 
+def test_simulate_reports_an_energy_without_value_as_null(tmp_path, capsys):
+    # ln(q1_0) has no real value from q1_0 = -1: every sample's energy is
+    # nan, the CSV says so, and the report stays strict JSON
+    config = {
+        **BEAM_CONFIG,
+        "problem": "ln-energy",
+        "lagrangian": "1/2*q1_2^2 + ln(q1_0)",
+        "parameters": {},
+        "simulation": {
+            "t0": 0.0, "t1": 0.05, "h": 0.01,
+            "initial": {"q1_0": -1.0, "q1_1": 0.0, "p1_0": 0.0, "p1_1": 0.0},
+        },
+    }
+    cfg = write_config(tmp_path, config)
+    code, out = run_cli(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--format", "json")
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(out, parse_constant=refuse)
+    assert report["energy_drift"] is None
+    assert json.loads((tmp_path / "o" / "ln-energy.report.json").read_text(), parse_constant=refuse) == report
+    rows = (tmp_path / "o" / "ln-energy.csv").read_text().splitlines()
+    assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["nan"] * 6
+
+
 def test_simulate_incomplete_initial_state_is_usage_error(tmp_path, capsys):
     partial = {**BEAM_CONFIG, "simulation": {**BEAM_CONFIG["simulation"], "initial": {"q1_0": 0.0}}}
     cfg = write_config(tmp_path, partial)

@@ -3,7 +3,7 @@ import pytest
 
 from jetlag.calculus import diff, is_zero
 from jetlag.charts import chart_cotangent
-from jetlag import hamjac
+from jetlag import expr, hamjac
 from jetlag.dynamics import assemble, integrate_rk4
 from jetlag.errors import ArityMismatchError, ChartMismatchError, ClosureError, DomainEvalError
 from jetlag.expr import ZERO, eval_expr, simplify
@@ -25,7 +25,7 @@ from jetlag.parser import parse
 from jetlag.sampling import equal_numeric, sample_bindings
 from jetlag.symbols import acc, p, pa, param, pq, q
 
-from conftest import rational_polynomial
+from conftest import count_calls_everywhere, rational_polynomial
 
 BEAM = LagrangianSpec(1, 2, parse("1/2*mu*q1_2^2 + rho*q1_0"))
 JAVELIN = LagrangianSpec(1, 2, parse("1/2*q1_1^2 - 1/2*q1_2^2"))
@@ -227,6 +227,21 @@ def test_gamma_relatedness_javelin_and_negative_control():
         init_b[slot] = eval_expr(comp, start)
     traj_b = integrate_rk4(sys, init_b, 0.0, 0.3, 1e-3)
     assert not gamma_relatedness(sys, bad, traj_b, tol=1e-5).passed
+
+
+def test_gamma_relatedness_compiles_the_lift_and_one_field(monkeypatch):
+    # after the run, a relatedness check compiles gamma's components for
+    # the lift, and the right-hand side and the constraints as one field;
+    # the multipliers come from the system's own solver
+    sys = assemble(ostro_energy(BEAM))
+    gamma = ClosedOneForm.from_potential(parse("q1_0*q1_1"), [q(1, 0), q(1, 1)], [p(1, 0), p(1, 1)])
+    at = {param("mu"): 1.0, param("rho"): 1.0}
+    init = {q(1, 0): 0.3, q(1, 1): -0.2, p(1, 0): -0.2, p(1, 1): 0.3, **at}
+    traj = integrate_rk4(sys, init, 0.0, 0.1, 1e-2)
+    compiles = count_calls_everywhere(monkeypatch, expr.lambdify)
+    gamma_relatedness(sys, gamma, traj, params=at)
+    rhs = [sys.rhs[s] for s in sys.states]
+    assert [list(args[0]) for args, _ in compiles] == [list(gamma.component_exprs()), rhs + list(sys.constraints)]
 
 
 def test_local_vf_residual_hamiltonian_section():

@@ -2,7 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from jetlag import cli, dynamics, errors, hamjac
+from jetlag import cli, dynamics, errors, hamjac, job
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "record_outputs.py"
 
@@ -45,7 +45,8 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
     configs.mkdir()
     # and the paths that they miss: hamjac's fiber Newton, LAPACK's gesv on a
     # 3x3 block in the generated RK4 loop, three error classes, a constraint
-    # with no real value and a non-finite compiled value
+    # with no real value, a non-finite compiled value, hj-check's target
+    # form, and relatedness, on a Newton system too
     entered = {}
 
     def count(owner, name, key, when=lambda *args: True):
@@ -65,6 +66,23 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
     count(errors.ClosureError, "__init__", "ClosureError")
     count(dynamics, "_constraint_failure", "constraint failure")
     count(dynamics, "_nonfinite", "non-finite value")  # the name the generated RK4 loop calls
+    count(cli, "hj_residual_nondeg", "target form")
+    count(job, "gamma_relatedness", "relatedness")
+    solve = dynamics._MultiplierSolver.multipliers  # the cached_property itself
+    entered["newton multipliers"] = 0
+
+    def multipliers(solver):  # counts the calls of a Newton system's multipliers
+        fn = solve.__get__(solver, type(solver))
+        if solver.linear:
+            return fn
+
+        def counted(*args):
+            entered["newton multipliers"] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(dynamics._MultiplierSolver, "multipliers", property(multipliers))
     runs = tool.edge_runs(cli, configs, tmp_path / "out")
     codes = {name: run["exit"] for name, run in runs.items()}
     assert codes == {
@@ -83,6 +101,10 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
         "edge/simulate-nonfinite": 4,
         "edge/simulate-sin1": 0,
         "edge/derive-sin1": 0,
+        "edge/hj-check-target-relatedness": 0,
+        "edge/hj-check-degenerate-relatedness": 0,
+        "edge/hj-check-newton-relatedness": 1,
+        "edge/simulate-constraint-rounding": 0,
     }
     assert "Traceback" not in "".join(run["stderr"] for run in runs.values())
     assert all(entered.values()), entered

@@ -59,6 +59,10 @@ EDGE_RUNS = {
     "simulate-nonfinite": (["simulate"], "edge-nonfinite.json"),  # 4, an infinite right-hand side
     "simulate-sin1": (["simulate"], "edge-sin1.json"),  # 0, functions of constants
     "derive-sin1": (["derive"], "edge-sin1.json"),  # 0, functions of constants
+    "hj-check-target-relatedness": (["hj-check"], "edge-hj-target-relatedness.json"),  # 0, hj_target and relatedness
+    "hj-check-degenerate-relatedness": (["hj-check"], "edge-degenerate-planar.json"),  # 0, relatedness skipped
+    "hj-check-newton-relatedness": (["hj-check"], "edge-hj-newton-relatedness.json"),  # 1, relatedness by Newton
+    "simulate-constraint-rounding": (["simulate"], "edge-constraint-rounding.json"),  # 0, |g| at rounding level
 }
 
 
