@@ -21,13 +21,13 @@ from .dynamics import energy_drift, trajectory_csv
 from .errors import (
     ClosureError,
     ConfigError,
-    ConstraintViolationError,
     DomainEvalError,
     JetlagError,
     NumericFailureError,
     ParseError,
     SingularJacobianError,
     StepSizeError,
+    UnboundSymbolError,
 )
 from .expr import Expr, job_scope
 from .hamjac import (
@@ -204,15 +204,11 @@ def cmd_corpus(args) -> tuple[int, dict]:
             ],
         }
         return EXIT_OK, report
-    if args.filter is None:
-        ids = None
-    elif args.filter == "":
-        ids = []  # empty selection: vacuous success
-    else:
-        if not any(e.id == args.filter for e in entries):
+    if args.filter is not None:
+        entries = [e for e in entries if e.id == args.filter]
+        if args.filter and not entries:  # an empty filter selects nothing: vacuous success
             raise ConfigError(f"no corpus entry named {args.filter!r}")
-        ids = [args.filter]
-    result = corpus_mod.run_all(seed=args.seed, ids=ids)
+    result = corpus_mod.run_all(entries, seed=args.seed)
     report = {"command": "corpus run", **result}
     return (EXIT_OK if result["passed"] else EXIT_CHECK_FAILED), report
 
@@ -306,7 +302,7 @@ def main(argv=None) -> int:
         _emit(report, args)
     except SystemExit as exc:  # argparse's, after its usage error (2) or --help (0)
         return exc.code
-    except (ConfigError, ParseError, StepSizeError, ConstraintViolationError) as exc:
+    except (ConfigError, ParseError, StepSizeError, UnboundSymbolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ClosureError as exc:

@@ -535,10 +535,8 @@ def run_entry(entry: CorpusEntry, seed: int = 0) -> dict:
     }
 
 
-def run_all(seed: int = 0, ids=None) -> dict:
-    entries = build_entries()
-    if ids is not None:
-        entries = [e for e in entries if e.id in set(ids)]
+def run_all(entries, seed: int = 0) -> dict:
+    """Run the given corpus entries, in order, and report them together."""
     reports = [run_entry(e, seed=seed) for e in entries]
     return {
         "entries": reports,

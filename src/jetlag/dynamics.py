@@ -49,14 +49,13 @@ import numpy as np
 from .calculus import diff, linear_coefficients
 from .errors import (
     ChartMismatchError,
-    ConstraintViolationError,
     DomainEvalError,
     NotLinearError,
     NumericFailureError,
     SingularJacobianError,
     StepSizeError,
 )
-from .expr import Expr, define, frame, neg, simplify, step_lines, tape
+from .expr import Expr, define, frame, neg, simplify, step_lines, tape, values_of
 from .expr import _apply_func, _nonfinite, _pow  # noqa: F401 - called by generated code
 from .families import MorseFamily
 
@@ -207,13 +206,6 @@ class _MultiplierSolver:
         m = self.n_mult
         return np.empty((m, m)), np.empty(m), np.empty(m)
 
-    def param_vector(self, binding) -> list:
-        """The parameter values in solver order, from a {Symbol: value} binding."""
-        missing = [s for s in self.params if s not in binding]
-        if missing:
-            raise ConstraintViolationError(f"no value for parameter {missing[0]}")
-        return [float(binding[s]) for s in self.params]
-
     def _unpack(self):
         """The lines that bind the slots x<i> of the states and parameters,
         and the solve buffers A, B and X when the block is square and of
@@ -242,13 +234,10 @@ class _MultiplierSolver:
         if not m:
             return [], []
         block = [e for row in self._matrix for e in row]
-        steps = tape(block + self._residue, self.all_symbols)
-        # ends[j]: the tape position just after the j-th output
-        ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
-        names = []
-        lines, entries, block_raises = step_lines(steps, ends[len(block)], names, prefix="b")
+        steps, names = tape(block + self._residue, self.all_symbols), []
+        lines, entries, block_raises = step_lines(steps, names, len(block), prefix="b")
         ranked = frame(lines, block_raises) + _rank_lines(entries, m)
-        lines, residue, raises = step_lines(steps, len(steps), names)
+        lines, residue, raises = step_lines(steps, names)
         if self.constant:
             prologue, body = _guard(ranked, block_raises), _guard(frame(lines, raises), raises)
         else:
@@ -284,7 +273,7 @@ class _MultiplierSolver:
         ys, ks = [f"y{i}" for i in range(n)], [f"k{i}" for i in range(n)]
         prologue, solve = self._linear_body() if self.linear else self._newton_body("step or stage")
         steps = tape([self.sys.rhs[s] for s in self.sys.states], self.all_symbols)
-        lines, r, _ = step_lines(steps, len(steps), [])
+        lines, r, _ = step_lines(steps, [])
         params = {f"if x{i} - x{i} != 0.0: _nonfinite(x{i})" for i in range(len(self.symbols), len(self.all_symbols))}
         once = [line for line in lines if line in params]
         lines = [line for line in lines if line not in params]
@@ -329,13 +318,11 @@ class _MultiplierSolver:
         g<slot> stay apart from v<slot> and b<slot>.  A constraint's error
         propagates.  The energy's output may be a state's slot or a literal,
         so it is copied to a name of its own."""
-        steps = tape([*self.sys.constraints, self.sys.energy], self.all_symbols)
-        ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
-        names = []
-        lines, g, _ = step_lines(steps, ends[self.n_mult], names, prefix="g")
+        steps, names = tape([*self.sys.constraints, self.sys.energy], self.all_symbols), []
+        lines, g, _ = step_lines(steps, names, self.n_mult, prefix="g")
         if g:
             lines.append(f"sup = max(sup, {', '.join(f'abs({v})' for v in g)})")
-        energy_lines, (energy,), _ = step_lines(steps, len(steps), names, prefix="g")
+        energy_lines, (energy,), _ = step_lines(steps, names, prefix="g")
         return lines + [
             "try:",
             *(f"    {line}" for line in energy_lines),
@@ -361,13 +348,12 @@ class _MultiplierSolver:
         n, m = len(self.sys.states), self.n_mult
         jac = [diff(g, u) for g in self.sys.constraints for u in self.sys.multipliers]
         steps = tape(list(self.sys.constraints) + jac, self.all_symbols)
-        ends = [0] + [i + 1 for i, step in enumerate(steps) if step[0] == "out"]
         lam, names = ", ".join(f"x{n + j}" for j in range(m)), []
-        lines, g, raises = step_lines(steps, ends[m], names)
+        lines, g, raises = step_lines(steps, names, m)
         loop = frame(lines, raises)
         test = f"abs({g[0]})" if m == 1 else f"max({', '.join(f'abs({v})' for v in g)})"
         loop += [f"if {test} <= NEWTON_TOL:", "    break"]
-        lines, entries, raises = step_lines(steps, len(steps), names)
+        lines, entries, raises = step_lines(steps, names)
         loop += frame(lines, raises) + _rank_lines(entries, m)
         loop += [f"if rank < {m}:", f"    raise SingularJacobianError(rank, {m})"]
         fill, solve = _solve_lines(entries, g, [f"d{j}" for j in range(m)])
@@ -492,13 +478,12 @@ def resolve_multipliers(sys: ImplicitSystem, at: dict, warm=None) -> dict:
     """Multiplier values at one point; raises SingularJacobianError when the
     constraint Jacobian cannot pin them down.  A constraint with no real
     value there (a negative number under a root, ln of a nonpositive one)
-    is a numeric failure."""
+    is a numeric failure.  at binds every state and parameter, warm (when
+    given) every multiplier; UnboundSymbolError names the first without a
+    value."""
     solver = sys.solver
-    state_vec = [float(at[s]) for s in sys.states]
-    param_vec = solver.param_vector(at)
-    warm_vec = None
-    if warm is not None:
-        warm_vec = [float(warm[m]) for m in sys.multipliers]
+    state_vec, param_vec = values_of(sys.states, at), values_of(solver.params, at)
+    warm_vec = None if warm is None else values_of(sys.multipliers, warm)
     with np.errstate(invalid="ignore"):  # see _solve_lines
         sol = solver.multipliers(state_vec, param_vec, warm_vec)
     return {m: float(v) for m, v in zip(sys.multipliers, sol)}
@@ -522,14 +507,12 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     SingularJacobianError carrying the last good time and the failing step
     (0 for the initial data).  The initial data need not satisfy the
     constraints: the first solve sets the multipliers that make them hold.
+    init binds every state and parameter; UnboundSymbolError names the
+    first without a value.
     """
     times = _time_grid(t0, t1, h)
     solver = sys.solver
-    states = list(sys.states)
-    missing = [s for s in states if s not in init]
-    if missing:
-        raise ConstraintViolationError(f"initial data misses state values for {missing}")
-    param_vec = solver.param_vector(init)
+    state_vec, param_vec = values_of(sys.states, init), values_of(solver.params, init)
     run = solver.run  # compiled before anything is evaluated
     rows, energies = [], []
     # a singular pivot in a LAPACK solve surfaces through the finite check
@@ -537,7 +520,7 @@ def integrate_rk4(sys: ImplicitSystem, init: dict, t0: float, t1: float, h: floa
     # not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            sup = run([float(init[s]) for s in states], param_vec, times, h, rows, energies)
+            sup = run(state_vec, param_vec, times, h, rows, energies)
         except SingularJacobianError as exc:  # at the last good time and the failing step
             raise exc.located(times[max(len(rows) - 1, 0)], len(rows)) from None
         except OverflowError as exc:  # the right-hand side's or constraints', as eval_expr raises it

@@ -26,6 +26,8 @@ class UnknownIdentifierError(ParseError):
 
 
 class UnboundSymbolError(JetlagError):
+    """A binding gives no value to a symbol that is evaluated under it."""
+
     def __init__(self, symbol):
         super().__init__(f"no value bound for symbol {symbol}")
         self.symbol = symbol
@@ -93,10 +95,6 @@ class SingularJacobianError(JetlagError):
 
 class StepSizeError(JetlagError):
     """Nonpositive or otherwise unusable integration step."""
-
-
-class ConstraintViolationError(JetlagError):
-    """Initial data does not satisfy the algebraic constraints."""
 
 
 class ClosureError(JetlagError):

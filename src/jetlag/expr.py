@@ -544,6 +544,15 @@ def eval_expr(e: Expr, binding) -> float:
     return v
 
 
+def values_of(symbols, binding) -> list:
+    """The floats that a {Symbol: value} binding gives the symbols, in order;
+    UnboundSymbolError names the first symbol it gives no value."""
+    try:
+        return [float(binding[s]) for s in symbols]
+    except KeyError as exc:
+        raise UnboundSymbolError(exc.args[0]) from None
+
+
 def _nonfinite(v):
     raise NumericFailureError(f"non-finite value {v}")
 
@@ -837,21 +846,25 @@ def _constant_value(node):
         return None
 
 
-def step_lines(steps, stop, names, prefix="v"):
-    """Straight-line Python for steps[len(names):stop] of a tape.
+def step_lines(steps, names, outputs=None, prefix="v"):
+    """Straight-line Python for the steps of a tape after the len(names)
+    already written: through the given number of further outputs, or to the
+    tape's end when outputs is None.
 
     names holds one Python expression per slot already written and gets one
     per new step: a variable <prefix><slot>, a symbol's x<column>, or a
-    constant's literal.  Returns (lines, outputs, raises): the statements,
-    the name of each output in order, and whether a step can raise
+    constant's literal.  Returns (lines, names of the outputs, raises): the
+    statements, the name of each output written, and whether a step can raise
     OverflowError or ValueError (a power or a function), which frame() then
     maps to eval_expr's errors; sums and products of floats raise neither.
     Every output that is not a constant is checked once: a non-finite one
     raises NumericFailureError, as in eval_expr.  The lines call _pow,
     _apply_func, _nonfinite, Fraction and math by name.
     """
-    lines, outputs, raises, checked = [], [], False, set()
-    for op, arg, payload in steps[len(names) : stop]:
+    lines, out, raises, checked = [], [], False, set()
+    for op, arg, payload in steps[len(names) :]:
+        if len(out) == outputs:
+            break
         name = f"{prefix}{len(names)}"
         if op == "const":
             name = f"({arg!r})"
@@ -859,7 +872,7 @@ def step_lines(steps, stop, names, prefix="v"):
             name = f"x{arg}"
         elif op == "out":
             name = names[arg]
-            outputs.append(name)
+            out.append(name)
             if arg not in checked and steps[arg][0] != "const":
                 checked.add(arg)
                 # v - v is 0.0 for every finite v, and nan for an infinity or a nan
@@ -880,7 +893,7 @@ def step_lines(steps, stop, names, prefix="v"):
                 lines.append(f"if {names[arg]} <= 0.0: _apply_func('ln', {names[arg]})")
             lines.append(f"{name} = math.{Func._TABLE[op].__name__}({names[arg]})")
         names.append(name)
-    return lines, outputs, raises
+    return lines, out, raises
 
 
 def frame(lines, raises):
@@ -919,7 +932,7 @@ def lambdify(exprs, symbols):
     """
     symbols = list(symbols)
     steps = tape(exprs, symbols)
-    lines, outputs, raises = step_lines(steps, len(steps), [])
+    lines, outputs, raises = step_lines(steps, [])
     source = ["def f(x):", "    [" + ", ".join(f"x{i}" for i in range(len(symbols))) + "] = x"]
     source += [f"    {line}" for line in frame(lines, raises)] + [f"    return [{', '.join(outputs)}]"]
     return define(source, globals())

@@ -24,9 +24,8 @@ from .errors import (
     DomainEvalError,
     NotLinearError,
     NumericFailureError,
-    UnboundSymbolError,
 )
-from .expr import Expr, add, coerce, lambdify, mul, neg, simplify, substitute
+from .expr import Expr, add, coerce, lambdify, mul, neg, simplify, substitute, values_of
 from .families import MorseFamily
 from .sampling import eval_rows, make_rng, sample_rows
 from .symbols import p, q
@@ -218,10 +217,7 @@ def morse_rank_check(mf: MorseFamily, points) -> ResidualReport:
     columns = list(mf.base.roster) + fibers
     entries = [diff(g, c) for g in (diff(total, lam) for lam in fibers) for c in columns]
     symbols = sorted(set().union(*(e.free for e in entries)))
-    try:
-        rows = [[float(at[s]) for s in symbols] for at in points]
-    except KeyError as exc:
-        raise UnboundSymbolError(exc.args[0]) from None
+    rows = [values_of(symbols, at) for at in points]
     needed = len(fibers)
     rows = np.array(rows, dtype=float).reshape(len(rows), len(symbols))
     values = eval_rows(entries, symbols, rows)
@@ -431,7 +427,7 @@ def gamma_relatedness(
     params = dict(params or {})
     lifted = lift_trajectory(gamma, traj, params)
     solver = sys.solver
-    param_vec = solver.param_vector(params)
+    param_vec = values_of(solver.params, params)
     field = lambdify([*(sys.rhs[s] for s in sys.states), *sys.constraints], solver.all_symbols)
     states = np.stack([lifted.column(s) for s in sys.states], axis=1)
     values = []

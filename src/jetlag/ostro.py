@@ -21,7 +21,7 @@ from .calculus import (
 from .charts import chart_cotangent, pullback_to_acceleration_chart
 from .dynamics import numeric_rank
 from .errors import DegenerateLagrangianError, NotLinearError
-from .expr import Expr, add, eval_expr, neg, simplify, substitute
+from .expr import Expr, add, eval_expr, neg, simplify, substitute, values_of
 from .families import MorseFamily, legendre_sum
 from .symbols import Kind, p, q
 
@@ -153,10 +153,8 @@ def ostro_initial_data(L: LagrangianSpec, jet: dict, params: dict | None = None)
     binding = dict(jet)
     if params:
         binding.update(params)
-    out = {}
-    for kappa in range(k):
-        for a in range(1, n + 1):
-            out[q(a, kappa)] = float(binding[q(a, kappa)])
+    positions = [q(a, kappa) for kappa in range(k) for a in range(1, n + 1)]
+    out = dict(zip(positions, values_of(positions, binding)))
     momenta = ostro_momenta(L)
     for kappa in range(k):
         for a in range(1, n + 1):

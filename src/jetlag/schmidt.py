@@ -19,7 +19,7 @@ from .calculus import diff, is_zero, solve_linear_symbolic
 from .charts import chart_tstar_aq, chart_tstar_aqm
 from .dynamics import numeric_rank
 from .errors import GaugeConditionError, IncompatibleGaugeError
-from .expr import Expr, add, eval_expr, mul, neg, simplify, substitute
+from .expr import Expr, add, eval_expr, mul, neg, simplify, substitute, values_of
 from .families import MorseFamily, legendre_sum
 from .ostro import LagrangianSpec, energy_sum
 from .sampling import equal_numeric, eval_rows, make_rng, sample_rows
@@ -274,12 +274,10 @@ def schmidt_initial_data(
     ext = gauge_extend_second(L, F)
     jet_acc = dict(binding)
     for a in range(1, n + 1):
-        jet_acc[acc(a, 0)] = float(binding[q(a, 2)])
-        jet_acc[acc(a, 1)] = float(binding[q(a, 3)])
+        jet_acc[acc(a, 0)], jet_acc[acc(a, 1)] = values_of([q(a, 2), q(a, 3)], binding)
     out = {}
     for a in range(1, n + 1):
-        out[q(a, 0)] = float(binding[q(a, 0)])
-        out[acc(a, 0)] = float(binding[q(a, 2)])
+        out[q(a, 0)], out[acc(a, 0)] = values_of([q(a, 0), q(a, 2)], binding)
         out[pq(a)] = eval_expr(diff(ext, q(a, 1)), jet_acc)
         out[pa(a)] = eval_expr(diff(ext, acc(a, 1)), jet_acc)
     return out

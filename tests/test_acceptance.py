@@ -414,12 +414,12 @@ def test_criterion_11_variational_oracle():
 
 
 def test_criterion_12_corpus_runtime_and_determinism():
-    from jetlag.corpus import run_all
+    from jetlag.corpus import build_entries, run_all
 
     t0 = time.time()
-    first = run_all(seed=123)
+    first = run_all(build_entries(), seed=123)
     elapsed = time.time() - t0
-    second = run_all(seed=123)
+    second = run_all(build_entries(), seed=123)
     same = json.dumps(first, sort_keys=True, default=str) == json.dumps(
         second, sort_keys=True, default=str
     )

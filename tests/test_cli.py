@@ -191,7 +191,7 @@ def test_two_jobs_share_no_diff_memo_entry(tmp_path, capsys, monkeypatch):
     assert first is not second
     # the second job built every node and computed every derivative again
     assert len(second) == len(first) > 0
-    corpus.run_all(ids=["beam", "clement"])
+    corpus.run_all([e for e in corpus.build_entries() if e.id in ("beam", "clement")])
     assert len(tables) == 4 and all(t is not None for t in tables)  # one table per corpus entry
     assert len(set(map(id, tables))) == 4 and all(map(_holds_nodes_and_derivatives, tables))
     assert expr._JOB_TABLE.get() is None
@@ -358,7 +358,13 @@ def test_simulate_incomplete_initial_state_is_usage_error(tmp_path, capsys):
     partial = {**BEAM_CONFIG, "simulation": {**BEAM_CONFIG["simulation"], "initial": {"q1_0": 0.0}}}
     cfg = write_config(tmp_path, partial)
     assert main(["simulate", "--config", cfg]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: no value bound for symbol q1_1\n"  # the first state missing
+
+
+def test_simulate_missing_parameter_is_usage_error_naming_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**BEAM_CONFIG, "parameters": {"mu": 1.0}})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: no value bound for symbol rho\n"
 
 
 def test_simulate_bad_step_is_usage_error(tmp_path, capsys):
@@ -642,6 +648,13 @@ def test_open_one_form_is_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, config)
     assert main(["hj-check", "--config", path]) == 1
     capsys.readouterr()
+
+
+def test_corpus_run_builds_its_entries_once(capsys, monkeypatch):
+    calls = count_calls_everywhere(monkeypatch, corpus.build_entries)
+    assert main(["corpus", "run", "--filter", "beam", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_corpus_empty_filter_is_noop_success(capsys):

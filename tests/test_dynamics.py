@@ -28,8 +28,9 @@ from jetlag.errors import (
     NumericFailureError,
     SingularJacobianError,
     StepSizeError,
+    UnboundSymbolError,
 )
-from jetlag.expr import eval_expr, lambdify
+from jetlag.expr import eval_expr, lambdify, values_of
 from jetlag.hamjac import ClosedOneForm, lift_trajectory
 from jetlag.ostro import LagrangianSpec, euler_lagrange, ostro_energy, ostro_initial_data
 from jetlag.parser import parse
@@ -78,6 +79,26 @@ def test_resolve_multipliers_nonlinear_newton():
     at = {q(1, 0): 0.0, q(1, 1): 0.0, p(1, 0): 0.0, p(1, 1): 9.0}
     lam = resolve_multipliers(sys, at)
     assert abs(lam[q(1, 2)] - 2.0) < 1e-10  # q^3 + 1 = 9
+
+
+def test_a_point_without_a_value_names_the_symbol():
+    sys = beam_system()
+    at = {q(1, 0): 0.0, q(1, 1): 0.0, p(1, 0): 0.0, p(1, 1): 3.0, **PARAMS}
+
+    def without(symbol):
+        return {s: v for s, v in at.items() if s != symbol}
+
+    cases = [
+        (lambda: resolve_multipliers(sys, {}), q(1, 0)),  # the first state
+        (lambda: resolve_multipliers(sys, without(param("rho"))), param("rho")),
+        (lambda: resolve_multipliers(sys, at, warm={}), q(1, 2)),
+        (lambda: integrate_rk4(sys, without(p(1, 1)), 0.0, 1.0, 0.5), p(1, 1)),
+        (lambda: integrate_rk4(sys, without(param("mu")), 0.0, 1.0, 0.5), param("mu")),
+    ]
+    for call, symbol in cases:
+        with pytest.raises(UnboundSymbolError) as err:
+            call()
+        assert err.value.symbol == symbol
 
 
 def test_integrate_beam_matches_quartic():
@@ -1149,7 +1170,7 @@ def _list_rk4(sys, init, t0, t1, h):
     holds the loop's own solve, so this checks the loop around it."""
     times = dynamics._time_grid(t0, t1, h)
     solver = sys.solver
-    param_vec = solver.param_vector(init)
+    param_vec = values_of(solver.params, init)
     multipliers = solver.multipliers
     rhs_fn = lambdify([sys.rhs[s] for s in sys.states], solver.all_symbols)
     energy_fn = lambdify([sys.energy], solver.all_symbols)
@@ -1262,7 +1283,7 @@ def test_generated_loop_gives_the_list_loops_bits(case):
     assert traj.values.tobytes() == values.tobytes()
     assert traj.energies.tobytes() == energies.tobytes()
     # the loop's sup of |g| over the samples, 0.0 without constraints
-    param_vec = sys.solver.param_vector(init)
+    param_vec = values_of(sys.solver.params, init)
     constraints = lambdify(sys.constraints, sys.solver.all_symbols)
     g = [v for row in values.tolist() for v in constraints(row + param_vec)]
     assert traj.constraint_sup == max(map(abs, g), default=0.0)

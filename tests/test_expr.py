@@ -660,7 +660,7 @@ def test_a_symbol_free_subtree_is_one_constant_step():
     steps = expr.tape([e], [x])
     assert {op for op, _, _ in steps} == {"sym", "const", "mul", "add", "out"}
     assert {math.sin(1.0), math.exp(1 / 3)} <= {arg for op, arg, _ in steps if op == "const"}
-    lines, _, raises = expr.step_lines(steps, len(steps), [])
+    lines, _, raises = expr.step_lines(steps, [])
     assert not raises and "math." not in "\n".join(lines)
     assert lambdify([e], [x])([0.5]) == [eval_expr(e, {x: 0.5})]
     assert compile_rows([e], [x])(np.array([[0.5]]))[0][0].tolist() == [eval_expr(e, {x: 0.5})]

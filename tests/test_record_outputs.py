@@ -2,7 +2,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-from jetlag import cli, dynamics, errors, hamjac, job
+import numpy as np
+
+from jetlag import cli, dynamics, errors, expr, hamjac, job, sampling
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "record_outputs.py"
 
@@ -46,7 +48,8 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
     # and the paths that they miss: hamjac's fiber Newton, LAPACK's gesv on a
     # 3x3 block in the generated RK4 loop, three error classes, a constraint
     # with no real value, a non-finite compiled value, hj-check's target
-    # form, and relatedness, on a Newton system too
+    # form, relatedness, on a Newton system too, an energy drift with no
+    # value, and a function of a symbol evaluated over sampled rows
     entered = {}
 
     def count(owner, name, key, when=lambda *args: True):
@@ -68,6 +71,13 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
     count(dynamics, "_nonfinite", "non-finite value")  # the name the generated RK4 loop calls
     count(cli, "hj_residual_nondeg", "target form")
     count(job, "gamma_relatedness", "relatedness")
+    count(cli, "energy_drift", "drift without value", lambda traj: bool(np.isnan(traj.energies).all()))
+    count(
+        sampling,
+        "compile_rows",
+        "function rows",
+        lambda exprs, symbols: any(step[0] in expr.Func._TABLE for step in expr.tape(exprs, symbols)),
+    )
     solve = dynamics._MultiplierSolver.multipliers  # the cached_property itself
     entered["newton multipliers"] = 0
 
@@ -105,6 +115,8 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
         "edge/hj-check-degenerate-relatedness": 0,
         "edge/hj-check-newton-relatedness": 1,
         "edge/simulate-constraint-rounding": 0,
+        "edge/simulate-energy-null": 0,
+        "edge/hj-check-transcendental": 0,
     }
     assert "Traceback" not in "".join(run["stderr"] for run in runs.values())
     assert all(entered.values()), entered

@@ -63,6 +63,8 @@ EDGE_RUNS = {
     "hj-check-degenerate-relatedness": (["hj-check"], "edge-degenerate-planar.json"),  # 0, relatedness skipped
     "hj-check-newton-relatedness": (["hj-check"], "edge-hj-newton-relatedness.json"),  # 1, relatedness by Newton
     "simulate-constraint-rounding": (["simulate"], "edge-constraint-rounding.json"),  # 0, |g| at rounding level
+    "simulate-energy-null": (["simulate"], "edge-energy-null.json"),  # 0, no energy has a value: drift null
+    "hj-check-transcendental": (["hj-check"], "edge-hj-transcendental.json"),  # 0, functions in sampled rows
 }
 
 
