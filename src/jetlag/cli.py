@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .calculus import diff, is_zero
 from .dynamics import energy_drift, trajectory_csv
 from .errors import (
     ClosureError,
@@ -38,10 +37,9 @@ from .hamjac import (
     hj_residual_nondeg,
 )
 from .job import METHODS, Job
-from .ostro import ostro_energy, top_coefficients
+from .ostro import ostro_energy
 from .printer import to_text
 from .sampling import make_rng
-from .symbols import q
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -74,13 +72,12 @@ def _residual_tol(job, args):
     return args.tol if args.tol is not None else job.tolerances["residual"]
 
 
-def _affine_status(spec, seed):
+def _affine_status(job, seed):
     """When L is affine in its top derivatives, report the symmetry check,
     sampled from a generator seeded with seed, built only then."""
-    f = top_coefficients(spec)
-    if not all(is_zero(diff(fa, q(b, spec.order))) for fa in f for b in range(1, spec.dim + 1)):
+    if job.affine is None:
         return None
-    rep = affine_symmetry_check(f, rng=make_rng(seed))
+    rep = affine_symmetry_check(job.affine[0], rng=make_rng(seed))
     return {
         "affine_in_top_derivative": True,
         "coefficient_symmetry_passed": bool(rep.passed),
@@ -97,7 +94,7 @@ def cmd_derive(job, args) -> tuple[int, dict]:
             if key != "hamiltonian":
                 raise
             report[key], report["hamiltonian_note"] = None, str(exc)
-    status = _affine_status(job.spec, args.seed)
+    status = _affine_status(job, args.seed)
     if status:
         report["affine_warning"] = status
     return EXIT_OK, report
@@ -169,10 +166,12 @@ def cmd_hj_check(job, args) -> tuple[int, dict]:
 
 
 def cmd_hj_solve_affine(job, args) -> tuple[int, dict]:
-    f, g = job.affine
     order = job.spec.order
     if order not in (2, 3):
         raise ConfigError("affine solver covers second and third order")
+    if job.affine is None:
+        raise ConfigError("the lagrangian is not affine in its top derivatives")
+    f, g = job.affine
     rng = make_rng(args.seed)
     sym_rep = affine_symmetry_check(f, rng=rng)
     int_rep = affine_integrability_check(f, g, order=order, rng=rng)
@@ -185,7 +184,7 @@ def cmd_hj_solve_affine(job, args) -> tuple[int, dict]:
         "symmetry": sym_rep.to_dict(),
         "integrability": int_rep.to_dict(),
         "closure": sol.closure.to_dict(),
-        "gamma_components": [to_text(c) for c in sol.form.component_exprs()],
+        "gamma_components": [to_text(c) for c in sol.form.components],
         "potential": to_text(sol.potential) if sol.potential is not None else None,
         "verification": verify.to_dict(),
     }

@@ -27,7 +27,7 @@ from .hamjac import (
     morse_rank_check,
 )
 from .job import Job, symbol
-from .ostro import nondegeneracy, ostro_initial_data, top_coefficients
+from .ostro import nondegeneracy, ostro_initial_data
 from .parser import parse
 from .sampling import equal_numeric, make_rng, sample_bindings
 from .schmidt import ostro_schmidt_pullback_check, schmidt_initial_data, schmidt_morse_family
@@ -69,8 +69,6 @@ def build_entries():
                 "lagrangian": "(B + q1_0)*q1_2 + A*q1_1 + q1_1^2",
                 "method": "ostrogradsky",
                 "parameters": {"A": 1.0, "B": 2.0},
-                "affine_f": ["B + q1_0"],
-                "affine_g": "A*q1_1 + q1_1^2",
             },
             [
                 {"name": "affine-symmetry", "kind": "affine-symmetry", "provenance": "trivial", "expect_pass": True},
@@ -86,8 +84,6 @@ def build_entries():
                 "lagrangian": "(q1_2 + cf)*q1_3",
                 "method": "ostrogradsky",
                 "parameters": {"cf": 1.5},
-                "affine_f": ["q1_2 + cf"],
-                "affine_g": "0",
             },
             [
                 {"name": "affine-compatibility", "kind": "affine-integrability", "provenance": "derived", "order": 3, "expect_pass": True},
@@ -403,6 +399,10 @@ def _as_expected(rep, check):
     return rep.passed == check["expect_pass"], rep.overall_sup
 
 
+def _affine_symmetry(job, check, rng):
+    return _as_expected(affine_symmetry_check(job.affine[0], rng=rng), check)
+
+
 def _affine_solve(job, check, rng):
     sol = affine_hj_solve(*job.affine, order=check["order"], rng=rng)
     rep = hj_residual(job.family, sol.form, rng=rng, tol=1e-8, boxes=job.pinned)
@@ -489,12 +489,8 @@ CHECKS = {
         check["expect"],
     ),
     "derive-ok": _derive_ok,
-    "affine-symmetry": lambda job, check, rng: _as_expected(
-        affine_symmetry_check(job.affine[0], rng=rng), check
-    ),
-    "affine-symmetry-of-L": lambda job, check, rng: _as_expected(
-        affine_symmetry_check(top_coefficients(job.spec), rng=rng), check
-    ),
+    "affine-symmetry": _affine_symmetry,
+    "affine-symmetry-of-L": _affine_symmetry,
     "affine-integrability": lambda job, check, rng: _as_expected(
         affine_integrability_check(*job.affine, order=check["order"], rng=rng), check
     ),

@@ -11,7 +11,6 @@ numerically at each sample point from the constraint block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +34,7 @@ SAMPLES = 50  # points per sampled check
 
 @dataclass(frozen=True)
 class ClosedOneForm:
-    """Candidate generating form: scalar potential or verified components.
+    """Candidate generating form: its components on the base chart.
 
     coordinates are the base chart; momentum_slots name the conjugate symbols
     each component replaces when the form is fed into an energy function.
@@ -43,22 +42,19 @@ class ClosedOneForm:
 
     coordinates: tuple
     momentum_slots: tuple
-    potential: Expr | None = None
-    components: tuple | None = None
+    components: tuple
 
     def __post_init__(self):
-        if (self.potential is None) == (self.components is None):
-            raise ValueError("give exactly one of potential, components")
         if len(self.coordinates) != len(self.momentum_slots):
             raise ArityMismatchError("coordinates and momentum slots must pair up")
-        if self.components is not None and len(self.components) != len(self.coordinates):
+        if len(self.components) != len(self.coordinates):
             raise ArityMismatchError("one component per coordinate required")
 
     @classmethod
     def from_potential(cls, W: Expr, coordinates, momentum_slots) -> "ClosedOneForm":
-        form = cls(tuple(coordinates), tuple(momentum_slots), potential=simplify(W))
-        form.component_exprs()  # differentiate W here, before any sampling
-        return form
+        """The gradient of W, differentiated here, before any sampling."""
+        W = simplify(W)
+        return cls(tuple(coordinates), tuple(momentum_slots), tuple(diff(W, x) for x in coordinates))
 
     @classmethod
     def from_components(
@@ -70,29 +66,20 @@ class ClosedOneForm:
         boxes=None,
         guards=(),
         tol=1e-9,
-        check=True,
     ) -> "ClosedOneForm":
+        """The form of the given components, whose closure is checked by sampling."""
         components = tuple(simplify(coerce(c)) for c in components)
-        form = cls(tuple(coordinates), tuple(momentum_slots), components=components)
-        if check:
-            report = form.closure_report(rng=rng, boxes=boxes, guards=guards, tol=tol)
-            if not report.passed:
-                raise ClosureError(report.details["worst_pair"], report.overall_sup)
+        form = cls(tuple(coordinates), tuple(momentum_slots), components)
+        report = form.closure_report(rng=rng, boxes=boxes, guards=guards, tol=tol)
+        if not report.passed:
+            raise ClosureError(report.details["worst_pair"], report.overall_sup)
         return form
 
-    @cached_property
-    def _gradient(self) -> tuple:
-        return tuple(diff(self.potential, x) for x in self.coordinates)
-
-    def component_exprs(self) -> tuple:
-        """The components; a potential is differentiated once per form."""
-        return self.components if self.components is not None else self._gradient
-
     def substitution(self) -> dict:
-        return dict(zip(self.momentum_slots, self.component_exprs()))
+        return dict(zip(self.momentum_slots, self.components))
 
     def closure_report(self, rng=None, boxes=None, guards=(), tol=1e-9) -> "ResidualReport":
-        comps = self.component_exprs()
+        comps = self.components
         coords = self.coordinates
         equations = []
         for i in range(len(coords)):
@@ -124,7 +111,7 @@ def lift_trajectory(gamma: ClosedOneForm, traj: Trajectory, params=None) -> Traj
         raise ChartMismatchError(f"trajectory misses columns {missing}")
     params = params or {}
     extra = [s for s in params if s not in traj.columns]
-    components = lambdify(gamma.component_exprs(), list(traj.columns) + extra)
+    components = lambdify(gamma.components, list(traj.columns) + extra)
     tail = [float(params[s]) for s in extra]
     slots = [traj.columns.index(m) for m in gamma.momentum_slots]
     values = traj.values.copy()
@@ -357,7 +344,7 @@ def hj_residual(
         for lam in fibers
     ]
     coord_symbols, rows = _draw_rows(
-        positions, [e for _, e in base_eqs + fiber_eqs], samples, rng, gamma.component_exprs(), fibers,
+        positions, [e for _, e in base_eqs + fiber_eqs], samples, rng, gamma.components, fibers,
         boxes=boxes, guards=guards,
     )
     solver = _FiberSolver([e for _, e in fiber_eqs], fibers, coord_symbols)
@@ -393,7 +380,7 @@ def hj_residual_nondeg(
         raise ChartMismatchError(f"Hamiltonian momenta {sorted(leftover)} not covered by the form")
     equations = [(f"d/d{x}", diff(composed, x)) for x in gamma.coordinates]
     symbols, rows = _draw_rows(
-        gamma.coordinates, [], samples, rng, [*gamma.component_exprs(), composed], boxes=boxes, guards=guards
+        gamma.coordinates, [], samples, rng, [*gamma.components, composed], boxes=boxes, guards=guards
     )
     report = ResidualReport("hj-explicit", equations, tol, samples)
     values, *partials = eval_rows([composed] + [e for _, e in equations], symbols, rows)
@@ -463,7 +450,7 @@ def local_vf_residual(
     if set(sigma.q_components) != set(coords) or set(sigma.p_components) != set(slots):
         raise ArityMismatchError("section components must cover the chart exactly")
     subs = gamma.substitution()
-    comps = dict(zip(slots, gamma.component_exprs()))
+    comps = dict(zip(slots, gamma.components))
     equations = []
     for slot in slots:
         transport = None
@@ -480,7 +467,7 @@ def local_vf_residual(
         rng=rng,
         boxes=boxes,
         guards=guards,
-        probe=gamma.component_exprs(),
+        probe=gamma.components,
     )
 
 
@@ -624,7 +611,7 @@ def affine_hj_solve(
     else:
         raise ValueError("order must be 2 or 3")
 
-    form = ClosedOneForm(tuple(coords), tuple(slots), components=tuple(comps))
+    form = ClosedOneForm(tuple(coords), tuple(slots), tuple(comps))
     closure = form.closure_report(rng=rng, tol=tol)
     if not closure.passed and require_closed:
         raise ClosureError(closure.details["worst_pair"], closure.overall_sup)

@@ -15,10 +15,11 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
+from .calculus import diff, is_zero
 from .charts import chart_tstar_aq
 from .dynamics import assemble, integrate_rk4
 from .errors import ConfigError, GaugeConditionError, IncompatibleGaugeError, ParseError
-from .expr import eval_expr
+from .expr import eval_expr, simplify, substitute
 from .hamjac import ClosedOneForm, gamma_relatedness
 from .ostro import LagrangianSpec, euler_lagrange, explicit_hamiltonian, ostro_energy, ostro_momenta
 from .parser import parse
@@ -33,7 +34,7 @@ from .schmidt import (
     solve_F_quadratic,
     third_order_extend,
 )
-from .symbols import Kind, symbol_from_name
+from .symbols import Kind, q, symbol_from_name
 
 # a method: the derivative orders k it accepts (None: every k >= 1) and the
 # keys derive reports, in report order; DERIVED builds each key
@@ -51,10 +52,10 @@ METHODS = {
 FIELDS = (
     ("a file name", lambda v: isinstance(v, str) and "/" not in v and "\0" not in v, ("problem",)),
     ("a positive integer", lambda v: type(v) is int and v >= 1, ("n", "k")),
-    ("expression text", lambda v: isinstance(v, str), ("lagrangian", "schmidt_W", "schmidt_W_canonical", "affine_g")),
+    ("expression text", lambda v: isinstance(v, str), ("lagrangian", "schmidt_W", "schmidt_W_canonical")),
     ("expression text or null", lambda v: v is None or isinstance(v, str), ("W", "gauge_F", "hj_target")),
     ("a list of expression texts", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
-     ("gamma_components", "affine_f")),
+     ("gamma_components",)),
     ("an object", lambda v: isinstance(v, dict), ("parameters", "sample_box", "tolerances", "simulation")),
     ("a list", lambda v: isinstance(v, list), ("domain_guards",)),
 )
@@ -200,14 +201,15 @@ class Job:
         return parse(text) if text else None
 
     @cached_property
-    def affine(self) -> tuple:
-        """(f, g) of a Lagrangian affine in its top derivatives."""
-        if "affine_f" not in self.config or "affine_g" not in self.config:
-            raise ConfigError("config needs affine_f and affine_g")
-        f = self.config["affine_f"]
-        if len(f) != self.config["n"]:
-            raise ConfigError(f"affine_f needs one coefficient per coordinate ({self.config['n']}), got {len(f)}")
-        return [parse(t) for t in f], parse(self.config["affine_g"])
+    def affine(self) -> tuple | None:
+        """(f, g) with L = f . q_k + g when L is affine in its top
+        derivatives q_k, else None: f = dL/dq_k, g = L at q_k = 0."""
+        spec = self.spec
+        tops = [q(a, spec.order) for a in range(1, spec.dim + 1)]
+        f = [diff(spec.lagrangian, top) for top in tops]
+        if not all(is_zero(diff(fa, top)) for fa in f for top in tops):
+            return None
+        return f, simplify(substitute(spec.lagrangian, dict.fromkeys(tops, 0)))
 
     @cached_property
     def spec(self) -> LagrangianSpec:
@@ -302,7 +304,7 @@ class Job:
         if missing:
             raise ConfigError(f"simulation initial misses {', '.join(missing)}, used by the one-form")
         at = {s: sim.initial[s] for s in gamma.coordinates} | self.params
-        components = gamma.component_exprs()
+        components = gamma.components
         unbound = sorted(str(s) for c in components for s in c.free - at.keys())
         if unbound:
             raise ConfigError(f"the one-form uses {unbound[0]}, which is neither a coordinate nor a parameter")

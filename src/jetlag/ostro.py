@@ -119,11 +119,6 @@ def nondegeneracy(L: LagrangianSpec, at: dict) -> dict:
     return {"rank": rank, "full": rank == n}
 
 
-def top_coefficients(L: LagrangianSpec) -> list:
-    """dL/dq_(k) per component: the coefficients f of an L affine in its top derivatives."""
-    return [diff(L.lagrangian, q(a, L.order)) for a in range(1, L.dim + 1)]
-
-
 def top_derivative_solution(L: LagrangianSpec) -> list:
     """Solve p_(k-1) = dL/dq_(k) for the top derivatives (quadratic L only)."""
     n, k = L.dim, L.order

@@ -243,20 +243,14 @@ def pullback_map(L: LagrangianSpec, F: GaugeFunction) -> dict:
 def ostro_schmidt_pullback_check(
     L: LagrangianSpec,
     F: GaugeFunction,
-    hamiltonian_gauge: GaugeFunction | None = None,
     trials: int = 100,
     tol: float = 1e-10,
     rng=None,
 ) -> bool:
     """Ostrogradsky energy pulled through the identification equals the
-    acceleration-bundle Hamiltonian.
-
-    hamiltonian_gauge lets the caller pit the map built from one gauge
-    against the Hamiltonian of another (the negative control).
-    """
+    acceleration-bundle Hamiltonian."""
     pulled = simplify(substitute(energy_sum(L), pullback_map(L, F)))
-    ham = schmidt_hamiltonian(L, hamiltonian_gauge or F)
-    return equal_numeric(pulled, ham, trials=trials, tol=tol, rng=rng)
+    return equal_numeric(pulled, schmidt_hamiltonian(L, F), trials=trials, tol=tol, rng=rng)
 
 
 def schmidt_initial_data(

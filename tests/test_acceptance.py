@@ -260,12 +260,11 @@ def test_criterion_10_relatedness_with_negative_controls():
         [parse("1"), parse("sqrt(2)*sqrt(q1_1 - 1/2*q1_1^2)")],
         [q(1, 0), q(1, 1)],
         [p(1, 0), p(1, 1)],
-        check=False,
     )
     def run(form, system, start, params=None, check_params=None):
         init = dict(start)
         init.update(params or {})
-        for slot, comp in zip(form.momentum_slots, form.component_exprs()):
+        for slot, comp in zip(form.momentum_slots, form.components):
             init[slot] = eval_expr(comp, init)
         traj = integrate_rk4(system, init, 0.0, 0.3, 1e-3)
         return gamma_relatedness(
@@ -278,7 +277,6 @@ def test_criterion_10_relatedness_with_negative_controls():
         [parse("3/2"), parse("sqrt(2)*sqrt(q1_1 - 1/2*q1_1^2)")],
         [q(1, 0), q(1, 1)],
         [p(1, 0), p(1, 1)],
-        check=False,
     )
     ok = ok and not run(bad, sysj, start_j).passed
     # acceleration-bundle route with general coefficients

@@ -527,24 +527,39 @@ def test_hj_check_fiber_newton_skips_starts_outside_the_domain(tmp_path, capsys)
     assert "Traceback" not in err
 
 
+AFFINE_CONFIG = {
+    "problem": "affine",
+    "n": 1,
+    "k": 2,
+    "lagrangian": "(B + q1_0)*q1_2 + A*q1_1 + q1_1^2",
+    "method": "ostrogradsky",
+    "parameters": {"A": 1.0, "B": 2.0},
+}
+
+
 def test_hj_solve_affine(tmp_path, capsys):
-    config = {
-        "problem": "affine",
-        "n": 1,
-        "k": 2,
-        "lagrangian": "(B + q1_0)*q1_2 + A*q1_1 + q1_1^2",
-        "method": "ostrogradsky",
-        "parameters": {"A": 1.0, "B": 2.0},
-        "affine_f": ["B + q1_0"],
-        "affine_g": "A*q1_1 + q1_1^2",
-    }
-    path = write_config(tmp_path, config)
+    path = write_config(tmp_path, AFFINE_CONFIG)
     code, out = run_cli(capsys, "hj-solve-affine", "--config", path, "--format", "json")
     assert code == 0
     report = json.loads(out)
     assert report["closure"]["passed"] is True
     assert report["verification"]["passed"] is True
     assert report["potential"] is not None
+
+
+def test_hj_solve_affine_solves_the_lagrangian_it_names(tmp_path, capsys):
+    # f and g come from the lagrangian: fields that name another L are not read
+    config = {**AFFINE_CONFIG, "affine_f": ["B + 2*q1_0"], "affine_g": "A*q1_1 + q1_1^2"}
+    code, out = run_cli(capsys, "hj-solve-affine", "--config", write_config(tmp_path, config), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["closure"]["passed"] is True
+    assert report["verification"]["passed"] is True
+
+
+def test_hj_solve_affine_of_a_lagrangian_not_affine_is_usage_error(tmp_path, capsys):
+    assert main(["hj-solve-affine", "--config", write_config(tmp_path, BEAM_CONFIG)]) == 2
+    assert "not affine in its top derivatives" in capsys.readouterr().err
 
 
 def test_corpus_list_names_eight_entries(capsys):
@@ -735,7 +750,7 @@ def _with_initial(initial):
         ("derive", {**BEAM_CONFIG, "method": "schmidt2deg", "gauge_F": "q1_1*q1_0"}),
         ("derive", {**BEAM_CONFIG, "method": "schmidt2", "gauge_F": "-mu*q1_1*a1_0 + q1_0*m1_0"}),
         ("hj-check", {**JAVELIN_HJ, "gamma_components": ["A"]}),
-        ("hj-solve-affine", {**BEAM_CONFIG, "affine_f": ["mu", "q1_0"], "affine_g": "0"}),
+        ("hj-solve-affine", BEAM_CONFIG),
         ("hj-check", {**BEAM_CONFIG, "W": "zz*q1_1"}),
         ("hj-check", {**BEAM_CONFIG, "W": "lam1*q1_0"}),
         ("hj-check", {**BEAM_CONFIG, "W": "q1_1", "simulation": {**BEAM_CONFIG["simulation"], "t1": 0.0}}),
@@ -756,7 +771,7 @@ def _with_initial(initial):
         "schmidt2deg-singular-gauge-hessian",
         "schmidt2-gauge-uses-auxiliary",
         "gamma-components-one-short",
-        "affine-f-one-too-many",
+        "hj-solve-affine-lagrangian-not-affine",
         "one-form-uses-an-unknown-symbol",
         "one-form-uses-a-multiplier",
         "relatedness-grid-of-one-sample",

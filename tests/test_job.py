@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetlag import expr
 from jetlag import job as job_mod
@@ -9,9 +12,10 @@ from jetlag.corpus import build_entries, run_entry
 from jetlag.errors import ConfigError
 from jetlag.job import Job
 from jetlag.printer import to_text
+from jetlag.sampling import equal_numeric
 from jetlag.symbols import acc, aux, p, pa, pm, pq, q
 
-from conftest import count_calls_everywhere
+from conftest import bounded_degree_polynomial, count_calls_everywhere
 
 BEAM = {
     "problem": "beam",
@@ -96,7 +100,7 @@ def test_relatedness_compiles_the_one_form_once(monkeypatch):
     gamma = javelin.job.gamma()
     calls = count_calls_everywhere(monkeypatch, expr.lambdify)
     assert javelin.job.relatedness(gamma, 1e-5).passed
-    components = list(gamma.component_exprs())
+    components = list(gamma.components)
     assert [list(args[0]) for args, _ in calls].count(components) == 1
 
 
@@ -111,3 +115,25 @@ def test_gamma_chart_follows_method_and_key():
     assert third.gamma().momentum_slots == (pq(1), pa(1), pm(1))
     with pytest.raises(ConfigError):
         Job.from_config({**BEAM, "W": None}).gamma()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2), st.sampled_from((2, 3)), st.integers(0, 2**32 - 1))
+def test_affine_reads_f_and_g_off_the_lagrangian(n, k, seed):
+    # L = f . q_k + g with f and g free of the top derivatives q_k
+    rng = np.random.default_rng(seed)
+    below = [q(a, level) for a in range(1, n + 1) for level in range(k)]
+    f = [bounded_degree_polynomial(rng, below, total_degree=2, terms=3) for _ in range(n)]
+    g = bounded_degree_polynomial(rng, below, total_degree=3, terms=4)
+    L = g
+    for a, fa in enumerate(f, 1):
+        L = L + fa * q(a, k)
+    job = Job.from_config({"problem": "drawn", "n": n, "k": k, "lagrangian": to_text(L), "method": "ostrogradsky"})
+    got_f, got_g = job.affine
+    assert len(got_f) == n
+    assert all(equal_numeric(x, y) for x, y in zip(got_f, f))
+    assert equal_numeric(got_g, g)
+
+
+def test_affine_is_none_for_a_lagrangian_quadratic_in_its_top_derivative():
+    assert Job.from_config(BEAM).affine is None

@@ -49,7 +49,9 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
     # 3x3 block in the generated RK4 loop, three error classes, a constraint
     # with no real value, a non-finite compiled value, hj-check's target
     # form, relatedness, on a Newton system too, an energy drift with no
-    # value, and a function of a symbol evaluated over sampled rows
+    # value, a function of a symbol evaluated over sampled rows, a point
+    # without a value, fiber blocks that differ from row to row, and a fiber
+    # Newton iteration that no start brings to a root
     entered = {}
 
     def count(owner, name, key, when=lambda *args: True):
@@ -67,6 +69,8 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
     count(errors.ParseError, "__init__", "ParseError", lambda self, *args: type(self) is errors.ParseError)
     count(errors.UnknownIdentifierError, "__init__", "UnknownIdentifierError")
     count(errors.ClosureError, "__init__", "ClosureError")
+    count(errors.UnboundSymbolError, "__init__", "UnboundSymbolError")
+    count(hamjac, "_lstsq_rows", "per-row lstsq", lambda a, b: not (a == a[0]).all())
     count(dynamics, "_constraint_failure", "constraint failure")
     count(dynamics, "_nonfinite", "non-finite value")  # the name the generated RK4 loop calls
     count(cli, "hj_residual_nondeg", "target form")
@@ -78,6 +82,15 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
         "function rows",
         lambda exprs, symbols: any(step[0] in expr.Func._TABLE for step in expr.tape(exprs, symbols)),
     )
+    newton = hamjac._FiberSolver._newton
+    entered["fiber newton without a root"] = 0
+
+    def newton_without_root(solver, row):  # counts the points where the best start leaves a residual
+        lam, residual = newton(solver, row)
+        entered["fiber newton without a root"] += residual > dynamics.NEWTON_TOL
+        return lam, residual
+
+    monkeypatch.setattr(hamjac._FiberSolver, "_newton", newton_without_root)
     solve = dynamics._MultiplierSolver.multipliers  # the cached_property itself
     entered["newton multipliers"] = 0
 
@@ -117,6 +130,9 @@ def test_edge_runs_reach_the_exit_codes_that_the_job_lists_miss(tmp_path, monkey
         "edge/simulate-constraint-rounding": 0,
         "edge/simulate-energy-null": 0,
         "edge/hj-check-transcendental": 0,
+        "edge/simulate-missing-value": 2,
+        "edge/hj-check-fiber-per-row": 1,
+        "edge/hj-check-fiber-no-root": 1,
     }
     assert "Traceback" not in "".join(run["stderr"] for run in runs.values())
     assert all(entered.values()), entered

@@ -65,6 +65,9 @@ EDGE_RUNS = {
     "simulate-constraint-rounding": (["simulate"], "edge-constraint-rounding.json"),  # 0, |g| at rounding level
     "simulate-energy-null": (["simulate"], "edge-energy-null.json"),  # 0, no energy has a value: drift null
     "hj-check-transcendental": (["hj-check"], "edge-hj-transcendental.json"),  # 0, functions in sampled rows
+    "simulate-missing-value": (["simulate"], "edge-missing-value.json"),  # 2, UnboundSymbolError
+    "hj-check-fiber-per-row": (["hj-check"], "edge-hj-fiber-per-row.json"),  # 1, a fiber block per sample row
+    "hj-check-fiber-no-root": (["hj-check"], "edge-hj-fiber-no-root.json"),  # 1, fiber Newton finds no root
 }
 
 
